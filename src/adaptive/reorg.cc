@@ -6,7 +6,6 @@
 #include "hail/hail_block.h"
 #include "hdfs/packet.h"
 #include "index/unclustered_index.h"
-#include "layout/column_vector.h"
 #include "planner/block_stats.h"
 
 namespace hail {
@@ -126,12 +125,12 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
   // Logical (paper-scale) quantities for billing, derived exactly like the
   // upload path's HailTransformParams.
   const double scale = dfs.config().scale_factor;
+  const auto scaled = [scale](uint64_t real) {
+    return static_cast<uint64_t>(static_cast<double>(real) * scale);
+  };
   const sim::CostModel& cost = dfs.cluster().node(task.datanode).cost();
-  const sim::CostConstants& c = dfs.cluster().constants();
-  const uint64_t logical_records = static_cast<uint64_t>(
-      static_cast<double>(base.num_records()) * scale);
-  const uint64_t logical_data = static_cast<uint64_t>(
-      static_cast<double>(base.PayloadBytes()) * scale);
+  const uint64_t logical_records = scaled(base.num_records());
+  const uint64_t logical_data = scaled(base.PayloadBytes());
   const FieldType key_type = base.schema().field(task.column).type;
 
   PreparedReorg out;
@@ -154,34 +153,25 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
     // size the reader bills when it later loads this index.
     logical_index_delta = LogicalDenseIndexBytes(logical_records, key_type);
   } else {
-    // Full re-sort via the upload-time machinery: raw typed argsort of the
-    // key column, PermutedCopy of the shared columns, sparse index.
-    const std::vector<uint32_t> perm = ArgSortColumn(base.column(task.column));
-    const PaxBlock sorted = base.PermutedCopy(perm);
-    const ClusteredIndex index = ClusteredIndex::Build(
-        sorted.column(task.column),
-        dfs.config().format.varlen_partition_size);
-    out.bytes = BuildHailBlock(sorted, &index, task.column);
+    // Full re-sort through the upload's own BuildSortedReplica and
+    // BillSortedReplica; the sparse root is exactly what the reader bills
+    // for loading it.
+    SortedReplica sorted = BuildSortedReplica(
+        base, task.column, dfs.config().format.varlen_partition_size);
+    out.bytes = std::move(sorted.bytes);
     out.info.sort_column = task.column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = index.SerializedBytes();
+    out.info.index_bytes = sorted.index_bytes;
     // The re-sort consumes any previously installed unclustered index
     // (rows moved; its rowids would be stale).
     out.info.unclustered_column = -1;
     out.info.unclustered_index_bytes = 0;
-    cpu += cost.SortBlock(
-        logical_records,
-        static_cast<uint64_t>(static_cast<double>(base.FixedPayloadBytes()) *
-                              scale),
-        static_cast<uint64_t>(static_cast<double>(base.VarlenPayloadBytes()) *
-                              scale),
-        key_type == FieldType::kString);
-    cpu += cost.IndexBuild(logical_records);
-    // Paper-scale sparse root: one entry per 1024 logical values — again
-    // exactly what the reader bills for loading it.
-    logical_index_delta = LogicalSparseIndexBytes(
-        logical_records, c.index_partition_logical, key_type,
-        /*pointer_bytes=*/4);
+    const SortCost sort = BillSortedReplica(
+        cost, key_type, logical_records, scaled(base.FixedPayloadBytes()),
+        scaled(base.VarlenPayloadBytes()),
+        dfs.cluster().constants().index_partition_logical);
+    cpu += sort.cpu_seconds;
+    logical_index_delta = sort.logical_index_bytes;
   }
   out.info.replica_bytes = out.bytes.size();
   out.chunk_crcs = hdfs::ComputeChunkChecksums(

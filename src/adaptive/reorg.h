@@ -7,8 +7,8 @@
 ///    adaptivity) — sort order, clustered index and PAX payload are copied
 ///    verbatim, so the rewrite costs one read + key sort + write;
 ///  - kResortReplica: fully re-sort the replica to the hot column and
-///    rebuild its clustered index via the same PermutedCopy machinery the
-///    upload-time HailReplicaTransformer uses.
+///    rebuild its clustered index through the upload's own
+///    BuildSortedReplica / BillSortedReplica (hail/hail_block.h).
 ///
 /// Execution is split so the JobRunner can bill it like any other
 /// simulated work: PrepareReorg (at task assignment, read-only) computes

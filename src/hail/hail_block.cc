@@ -6,17 +6,84 @@
 
 namespace hail {
 
-Status HailReplicaTransformer::BeginBlock(std::string_view reassembled) {
+SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
+                                 uint32_t varlen_partition_size) {
+  SortedReplica out;
+  if (sort_column < 0) {
+    out.bytes = BuildHailBlock(base, nullptr, -1);
+    return out;
+  }
+  const PaxBlock sorted =
+      base.PermutedCopy(ArgSortColumn(base.column(sort_column)));
+  const ClusteredIndex index =
+      ClusteredIndex::Build(sorted.column(sort_column), varlen_partition_size);
+  out.bytes = BuildHailBlock(sorted, &index, sort_column);
+  out.index_bytes = index.SerializedBytes();
+  return out;
+}
+
+SortCost BillSortedReplica(const sim::CostModel& cost, FieldType key_type,
+                           uint64_t logical_records,
+                           uint64_t logical_fixed_bytes,
+                           uint64_t logical_varlen_bytes,
+                           uint32_t index_partition_logical) {
+  SortCost out;
+  out.cpu_seconds =
+      cost.SortBlock(logical_records, logical_fixed_bytes,
+                     logical_varlen_bytes, key_type == FieldType::kString);
+  out.cpu_seconds += cost.IndexBuild(logical_records);
+  out.logical_index_bytes =
+      LogicalSparseIndexBytes(logical_records, index_partition_logical,
+                              key_type, /*pointer_bytes=*/4);
+  return out;
+}
+
+Status HailReplicaTransformer::BeginBlock(std::string_view block_bytes) {
   // The single decode this block will ever see: every replica below is a
   // permutation of these columns.
-  HAIL_ASSIGN_OR_RETURN(PaxBlock base, PaxBlock::Deserialize(reassembled));
+  HAIL_ASSIGN_OR_RETURN(PaxBlock base, PaxBlock::Deserialize(block_bytes));
   base_.emplace(std::move(base));
+  prepared_.clear();
   if (params_.build_stats) {
     // Built from the shared arrival-order columns: replicas are row
     // permutations of these, so one sidecar describes them all.
     stats_bytes_ = planner::BlockStats::Build(*base_).Serialize();
   } else {
     stats_bytes_.clear();
+  }
+  return Status::OK();
+}
+
+int HailReplicaTransformer::SortColumn(size_t replica_index) const {
+  if (replica_index >= params_.sort_columns.size() ||
+      base_->num_records() == 0) {
+    return -1;
+  }
+  return params_.sort_columns[replica_index];
+}
+
+const HailReplicaTransformer::PreparedReplica& HailReplicaTransformer::Prepare(
+    int sort_column) {
+  auto it = prepared_.find(sort_column);
+  if (it == prepared_.end()) {
+    PreparedReplica p;
+    p.replica =
+        BuildSortedReplica(*base_, sort_column, params_.varlen_partition_size);
+    // Each replica carries its own checksums: replicas differ physically,
+    // so DN1's CRCs are useless to DN2 (§3.2).
+    p.chunk_crcs =
+        hdfs::ComputeChunkChecksums(p.replica.bytes, params_.chunk_bytes);
+    it = prepared_.emplace(sort_column, std::move(p)).first;
+  }
+  return it->second;
+}
+
+Status HailReplicaTransformer::PrepareReplicas() {
+  if (!base_.has_value()) {
+    return Status::FailedPrecondition("PrepareReplicas before BeginBlock");
+  }
+  for (size_t i = 0; i < params_.sort_columns.size(); ++i) {
+    Prepare(SortColumn(i));
   }
   return Status::OK();
 }
@@ -30,40 +97,22 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
     return Status::InvalidArgument(
         "HAIL replicas are billed through the pipeline; missing cost model");
   }
-  const int sort_column =
-      replica_index < params_.sort_columns.size()
-          ? params_.sort_columns[replica_index]
-          : -1;
+  const int sort_column = SortColumn(replica_index);
+  const PreparedReplica& prepared = Prepare(sort_column);
 
   hdfs::ReplicaBlock out;
   out.info.layout = hdfs::ReplicaLayout::kPax;
   uint64_t logical_index_bytes = 0;
-  if (sort_column >= 0 && base_->num_records() > 0) {
-    // Extract the replica's sort keys once from the shared column and
-    // permute all columns into this replica's order (raw typed argsort —
-    // see ArgSortColumn — not Value comparisons).
-    const std::vector<uint32_t> perm =
-        ArgSortColumn(base_->column(sort_column));
-    const PaxBlock sorted = base_->PermutedCopy(perm);
-    const ClusteredIndex index = ClusteredIndex::Build(
-        sorted.column(sort_column), params_.varlen_partition_size);
-    out.bytes = BuildHailBlock(sorted, &index, sort_column);
-    const bool string_key =
-        base_->schema().field(sort_column).type == FieldType::kString;
-    out.cpu_seconds +=
-        ctx.cost->SortBlock(params_.logical_records,
-                            params_.logical_fixed_bytes,
-                            params_.logical_varlen_bytes, string_key);
-    out.cpu_seconds += ctx.cost->IndexBuild(params_.logical_records);
+  if (sort_column >= 0) {
+    const SortCost sort = BillSortedReplica(
+        *ctx.cost, base_->schema().field(sort_column).type,
+        params_.logical_records, params_.logical_fixed_bytes,
+        params_.logical_varlen_bytes, params_.index_partition_logical);
+    out.cpu_seconds += sort.cpu_seconds;
     out.info.sort_column = sort_column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = index.SerializedBytes();
-    // The paper-scale index root: one entry per 1024 values (§3.5).
-    logical_index_bytes = LogicalSparseIndexBytes(
-        params_.logical_records, params_.index_partition_logical,
-        base_->schema().field(sort_column).type, /*pointer_bytes=*/4);
-  } else {
-    out.bytes = BuildHailBlock(*base_, nullptr, -1);
+    out.info.index_bytes = prepared.replica.index_bytes;
+    logical_index_bytes = sort.logical_index_bytes;
   }
 
   if (replica_index == 0 && !stats_bytes_.empty()) {
@@ -83,8 +132,7 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
         static_cast<uint64_t>(base_->schema().num_fields()));
   }
 
-  // Each datanode recomputes its own checksums: replicas differ
-  // physically, so DN1's CRCs are useless to DN2 (§3.2).
+  // Each datanode recomputes its own checksums (see Prepare).
   const uint64_t logical_replica_bytes =
       params_.logical_pax_bytes + logical_index_bytes;
   out.cpu_seconds += ctx.cost->Crc(logical_replica_bytes);
@@ -92,7 +140,8 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
     // The tail also verified every incoming packet.
     out.cpu_seconds += ctx.cost->Crc(params_.logical_pax_bytes);
   }
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(out.bytes, params_.chunk_bytes);
+  out.bytes = prepared.replica.bytes;
+  out.chunk_crcs = prepared.chunk_crcs;
   out.info.replica_bytes = out.bytes.size();
   out.logical_bytes = logical_replica_bytes;
   return out;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,6 +49,33 @@ std::string BuildHailBlockParts(int sort_column, std::string_view index_bytes,
                                 std::string_view pax_bytes,
                                 int uc_column, std::string_view uc_bytes);
 
+/// \brief One replica's node-independent part: what any datanode builds.
+struct SortedReplica {
+  std::string bytes;         ///< serialised HAIL block
+  uint64_t index_bytes = 0;  ///< real clustered-index bytes; 0 unindexed
+};
+
+/// \brief Sorts a replica the same way for upload, adaptive re-sort and
+/// repair: raw typed argsort of the key column, PermutedCopy of every
+/// column, sparse clustered index of \p varlen_partition_size values per
+/// partition. A negative \p sort_column keeps arrival order, unindexed.
+/// Reads no cluster state.
+SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
+                                 uint32_t varlen_partition_size);
+
+/// \brief Paper-scale cost of sorting and indexing one replica (§3.5).
+struct SortCost {
+  double cpu_seconds = 0.0;          ///< SortBlock + IndexBuild
+  uint64_t logical_index_bytes = 0;  ///< sparse root, 4-byte pointers
+};
+
+/// The one home of that billing for upload, adaptive re-sort and repair.
+SortCost BillSortedReplica(const sim::CostModel& cost, FieldType key_type,
+                           uint64_t logical_records,
+                           uint64_t logical_fixed_bytes,
+                           uint64_t logical_varlen_bytes,
+                           uint32_t index_partition_logical);
+
 /// \brief Everything the HAIL transformer needs besides the block bytes.
 ///
 /// The logical_* sizes are the paper-scale quantities of the block being
@@ -77,27 +105,45 @@ struct HailTransformParams {
 
 /// \brief The HAIL per-replica layout policy (steps 6-9 of Figure 1).
 ///
-/// BeginBlock decodes the reassembled PAX block exactly once (asserted by
-/// PaxBlock::deserialize_count() in tests); each BuildReplica derives its
-/// replica by argsorting the shared key column and applying the
-/// permutation to the shared columnar data — no per-replica re-decode, no
-/// Value-boxed comparisons anywhere in the sort or index build.
+/// Split by what each step reads. BeginBlock decodes the PAX block
+/// exactly once (asserted by PaxBlock::deserialize_count() in tests)
+/// and builds the stats sidecar; PrepareReplicas derives every replica's
+/// bytes and chunk CRCs from those shared columns (BuildSortedReplica).
+/// Neither reads cluster state, so the HAIL client runs both on the worker
+/// pool. BuildReplica bills the building datanode and hands over a copy of
+/// the prepared bytes, preparing the replica first if PrepareReplicas did
+/// not. The copy is deliberate: it allocates the bytes the datanode keeps
+/// on the calling (committing) thread, not in a pool worker's malloc arena.
 class HailReplicaTransformer : public hdfs::ReplicaTransformer {
  public:
   explicit HailReplicaTransformer(HailTransformParams params)
       : params_(std::move(params)) {}
 
-  Status BeginBlock(std::string_view reassembled) override;
+  Status BeginBlock(std::string_view block_bytes) override;
+  /// Prepares the replica of every sort_columns entry; replicas sorted by
+  /// the same column share one build.
+  Status PrepareReplicas();
   Result<hdfs::ReplicaBlock> BuildReplica(
       size_t replica_index, const hdfs::ReplicaWorkContext& ctx) override;
   std::string_view stats_bytes() const override { return stats_bytes_; }
 
  private:
+  struct PreparedReplica {
+    SortedReplica replica;
+    std::vector<uint32_t> chunk_crcs;
+  };
+  /// Replica \p replica_index's sort column; negative for arrival order
+  /// (always on an empty block, which has nothing to sort).
+  int SortColumn(size_t replica_index) const;
+  const PreparedReplica& Prepare(int sort_column);
+
   HailTransformParams params_;
   /// Shared arrival-order columnar data, decoded once per block.
   std::optional<PaxBlock> base_;
   /// Serialized planner::BlockStats when params_.build_stats is set.
   std::string stats_bytes_;
+  /// Prepared replicas by sort column (negative: arrival order).
+  std::map<int, PreparedReplica> prepared_;
 };
 
 /// \brief Zero-copy reader for a serialised HAIL block (versions 1 and 2).

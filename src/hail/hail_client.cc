@@ -1,11 +1,15 @@
 #include "hail/hail_client.h"
 
 #include <algorithm>
+#include <deque>
+#include <future>
+#include <optional>
 
 #include "hdfs/replica_transform.h"
 #include "hdfs/upload_pipeline.h"
 #include "layout/pax_block.h"
 #include "schema/row_parser.h"
+#include "util/thread_pool.h"
 
 namespace hail {
 
@@ -41,57 +45,101 @@ struct HailCursor {
   int client_node;
   std::string dfs_path;
   std::vector<std::string_view> blocks;
-  size_t next_block = 0;
   sim::SimTime ready;  // client disk/CPU chain readiness
   sim::SimTime completed = 0.0;
   HailUploadReport stats;
-  bool done() const { return next_block >= blocks.size(); }
 };
 
-Result<bool> UploadNextHailBlock(hdfs::MiniDfs* dfs,
-                                 const HailUploadConfig& config,
-                                 HailCursor* cur) {
-  if (cur->done()) return false;
-  const hdfs::DfsConfig& cfg = dfs->config();
-  sim::SimCluster& cluster = dfs->cluster();
-  std::string_view text_block = cur->blocks[cur->next_block++];
+/// One block's upload work that reads no cluster state: the client's
+/// parse, PAX build and v3 encode, and the datanodes' single decode, stats
+/// sidecar and node-independent replica bytes + chunk CRCs.
+struct PreparedBlock {
+  /// The serialised PAX block the client sends down the chain.
+  std::string client_block;
+  uint64_t bad_records = 0;
+  uint64_t logical_records = 0;
+  uint64_t logical_pax_bytes = 0;
+  /// Begun and prepared: the pipeline's BuildReplica calls only bill.
+  std::optional<HailReplicaTransformer> transformer;
+};
 
-  const uint64_t logical_text_bytes = static_cast<uint64_t>(
-      static_cast<double>(text_block.size()) * cfg.scale_factor);
-
-  // ---- client side: read source, parse rows, build PAX (steps 1-2);
+/// Runs on a pool worker. Everything it reads is passed in and outlives
+/// the call: UploadBlocks joins every prepare before it returns.
+Result<PreparedBlock> PrepareBlock(const HailUploadConfig& config,
+                                   const hdfs::DfsConfig& cfg,
+                                   uint32_t index_partition_logical,
+                                   std::string_view text_block) {
+  const auto scaled = [&cfg](uint64_t real) {
+    return static_cast<uint64_t>(static_cast<double>(real) * cfg.scale_factor);
+  };
+  // ---- client side: parse rows, build PAX (steps 1-2);
   // BuildPaxBlockFromText parses straight into typed columns ----
-  sim::SimNode& client = cluster.node(cur->client_node);
-  const sim::Interval read = client.src_disk().Schedule(
-      cur->ready, client.cost().DiskTransfer(logical_text_bytes));
-
-  PaxBlock pax = BuildPaxBlockFromText(config.schema, text_block, cfg.format);
-  const std::string client_block = pax.Serialize();
+  const PaxBlock pax =
+      BuildPaxBlockFromText(config.schema, text_block, cfg.format);
+  PreparedBlock out;
+  out.client_block = pax.Serialize();
   // Logical sizes come from the values-only payload: the real serialised
   // block carries offset side-cars at scaled-down density, which must not
   // be multiplied back up (DESIGN.md §2). With format-v3 encoding on, the
   // payload billed for transfer is the *stored* (compressed) extent of the
-  // block just serialised, and the client pays an explicit per-value
-  // encode term for the sampling + code-emission pass.
+  // block just serialised.
   uint64_t stored_payload = pax.PayloadBytes();
-  double encode_cpu = 0.0;
   if (cfg.format.enable_encoding) {
     HAIL_ASSIGN_OR_RETURN(PaxBlockView encoded_view,
-                          PaxBlockView::Open(client_block));
+                          PaxBlockView::Open(out.client_block));
     stored_payload = encoded_view.stored_payload_bytes();
-    encode_cpu = client.cost().EncodeValues(
-        static_cast<uint64_t>(static_cast<double>(pax.num_records()) *
-                              cfg.scale_factor) *
-        static_cast<uint64_t>(config.schema.num_fields()));
   }
-  const uint64_t logical_pax_bytes =
-      static_cast<uint64_t>(static_cast<double>(stored_payload) *
-                            cfg.scale_factor) +
-      hdfs::kLogicalBlockOverhead;
+  out.bad_records = pax.bad_records().size();
+  out.logical_records = scaled(pax.num_records());
+  out.logical_pax_bytes = scaled(stored_payload) + hdfs::kLogicalBlockOverhead;
 
+  // ---- datanode side, the node-independent part of steps 6-9: one
+  // decode, the stats sidecar, every replica's sort/index/serialise/CRC.
+  // Padding the sort columns to the replication factor prepares the
+  // arrival-order replicas here too. ----
+  HailTransformParams params;
+  params.sort_columns = config.sort_columns;
+  params.sort_columns.resize(static_cast<size_t>(cfg.replication), -1);
+  params.build_stats = config.build_stats;
+  params.chunk_bytes = cfg.chunk_bytes;
+  params.varlen_partition_size = cfg.format.varlen_partition_size;
+  params.index_partition_logical = index_partition_logical;
+  params.logical_pax_bytes = out.logical_pax_bytes;
+  params.logical_fixed_bytes = scaled(pax.FixedPayloadBytes());
+  params.logical_varlen_bytes = scaled(pax.VarlenPayloadBytes());
+  params.logical_records = out.logical_records;
+  out.transformer.emplace(std::move(params));
+  HAIL_RETURN_NOT_OK(out.transformer->BeginBlock(out.client_block));
+  HAIL_RETURN_NOT_OK(out.transformer->PrepareReplicas());
+  return out;
+}
+
+/// Runs on the calling thread in the serial block order: books the
+/// client's read and parse, allocates the block, and writes it through
+/// the shared pipeline, which bills, stores and registers every replica.
+Status CommitBlock(hdfs::MiniDfs* dfs, const HailUploadConfig& config,
+                   std::string_view text_block, PreparedBlock* block,
+                   HailCursor* cur) {
+  const hdfs::DfsConfig& cfg = dfs->config();
+  const uint64_t logical_text_bytes = static_cast<uint64_t>(
+      static_cast<double>(text_block.size()) * cfg.scale_factor);
+
+  // ---- client side: read source, parse rows, build PAX (steps 1-2);
+  // with format v3 the client also pays an explicit per-value encode term
+  // for the sampling + code-emission pass ----
+  sim::SimNode& client = dfs->cluster().node(cur->client_node);
+  const sim::Interval read = client.src_disk().Schedule(
+      cur->ready, client.cost().DiskTransfer(logical_text_bytes));
+  const double encode_cpu =
+      cfg.format.enable_encoding
+          ? client.cost().EncodeValues(
+                block->logical_records *
+                static_cast<uint64_t>(config.schema.num_fields()))
+          : 0.0;
   const sim::Interval parse = client.cpu().Schedule(
       read.end, client.cost().TextParse(logical_text_bytes) +
-                    client.cost().PaxBuild(logical_pax_bytes) + encode_cpu);
+                    client.cost().PaxBuild(block->logical_pax_bytes) +
+                    encode_cpu);
 
   // ---- namenode: allocate block + targets (step 3) ----
   HAIL_ASSIGN_OR_RETURN(hdfs::BlockAllocation alloc,
@@ -99,28 +147,13 @@ Result<bool> UploadNextHailBlock(hdfs::MiniDfs* dfs,
                             cur->dfs_path, cur->client_node, cfg.replication));
 
   // ---- steps 4-15 live in the shared transport: packets, ACKs, chain
-  // timing, then one HailReplicaTransformer decode + per-replica
-  // sort/index/flush on the datanodes ----
-  HailTransformParams params;
-  params.sort_columns = config.sort_columns;
-  params.build_stats = config.build_stats;
-  params.chunk_bytes = cfg.chunk_bytes;
-  params.varlen_partition_size = cfg.format.varlen_partition_size;
-  params.index_partition_logical = cluster.constants().index_partition_logical;
-  params.logical_pax_bytes = logical_pax_bytes;
-  params.logical_fixed_bytes = static_cast<uint64_t>(
-      static_cast<double>(pax.FixedPayloadBytes()) * cfg.scale_factor);
-  params.logical_varlen_bytes = static_cast<uint64_t>(
-      static_cast<double>(pax.VarlenPayloadBytes()) * cfg.scale_factor);
-  params.logical_records = static_cast<uint64_t>(
-      static_cast<double>(pax.num_records()) * cfg.scale_factor);
-  HailReplicaTransformer transformer(std::move(params));
-
+  // timing, then per-replica billing and flush of the prepared replicas
+  // on the datanodes ----
   HAIL_ASSIGN_OR_RETURN(
       hdfs::BlockWriteResult result,
       dfs->pipeline().WriteBlock(cur->client_node, parse.end, alloc.block_id,
-                                 client_block, logical_pax_bytes,
-                                 alloc.datanodes, &transformer));
+                                 block->client_block, block->logical_pax_bytes,
+                                 alloc.datanodes, &*block->transformer));
 
   // Client may start preparing the next block once its CPU freed up;
   // pipeline back-pressure is enforced by the resource queues.
@@ -133,10 +166,10 @@ Result<bool> UploadNextHailBlock(hdfs::MiniDfs* dfs,
     cur->stats.oversized_blocks += 1;
   }
   cur->stats.text_real_bytes += text_block.size();
-  cur->stats.pax_real_bytes += client_block.size();
+  cur->stats.pax_real_bytes += block->client_block.size();
   cur->stats.replica_real_bytes += result.replica_bytes_total;
-  cur->stats.bad_records += pax.bad_records().size();
-  return true;
+  cur->stats.bad_records += block->bad_records;
+  return Status::OK();
 }
 
 HailUploadReport MergeReports(const std::vector<HailCursor>& cursors,
@@ -155,6 +188,70 @@ HailUploadReport MergeReports(const std::vector<HailCursor>& cursors,
   return report;
 }
 
+/// The one HAIL ingest loop. Commits blocks on the calling thread in
+/// round-robin order — one block per client per round, the order every
+/// simulated number depends on — while the next blocks prepare on the
+/// shared worker pool, about two per worker. Must not run on a pool
+/// worker (it waits on the pool's futures). Every prepare is joined before
+/// it returns, also on error, since prepares borrow \p config, the
+/// uploaded texts and this frame.
+Result<HailUploadReport> UploadBlocks(hdfs::MiniDfs* dfs,
+                                      const HailUploadConfig& config,
+                                      std::vector<HailCursor> cursors,
+                                      sim::SimTime start_time) {
+  struct Step {
+    HailCursor* cur;
+    std::string_view text_block;
+  };
+  std::vector<Step> order;
+  for (size_t round = 0, added = 1; added > 0; ++round) {
+    added = 0;
+    for (HailCursor& cur : cursors) {
+      if (round < cur.blocks.size()) {
+        order.push_back({&cur, cur.blocks[round]});
+        ++added;
+      }
+    }
+  }
+
+  const hdfs::DfsConfig cfg = dfs->config();
+  const uint32_t index_partition_logical =
+      dfs->cluster().constants().index_partition_logical;
+  ThreadPool* pool = SharedPool();
+  const size_t depth = 2 * pool->num_threads();
+  using Window = std::deque<std::future<Result<PreparedBlock>>>;
+  Window window;
+  // Waits out every prepare still in flight when this frame unwinds,
+  // including early error returns.
+  struct JoinWindow {
+    explicit JoinWindow(Window* w) : window(w) {}
+    JoinWindow(const JoinWindow&) = delete;
+    JoinWindow& operator=(const JoinWindow&) = delete;
+    ~JoinWindow() {
+      for (auto& prepare : *window) prepare.wait();
+    }
+    Window* window;
+  } join(&window);
+
+  size_t submitted = 0;
+  for (const Step& step : order) {
+    for (; submitted < order.size() && window.size() < depth; ++submitted) {
+      const std::string_view text_block = order[submitted].text_block;
+      window.push_back(
+          pool->Submit([&config, &cfg, index_partition_logical, text_block] {
+            return PrepareBlock(config, cfg, index_partition_logical,
+                                text_block);
+          }));
+    }
+    Window::value_type next = std::move(window.front());
+    window.pop_front();
+    HAIL_ASSIGN_OR_RETURN(PreparedBlock block, next.get());
+    HAIL_RETURN_NOT_OK(
+        CommitBlock(dfs, config, step.text_block, &block, step.cur));
+  }
+  return MergeReports(cursors, start_time);
+}
+
 }  // namespace
 
 Result<HailUploadReport> HailUploadTextFile(hdfs::MiniDfs* dfs,
@@ -163,23 +260,8 @@ Result<HailUploadReport> HailUploadTextFile(hdfs::MiniDfs* dfs,
                                             const std::string& dfs_path,
                                             std::string_view text,
                                             sim::SimTime start_time) {
-  if (static_cast<int>(config.sort_columns.size()) >
-      dfs->config().replication) {
-    return Status::InvalidArgument(
-        "more sort columns than replicas: HAIL creates at most one index "
-        "per replica");
-  }
-  std::vector<HailCursor> cursors(1);
-  cursors[0].client_node = client_node;
-  cursors[0].dfs_path = dfs_path;
-  cursors[0].blocks = CutRowAlignedBlocks(text, dfs->config().block_size);
-  cursors[0].ready = start_time;
-  while (!cursors[0].done()) {
-    HAIL_ASSIGN_OR_RETURN(bool more,
-                          UploadNextHailBlock(dfs, config, &cursors[0]));
-    if (!more) break;
-  }
-  return MergeReports(cursors, start_time);
+  return HailParallelUpload(dfs, config, {{client_node, dfs_path, text}},
+                            start_time);
 }
 
 Result<HailUploadReport> HailParallelUpload(
@@ -202,16 +284,7 @@ Result<HailUploadReport> HailParallelUpload(
     cur.ready = start_time;
     cursors.push_back(std::move(cur));
   }
-  bool any = true;
-  while (any) {
-    any = false;
-    for (HailCursor& cur : cursors) {
-      if (cur.done()) continue;
-      HAIL_ASSIGN_OR_RETURN(bool more, UploadNextHailBlock(dfs, config, &cur));
-      any = any || more || !cur.done();
-    }
-  }
-  return MergeReports(cursors, start_time);
+  return UploadBlocks(dfs, config, std::move(cursors), start_time);
 }
 
 }  // namespace hail

@@ -65,6 +65,11 @@ struct HailUploadReport {
 };
 
 /// \brief Uploads a text file the HAIL way from one client node.
+///
+/// Each block's cluster-independent work (parse, PAX build, decode,
+/// replica sort/index/serialise) is prepared on SharedPool() while the
+/// calling thread commits blocks in serial order, so results do not
+/// depend on the pool size. Must not be called from a SharedPool() worker.
 Result<HailUploadReport> HailUploadTextFile(hdfs::MiniDfs* dfs,
                                             const HailUploadConfig& config,
                                             int client_node,
@@ -72,7 +77,8 @@ Result<HailUploadReport> HailUploadTextFile(hdfs::MiniDfs* dfs,
                                             std::string_view text,
                                             sim::SimTime start_time = 0.0);
 
-/// \brief One HailUploadTextFile per (client, file), run concurrently.
+/// \brief One HailUploadTextFile per (client, file), run concurrently:
+/// blocks commit round-robin, one per client per round.
 Result<HailUploadReport> HailParallelUpload(
     hdfs::MiniDfs* dfs, const HailUploadConfig& config,
     const std::vector<hdfs::ParallelUploadSpec>& specs,

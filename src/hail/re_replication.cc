@@ -5,8 +5,6 @@
 
 #include "hail/hail_block.h"
 #include "hdfs/packet.h"
-#include "index/clustered_index.h"
-#include "layout/column_vector.h"
 #include "obs/metrics.h"
 
 namespace hail {
@@ -125,49 +123,33 @@ Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
     out.info.unclustered_column = -1;
     out.info.unclustered_index_bytes = 0;
 
-    const sim::CostConstants& c = dfs.cluster().constants();
-    const uint64_t logical_records = static_cast<uint64_t>(
-        static_cast<double>(base.num_records()) * scale);
-    const uint64_t logical_data = static_cast<uint64_t>(
-        static_cast<double>(base.PayloadBytes()) * scale);
-    double cpu = 0.0;
-    uint64_t logical_index = 0;
-    if (want.has_index()) {
-      if (want.sort_column < 0 ||
-          want.sort_column >= base.schema().num_fields()) {
-        return Status::InvalidArgument("lost replica sort column outside schema");
-      }
-      const std::vector<uint32_t> perm =
-          ArgSortColumn(base.column(want.sort_column));
-      const PaxBlock sorted = base.PermutedCopy(perm);
-      const ClusteredIndex index = ClusteredIndex::Build(
-          sorted.column(want.sort_column),
-          dfs.config().format.varlen_partition_size);
-      out.bytes = BuildHailBlock(sorted, &index, want.sort_column);
-      out.info.index_bytes = index.SerializedBytes();
-      const FieldType key_type = base.schema().field(want.sort_column).type;
-      cpu += target_cost.SortBlock(
-          logical_records,
-          static_cast<uint64_t>(
-              static_cast<double>(base.FixedPayloadBytes()) * scale),
-          static_cast<uint64_t>(
-              static_cast<double>(base.VarlenPayloadBytes()) * scale),
-          key_type == FieldType::kString);
-      cpu += target_cost.IndexBuild(logical_records);
-      logical_index = LogicalSparseIndexBytes(
-          logical_records, c.index_partition_logical, key_type,
-          /*pointer_bytes=*/4);
-    } else {
-      out.bytes = BuildHailBlock(base, nullptr, -1);
+    const auto scaled = [scale](uint64_t real) {
+      return static_cast<uint64_t>(static_cast<double>(real) * scale);
+    };
+    const uint64_t logical_data = scaled(base.PayloadBytes());
+    const int sort_column = want.has_index() ? want.sort_column : -1;
+    if (sort_column >= base.schema().num_fields()) {
+      return Status::InvalidArgument("lost replica sort column outside schema");
     }
-    out.info.replica_bytes = out.bytes.size();
-    const uint64_t logical_out = logical_data + logical_index;
+    SortedReplica rebuilt = BuildSortedReplica(
+        base, sort_column, dfs.config().format.varlen_partition_size);
+    out.bytes = std::move(rebuilt.bytes);
+    SortCost sort;  // nothing to bill for an arrival-order replica
+    if (sort_column >= 0) {
+      out.info.index_bytes = rebuilt.index_bytes;
+      sort = BillSortedReplica(
+          target_cost, base.schema().field(sort_column).type,
+          scaled(base.num_records()), scaled(base.FixedPayloadBytes()),
+          scaled(base.VarlenPayloadBytes()),
+          dfs.cluster().constants().index_partition_logical);
+    }
+    const uint64_t logical_out = logical_data + sort.logical_index_bytes;
     const sim::CostModel& src_cost = dfs.cluster().node(pax_source).cost();
     out.seconds = src_cost.DiskAccess(logical_data);
     if (pax_source != target) {
       out.seconds += target_cost.NetTransfer(logical_data);
     }
-    out.seconds += cpu + target_cost.Crc(logical_out) +
+    out.seconds += sort.cpu_seconds + target_cost.Crc(logical_out) +
                    target_cost.DiskAccess(logical_out);
   } else {
     // A non-PAX replica (text / binary rows) can only be cloned from a

@@ -73,10 +73,11 @@ struct ReplicaBlock {
 
 /// \brief Per-block replica layout policy.
 ///
-/// One transformer instance handles one block: the pipeline calls
-/// BeginBlock once with the reassembled bytes, then BuildReplica once per
-/// pipeline target. Implementations decode shared state in BeginBlock
-/// exactly once and derive every replica from it.
+/// One transformer instance handles one block: the caller calls
+/// BeginBlock once with the block bytes, then the pipeline (or
+/// StoreTransformedReplicas) calls BuildReplica once per target.
+/// Implementations decode shared state in BeginBlock exactly once and
+/// derive every replica from it.
 class ReplicaTransformer {
  public:
   virtual ~ReplicaTransformer() = default;

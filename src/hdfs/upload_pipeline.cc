@@ -47,6 +47,7 @@ Result<BlockWriteResult> UploadPipeline::WriteBlock(
     std::string_view block_bytes, uint64_t logical_bytes,
     const std::vector<int>& targets) {
   IdentityTransformer identity;
+  HAIL_RETURN_NOT_OK(identity.BeginBlock(block_bytes));
   return WriteBlock(client, ready, block_id, block_bytes, logical_bytes,
                     targets, &identity);
 }
@@ -115,19 +116,17 @@ Result<BlockWriteResult> UploadPipeline::WriteBlock(
     }
   }
 
-  std::string reassembled;
-  if (streaming) {
-    HAIL_RETURN_NOT_OK(transformer->BeginBlock(block_bytes));
-  } else {
+  if (!streaming) {
     // Reassemble the block from its packets (step 6) — every datanode
     // does this in memory; one reassembly suffices functionally since the
-    // bytes are identical, and the transformer decodes it exactly once.
+    // bytes are identical. The transformer was begun on the client's
+    // bytes, so the packets must reassemble to exactly those.
+    std::string reassembled;
     reassembled.reserve(block_bytes.size());
     for (const Packet& p : packets) reassembled.append(p.data);
     if (reassembled != block_bytes) {
       return Status::Corruption("block reassembly mismatch");
     }
-    HAIL_RETURN_NOT_OK(transformer->BeginBlock(reassembled));
   }
 
   // ---- timing: chain transfer (cut-through) ----

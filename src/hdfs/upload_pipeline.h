@@ -72,7 +72,11 @@ class UploadPipeline {
 
   /// Writes one block through the packet/ACK chain; \p transformer
   /// decides each replica's physical layout (see replica_transform.h).
-  /// \p ready is when the client has the block bytes in hand.
+  /// As for StoreTransformedReplicas, the caller has already called
+  /// transformer->BeginBlock(block_bytes) — the HAIL client does so on the
+  /// worker pool — and the pipeline checks that the packets reassemble to
+  /// exactly those bytes. \p ready is when the client has the block bytes
+  /// in hand.
   /// \p logical_bytes is the paper-scale size used for cost accounting of
   /// the chain transfer.
   Result<BlockWriteResult> WriteBlock(int client, sim::SimTime ready,

@@ -100,7 +100,7 @@ class PaxBlock {
   static Result<PaxBlock> Deserialize(std::string_view data);
 
   /// Process-wide count of Deserialize calls. Upload tests assert the
-  /// multi-replica build decodes each reassembled block exactly once,
+  /// multi-replica build decodes each uploaded block exactly once,
   /// regardless of replication factor (the PR-1 decode_steps() idea at
   /// block granularity).
   static uint64_t deserialize_count();

@@ -251,14 +251,6 @@ struct RepairState {
   std::optional<PreparedRepair> prepared;
 };
 
-/// Process-wide worker pool for parallel map-task reads. Created lazily,
-/// never destroyed (workers block on an empty queue between sessions);
-/// sized by HAIL_THREADS or hardware_concurrency.
-ThreadPool* SharedPool() {
-  static ThreadPool* pool = new ThreadPool(ThreadPool::DefaultThreads());
-  return pool;
-}
-
 ExecutionMode ResolveMode(ExecutionMode requested) {
   if (requested != ExecutionMode::kDefault) return requested;
   if (const char* env = std::getenv("HAIL_EXEC")) {

@@ -47,4 +47,9 @@ size_t ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : hw;
 }
 
+ThreadPool* SharedPool() {
+  static ThreadPool* pool = new ThreadPool(ThreadPool::DefaultThreads());
+  return pool;
+}
+
 }  // namespace hail

@@ -1,12 +1,18 @@
 /// \file thread_pool.h
 /// \brief Fixed-size worker pool with a future-based join primitive.
 ///
-/// Backs the parallel map-task execution engine (mapreduce/job_runner.cc):
-/// the event loop dispatches each task's *functional* read to the pool and
-/// joins the returned future when the simulated completion event is due, so
-/// heavy per-task work (CRC verification, block decode, filtering, tuple
-/// reconstruction) overlaps across hardware threads while all scheduling
-/// decisions and simulated-clock accounting stay on the event thread.
+/// One process-wide instance (SharedPool) backs both parallel engines:
+///   - map-task reads (mapreduce/scheduler.cc): the event loop dispatches
+///     each task's *functional* read to the pool and joins the returned
+///     future when the simulated completion event is due, so heavy per-task
+///     work (CRC verification, block decode, filtering, tuple
+///     reconstruction) overlaps across hardware threads while all
+///     scheduling decisions and simulated-clock accounting stay on the
+///     event thread;
+///   - HAIL ingest (hail/hail_client.cc): each block's cluster-independent
+///     work (parse, PAX build, decode, replica sort/index/serialise) is
+///     prepared on the pool while the calling thread commits finished
+///     blocks in serial order.
 ///
 /// Tasks submitted to the pool run in FIFO submission order whenever the
 /// pool has one worker, which keeps single-threaded parallel-mode runs
@@ -72,5 +78,11 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// The process-wide pool shared by parallel reads and HAIL ingest.
+/// Created lazily with DefaultThreads() workers, never destroyed (workers
+/// block on an empty queue between uses). Callers that wait on its futures
+/// must not themselves run on one of its workers.
+ThreadPool* SharedPool();
 
 }  // namespace hail

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 #include <map>
+#include <memory>
+#include <thread>
 
 #include "hail/hail_block.h"
 #include "hail/hail_client.h"
 #include "hdfs/dfs_client.h"
 #include "schema/row_parser.h"
+#include "util/thread_pool.h"
 #include "workload/uservisits.h"
 
 namespace hail {
@@ -365,6 +370,7 @@ TEST(HailUploadTest, UploadThroughDeadDatanodeFails) {
   env.dfs->KillNode(2, 0.0);
   {
     HailReplicaTransformer transformer(params);
+    ASSERT_TRUE(transformer.BeginBlock(block).ok());
     auto result = env.dfs->pipeline().WriteBlock(0, 0.0, 77, block, block.size(),
                                                  {0, 1, 2}, &transformer);
     EXPECT_TRUE(result.status().IsFailedPrecondition())
@@ -372,6 +378,7 @@ TEST(HailUploadTest, UploadThroughDeadDatanodeFails) {
   }
   {
     HailReplicaTransformer transformer(params);
+    ASSERT_TRUE(transformer.BeginBlock(block).ok());
     auto result = env.dfs->pipeline().WriteBlock(0, 0.0, 78, block, block.size(),
                                                  {0, 99}, &transformer);
     EXPECT_TRUE(result.status().IsInvalidArgument())
@@ -379,9 +386,63 @@ TEST(HailUploadTest, UploadThroughDeadDatanodeFails) {
   }
   // A chain of live, valid targets still succeeds after the failures.
   HailReplicaTransformer transformer(params);
+  ASSERT_TRUE(transformer.BeginBlock(block).ok());
   auto ok = env.dfs->pipeline().WriteBlock(0, 0.0, 79, block, block.size(),
                                            {0, 1}, &transformer);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+/// Returns once every worker of the shared pool has been busy with this
+/// call at the same instant: everything submitted earlier has finished.
+void QuiesceSharedPool() {
+  ThreadPool* pool = SharedPool();
+  const size_t workers = pool->num_threads();
+  std::atomic<size_t> arrived{0};
+  std::vector<std::future<void>> parked;
+  for (size_t i = 0; i < workers; ++i) {
+    parked.push_back(pool->Submit([&arrived, workers] {
+      arrived.fetch_add(1);
+      while (arrived.load() < workers) std::this_thread::yield();
+    }));
+  }
+  for (std::future<void>& f : parked) f.get();
+}
+
+TEST(HailUploadTest, FailedUploadRegistersNothingAndJoinsPreparedBlocks) {
+  // Two of four datanodes are dead, below the replication factor of 3:
+  // the first block's allocation fails while later blocks are still
+  // preparing on the shared pool. The upload fails cleanly, registers no
+  // block, and returns only after its prepares are joined — none may
+  // touch the config or texts it borrowed once it has returned. /a is one
+  // small block, committed first; /b's large blocks take far longer to
+  // prepare, so they are in flight when /a's allocation fails.
+  Env env = MakeEnv(4, /*block_size=*/256 * 1024);
+  env.dfs->KillNode(1, 0.0);
+  env.dfs->KillNode(2, 0.0);
+  auto config = std::make_unique<HailUploadConfig>();
+  config->schema = env.schema;
+  config->sort_columns = {workload::kVisitDate, workload::kSourceIP,
+                          workload::kAdRevenue};
+  std::vector<std::string> texts = {UVText(20, 21), UVText(12000, 22)};
+  ASSERT_GT(CutRowAlignedBlocks(texts[1], env.dfs->config().block_size).size(),
+            4u);
+
+  const uint64_t before = PaxBlock::deserialize_count();
+  auto report = HailParallelUpload(env.dfs.get(), *config,
+                                   {{0, "/a", texts[0]}, {3, "/b", texts[1]}});
+  const uint64_t decodes_at_return = PaxBlock::deserialize_count();
+  config.reset();
+  texts.clear();
+  texts.shrink_to_fit();
+
+  EXPECT_TRUE(report.status().IsFailedPrecondition())
+      << report.status().ToString();
+  EXPECT_FALSE(env.dfs->namenode().FileExists("/a"));
+  EXPECT_FALSE(env.dfs->namenode().FileExists("/b"));
+  EXPECT_GT(decodes_at_return, before) << "nothing prepared before the failure";
+  QuiesceSharedPool();
+  EXPECT_EQ(PaxBlock::deserialize_count(), decodes_at_return)
+      << "a prepare outlived the failed upload";
 }
 
 TEST(HailUploadTest, UploadTimeGrowsMildlyWithIndexCount) {
