@@ -111,5 +111,52 @@ TEST(UploadGoldenTest, HailUploadMatchesSeed) {
   }
 }
 
+/// CRC32C over the HSTA stats sidecar of every block of \p path, in block
+/// order; a missing sidecar fails the test.
+uint32_t DigestStats(hdfs::MiniDfs& dfs, const std::string& path) {
+  uint32_t crc = 0;
+  auto blocks = dfs.namenode().GetFileBlocks(path);
+  EXPECT_TRUE(blocks.ok()) << blocks.status().ToString();
+  if (!blocks.ok()) return 0;
+  for (const auto& loc : *blocks) {
+    auto stats = dfs.namenode().GetBlockStats(loc.block_id);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats.ok()) crc = crc32c::Extend(crc, stats->data(), stats->size());
+  }
+  return crc;
+}
+
+/// The same mini Fig. 4 HAIL uploads with format v3 minipages and the
+/// planner's stats sidecar on, so the v3 encoder's choices and the HSTA
+/// bytes are pinned alongside the plain v1 goldens above.
+TEST(UploadGoldenTest, HailEncodedUploadMatchesSeed) {
+  const double expected_duration[4] = {21.749410925493329, 24.642486933242804,
+                                       34.076620825007083, 43.489882264584011};
+  const uint32_t expected_digest[4] = {4088242489u, 2017655135u, 4288300780u,
+                                       68451789u};
+  const uint64_t expected_replica_bytes[4] = {1620576, 1645504, 1751200,
+                                              1800512};
+  for (int k = 0; k <= 3; ++k) {
+    TestbedConfig config = MiniFig4Config();
+    config.encode_blocks = true;
+    config.build_stats = true;
+    Testbed bed(config);
+    bed.LoadUserVisits();
+    std::vector<int> all = {workload::kVisitDate, workload::kSourceIP,
+                            workload::kAdRevenue};
+    std::vector<int> columns(all.begin(), all.begin() + k);
+    auto r = bed.UploadHail("/data", columns);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->duration(), expected_duration[k]) << k << " indexes";
+    EXPECT_EQ(r->pax_real_bytes, 539136u) << k << " indexes";
+    EXPECT_EQ(r->replica_real_bytes, expected_replica_bytes[k])
+        << k << " indexes";
+    EXPECT_EQ(DigestFile(bed.dfs(), "/data"), expected_digest[k])
+        << k << " indexes";
+    // Stats describe the logical block, so every k shares one sidecar set.
+    EXPECT_EQ(DigestStats(bed.dfs(), "/data"), 513786826u) << k << " indexes";
+  }
+}
+
 }  // namespace
 }  // namespace hail
