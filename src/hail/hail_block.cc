@@ -39,33 +39,41 @@ SortCost BillSortedReplica(const sim::CostModel& cost, FieldType key_type,
 }
 
 Status HailReplicaTransformer::BeginBlock(std::string_view block_bytes) {
+  facts_.reset();
+  base_.reset();
+  prepared_.clear();
+  stats_bytes_.clear();
   // The single decode this block will ever see: every replica below is a
   // permutation of these columns.
   HAIL_ASSIGN_OR_RETURN(PaxBlock base, PaxBlock::Deserialize(block_bytes));
   base_.emplace(std::move(base));
-  prepared_.clear();
+  facts_ = BlockFacts{base_->num_records(),
+                      static_cast<uint64_t>(base_->schema().num_fields()),
+                      base_->options().enable_encoding};
   if (params_.build_stats) {
     // Built from the shared arrival-order columns: replicas are row
     // permutations of these, so one sidecar describes them all.
     stats_bytes_ = planner::BlockStats::Build(*base_).Serialize();
-  } else {
-    stats_bytes_.clear();
   }
   return Status::OK();
 }
 
 int HailReplicaTransformer::SortColumn(size_t replica_index) const {
   if (replica_index >= params_.sort_columns.size() ||
-      base_->num_records() == 0) {
+      facts_->num_records == 0) {
     return -1;
   }
   return params_.sort_columns[replica_index];
 }
 
-const HailReplicaTransformer::PreparedReplica& HailReplicaTransformer::Prepare(
-    int sort_column) {
+Result<const HailReplicaTransformer::PreparedReplica*>
+HailReplicaTransformer::Prepare(int sort_column) {
   auto it = prepared_.find(sort_column);
   if (it == prepared_.end()) {
+    if (!base_.has_value()) {
+      return Status::FailedPrecondition(
+          "replica was not prepared and PrepareReplicas freed the block");
+    }
     PreparedReplica p;
     p.replica =
         BuildSortedReplica(*base_, sort_column, params_.varlen_partition_size);
@@ -73,24 +81,26 @@ const HailReplicaTransformer::PreparedReplica& HailReplicaTransformer::Prepare(
     // so DN1's CRCs are useless to DN2 (§3.2).
     p.chunk_crcs =
         hdfs::ComputeChunkChecksums(p.replica.bytes, params_.chunk_bytes);
+    if (sort_column >= 0) p.key_type = base_->schema().field(sort_column).type;
     it = prepared_.emplace(sort_column, std::move(p)).first;
   }
-  return it->second;
+  return &it->second;
 }
 
 Status HailReplicaTransformer::PrepareReplicas() {
-  if (!base_.has_value()) {
+  if (!facts_.has_value()) {
     return Status::FailedPrecondition("PrepareReplicas before BeginBlock");
   }
   for (size_t i = 0; i < params_.sort_columns.size(); ++i) {
-    Prepare(SortColumn(i));
+    HAIL_RETURN_NOT_OK(Prepare(SortColumn(i)).status());
   }
+  base_.reset();
   return Status::OK();
 }
 
 Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
     size_t replica_index, const hdfs::ReplicaWorkContext& ctx) {
-  if (!base_.has_value()) {
+  if (!facts_.has_value()) {
     return Status::FailedPrecondition("BuildReplica before BeginBlock");
   }
   if (ctx.cost == nullptr) {
@@ -98,38 +108,36 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
         "HAIL replicas are billed through the pipeline; missing cost model");
   }
   const int sort_column = SortColumn(replica_index);
-  const PreparedReplica& prepared = Prepare(sort_column);
+  HAIL_ASSIGN_OR_RETURN(const PreparedReplica* prepared, Prepare(sort_column));
 
   hdfs::ReplicaBlock out;
   out.info.layout = hdfs::ReplicaLayout::kPax;
   uint64_t logical_index_bytes = 0;
   if (sort_column >= 0) {
     const SortCost sort = BillSortedReplica(
-        *ctx.cost, base_->schema().field(sort_column).type,
-        params_.logical_records, params_.logical_fixed_bytes,
-        params_.logical_varlen_bytes, params_.index_partition_logical);
+        *ctx.cost, prepared->key_type, params_.logical_records,
+        params_.logical_fixed_bytes, params_.logical_varlen_bytes,
+        params_.index_partition_logical);
     out.cpu_seconds += sort.cpu_seconds;
     out.info.sort_column = sort_column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = prepared.replica.index_bytes;
+    out.info.index_bytes = prepared->replica.index_bytes;
     logical_index_bytes = sort.logical_index_bytes;
   }
 
   if (replica_index == 0 && !stats_bytes_.empty()) {
     // The stats sidecar is built once per block; bill the summary pass on
     // the first replica's builder so scheduling rides the existing paths.
-    out.cpu_seconds += ctx.cost->StatsBuild(
-        params_.logical_records *
-        static_cast<uint64_t>(base_->schema().num_fields()));
+    out.cpu_seconds +=
+        ctx.cost->StatsBuild(params_.logical_records * facts_->num_fields);
   }
 
-  if (base_->options().enable_encoding) {
+  if (facts_->encoded) {
     // Format v3: every replica serialises (and re-encodes) its own
     // permutation of the columns — codes are never copied across a sort —
     // so each datanode pays the sampling + code-emission pass.
-    out.cpu_seconds += ctx.cost->EncodeValues(
-        params_.logical_records *
-        static_cast<uint64_t>(base_->schema().num_fields()));
+    out.cpu_seconds +=
+        ctx.cost->EncodeValues(params_.logical_records * facts_->num_fields);
   }
 
   // Each datanode recomputes its own checksums (see Prepare).
@@ -140,8 +148,8 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
     // The tail also verified every incoming packet.
     out.cpu_seconds += ctx.cost->Crc(params_.logical_pax_bytes);
   }
-  out.bytes = prepared.replica.bytes;
-  out.chunk_crcs = prepared.chunk_crcs;
+  out.bytes = prepared->replica.bytes;
+  out.chunk_crcs = prepared->chunk_crcs;
   out.info.replica_bytes = out.bytes.size();
   out.logical_bytes = logical_replica_bytes;
   return out;

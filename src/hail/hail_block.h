@@ -106,22 +106,26 @@ struct HailTransformParams {
 /// \brief The HAIL per-replica layout policy (steps 6-9 of Figure 1).
 ///
 /// Split by what each step reads. BeginBlock decodes the PAX block
-/// exactly once (asserted by PaxBlock::deserialize_count() in tests)
-/// and builds the stats sidecar; PrepareReplicas derives every replica's
-/// bytes and chunk CRCs from those shared columns (BuildSortedReplica).
-/// Neither reads cluster state, so the HAIL client runs both on the worker
-/// pool. BuildReplica bills the building datanode and hands over a copy of
-/// the prepared bytes, preparing the replica first if PrepareReplicas did
-/// not. The copy is deliberate: it allocates the bytes the datanode keeps
-/// on the calling (committing) thread, not in a pool worker's malloc arena.
+/// exactly once (asserted by PaxBlock::deserialize_count() in tests),
+/// builds the stats sidecar and notes the few facts billing reads;
+/// PrepareReplicas derives every replica's bytes and chunk CRCs from those
+/// shared columns (BuildSortedReplica) and then frees the columns, so they
+/// die on the thread that built them. Neither reads cluster state, so the
+/// HAIL client runs both on the worker pool. BuildReplica bills the
+/// building datanode and hands over a copy of the prepared bytes. Without
+/// PrepareReplicas it prepares each replica on first use from the decoded
+/// columns; after it, a replica index it did not prepare is
+/// FailedPrecondition. The copy is deliberate: it allocates the bytes the
+/// datanode keeps on the calling (committing) thread, not in a pool
+/// worker's malloc arena.
 class HailReplicaTransformer : public hdfs::ReplicaTransformer {
  public:
   explicit HailReplicaTransformer(HailTransformParams params)
       : params_(std::move(params)) {}
 
   Status BeginBlock(std::string_view block_bytes) override;
-  /// Prepares the replica of every sort_columns entry; replicas sorted by
-  /// the same column share one build.
+  /// Prepares the replica of every sort_columns entry (replicas sorted by
+  /// the same column share one build), then frees the decoded columns.
   Status PrepareReplicas();
   Result<hdfs::ReplicaBlock> BuildReplica(
       size_t replica_index, const hdfs::ReplicaWorkContext& ctx) override;
@@ -131,14 +135,24 @@ class HailReplicaTransformer : public hdfs::ReplicaTransformer {
   struct PreparedReplica {
     SortedReplica replica;
     std::vector<uint32_t> chunk_crcs;
+    FieldType key_type = FieldType::kInt32;  ///< unused when unsorted
+  };
+  /// What billing reads of the begun block, kept after base_ is freed.
+  struct BlockFacts {
+    uint32_t num_records = 0;
+    uint64_t num_fields = 0;
+    bool encoded = false;
   };
   /// Replica \p replica_index's sort column; negative for arrival order
   /// (always on an empty block, which has nothing to sort).
   int SortColumn(size_t replica_index) const;
-  const PreparedReplica& Prepare(int sort_column);
+  Result<const PreparedReplica*> Prepare(int sort_column);
 
   HailTransformParams params_;
-  /// Shared arrival-order columnar data, decoded once per block.
+  /// Set by a successful BeginBlock.
+  std::optional<BlockFacts> facts_;
+  /// Shared arrival-order columnar data, decoded once per block; freed by
+  /// PrepareReplicas.
   std::optional<PaxBlock> base_;
   /// Serialized planner::BlockStats when params_.build_stats is set.
   std::string stats_bytes_;

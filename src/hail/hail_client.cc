@@ -59,7 +59,9 @@ struct PreparedBlock {
   uint64_t bad_records = 0;
   uint64_t logical_records = 0;
   uint64_t logical_pax_bytes = 0;
-  /// Begun and prepared: the pipeline's BuildReplica calls only bill.
+  /// Begun and prepared, its decoded columns already freed on the worker:
+  /// the pipeline's BuildReplica calls only bill and copy, and the commit
+  /// thread frees only bytes it had to read.
   std::optional<HailReplicaTransformer> transformer;
 };
 

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 namespace hail {
 
@@ -25,18 +27,28 @@ uint8_t CodeWidthForRange(uint64_t range) {
   return 0;
 }
 
-void PutCode(ByteWriter& w, uint64_t code, uint8_t width) {
+/// Writes \p n codes of \p width bytes (1, 2 or 4), code i being the low
+/// bytes of \p code_of(i), into \p out (n * width bytes).
+template <typename CodeOf>
+void WriteCodes(char* out, uint32_t n, uint8_t width, CodeOf code_of) {
   switch (width) {
     case 1:
-      w.PutU8(static_cast<uint8_t>(code));
-      break;
+      for (uint32_t i = 0; i < n; ++i) {
+        out[i] = static_cast<char>(static_cast<uint8_t>(code_of(i)));
+      }
+      return;
     case 2:
-      w.PutU8(static_cast<uint8_t>(code & 0xFF));
-      w.PutU8(static_cast<uint8_t>((code >> 8) & 0xFF));
-      break;
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint16_t code = static_cast<uint16_t>(code_of(i));
+        std::memcpy(out + 2ull * i, &code, 2);
+      }
+      return;
     default:
-      w.PutU32(static_cast<uint32_t>(code));
-      break;
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t code = static_cast<uint32_t>(code_of(i));
+        std::memcpy(out + 4ull * i, &code, 4);
+      }
+      return;
   }
 }
 
@@ -79,12 +91,13 @@ void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kFor));
     w.PutU8(for_width);
     PadTo8(w);
-    w.PutU64(static_cast<uint64_t>(static_cast<int64_t>(mn)));
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t code = static_cast<uint64_t>(static_cast<int64_t>(vals[i])) -
-                            static_cast<uint64_t>(static_cast<int64_t>(mn));
-      PutCode(w, code, for_width);
-    }
+    const uint64_t frame = static_cast<uint64_t>(static_cast<int64_t>(mn));
+    w.PutU64(frame);
+    WriteCodes(w.Extend(uint64_t{n} * for_width), n, for_width,
+               [&vals, frame](uint32_t i) {
+                 return static_cast<uint64_t>(static_cast<int64_t>(vals[i])) -
+                        frame;
+               });
     return;
   }
   w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
@@ -144,69 +157,107 @@ void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
                      uint32_t n, uint32_t part) {
   const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
   w.PutU32(num_offsets);
-  std::vector<uint64_t> offsets(num_offsets);
+  uint64_t total = 0;
+  for (uint32_t r = 0; r < n; ++r) total += strs[r].size() + 1;
+  char* out = w.Extend(8ull * num_offsets + 8 + total);
+  char* values = out + 8ull * num_offsets + 8;
+  std::memcpy(values - 8, &total, sizeof(total));  // total value bytes
   uint64_t pos = 0;
   for (uint32_t r = 0; r < n; ++r) {
-    if (r % part == 0) offsets[r / part] = pos;
+    if (r % part == 0) std::memcpy(out + 8ull * (r / part), &pos, sizeof(pos));
+    // Extend zero-filled the NUL terminator.
+    std::memcpy(values + pos, strs[r].data(), strs[r].size());
     pos += strs[r].size() + 1;
   }
-  for (uint64_t off : offsets) w.PutU64(off);
-  w.PutU64(pos);  // total value bytes
-  for (uint32_t r = 0; r < n; ++r) {
-    w.PutBytes(strs[r]);
-    w.PutU8(0);
-  }
+}
+
+/// Stored size of a dictionary minipage of \p dict_size >= 1 entries:
+/// header, pads, offsets, entries and one code per row.
+uint64_t DictEstimate(uint64_t dict_size, uint64_t dict_bytes, uint32_t n) {
+  return 14 + 8 /* pads */ + 4 * dict_size + dict_bytes +
+         uint64_t{n} * CodeWidthForRange(dict_size - 1);
 }
 
 /// String minipage (format v3): sorted-dictionary encoding when it stores
 /// fewer bytes than the plain sparse-offset layout, else plain.
+///
+/// One pass over a flat open-addressing table of value ids finds the
+/// distinct values in first-seen order. The dictionary estimate never
+/// shrinks as values are added, so the pass stops once it reaches the
+/// plain size: a high-entropy column gives up early and nothing is
+/// sorted. Only a winning dictionary is sorted, so codes follow string
+/// order, and the codes are written in bulk from a rank per first-seen id.
 void WriteEncodedStringMiniPage(ByteWriter& w,
                                 const std::vector<std::string>& strs,
                                 uint32_t n, uint32_t part) {
-  std::vector<std::string_view> dict;
-  uint64_t plain_values = 0;
-  if (n > 0) {
-    dict.reserve(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      dict.push_back(strs[r]);
-      plain_values += strs[r].size() + 1;
-    }
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  }
-  uint64_t dict_bytes = 0;
-  for (std::string_view s : dict) dict_bytes += s.size() + 1;
-  const uint8_t width = dict.size() <= 256 ? 1 : (dict.size() <= 65536 ? 2 : 4);
   const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
+  uint64_t plain_values = 0;
+  for (uint32_t r = 0; r < n; ++r) plain_values += strs[r].size() + 1;
   const uint64_t plain_est = 1 + 4 + 8ull * num_offsets + 8 + plain_values;
-  const uint64_t dict_est = 14 + 8 /* pads */ + 4ull * dict.size() +
-                            dict_bytes + uint64_t{n} * width;
-  if (n == 0 || dict_bytes > std::numeric_limits<uint32_t>::max() ||
-      dict_est >= plain_est) {
+
+  std::vector<std::string_view> distinct;  // first-seen order
+  std::vector<uint32_t> ids(n);            // row -> index into distinct
+  uint64_t dict_bytes = 0;
+  bool dict_wins = n > 0;
+  if (dict_wins) {
+    distinct.reserve(n);
+    // Power-of-two table of at least 2n slots; 0 marks an empty slot,
+    // else the slot holds a distinct index + 1.
+    uint64_t capacity = 16;
+    while (capacity < 2ull * n) capacity *= 2;
+    const uint64_t mask = capacity - 1;
+    std::vector<uint32_t> slots(capacity, 0);
+    for (uint32_t r = 0; r < n && dict_wins; ++r) {
+      const std::string_view s = strs[r];
+      // The dictionary is sorted before it is written, so the hash
+      // affects speed only, never the bytes.
+      uint64_t slot = std::hash<std::string_view>{}(s) & mask;
+      while (slots[slot] != 0 && distinct[slots[slot] - 1] != s) {
+        slot = (slot + 1) & mask;
+      }
+      if (slots[slot] == 0) {
+        distinct.push_back(s);
+        slots[slot] = static_cast<uint32_t>(distinct.size());
+        dict_bytes += s.size() + 1;
+        dict_wins = dict_bytes <= std::numeric_limits<uint32_t>::max() &&
+                    DictEstimate(distinct.size(), dict_bytes, n) < plain_est;
+      }
+      ids[r] = slots[slot] - 1;
+    }
+  }
+  if (!dict_wins) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
     WriteVarlenBody(w, strs, n, part);
     return;
   }
+
+  const uint32_t dict_size = static_cast<uint32_t>(distinct.size());
+  std::vector<uint32_t> sorted(dict_size);  // code -> first-seen id
+  std::iota(sorted.begin(), sorted.end(), 0u);
+  std::sort(sorted.begin(), sorted.end(), [&distinct](uint32_t a, uint32_t b) {
+    return distinct[a] < distinct[b];
+  });
+  std::vector<uint32_t> code_of(dict_size);  // first-seen id -> code
+  for (uint32_t c = 0; c < dict_size; ++c) code_of[sorted[c]] = c;
+
+  const uint8_t width = CodeWidthForRange(dict_size - 1);
   w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kDict));
   w.PutU8(width);
-  w.PutU32(static_cast<uint32_t>(dict.size()));
+  w.PutU32(dict_size);
   w.PutU64(dict_bytes);
   PadTo8(w);
+  char* offsets = w.Extend(4ull * dict_size + dict_bytes);
+  char* values = offsets + 4ull * dict_size;
   uint32_t off = 0;
-  for (std::string_view s : dict) {
-    w.PutU32(off);
+  for (uint32_t c = 0; c < dict_size; ++c) {
+    const std::string_view s = distinct[sorted[c]];
+    std::memcpy(offsets + 4ull * c, &off, 4);
+    std::memcpy(values + off, s.data(), s.size());  // NUL from Extend
     off += static_cast<uint32_t>(s.size()) + 1;
   }
-  for (std::string_view s : dict) {
-    w.PutBytes(s);
-    w.PutU8(0);
-  }
   PadTo8(w);
-  for (uint32_t r = 0; r < n; ++r) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(),
-                                     std::string_view(strs[r]));
-    PutCode(w, static_cast<uint64_t>(it - dict.begin()), width);
-  }
+  WriteCodes(w.Extend(uint64_t{n} * width), n, width,
+             [&ids, &code_of](uint32_t r) { return code_of[ids[r]]; });
 }
 
 }  // namespace

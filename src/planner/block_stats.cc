@@ -50,18 +50,24 @@ Result<Value> GetValue(ByteReader* r, FieldType type) {
   return Status::Corruption("unknown stats value type");
 }
 
-/// Summarizes one sorted value vector into the column stats: zone map
+template <typename T>
+Value MakeValue(T v) {
+  return Value(v);
+}
+Value MakeValue(std::string_view v) { return Value(std::string(v)); }
+
+/// Sorts one column's values (a copy of a fixed-width column, views of a
+/// string column) and summarizes them into the column stats: zone map
 /// endpoints, exact distinct count, and equi-depth bucket upper bounds.
 template <typename T>
-void Summarize(std::vector<T> sorted, uint32_t buckets, FieldType type,
-               ColumnStats* out) {
+void Summarize(std::vector<T> sorted, uint32_t buckets, ColumnStats* out) {
   std::sort(sorted.begin(), sorted.end());
   const size_t n = sorted.size();
   out->valid = n > 0;
   out->num_values = n;
   if (n == 0) return;
-  out->min_value = Value(sorted.front());
-  out->max_value = Value(sorted.back());
+  out->min_value = MakeValue(sorted.front());
+  out->max_value = MakeValue(sorted.back());
   uint64_t distinct = 1;
   for (size_t i = 1; i < n; ++i) {
     if (sorted[i] != sorted[i - 1]) ++distinct;
@@ -70,9 +76,8 @@ void Summarize(std::vector<T> sorted, uint32_t buckets, FieldType type,
   out->bucket_bounds.reserve(buckets);
   for (uint32_t b = 0; b < buckets; ++b) {
     const size_t idx = ((static_cast<size_t>(b) + 1) * n) / buckets;
-    out->bucket_bounds.push_back(Value(sorted[idx == 0 ? 0 : idx - 1]));
+    out->bucket_bounds.push_back(MakeValue(sorted[idx == 0 ? 0 : idx - 1]));
   }
-  (void)type;
 }
 
 /// Fraction of values strictly below / at-or-below \p v according to the
@@ -105,19 +110,21 @@ BlockStats BlockStats::Build(const PaxBlock& block,
     switch (col.type()) {
       case FieldType::kInt32:
       case FieldType::kDate:
-        Summarize(col.i32(), histogram_buckets, col.type(), &out);
+        Summarize(col.i32(), histogram_buckets, &out);
         out.value_bytes = col.i32().size() * 4;
         break;
       case FieldType::kInt64:
-        Summarize(col.i64(), histogram_buckets, col.type(), &out);
+        Summarize(col.i64(), histogram_buckets, &out);
         out.value_bytes = col.i64().size() * 8;
         break;
       case FieldType::kDouble:
-        Summarize(col.f64(), histogram_buckets, col.type(), &out);
+        Summarize(col.f64(), histogram_buckets, &out);
         out.value_bytes = col.f64().size() * 8;
         break;
       case FieldType::kString: {
-        Summarize(col.str(), histogram_buckets, col.type(), &out);
+        Summarize(std::vector<std::string_view>(col.str().begin(),
+                                                col.str().end()),
+                  histogram_buckets, &out);
         uint64_t bytes = 0;
         for (const std::string& s : col.str()) bytes += s.size();
         out.value_bytes = bytes;
@@ -165,6 +172,11 @@ Result<BlockStats> BlockStats::Deserialize(std::string_view data) {
   HAIL_ASSIGN_OR_RETURN(stats.num_records, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(stats.num_bad_records, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(uint32_t num_columns, r.GetU32());
+  // Counts are checked against the bytes left before anything is sized
+  // from them: a column takes at least its type and valid bytes.
+  if (num_columns > r.remaining() / 2) {
+    return Status::Corruption("block-stats column count exceeds data");
+  }
   stats.columns.resize(num_columns);
   for (uint32_t i = 0; i < num_columns; ++i) {
     ColumnStats& c = stats.columns[i];
@@ -179,6 +191,11 @@ Result<BlockStats> BlockStats::Deserialize(std::string_view data) {
     HAIL_ASSIGN_OR_RETURN(c.min_value, GetValue(&r, c.type));
     HAIL_ASSIGN_OR_RETURN(c.max_value, GetValue(&r, c.type));
     HAIL_ASSIGN_OR_RETURN(uint32_t buckets, r.GetU32());
+    // Every bound takes at least 4 bytes (an int32/date, or a string's
+    // length prefix).
+    if (buckets > r.remaining() / 4) {
+      return Status::Corruption("block-stats bucket count exceeds data");
+    }
     c.bucket_bounds.reserve(buckets);
     for (uint32_t b = 0; b < buckets; ++b) {
       HAIL_ASSIGN_OR_RETURN(Value bound, GetValue(&r, c.type));

@@ -34,6 +34,15 @@ class ByteWriter {
 
   void PutBytes(std::string_view s) { out_.append(s.data(), s.size()); }
 
+  /// Appends \p n zero bytes and returns where they start, so a section
+  /// of known size is filled in bulk instead of value by value. The
+  /// pointer is valid until the next append.
+  char* Extend(size_t n) {
+    const size_t pos = out_.size();
+    out_.resize(pos + n);
+    return out_.data() + pos;
+  }
+
   /// Current size; also used to note offsets while writing headers.
   size_t size() const { return out_.size(); }
 

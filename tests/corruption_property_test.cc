@@ -1,10 +1,11 @@
 /// \file corruption_property_test.cc
 /// \brief Corrupted bytes never crash and never silently succeed.
 ///
-/// Serialised PaxBlock / HAIL block bytes are truncated at every length
-/// (covering every section boundary +- 1) and bit-flipped at a stride:
-/// the deserialisers must surface a clean error — under ASan/UBSan this
-/// also proves no out-of-bounds read hides behind any malformed input.
+/// Serialised PaxBlock / HAIL block / HSTA stats sidecar bytes are
+/// truncated at every length (covering every section boundary +- 1) and
+/// bit-flipped: the deserialisers must surface a clean
+/// error — under ASan/UBSan this also proves no out-of-bounds read hides
+/// behind any malformed input.
 /// A structural parse MAY survive a payload bit flip (the bytes are still
 /// a well-formed block); the end-to-end guarantee that NO flip is ever
 /// silently served comes from the datanode CRC path, asserted for every
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,7 +22,9 @@
 #include "hdfs/packet.h"
 #include "index/clustered_index.h"
 #include "layout/pax_block.h"
+#include "planner/block_stats.h"
 #include "util/random.h"
+#include "workload/uservisits.h"
 
 namespace hail {
 namespace {
@@ -183,6 +187,70 @@ TEST_P(CorruptionPropertyTest, EveryStoredBitFlipFailsCrcVerification) {
           << "truncation to " << len << " not caught";
     }
   }
+}
+
+TEST_P(CorruptionPropertyTest, TruncatedStatsSidecarAlwaysErrors) {
+  // The sidecar of MakeBlock carries every stats value type: int32/date,
+  // double and length-prefixed string bounds.
+  const std::string bytes =
+      planner::BlockStats::Build(MakeBlock(GetParam(), false)).Serialize();
+  ASSERT_TRUE(planner::BlockStats::Deserialize(bytes).ok());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(planner::BlockStats::Deserialize(
+                     std::string_view(bytes).substr(0, len))
+                     .ok())
+        << "silent success at truncation length " << len << " of "
+        << bytes.size();
+  }
+}
+
+TEST_P(CorruptionPropertyTest, BitFlippedStatsSidecarNeverCrashes) {
+  // Every offset under several masks, so each byte of the column and
+  // bucket counts (and of every string length) also takes large values:
+  // the decoder must return a status, never throw or over-allocate.
+  const std::string bytes =
+      planner::BlockStats::Build(MakeBlock(GetParam(), false)).Serialize();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (const int mask : {0x01, 0x10, 0x80}) {
+      std::string mutated = bytes;
+      mutated[i] = static_cast<char>(mutated[i] ^ mask);
+      (void)planner::BlockStats::Deserialize(mutated);
+    }
+  }
+}
+
+TEST(StatsSidecarCorruptionTest, HugeCountsAreRejectedBeforeAllocating) {
+  workload::UserVisitsConfig uv;
+  uv.rows = 64;
+  uv.seed = 5;
+  const PaxBlock block = BuildPaxBlockFromText(
+      workload::UserVisitsSchema(), workload::GenerateUserVisitsText(uv));
+  const std::string bytes = planner::BlockStats::Build(block).Serialize();
+  ASSERT_TRUE(planner::BlockStats::Deserialize(bytes).ok());
+  // Bytes 13..16 hold the u32 column count (9). Raising its top byte
+  // asked for 2^28 columns (std::bad_alloc); raising byte 15 for about a
+  // million of them before the data ran out.
+  for (const size_t offset : {size_t{15}, size_t{16}}) {
+    std::string mutated = bytes;
+    mutated[offset] = 0x10;
+    EXPECT_TRUE(
+        planner::BlockStats::Deserialize(mutated).status().IsCorruption())
+        << "offset " << offset;
+  }
+  // The first column's bucket count sits after its fixed fields and its
+  // length-prefixed min and max strings.
+  auto stats = planner::BlockStats::Deserialize(bytes);
+  ASSERT_TRUE(stats.ok());
+  const planner::ColumnStats& first = stats->columns[0];
+  const size_t buckets_at = 17 + 2 + 3 * 8 + 4 +
+                            first.min_value.as_string().size() + 4 +
+                            first.max_value.as_string().size();
+  uint32_t buckets = 0;
+  std::memcpy(&buckets, bytes.data() + buckets_at, 4);
+  ASSERT_EQ(buckets, planner::kDefaultHistogramBuckets);
+  std::string mutated = bytes;
+  mutated[buckets_at + 3] = static_cast<char>(0xFF);
+  EXPECT_TRUE(planner::BlockStats::Deserialize(mutated).status().IsCorruption());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionPropertyTest,

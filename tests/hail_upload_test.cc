@@ -352,6 +352,79 @@ TEST(HailUploadTest, DecodesReassembledBlockExactlyOncePerBlock) {
       << "expected exactly one decode per uploaded block (replication 3)";
 }
 
+void ExpectSameReplica(const hdfs::ReplicaBlock& got,
+                       const hdfs::ReplicaBlock& want, size_t index) {
+  EXPECT_EQ(got.bytes, want.bytes) << "replica " << index;
+  EXPECT_EQ(got.chunk_crcs, want.chunk_crcs) << "replica " << index;
+  EXPECT_EQ(got.cpu_seconds, want.cpu_seconds) << "replica " << index;
+  EXPECT_EQ(got.logical_bytes, want.logical_bytes) << "replica " << index;
+  EXPECT_EQ(got.info.sort_column, want.info.sort_column) << "replica " << index;
+  EXPECT_EQ(got.info.index_kind, want.info.index_kind) << "replica " << index;
+  EXPECT_EQ(got.info.index_bytes, want.info.index_bytes) << "replica " << index;
+  EXPECT_EQ(got.info.replica_bytes, want.info.replica_bytes)
+      << "replica " << index;
+}
+
+TEST(HailUploadTest, TransformerFreesColumnsOnlyAfterPreparing) {
+  // PrepareReplicas frees the decoded columns on the thread that built
+  // them, so afterwards BuildReplica serves exactly what was prepared and
+  // bills from facts noted at BeginBlock. Direct callers that skip
+  // PrepareReplicas (the benchmark replay) still build lazily.
+  Env env = MakeEnv();
+  BlockFormatOptions format = env.dfs->config().format;
+  format.enable_encoding = true;
+  const PaxBlock pax = BuildPaxBlockFromText(env.schema, UVText(120, 31), format);
+  const std::string block = pax.Serialize();
+  HailTransformParams params;
+  // Replica 2 keeps arrival order: PrepareReplicas below does not see it.
+  params.sort_columns = {workload::kVisitDate, workload::kSourceIP};
+  params.build_stats = true;
+  params.chunk_bytes = env.dfs->config().chunk_bytes;
+  params.varlen_partition_size = format.varlen_partition_size;
+  params.logical_records = pax.num_records() * 512ull;
+  params.logical_pax_bytes = block.size() * 512ull;
+  hdfs::ReplicaWorkContext ctx;
+  ctx.cost = &env.cluster->node(0).cost();
+
+  HailReplicaTransformer prepared(params);
+  EXPECT_TRUE(prepared.PrepareReplicas().IsFailedPrecondition());
+  EXPECT_TRUE(prepared.BuildReplica(0, ctx).status().IsFailedPrecondition());
+
+  const uint64_t before = PaxBlock::deserialize_count();
+  HailReplicaTransformer lazy(params);
+  ASSERT_TRUE(lazy.BeginBlock(block).ok());
+  std::vector<hdfs::ReplicaBlock> want;
+  for (size_t i = 0; i < 3; ++i) {
+    ctx.is_tail = i == 2;
+    auto replica = lazy.BuildReplica(i, ctx);
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    want.push_back(std::move(*replica));
+  }
+  EXPECT_EQ(PaxBlock::deserialize_count() - before, 1u);
+
+  ASSERT_TRUE(prepared.BeginBlock(block).ok());
+  ASSERT_TRUE(prepared.PrepareReplicas().ok());
+  EXPECT_EQ(prepared.stats_bytes(), lazy.stats_bytes());
+  ctx.is_tail = false;
+  for (size_t i = 0; i < 2; ++i) {
+    auto replica = prepared.BuildReplica(i, ctx);
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    ExpectSameReplica(*replica, want[i], i);
+  }
+  ctx.is_tail = true;
+  EXPECT_TRUE(prepared.BuildReplica(2, ctx).status().IsFailedPrecondition());
+  // Preparing again finds every replica it prepares already built.
+  EXPECT_TRUE(prepared.PrepareReplicas().ok());
+  EXPECT_EQ(PaxBlock::deserialize_count() - before, 2u);
+
+  // The next BeginBlock decodes again, and replica 2 builds lazily.
+  ASSERT_TRUE(prepared.BeginBlock(block).ok());
+  auto arrival = prepared.BuildReplica(2, ctx);
+  ASSERT_TRUE(arrival.ok()) << arrival.status().ToString();
+  ExpectSameReplica(*arrival, want[2], 2);
+  EXPECT_EQ(PaxBlock::deserialize_count() - before, 3u);
+}
+
 TEST(HailUploadTest, UploadThroughDeadDatanodeFails) {
   // Regression: the seed HAIL path never validated pipeline targets the
   // way the text path did; the unified pipeline rejects dead or bogus

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "layout/column_vector.h"
 #include "layout/pax_block.h"
 #include "layout/row_binary.h"
@@ -323,6 +326,261 @@ TEST(PaxBlockEncodedTest, PlainSpansRefuseEncodedColumns) {
   EXPECT_TRUE(view->DictSpanOf(1).ok());
   EXPECT_TRUE(view->RleInt32Span(2).ok());
   EXPECT_TRUE(view->DoubleSpan(3).ok());  // plain column: normal span
+}
+
+// ---------------------------------------------------------------------------
+// Minipage encoders vs. the sort-based reference
+// ---------------------------------------------------------------------------
+
+/// Sort-based format-v3 string and FOR minipage writers, the byte
+/// reference the real encoder must match: the string dictionary is every
+/// value sorted and uniqued, each row's code is a lower_bound into it, and
+/// codes are appended one at a time.
+namespace reference {
+
+void PadTo8(ByteWriter& w) {
+  while (w.size() % 8 != 0) w.PutU8(0);
+}
+
+void PutCode(ByteWriter& w, uint64_t code, uint8_t width) {
+  switch (width) {
+    case 1:
+      w.PutU8(static_cast<uint8_t>(code));
+      break;
+    case 2:
+      w.PutU8(static_cast<uint8_t>(code & 0xFF));
+      w.PutU8(static_cast<uint8_t>((code >> 8) & 0xFF));
+      break;
+    default:
+      w.PutU32(static_cast<uint32_t>(code));
+      break;
+  }
+}
+
+void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
+                     uint32_t n, uint32_t part) {
+  const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
+  w.PutU32(num_offsets);
+  std::vector<uint64_t> offsets(num_offsets);
+  uint64_t pos = 0;
+  for (uint32_t r = 0; r < n; ++r) {
+    if (r % part == 0) offsets[r / part] = pos;
+    pos += strs[r].size() + 1;
+  }
+  for (uint64_t off : offsets) w.PutU64(off);
+  w.PutU64(pos);
+  for (uint32_t r = 0; r < n; ++r) {
+    w.PutBytes(strs[r]);
+    w.PutU8(0);
+  }
+}
+
+void WriteEncodedStringMiniPage(ByteWriter& w,
+                                const std::vector<std::string>& strs,
+                                uint32_t n, uint32_t part) {
+  std::vector<std::string_view> dict;
+  uint64_t plain_values = 0;
+  if (n > 0) {
+    dict.reserve(n);
+    for (uint32_t r = 0; r < n; ++r) {
+      dict.push_back(strs[r]);
+      plain_values += strs[r].size() + 1;
+    }
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+  }
+  uint64_t dict_bytes = 0;
+  for (std::string_view s : dict) dict_bytes += s.size() + 1;
+  const uint8_t width = dict.size() <= 256 ? 1 : (dict.size() <= 65536 ? 2 : 4);
+  const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
+  const uint64_t plain_est = 1 + 4 + 8ull * num_offsets + 8 + plain_values;
+  const uint64_t dict_est = 14 + 8 + 4ull * dict.size() + dict_bytes +
+                            uint64_t{n} * width;
+  if (n == 0 || dict_bytes > std::numeric_limits<uint32_t>::max() ||
+      dict_est >= plain_est) {
+    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
+    WriteVarlenBody(w, strs, n, part);
+    return;
+  }
+  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kDict));
+  w.PutU8(width);
+  w.PutU32(static_cast<uint32_t>(dict.size()));
+  w.PutU64(dict_bytes);
+  PadTo8(w);
+  uint32_t off = 0;
+  for (std::string_view s : dict) {
+    w.PutU32(off);
+    off += static_cast<uint32_t>(s.size()) + 1;
+  }
+  for (std::string_view s : dict) {
+    w.PutBytes(s);
+    w.PutU8(0);
+  }
+  PadTo8(w);
+  for (uint32_t r = 0; r < n; ++r) {
+    const auto it = std::lower_bound(dict.begin(), dict.end(),
+                                     std::string_view(strs[r]));
+    PutCode(w, static_cast<uint64_t>(it - dict.begin()), width);
+  }
+}
+
+/// The FOR branch of the integer writer (callers pick columns where FOR
+/// beats plain and RLE).
+template <typename T>
+void WriteForMiniPage(ByteWriter& w, const std::vector<T>& vals,
+                      uint8_t width) {
+  const T mn = *std::min_element(vals.begin(), vals.end());
+  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kFor));
+  w.PutU8(width);
+  PadTo8(w);
+  w.PutU64(static_cast<uint64_t>(static_cast<int64_t>(mn)));
+  for (const T v : vals) {
+    PutCode(w,
+            static_cast<uint64_t>(static_cast<int64_t>(v)) -
+                static_cast<uint64_t>(static_cast<int64_t>(mn)),
+            width);
+  }
+}
+
+}  // namespace reference
+
+/// Serialises \p col as the only column of a block and returns its stored
+/// minipage: with no bad records the minipage is the block's tail.
+std::string StoredMiniPage(const ColumnVector& col, bool encoded,
+                           uint32_t part, MiniPageEncoding* encoding) {
+  BlockFormatOptions options;
+  options.enable_encoding = encoded;
+  options.varlen_partition_size = part;
+  PaxBlock block(Schema({{"c", col.type()}}), options);
+  block.mutable_columns()[0] = col;
+  const std::string bytes = block.Serialize();
+  auto view = PaxBlockView::Open(bytes);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return "";
+  *encoding = view->column_encoding(0);
+  return bytes.substr(bytes.size() - view->column_bytes(0));
+}
+
+ColumnVector StringColumn(const std::vector<std::string>& values) {
+  ColumnVector col(FieldType::kString);
+  for (const std::string& v : values) col.AppendString(v);
+  return col;
+}
+
+/// Checks the v3 and v1 string minipages of \p values byte for byte
+/// against the reference writers; returns the v3 encoding chosen.
+MiniPageEncoding ExpectStringMiniPagesMatch(
+    const std::vector<std::string>& values, uint32_t part = 64) {
+  const ColumnVector col = StringColumn(values);
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  MiniPageEncoding encoding = MiniPageEncoding::kPlain;
+  ByteWriter plain;
+  reference::WriteVarlenBody(plain, values, n, part);
+  EXPECT_EQ(StoredMiniPage(col, /*encoded=*/false, part, &encoding),
+            plain.buffer())
+      << n << " rows (v1)";
+  ByteWriter encoded;
+  reference::WriteEncodedStringMiniPage(encoded, values, n, part);
+  EXPECT_EQ(StoredMiniPage(col, /*encoded=*/true, part, &encoding),
+            encoded.buffer())
+      << n << " rows (v3)";
+  return encoding;
+}
+
+/// n rows cycling through \p distinct values "<prefix><i>".
+std::vector<std::string> Cycle(uint32_t n, uint32_t distinct,
+                               const std::string& prefix = "v") {
+  std::vector<std::string> out;
+  out.reserve(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    // Scrambled so first-seen order differs from sorted order.
+    out.push_back(prefix + std::to_string((r * 7919u) % distinct));
+  }
+  return out;
+}
+
+TEST(MiniPageEncoderTest, StringDictionaryEdgesMatchReference) {
+  EXPECT_EQ(ExpectStringMiniPagesMatch({}), MiniPageEncoding::kPlain);
+  EXPECT_EQ(ExpectStringMiniPagesMatch(Cycle(300, 1)), MiniPageEncoding::kDict);
+  // 256 entries still take 1-byte codes, 257 take 2-byte codes.
+  for (const uint32_t distinct : {255u, 256u, 257u, 258u}) {
+    EXPECT_EQ(ExpectStringMiniPagesMatch(Cycle(10 * distinct, distinct)),
+              MiniPageEncoding::kDict)
+        << distinct;
+  }
+  // 65536 entries still take 2-byte codes, 65537 take 4-byte codes.
+  const std::string long_prefix(28, 'k');
+  for (const uint32_t distinct : {65536u, 65537u}) {
+    EXPECT_EQ(ExpectStringMiniPagesMatch(
+                  Cycle(2 * distinct, distinct, long_prefix), 1024),
+              MiniPageEncoding::kDict)
+        << distinct;
+  }
+  // One value, two rows, one sparse offset: dictionary 27 + L + 2 bytes
+  // vs plain 21 + 2 (L + 1). L = 6 ties, and plain must win the tie.
+  EXPECT_EQ(ExpectStringMiniPagesMatch({"abcde", "abcde"}),
+            MiniPageEncoding::kPlain);
+  EXPECT_EQ(ExpectStringMiniPagesMatch({"abcdef", "abcdef"}),
+            MiniPageEncoding::kPlain);
+  EXPECT_EQ(ExpectStringMiniPagesMatch({"abcdefg", "abcdefg"}),
+            MiniPageEncoding::kDict);
+  // Empty strings: alone (plain wins) and mixed into a dictionary.
+  EXPECT_EQ(ExpectStringMiniPagesMatch(std::vector<std::string>(50, "")),
+            MiniPageEncoding::kPlain);
+  std::vector<std::string> mixed = Cycle(200, 5, "some-longer-value-");
+  for (size_t r = 0; r < mixed.size(); r += 3) mixed[r].clear();
+  EXPECT_EQ(ExpectStringMiniPagesMatch(mixed), MiniPageEncoding::kDict);
+  // Long URLs sharing a prefix: repeated (dictionary) and all distinct
+  // (plain, the sourceIP/destURL case).
+  const std::string url = "http://www.example-shop.com/catalog/item?id=";
+  EXPECT_EQ(ExpectStringMiniPagesMatch(Cycle(500, 40, url)),
+            MiniPageEncoding::kDict);
+  EXPECT_EQ(ExpectStringMiniPagesMatch(Cycle(500, 500, url)),
+            MiniPageEncoding::kPlain);
+}
+
+TEST(MiniPageEncoderTest, RandomStringColumnsMatchReference) {
+  Random rng(20240613);
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t n = static_cast<uint32_t>(rng.Uniform(700));
+    const uint32_t pool_size = 1 + static_cast<uint32_t>(rng.Uniform(400));
+    const std::string prefix(rng.Uniform(3) == 0 ? 30 : 0, 'p');
+    std::vector<std::string> pool;
+    for (uint32_t i = 0; i < pool_size; ++i) {
+      pool.push_back(prefix + rng.NextString(rng.Uniform(12)));
+    }
+    std::vector<std::string> values;
+    for (uint32_t r = 0; r < n; ++r) {
+      values.push_back(pool[rng.Uniform(pool_size)]);
+    }
+    ExpectStringMiniPagesMatch(values, 1 + static_cast<uint32_t>(rng.Uniform(80)));
+  }
+}
+
+TEST(MiniPageEncoderTest, ForCodeWidthsMatchReference) {
+  Random rng(7);
+  const auto check = [](const ColumnVector& col, auto values, uint8_t width) {
+    MiniPageEncoding encoding = MiniPageEncoding::kPlain;
+    const std::string stored =
+        StoredMiniPage(col, /*encoded=*/true, 64, &encoding);
+    EXPECT_EQ(encoding, MiniPageEncoding::kFor) << int{width};
+    ByteWriter expected;
+    reference::WriteForMiniPage(expected, values, width);
+    EXPECT_EQ(stored, expected.buffer()) << int{width};
+  };
+  // Random values, so runs are short and FOR beats RLE; every frame is
+  // negative.
+  ColumnVector narrow(FieldType::kInt32);
+  ColumnVector mid(FieldType::kInt32);
+  ColumnVector wide(FieldType::kInt64);
+  for (int r = 0; r < 500; ++r) {
+    narrow.AppendInt32(static_cast<int32_t>(rng.UniformRange(-200, 50)));
+    mid.AppendInt32(static_cast<int32_t>(rng.UniformRange(-40000, 20000)));
+    wide.AppendInt64(rng.UniformRange(-5000000000, -2000000000));
+  }
+  check(narrow, narrow.i32(), 1);
+  check(mid, mid.i32(), 2);
+  check(wide, wide.i64(), 4);
 }
 
 // ---------------------------------------------------------------------------
