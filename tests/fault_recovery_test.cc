@@ -22,6 +22,7 @@
 #include "mapreduce/job_runner.h"
 #include "mapreduce/scheduler.h"
 #include "sim/fault_plan.h"
+#include "util/crc32c.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
 
@@ -362,6 +363,7 @@ TEST(FaultRecoveryTest, SpeculationBeatsStragglersDeterministically) {
   const std::string parallel =
       RunSpeculationScenario(ExecutionMode::kParallel, nullptr);
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0x769a4e46u);
   // The 4x-slow node's tasks were speculated, and duplicates on full-speed
   // nodes won at least once.
   EXPECT_GT(spec.speculative_attempts, 0u);
@@ -438,6 +440,7 @@ TEST(FaultRecoveryTest, SerialEqualsParallelUnderFullFaultPlan) {
       RunFullFaultScenario(ExecutionMode::kParallel, nullptr);
   EXPECT_GT(repairs, 0u);  // the scenario must actually exercise repairs
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xca89a054u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
+#include "util/crc32c.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
 
@@ -256,6 +257,10 @@ TEST(TraceDeterminismTest, SerialAndParallelTraceAndMetricsByteIdentical) {
   // replay identically on the worker pool.
   EXPECT_EQ(serial_json, parallel_json);
   EXPECT_EQ(serial_metrics, parallel_metrics);
+  EXPECT_EQ(crc32c::Extend(0, serial_json.data(), serial_json.size()),
+            0x640cee34u);
+  EXPECT_EQ(crc32c::Extend(0, serial_metrics.data(), serial_metrics.size()),
+            0x467408bbu);
 }
 
 }  // namespace

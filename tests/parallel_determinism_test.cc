@@ -21,6 +21,7 @@
 #include "mapreduce/job_runner.h"
 #include "mapreduce/pending_index.h"
 #include "sim/event_queue.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/testbed.h"
@@ -223,6 +224,8 @@ TEST(ParallelDeterminismTest, FailureInjectionSerialEqualsParallel) {
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_GT(serial->rescheduled_tasks, 0u);
   ExpectBitIdentical(*serial, *parallel);
+  const std::string dump = DumpResult(*serial);
+  EXPECT_EQ(crc32c::Extend(0, dump.data(), dump.size()), 0x5cdab333u);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,9 +281,12 @@ TEST(ParallelDeterminismTest, MidJobReorgSerialEqualsParallel) {
   // the static path.
   EXPECT_GT(serial_completed, 0u);
   ASSERT_EQ(serial.size(), parallel.size());
+  std::string dump;
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "run " << i << " diverged";
+    dump += serial[i] + '\n';
   }
+  EXPECT_EQ(crc32c::Extend(0, dump.data(), dump.size()), 0x9d75f78au);
 }
 
 // ---------------------------------------------------------------------------

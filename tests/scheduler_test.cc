@@ -16,6 +16,10 @@
 #include "adaptive/adaptive_manager.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/scheduler.h"
+#include "obs/metrics.h"
+#include "planner/plan_cache.h"
+#include "sim/fault_plan.h"
+#include "util/crc32c.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
 
@@ -307,6 +311,7 @@ TEST(ClusterSessionTest, NodeKillMidMultiJobSerialEqualsParallel) {
   const std::string serial = RunKillScenario(ExecutionMode::kSerial);
   const std::string parallel = RunKillScenario(ExecutionMode::kParallel);
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xd48a165bu);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,6 +426,7 @@ TEST(ClusterSessionTest, UploadTenantsContendAndDependentsSeeTheFile) {
   const std::string parallel =
       RunUploadScenario(ExecutionMode::kParallel, nullptr);
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xd8872ee5u);
 
   // Reference: the same bytes ingested outside any session produce the
   // same answer for the dependent query.
@@ -500,6 +506,7 @@ TEST(ClusterSessionTest, SerialEqualsParallelAcrossInterleavedJobs) {
   // contention, not degenerate to the static path.
   EXPECT_GT(serial_completed, 0u);
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xd915e145u);
 }
 
 // ---------------------------------------------------------------------------
@@ -722,6 +729,7 @@ TEST(ClusterSessionTest, PreemptionSerialEqualsParallel) {
   const std::string parallel =
       RunPreemptionScenario(ExecutionMode::kParallel, true, nullptr);
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xd266f92bu);
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +771,9 @@ TEST(ClusterSessionTest, RetryBackoffDefaultsArePinned) {
     EXPECT_TRUE(sr.ok()) << sr.status().ToString();
     return sr.ok() ? DumpSession(*sr) : sr.status().ToString();
   };
-  EXPECT_EQ(run(false), run(true));
+  const std::string defaults = run(false);
+  EXPECT_EQ(defaults, run(true));
+  EXPECT_EQ(crc32c::Extend(0, defaults.data(), defaults.size()), 0xede1bdd3u);
 
   // Tightened backoff genuinely changes the schedule (the knob is live).
   Testbed bed(SmallConfig(5));
@@ -786,6 +796,110 @@ TEST(ClusterSessionTest, RetryBackoffDefaultsArePinned) {
     return sr->task_retries;
   };
   EXPECT_EQ(run_attempts(2, 1.0), 1u);  // 1 initial + 1 retry
+}
+
+// ---------------------------------------------------------------------------
+// Every engine feature in one session, pinned byte for byte
+// ---------------------------------------------------------------------------
+
+struct ComposedRun {
+  SessionResult result;
+  /// DumpSession, each job's cost ledger and the planner counters
+  /// DumpSession leaves out.
+  std::string dump;
+  /// The cluster's metrics snapshot after the session.
+  std::string metrics;
+};
+
+/// Fair queues with an SLO and a bounded heavy queue, preemption, online
+/// aggressive replication, a plan cache, a seeded fault plan plus a
+/// progress kill on job 1, self-healing, speculation and a HAIL upload
+/// tenant whose dependent query is planned.
+ComposedRun RunComposedSession(ExecutionMode mode) {
+  TestbedConfig config = StormConfig(3);
+  config.build_stats = true;
+  Testbed bed(config);
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  adaptive::AdaptiveConfig acfg;
+  acfg.planner.aggressive_replication = true;
+  acfg.planner.replication_budget_bytes = 8 * config.real_block_bytes;
+  adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d", acfg);
+  planner::PlanCache cache;
+
+  SessionOptions opt;
+  opt.execution = mode;
+  opt.policy = SchedulerPolicy::kFair;
+  opt.queue_weights = {{"short", 4.0}, {"heavy", 1.0}, {"ingest", 1.0}};
+  opt.queue_slo_s = {{"short", 120.0}};
+  opt.queue_admission["heavy"].max_backlog_jobs = 1;
+  opt.preemption = true;
+  opt.preemption_catchup_s = 15.0;
+  opt.adaptive = &manager;
+  opt.online_adaptation = true;
+  opt.plan_cache = &cache;
+  opt.fault_plan = sim::FaultPlan::FromSeed(3, config.num_nodes);
+  const int victim = (opt.fault_plan.kills[0].node + 2) % config.num_nodes;
+  opt.fault_plan.kills.push_back(
+      {.node = victim, .at_progress = 0.5, .progress_job = 1});
+  opt.self_heal = true;
+  opt.speculative_execution = true;
+
+  JobSpec short_q = QueryJob(bed, "/d", workload::BobQueries()[0]);
+  short_q.use_planner = true;
+  const QueryDef heavy{"Heavy", "@4 between(1,10)", "{@1,@4}", 1.7e-2};
+  ClusterSession session(&bed.dfs(), opt);
+  session.Submit(short_q, "short");
+  for (int i = 0; i < 3; ++i) {
+    session.Submit(QueryJob(bed, "/d", heavy), "heavy");  // two are shed
+  }
+  session.Submit(short_q, "short");
+  UploadJobSpec up = MakeHailUpload(bed, "/u", 2);
+  up.hail.build_stats = true;
+  const int upload = session.SubmitUpload(std::move(up), "ingest", 5.0);
+  JobSpec fresh = QueryJob(bed, "/u", workload::BobQueries()[1]);
+  fresh.use_planner = true;
+  session.Submit(fresh, "short", 5.0, /*depends_on=*/upload);
+  for (int i = 1; i <= 4; ++i) {
+    session.Submit(short_q, "short", 20.0 * i);
+  }
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  ComposedRun run;
+  if (!sr.ok()) return run;
+  run.result = *sr;
+  run.dump = DumpSession(*sr);
+  for (const auto& job : sr->jobs) {
+    if (job.ok()) run.dump += "\ncost " + workload::DumpCost(job->cost);
+  }
+  run.dump += "\nplanned=" + std::to_string(sr->jobs_planned) +
+              " hits=" + std::to_string(sr->plan_cache_hits) +
+              " misses=" + std::to_string(sr->plan_cache_misses) +
+              " inval=" + std::to_string(sr->plan_cache_invalidations) +
+              " backfilled=" + std::to_string(sr->stats_backfilled);
+  run.metrics = bed.dfs().metrics().TakeSnapshot().ToJson();
+  return run;
+}
+
+TEST(ClusterSessionTest, ComposedSessionIsPinned) {
+  const ComposedRun serial = RunComposedSession(ExecutionMode::kSerial);
+  const ComposedRun parallel = RunComposedSession(ExecutionMode::kParallel);
+  // The session must exercise every feature it composes.
+  const SessionResult& r = serial.result;
+  EXPECT_EQ(r.jobs_shed, 2u);
+  EXPECT_GT(r.preemptions, 0u);
+  EXPECT_GT(r.repairs_completed, 0u);
+  EXPECT_GT(r.maintenance_completed, 0u);
+  EXPECT_GT(r.plan_cache_hits, 0u);
+  EXPECT_EQ(r.maintenance_while_foreground_pending, 0u);
+  EXPECT_EQ(serial.dump, parallel.dump);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  for (const ComposedRun* run : {&serial, &parallel}) {
+    EXPECT_EQ(crc32c::Extend(0, run->dump.data(), run->dump.size()),
+              0x0cb9c980u);
+    EXPECT_EQ(crc32c::Extend(0, run->metrics.data(), run->metrics.size()),
+              0x904eba1fu);
+  }
 }
 
 }  // namespace
