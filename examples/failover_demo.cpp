@@ -31,8 +31,8 @@ workload::TestbedConfig DemoConfig() {
 int main() {
   const workload::QueryDef query = workload::BobQueries()[0];
   mapreduce::RunOptions failure;
-  failure.kill_node = 3;
-  failure.kill_at_progress = 0.5;
+  failure.fault_plan.kills.push_back(
+      {.node = 3, .at_progress = 0.5, .progress_job = 0});
 
   struct Row {
     const char* label;

@@ -226,9 +226,9 @@ class HailRecordReader : public RecordReader {
             : nullptr;
     if (decision != nullptr &&
         decision->path == planner::AccessPath::kSkipZoneMap) {
-      ++ctx->blocks_skipped;
-      ++ctx->zone_skipped_blocks;
-      ctx->rows_skipped += decision->block_records;
+      ++ctx->stats.blocks_skipped;
+      ++ctx->stats.zone_skipped_blocks;
+      ctx->stats.rows_skipped += decision->block_records;
       if (ctx->trace != nullptr) {
         const size_t span =
             ctx->trace->Open("block_skip", "read", cost->total());
@@ -302,7 +302,7 @@ class HailRecordReader : public RecordReader {
     const bool indexed = klass[winner] == kIndexed;
     const bool unclustered = klass[winner] == kUnclustered;
     if (klass[winner] == kPlain && index_column >= 0) {
-      ctx->fallback_scan = true;
+      ctx->stats.fallback_scan = true;
     }
     HAIL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedHailBlock> cached,
                           OpenCachedHailBlock(*ctx, dn, loc.block_id, bytes));
@@ -372,7 +372,7 @@ class HailRecordReader : public RecordReader {
         // scan, and reported as a fallback so the planner's regret keeps
         // pushing toward a real re-sort.
         uc_abandoned = true;
-        ctx->fallback_scan = true;
+        ctx->stats.fallback_scan = true;
       } else {
         std::sort(candidates.begin(), candidates.end());
         uc_candidates = candidates.size();
@@ -451,20 +451,20 @@ class HailRecordReader : public RecordReader {
       HAIL_ASSIGN_OR_RETURN(std::string_view raw, bad.Next());
       InvokeMap(*ctx, HailRecord::BadRecord(std::string(raw)),
                 /*already_filtered=*/true);
-      ++ctx->bad_records;
+      ++ctx->stats.bad_records;
     }
-    ctx->records_seen += uc_scan ? uc_candidates : range.size();
-    ctx->records_qualifying += qualifying;
-    if (index_scan) ctx->index_scan = true;
-    if (uc_scan) ctx->unclustered_scan = true;
+    ctx->stats.records_seen += uc_scan ? uc_candidates : range.size();
+    ctx->stats.records_qualifying += qualifying;
+    if (index_scan) ctx->stats.index_scan = true;
+    if (uc_scan) ctx->stats.unclustered_scan = true;
     const uint64_t rows_touched = uc_scan ? uc_candidates : range.size();
     if ((index_scan || uc_scan) && rows_touched == 0) {
-      ++ctx->blocks_skipped;
+      ++ctx->stats.blocks_skipped;
     } else {
-      ++ctx->blocks_scanned;
+      ++ctx->stats.blocks_scanned;
     }
     if (index_scan || uc_scan) {
-      ctx->rows_skipped += pax.num_records() - rows_touched;
+      ctx->stats.rows_skipped += pax.num_records() - rows_touched;
     }
 
     // ---- cost ----

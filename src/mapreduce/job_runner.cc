@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "mapreduce/scheduler.h"
 #include "obs/explain.h"
 
 namespace hail {
@@ -35,25 +34,11 @@ Result<JobResult> JobRunner::Run(const JobSpec& spec,
   // revives dead nodes (queries are measured independently of whatever ran
   // before), and the session engine reproduces the pre-session single-job
   // event schedule exactly — simulated outputs are byte-identical.
-  SessionOptions session_options;
-  session_options.execution = options.execution;
-  session_options.adaptive = options.adaptive;
-  session_options.kill_node = options.kill_node;
-  session_options.kill_at_progress = options.kill_at_progress;
-  session_options.fault_plan = options.fault_plan;
-  session_options.self_heal = options.self_heal;
-  session_options.speculative_execution = options.speculative_execution;
-  session_options.max_task_attempts = options.max_task_attempts;
-  session_options.retry_backoff_s = options.retry_backoff_s;
-  session_options.retry_backoff_max_s = options.retry_backoff_max_s;
-  session_options.tracer = options.tracer;
-  session_options.plan_cache = options.plan_cache;
-  session_options.admission_from_planner = options.admission_from_planner;
   // Profile support: the block cache counters are cluster-global, so a
   // per-query view is the delta across this (single-job) session.
   const hdfs::BlockCacheStats cache_before =
       options.profile ? dfs_->block_cache().stats() : hdfs::BlockCacheStats{};
-  ClusterSession session(dfs_, std::move(session_options));
+  ClusterSession session(dfs_, options);
   session.Submit(spec);
   HAIL_ASSIGN_OR_RETURN(SessionResult result, session.Run());
   Result<JobResult>& job = result.jobs[0];

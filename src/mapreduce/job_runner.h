@@ -9,10 +9,10 @@
 /// HailSplitting removes by collapsing the input to #nodes x #slots
 /// splits (Fig. 9).
 ///
-/// Fault tolerance (§6.4.3): a node can be killed at a progress fraction;
-/// the failure is detected after the expiry interval, running tasks on the
-/// node are lost, completed map tasks on it are re-executed, and HAIL
-/// tasks whose matching-index replica died fall back to scanning.
+/// Fault tolerance (§6.4.3): a FaultPlan kill can fire at a progress
+/// fraction; the failure is detected after the expiry interval, running
+/// tasks on the node are lost, completed map tasks on it are re-executed,
+/// and HAIL tasks whose matching-index replica died fall back to scanning.
 ///
 /// Execution engine: the *functional* side of each map task (replica
 /// read, CRC verification, filtering, tuple reconstruction) is pure with
@@ -36,75 +36,20 @@
 #pragma once
 
 #include "hdfs/dfs_client.h"
-#include "mapreduce/input_format.h"
 #include "mapreduce/job.h"
-#include "mapreduce/record_reader.h"
-#include "sim/fault_plan.h"
+#include "mapreduce/scheduler.h"
 
 namespace hail {
-namespace adaptive {
-class AdaptiveManager;
-}  // namespace adaptive
-namespace planner {
-class PlanCache;
-}  // namespace planner
 namespace mapreduce {
 
-/// \brief How map-task reads execute under the simulated scheduler.
-enum class ExecutionMode {
-  /// HAIL_EXEC environment variable ("serial"/"parallel"), defaulting to
-  /// parallel on multi-core machines and serial when only one worker
-  /// thread is available (nothing to overlap).
-  kDefault,
-  /// Run every read inline on the event thread (the original engine).
-  kSerial,
-  /// Overlap reads on a worker pool; simulated results are bit-identical.
-  kParallel,
-};
-
-/// \brief Per-run options (failure injection, execution engine).
-struct RunOptions {
-  /// Node to kill mid-job; -1 disables failure injection.
-  int kill_node = -1;
-  /// Kill once this fraction of map tasks has completed (paper: 50%).
-  double kill_at_progress = 0.5;
-  /// Deterministic fault schedule (kills with revives, replica
-  /// corruption, slow nodes); merged with the kill_node knob above.
-  sim::FaultPlan fault_plan;
-  /// Re-replicate lost/corrupt replicas through the maintenance queue.
-  bool self_heal = false;
-  /// Duplicate straggler attempts, first completion wins.
-  bool speculative_execution = false;
-  /// Retry policy for retryable read failures (dead replica set, exhausted
-  /// failover): capped exponential backoff, then a clean job failure. The
-  /// defaults match Hadoop's task-attempt behaviour and are pinned by
-  /// tests — simulated outputs at the defaults are bit-identical to the
-  /// formerly hardcoded constants.
-  int max_task_attempts = 4;
-  double retry_backoff_s = 10.0;
-  double retry_backoff_max_s = 60.0;
-  /// Serial/parallel execution of the functional reads.
-  ExecutionMode execution = ExecutionMode::kDefault;
-  /// Adaptive-indexing loop (default off: the paper benches run the
-  /// static configuration). When set, the run (1) executes the manager's
-  /// pending replica-reorganization tasks on map slots that have no
-  /// foreground work — strictly low priority, foreground tasks are never
-  /// starved — and (2) reports the executed query back to the manager's
-  /// workload observer, which may plan further reorganization.
-  adaptive::AdaptiveManager* adaptive = nullptr;
-  /// Span tracing on the simulated clock (obs/trace.h). Observational
-  /// only: billed costs are bit-identical with tracing on or off.
-  obs::Tracer* tracer = nullptr;
+/// \brief Per-run options: every session option (fault plan, retries,
+/// speculation, execution engine, adaptive loop, tracing, plan cache)
+/// plus the single-job EXPLAIN profile.
+struct RunOptions : SessionOptions {
   /// Attach an EXPLAIN-style QueryProfile (obs/explain.h) to the
   /// JobResult: access path, blocks scanned vs skipped, rows through the
   /// kernels, cache hits, and the per-bucket billed-cost breakdown.
   bool profile = false;
-  /// Session plan cache consulted at admission (planner/plan_cache.h);
-  /// nullptr = plans are recomputed per run, exactly as before.
-  planner::PlanCache* plan_cache = nullptr;
-  /// Feed admission control's overload projection from planner-predicted
-  /// per-job cost instead of the historical mean (scheduler.h knob).
-  bool admission_from_planner = false;
 };
 
 /// \brief Runs MapReduce jobs against a MiniDfs cluster.
@@ -113,10 +58,11 @@ class JobRunner {
   explicit JobRunner(hdfs::MiniDfs* dfs) : dfs_(dfs) {}
 
   /// Executes one job start-to-finish on a fresh simulated clock, as a
-  /// single-job ClusterSession (mapreduce/scheduler.h). The session
-  /// boundary resets node resources (queries are measured independently
-  /// of the upload that preceded them) and revives dead nodes; failure
-  /// injection then applies `options`.
+  /// single-job ClusterSession (mapreduce/scheduler.h) that receives
+  /// `options` unchanged. The session boundary resets node resources
+  /// (queries are measured independently of the upload that preceded
+  /// them) and revives dead nodes; failure injection then applies
+  /// `options.fault_plan`.
   Result<JobResult> Run(const JobSpec& spec, const RunOptions& options = {});
 
  private:

@@ -61,6 +61,33 @@ struct BadReplicaReport {
   int datanode = -1;
 };
 
+/// \brief Per-task read statistics, filled in by the reader and moved
+/// whole to the engine's task state at the completion event.
+struct ReadStats {
+  uint64_t records_seen = 0;
+  uint64_t records_qualifying = 0;
+  uint64_t bad_records = 0;
+  /// True when any block of the split had to be scanned without an index.
+  bool fallback_scan = false;
+  /// True when any block was read through a clustered/trojan index scan.
+  bool index_scan = false;
+  /// True when any block was served by an adaptive unclustered index
+  /// (no clustered replica matched, but a lazy index did).
+  bool unclustered_scan = false;
+
+  // -- profile counters (EXPLAIN surface; cheap plain increments) --
+  /// Blocks whose rows were actually touched.
+  uint64_t blocks_scanned = 0;
+  /// Blocks an index probe pruned entirely (empty qualifying range).
+  uint64_t blocks_skipped = 0;
+  /// Rows an index scan never had to touch (block rows minus the
+  /// qualifying range the probe returned).
+  uint64_t rows_skipped = 0;
+  /// Blocks never opened because the plan's zone map proved them empty
+  /// (binding kSkipZoneMap decisions; subset of blocks_skipped).
+  uint64_t zone_skipped_blocks = 0;
+};
+
 /// \brief Everything a reader needs, plus per-task statistics it fills in.
 ///
 /// Readers run concurrently on pool threads under the parallel execution
@@ -81,32 +108,11 @@ struct ReadContext {
   /// per-row filter without Predicate::Matches' per-term type dispatch.
   const CompiledPredicate* row_matcher = nullptr;
 
-  // -- statistics the reader reports back --
-  uint64_t records_seen = 0;
-  uint64_t records_qualifying = 0;
-  uint64_t bad_records = 0;
-  /// True when any block of the split had to be scanned without an index.
-  bool fallback_scan = false;
-  /// True when any block was read through a clustered/trojan index scan.
-  bool index_scan = false;
-  /// True when any block was served by an adaptive unclustered index
-  /// (no clustered replica matched, but a lazy index did).
-  bool unclustered_scan = false;
+  /// Statistics the reader reports back.
+  ReadStats stats;
   /// Replicas whose CRC verification failed during this task (each was
   /// skipped over by failover; the engine reports them afterwards).
   std::vector<BadReplicaReport> bad_replicas;
-
-  // -- profile counters (EXPLAIN surface; cheap plain increments) --
-  /// Blocks whose rows were actually touched.
-  uint64_t blocks_scanned = 0;
-  /// Blocks an index probe pruned entirely (empty qualifying range).
-  uint64_t blocks_skipped = 0;
-  /// Rows an index scan never had to touch (block rows minus the
-  /// qualifying range the probe returned).
-  uint64_t rows_skipped = 0;
-  /// Blocks never opened because the plan's zone map proved them empty
-  /// (binding kSkipZoneMap decisions; subset of blocks_skipped).
-  uint64_t zone_skipped_blocks = 0;
 
   /// When non-null, readers record block-read / index-probe / failover
   /// spans here at billed-cost offsets; the engine splices them onto the

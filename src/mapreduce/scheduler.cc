@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <memory>
@@ -14,7 +12,9 @@
 #include "adaptive/adaptive_manager.h"
 #include "adaptive/reorg.h"
 #include "hail/re_replication.h"
+#include "mapreduce/input_format.h"
 #include "mapreduce/pending_index.h"
+#include "mapreduce/record_reader.h"
 #include "obs/metrics.h"
 #include "planner/plan_cache.h"
 #include "util/thread_pool.h"
@@ -175,21 +175,12 @@ struct TaskState {
   int loser_node = -1;
   // Statistics and output of the last *successful* attempt.
   std::unique_ptr<MapOutput> output;
-  uint64_t records_seen = 0;
-  uint64_t records_qualifying = 0;
-  uint64_t bad_records = 0;
-  bool fallback_scan = false;
-  bool index_scan = false;
-  bool unclustered_scan = false;
+  ReadStats stats;
   /// Cost attribution of the winning attempt (obs/cost_attribution.h): the
   /// reader's per-bucket integer-nanosecond ledger plus the matching double
   /// total that drove the simulated clock.
   obs::CostLedger ledger;
   double billed_seconds = 0.0;
-  uint64_t blocks_scanned = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t rows_skipped = 0;
-  uint64_t zone_skipped_blocks = 0;
   int reschedules = 0;
   // Fair-share accounting: whether the latest assignment happened under
   // cross-queue contention, accumulated slot occupancy.
@@ -218,16 +209,7 @@ struct MaintState {
 struct ReadOutcome {
   Result<TaskCost> cost = Status::Unknown("read not executed");
   std::unique_ptr<MapOutput> output;
-  uint64_t records_seen = 0;
-  uint64_t records_qualifying = 0;
-  uint64_t bad_records = 0;
-  bool fallback_scan = false;
-  bool index_scan = false;
-  bool unclustered_scan = false;
-  uint64_t blocks_scanned = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t rows_skipped = 0;
-  uint64_t zone_skipped_blocks = 0;
+  ReadStats stats;
   /// Reader-level spans recorded at billed-cost offsets (block reads,
   /// index probes, failover rereads); the engine splices them onto the
   /// task span at the completion event. Empty when tracing is off.
@@ -251,12 +233,12 @@ struct RepairState {
   std::optional<PreparedRepair> prepared;
 };
 
+/// A running task becomes a speculation candidate once it has run this
+/// factor times its job's average completed-task duration.
+constexpr double kSpeculativeLagFactor = 1.5;
+
 ExecutionMode ResolveMode(ExecutionMode requested) {
   if (requested != ExecutionMode::kDefault) return requested;
-  if (const char* env = std::getenv("HAIL_EXEC")) {
-    if (std::strcmp(env, "serial") == 0) return ExecutionMode::kSerial;
-    if (std::strcmp(env, "parallel") == 0) return ExecutionMode::kParallel;
-  }
   // With a single worker there is nothing to overlap — the ~µs/task
   // dispatch overhead would be pure loss, so default to the inline path.
   return ThreadPool::DefaultThreads() > 1 ? ExecutionMode::kParallel
@@ -323,22 +305,18 @@ struct SessionEngine {
   uint64_t session_span = 0;
   bool tracing() const { return tracer != nullptr && first_error.ok(); }
 
-  /// Effective fault schedule: options->fault_plan plus the legacy
-  /// kill_node knob merged in at Run time.
-  sim::FaultPlan plan;
-  std::vector<char> kill_fired;  // one flag per plan.kills entry
+  std::vector<char> kill_fired;  // one flag per fault_plan.kills entry
 
-  // ---- fair-share accounting (indexed like scheduler.queues()) ----
-  std::vector<QueueUsage> usage;
-  uint64_t maint_while_fg_pending = 0;
+  /// What Run returns, accumulated in place: the session counters and
+  /// the per-queue usage (indexed like scheduler.queues()); Run adds the
+  /// per-job results and the derived totals at the end.
+  SessionResult result;
 
   // ---- background maintenance (adaptive replica reorganization) ----
   std::vector<MaintState> maint;
   /// Per-node FIFO of maint indexes (a rewrite runs on the datanode that
   /// holds the replica).
   std::vector<std::deque<size_t>> maint_by_node;
-  uint32_t maint_completed = 0;
-  uint32_t maint_failed = 0;
   /// Parallel mode: commits requested by completion events, applied by the
   /// loop after every in-flight read has drained (reads assigned before
   /// the commit must observe — and may be concurrently reading — the
@@ -349,29 +327,8 @@ struct SessionEngine {
   std::vector<RepairState> repairs;
   /// Per-target-node FIFO of repair indexes.
   std::vector<std::deque<size_t>> repairs_by_node;
-  uint32_t repairs_completed = 0;
-  uint32_t repairs_abandoned = 0;
   /// Parallel mode: repair commits deferred exactly like reorg commits.
   std::vector<size_t> pending_repair_commits;
-
-  // ---- retry / speculation counters ----
-  uint32_t task_retries = 0;
-  uint32_t spec_attempts = 0;
-  uint32_t spec_wins = 0;
-
-  // ---- overload hardening ----
-  uint32_t preemptions = 0;
-  double preempted_slot_seconds = 0.0;
-  uint32_t jobs_shed = 0;
-  uint32_t replicas_added = 0;
-  uint32_t replicas_evicted = 0;
-
-  // ---- cost-based planning (options->plan_cache / spec.use_planner) ----
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_invalidations = 0;  // this session's share
-  uint32_t jobs_planned = 0;
-  uint32_t stats_backfilled = 0;  // kBuildStats maintenance commits
 
   // ---- parallel engine state (unused in serial mode) ----
   bool parallel = false;
@@ -515,12 +472,12 @@ void SessionEngine::AdmitJob(int j) {
       const uint64_t inval_before =
           options->plan_cache->stats().invalidations;
       const JobPlan* cached = options->plan_cache->Lookup(key, generation);
-      plan_cache_invalidations +=
+      result.plan_cache_invalidations +=
           options->plan_cache->stats().invalidations - inval_before;
       if (cached != nullptr) {
         job.plan = *cached;
         cache_hit = true;
-        ++plan_cache_hits;
+        ++result.plan_cache_hits;
       } else {
         Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
         if (!plan.ok()) {
@@ -529,7 +486,7 @@ void SessionEngine::AdmitJob(int j) {
         }
         job.plan = std::move(*plan);
         options->plan_cache->Insert(key, generation, job.plan);
-        ++plan_cache_misses;
+        ++result.plan_cache_misses;
       }
     } else {
       Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
@@ -539,7 +496,7 @@ void SessionEngine::AdmitJob(int j) {
       }
       job.plan = std::move(*plan);
     }
-    if (job.plan.planned) ++jobs_planned;
+    if (job.plan.planned) ++result.jobs_planned;
     if (job.plan.splits.empty()) {
       FailJob(j, Status::InvalidArgument("job '" + sub.spec.name +
                                          "' has no input"));
@@ -611,7 +568,7 @@ bool SessionEngine::ShedIfOverloaded(int j) {
   // slots its fair-share weight entitles it to. Needs one completed task.
   if (ac.shed_wait_s > 0.0) {
     const int q = scheduler.queue_of(j);
-    const QueueUsage& u = usage[static_cast<size_t>(q)];
+    const QueueUsage& u = result.queues[static_cast<size_t>(q)];
     // The legacy estimator needs one completed task for its observed mean;
     // the planner-fed estimator (options->admission_from_planner) can
     // project from predicted job costs before anything completed.
@@ -696,8 +653,8 @@ void SessionEngine::FailJob(int j, Status st) {
   job.phase = JobExec::Phase::kFailed;
   job.finish_time = events.Now();  // failed tenants still count for makespan
   if (st.IsOverloaded()) {
-    ++jobs_shed;
-    ++usage[static_cast<size_t>(scheduler.queue_of(j))].jobs_shed;
+    ++result.jobs_shed;
+    ++result.queues[static_cast<size_t>(scheduler.queue_of(j))].jobs_shed;
   }
   if (tracing() && job.span != 0) {
     tracer->Attr(job.span, "error", st.message());
@@ -997,11 +954,11 @@ void SessionEngine::MaybePreempt() {
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
     tracer->Attr(sp, "wasted_slot_seconds", wasted);
   }
-  QueueUsage& u = usage[static_cast<size_t>(victim_q)];
+  QueueUsage& u = result.queues[static_cast<size_t>(victim_q)];
   ++u.preemptions;
   u.preempted_slot_seconds += wasted;
-  ++preemptions;
-  preempted_slot_seconds += wasted;
+  ++result.preemptions;
+  result.preempted_slot_seconds += wasted;
   // The freed slot goes to whoever the policy now favors (the starved
   // queue, by construction) on the next beat.
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
@@ -1041,7 +998,7 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
   if (foreground_pending > 0) {
     // Strict low priority is an invariant, not a hope: record violations
     // (tests pin this at zero) instead of silently absorbing them.
-    ++maint_while_fg_pending;
+    ++result.maintenance_while_foreground_pending;
   }
   MaintState& m = maint[mid];
   // The rewrite is computed against the DFS state at assignment time (the
@@ -1052,7 +1009,7 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
     // A broken task (replica gone, wrong layout) is dropped, not retried;
     // it must not wedge the queue.
     m.status = MaintState::Status::kFailed;
-    ++maint_failed;
+    ++result.maintenance_failed;
     return;
   }
   m.status = MaintState::Status::kRunning;
@@ -1106,17 +1063,17 @@ void SessionEngine::CommitMaintenance(size_t mid) {
   m.prepared.reset();
   if (st.ok()) {
     m.status = MaintState::Status::kCommitted;
-    ++maint_completed;
+    ++result.maintenance_completed;
     if (m.task.kind == adaptive::MaintenanceTask::Kind::kAddReplica) {
-      ++replicas_added;
+      ++result.replicas_added;
     } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kEvictReplica) {
-      ++replicas_evicted;
+      ++result.replicas_evicted;
     } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kBuildStats) {
-      ++stats_backfilled;
+      ++result.stats_backfilled;
     }
   } else {
     m.status = MaintState::Status::kFailed;
-    ++maint_failed;
+    ++result.maintenance_failed;
   }
 }
 
@@ -1127,7 +1084,7 @@ void SessionEngine::IngestRepairs() {
   for (hdfs::UnderReplicatedEntry& e : lost) {
     if (!RepairStillNeeded(*dfs, e)) {
       dfs->namenode().AbandonRepair(e);
-      ++repairs_abandoned;
+      ++result.repairs_abandoned;
       continue;
     }
     RepairState r;
@@ -1155,14 +1112,14 @@ SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
   if (foreground_pending > 0) {
     // Same strict-background invariant as adaptive maintenance: record
     // violations (tests pin this at zero), never absorb them silently.
-    ++maint_while_fg_pending;
+    ++result.maintenance_while_foreground_pending;
   }
   if (!RepairStillNeeded(*dfs, r.entry)) {
     // The lost node revived with its replica intact (or the file is
     // gone): nothing is missing anymore.
     dfs->namenode().AbandonRepair(r.entry);
     r.status = RepairState::Status::kDropped;
-    ++repairs_abandoned;
+    ++result.repairs_abandoned;
     return RepairAssign::kSkipped;
   }
   Result<PreparedRepair> prep = PrepareRepair(*dfs, r.entry, node);
@@ -1175,13 +1132,14 @@ SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
     }
     dfs->namenode().AbandonRepair(r.entry);
     r.status = RepairState::Status::kDropped;
-    ++repairs_abandoned;
+    ++result.repairs_abandoned;
     return RepairAssign::kSkipped;
   }
   r.status = RepairState::Status::kRunning;
   r.prepared.emplace(std::move(*prep));
   free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration = r.prepared->seconds * plan.slow_factor(node);
+  const double duration =
+      r.prepared->seconds * options->fault_plan.slow_factor(node);
   events.ScheduleAfter(duration,
                        [this, rid, node] { OnRepairComplete(rid, node); });
   return RepairAssign::kAssigned;
@@ -1207,7 +1165,8 @@ void SessionEngine::OnRepairComplete(size_t rid, int node) {
   }
   free_slots[static_cast<size_t>(node)] += 1;
   if (tracing()) {
-    const double duration = r.prepared->seconds * plan.slow_factor(node);
+    const double duration =
+        r.prepared->seconds * options->fault_plan.slow_factor(node);
     const uint64_t sp =
         tracer->AddSpan("repair", "repair", events.Now() - duration, duration,
                         session_span, /*lane=*/node);
@@ -1231,7 +1190,7 @@ void SessionEngine::CommitRepairInline(size_t rid) {
   r.prepared.reset();
   if (st.ok()) {
     r.status = RepairState::Status::kCommitted;
-    ++repairs_completed;
+    ++result.repairs_completed;
     return;
   }
   // The target vanished between completion and commit (parallel mode's
@@ -1269,7 +1228,6 @@ void SessionEngine::RequestKill(int victim, double revive_after) {
 
 void SessionEngine::ApplyKill(int victim, double revive_after,
                               const uint64_t* reserved_seq) {
-  if (victim < 0 || victim >= dfs->cluster().num_nodes()) return;
   if (!dfs->cluster().node(victim).alive()) return;
   dfs->KillNode(victim, events.Now());
   auto detect = [this, victim] { OnFailureDetected(victim); };
@@ -1341,7 +1299,6 @@ void SessionEngine::RequestCorrupt(int node, int nth_block) {
 }
 
 void SessionEngine::ApplyCorrupt(int node, int nth_block) {
-  if (node < 0 || node >= dfs->cluster().num_nodes() || nth_block < 0) return;
   // "nth block of node i" resolves against the namenode's block-id-ordered
   // holdings at injection time — deterministic for a given DFS state.
   std::vector<uint64_t> blocks = dfs->namenode().BlocksOnDatanode(node);
@@ -1381,16 +1338,7 @@ ReadOutcome SessionEngine::ExecuteRead(int j, RecordReader* rdr,
   // session tracer.
   if (tracer != nullptr) ctx.trace = &out.trace;
   out.cost = rdr->ReadSplit(split, &ctx);
-  out.records_seen = ctx.records_seen;
-  out.records_qualifying = ctx.records_qualifying;
-  out.bad_records = ctx.bad_records;
-  out.fallback_scan = ctx.fallback_scan;
-  out.index_scan = ctx.index_scan;
-  out.unclustered_scan = ctx.unclustered_scan;
-  out.blocks_scanned = ctx.blocks_scanned;
-  out.blocks_skipped = ctx.blocks_skipped;
-  out.rows_skipped = ctx.rows_skipped;
-  out.zone_skipped_blocks = ctx.zone_skipped_blocks;
+  out.stats = ctx.stats;
   out.bad_replicas = std::move(ctx.bad_replicas);
   return out;
 }
@@ -1410,7 +1358,7 @@ void SessionEngine::FinishRead(int j, size_t task_id, int attempt, int node,
   double rr = 0.0;
   if (oc->cost.ok()) {
     // Slow nodes stretch the data-access portion of the attempt.
-    const double factor = plan.slow_factor(node);
+    const double factor = options->fault_plan.slow_factor(node);
     rr = constants().task_rr_init_ms / 1000.0 + oc->cost->total() * factor;
     duration += oc->cost->total() * factor;
   }
@@ -1439,7 +1387,7 @@ void SessionEngine::AssignTask(int j, size_t task_id, int node) {
 
 void SessionEngine::TrySpeculate(int node, int* assigned) {
   // A straggler is a running task whose elapsed time exceeds
-  // speculative_lag_factor times its job's average completed-task
+  // kSpeculativeLagFactor times its job's average completed-task
   // duration. One duplicate per task, never on the task's own node;
   // most-overdue first, ties to the lowest (job, task) — all decided on
   // event-thread state, so serial and parallel pick identically.
@@ -1463,7 +1411,7 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
     const double avg = constants().task_setup_s +
                        done_rr / static_cast<double>(done_count) +
                        constants().task_cleanup_s;
-    const double threshold = options->speculative_lag_factor * avg;
+    const double threshold = kSpeculativeLagFactor * avg;
     for (size_t i = 0; i < job.tasks.size(); ++i) {
       const TaskState& t = job.tasks[i];
       if (t.status != TaskStatus::kRunning || t.speculated ||
@@ -1488,7 +1436,7 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
   task.spec_assign_time = events.Now();
   free_slots[static_cast<size_t>(node)] -= 1;
   scheduler.OnTaskStarted(best_j);
-  ++spec_attempts;
+  ++result.speculative_attempts;
   *assigned += 1;
   DispatchRead(best_j, best_t, task.spec_attempt, node);
 }
@@ -1618,13 +1566,13 @@ void SessionEngine::JoinOldest() {
 
 void SessionEngine::AccountUsage(int j, const TaskState& task,
                                  double slot_seconds) {
-  // usage was sized to the queue count in Run; queues only register there.
-  const size_t q = static_cast<size_t>(scheduler.queue_of(j));
-  usage[q].tasks += 1;
-  usage[q].slot_seconds += slot_seconds;
+  // Sized to the queue count in Run; queues only register there.
+  QueueUsage& u = result.queues[static_cast<size_t>(scheduler.queue_of(j))];
+  u.tasks += 1;
+  u.slot_seconds += slot_seconds;
   if (task.contended) {
-    usage[q].contended_tasks += 1;
-    usage[q].contended_slot_seconds += slot_seconds;
+    u.contended_tasks += 1;
+    u.contended_slot_seconds += slot_seconds;
   }
 }
 
@@ -1647,7 +1595,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       job.waste_ledger.Bill(obs::CostBucket::kWastedSpeculation, lost);
       job.waste_seconds += lost;
       if (tracing()) {
-        const double factor = plan.slow_factor(node);
+        const double factor = options->fault_plan.slow_factor(node);
         const double duration = constants().task_setup_s +
                                 constants().task_cleanup_s + lost * factor;
         const sim::SimTime start = events.Now() - duration;
@@ -1723,7 +1671,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       task.attempt = attempt;
       task.run_on = node;
       task.assign_time = task.spec_assign_time;
-      ++spec_wins;
+      ++result.speculative_wins;
     } else {
       task.loser_attempt = task.spec_attempt;
       task.loser_node = task.spec_node;
@@ -1733,18 +1681,9 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   }
   if (outcome != nullptr) {
     task.output = std::move(outcome->output);
-    task.records_seen = outcome->records_seen;
-    task.records_qualifying = outcome->records_qualifying;
-    task.bad_records = outcome->bad_records;
-    task.fallback_scan = outcome->fallback_scan;
-    task.index_scan = outcome->index_scan;
-    task.unclustered_scan = outcome->unclustered_scan;
+    task.stats = outcome->stats;
     task.ledger = outcome->cost->ledger;
     task.billed_seconds = outcome->cost->total();
-    task.blocks_scanned = outcome->blocks_scanned;
-    task.blocks_skipped = outcome->blocks_skipped;
-    task.rows_skipped = outcome->rows_skipped;
-    task.zone_skipped_blocks = outcome->zone_skipped_blocks;
     // RecordReader time = one-time reader construction + the data access
     // (already stretched by the executing node's slow factor).
     task.rr_seconds = rr_seconds;
@@ -1762,13 +1701,13 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     tracer->Attr(sp, "attempt", static_cast<int64_t>(attempt));
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
     if (outcome != nullptr) {
-      tracer->Attr(sp, "records", task.records_seen);
-      tracer->Attr(sp, "qualifying", task.records_qualifying);
+      tracer->Attr(sp, "records", task.stats.records_seen);
+      tracer->Attr(sp, "qualifying", task.stats.records_qualifying);
       tracer->Attr(sp, "billed_cost_seconds", task.billed_seconds);
       tracer->Attr(sp, "billed_cost_nanos", task.ledger.total_nanos);
       tracer->Splice(outcome->trace, sp, node,
                      start + constants().task_setup_s,
-                     plan.slow_factor(node));
+                     options->fault_plan.slow_factor(node));
     } else if (task.file != nullptr) {
       tracer->Attr(sp, "file", task.file->dfs_path);
     }
@@ -1780,9 +1719,9 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   // Failure injection: kill a victim once the designated job crosses its
   // progress threshold ("we kill all Java processes ... after 50% of work
   // progress", §6.4.3). Time-triggered kills fired via their own events.
-  for (size_t k = 0; k < plan.kills.size(); ++k) {
-    const sim::FaultPlan::Kill& kill = plan.kills[k];
-    if (kill_fired[k] || kill.node < 0 || kill.at_progress < 0.0) continue;
+  for (size_t k = 0; k < options->fault_plan.kills.size(); ++k) {
+    const sim::FaultPlan::Kill& kill = options->fault_plan.kills[k];
+    if (kill_fired[k] || kill.at_progress < 0.0) continue;
     if (j != kill.progress_job) continue;
     if (static_cast<double>(job.completed) >=
         kill.at_progress * static_cast<double>(job.tasks.size())) {
@@ -1843,7 +1782,7 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   task.status = TaskStatus::kPending;
   task.awaiting_backoff = true;
   task.reschedules += 1;
-  ++task_retries;
+  ++result.task_retries;
   double backoff = options->retry_backoff_s;
   for (int i = 1; i < task.reschedules; ++i) backoff *= 2.0;
   backoff = std::min(backoff, options->retry_backoff_max_s);
@@ -2046,66 +1985,66 @@ void SessionEngine::RunParallelLoop() {
 
 JobResult SessionEngine::AssembleResult(const JobExec& job) const {
   const ClusterSession::Submitted& sub = *job.submitted;
-  JobResult result;
-  result.job_name = sub.kind == ClusterSession::Submitted::Kind::kQuery
-                        ? sub.spec.name
-                        : sub.upload.name;
+  JobResult out;
+  out.job_name = sub.kind == ClusterSession::Submitted::Kind::kQuery
+                     ? sub.spec.name
+                     : sub.upload.name;
   // Per-job latency on the shared clock: completion minus submission.
-  result.end_to_end_seconds = job.finish_time - sub.submit_time;
-  result.map_tasks = static_cast<uint32_t>(job.tasks.size());
+  out.end_to_end_seconds = job.finish_time - sub.submit_time;
+  out.map_tasks = static_cast<uint32_t>(job.tasks.size());
 
   // Per-query cost attribution: winning attempts' reader ledgers plus the
   // engine-level waste billed to this tenant (preemptions, speculative
   // losers). Buckets sum exactly to the billed total by construction.
-  result.index_column = sub.kind == ClusterSession::Submitted::Kind::kQuery
-                            ? job.plan.index_column
-                            : -1;
-  result.planned = job.plan.planned;
-  result.predicted_cost_seconds = job.plan.predicted_cost_seconds;
-  result.cost = job.waste_ledger;
-  result.billed_cost_seconds = job.waste_seconds;
+  out.index_column = sub.kind == ClusterSession::Submitted::Kind::kQuery
+                         ? job.plan.index_column
+                         : -1;
+  out.planned = job.plan.planned;
+  out.predicted_cost_seconds = job.plan.predicted_cost_seconds;
+  out.cost = job.waste_ledger;
+  out.billed_cost_seconds = job.waste_seconds;
 
   double rr_sum = 0.0;
   for (const TaskState& task : job.tasks) {
     rr_sum += task.rr_seconds;
-    result.records_seen += task.records_seen;
-    result.records_qualifying += task.records_qualifying;
-    result.bad_records_seen += task.bad_records;
-    result.rescheduled_tasks += static_cast<uint32_t>(task.reschedules);
-    result.cost.Add(task.ledger);
-    result.billed_cost_seconds += task.billed_seconds;
-    result.blocks_scanned += task.blocks_scanned;
-    result.blocks_skipped += task.blocks_skipped;
-    result.rows_skipped += task.rows_skipped;
-    result.zone_skipped_blocks += task.zone_skipped_blocks;
-    if (task.fallback_scan) result.fallback_scans += 1;
-    if (task.index_scan) result.index_scan_tasks += 1;
-    if (task.unclustered_scan) result.unclustered_scan_tasks += 1;
+    out.records_seen += task.stats.records_seen;
+    out.records_qualifying += task.stats.records_qualifying;
+    out.bad_records_seen += task.stats.bad_records;
+    out.rescheduled_tasks += static_cast<uint32_t>(task.reschedules);
+    out.cost.Add(task.ledger);
+    out.billed_cost_seconds += task.billed_seconds;
+    out.blocks_scanned += task.stats.blocks_scanned;
+    out.blocks_skipped += task.stats.blocks_skipped;
+    out.rows_skipped += task.stats.rows_skipped;
+    out.zone_skipped_blocks += task.stats.zone_skipped_blocks;
+    if (task.stats.fallback_scan) out.fallback_scans += 1;
+    if (task.stats.index_scan) out.index_scan_tasks += 1;
+    if (task.stats.unclustered_scan) out.unclustered_scan_tasks += 1;
     if (task.output != nullptr) {
-      result.output_count += task.output->count();
+      out.output_count += task.output->count();
       if (sub.kind == ClusterSession::Submitted::Kind::kQuery &&
           sub.spec.collect_output) {
         for (const std::string& row : task.output->rows()) {
-          result.output_rows.push_back(row);
+          out.output_rows.push_back(row);
         }
       }
     }
   }
-  result.avg_record_reader_seconds =
+  out.avg_record_reader_seconds =
       rr_sum / static_cast<double>(job.tasks.size());
   // T_ideal = #MapTasks / #ParallelMapTasks * Avg(T_RecordReader) (§6.4.1).
-  result.ideal_seconds = static_cast<double>(job.tasks.size()) /
-                         static_cast<double>(total_slots) *
-                         result.avg_record_reader_seconds;
-  result.overhead_seconds = result.end_to_end_seconds - result.ideal_seconds;
+  out.ideal_seconds = static_cast<double>(job.tasks.size()) /
+                      static_cast<double>(total_slots) *
+                      out.avg_record_reader_seconds;
+  out.overhead_seconds = out.end_to_end_seconds - out.ideal_seconds;
 
   // Background maintenance is session-scoped; every job reports the
   // session totals (a single-job session reads exactly like the old
   // single-job runner).
-  result.maintenance_scheduled = static_cast<uint32_t>(maint.size());
-  result.maintenance_completed = maint_completed;
-  result.maintenance_failed = maint_failed;
-  return result;
+  out.maintenance_scheduled = static_cast<uint32_t>(maint.size());
+  out.maintenance_completed = result.maintenance_completed;
+  out.maintenance_failed = result.maintenance_failed;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -2148,6 +2087,8 @@ Result<SessionResult> ClusterSession::Run() {
     return Status::InvalidArgument("session has no jobs");
   }
   sim::SimCluster& cluster = dfs_->cluster();
+  HAIL_RETURN_NOT_OK(
+      options_.fault_plan.Validate(cluster.num_nodes(), jobs_.size()));
   // Session boundary: reset resource bookings and revive dead nodes once
   // for the whole session (jobs inside it share cluster state).
   dfs_->ResetForSession();
@@ -2168,21 +2109,12 @@ Result<SessionResult> ClusterSession::Run() {
                      static_cast<int64_t>(cluster.num_nodes()));
   }
 
-  // Effective fault schedule: the deterministic plan plus the legacy
-  // single-kill knob (kept for callers that predate FaultPlan).
-  eng.plan = options_.fault_plan;
-  if (options_.kill_node >= 0) {
-    sim::FaultPlan::Kill kill;
-    kill.node = options_.kill_node;
-    kill.at_progress = options_.kill_at_progress;
-    kill.progress_job = options_.kill_progress_job;
-    eng.plan.kills.push_back(kill);
-  }
-  eng.kill_fired.assign(eng.plan.kills.size(), 0);
+  const sim::FaultPlan& faults = options_.fault_plan;
+  eng.kill_fired.assign(faults.kills.size(), 0);
 
   // Session-start corruptions (at_time <= 0) land before any plan or
   // read: the fault exists from the first instant in both execution modes.
-  for (const sim::FaultPlan::Corrupt& c : eng.plan.corruptions) {
+  for (const sim::FaultPlan::Corrupt& c : faults.corruptions) {
     if (c.at_time <= 0.0) eng.ApplyCorrupt(c.node, c.nth_block);
   }
 
@@ -2198,7 +2130,7 @@ Result<SessionResult> ClusterSession::Run() {
                                    jobs_[i].submit_time + slo->second);
     }
   }
-  eng.usage.resize(eng.scheduler.queues().size());
+  eng.result.queues.resize(eng.scheduler.queues().size());
 
   // Admit every immediately-submitted job now (plans computed against the
   // session-start DFS state, exactly like the single-job runner did).
@@ -2281,17 +2213,15 @@ Result<SessionResult> ClusterSession::Run() {
 
   // Time-triggered faults fire as plain events; progress-triggered kills
   // are checked in OnTaskComplete.
-  for (size_t k = 0; k < eng.plan.kills.size(); ++k) {
-    const sim::FaultPlan::Kill& kill = eng.plan.kills[k];
-    if (kill.node < 0 || kill.at_time < 0.0) continue;
-    eng.kill_fired[k] = 1;  // fires exactly once, below
+  for (const sim::FaultPlan::Kill& kill : faults.kills) {
+    if (kill.at_time < 0.0) continue;
     const int victim = kill.node;
     const double revive_after = kill.revive_after;
     eng.events.ScheduleAt(kill.at_time, [&eng, victim, revive_after] {
       eng.RequestKill(victim, revive_after);
     });
   }
-  for (const sim::FaultPlan::Corrupt& c : eng.plan.corruptions) {
+  for (const sim::FaultPlan::Corrupt& c : faults.corruptions) {
     if (c.at_time <= 0.0) continue;  // applied at the session boundary
     const int cn = c.node;
     const int nth = c.nth_block;
@@ -2355,7 +2285,8 @@ Result<SessionResult> ClusterSession::Run() {
       }
     }
     options_.adaptive->ReturnUnfinished(std::move(unfinished));
-    options_.adaptive->NoteCompleted(eng.maint_completed, eng.maint_failed);
+    options_.adaptive->NoteCompleted(eng.result.maintenance_completed,
+                                     eng.result.maintenance_failed);
   }
   // Unserviced repairs go back to the namenode *before* any error exit —
   // a lost replica stays on the books until some session re-creates it.
@@ -2379,7 +2310,7 @@ Result<SessionResult> ClusterSession::Run() {
   }
 
   // ---- assemble the results ----
-  SessionResult out;
+  SessionResult& out = eng.result;
   out.jobs.reserve(eng.jobs.size());
   for (const JobExec& job : eng.jobs) {
     // Failed tenants still held the cluster until their failure instant —
@@ -2392,13 +2323,12 @@ Result<SessionResult> ClusterSession::Run() {
     out.jobs.push_back(eng.AssembleResult(job));
   }
   const auto& queues = eng.scheduler.queues();
-  eng.usage.resize(queues.size());
   for (size_t q = 0; q < queues.size(); ++q) {
-    eng.usage[q].queue = queues[q].name;
-    eng.usage[q].weight = queues[q].weight;
+    out.queues[q].queue = queues[q].name;
+    out.queues[q].weight = queues[q].weight;
     const auto slo = options_.queue_slo_s.find(queues[q].name);
     if (slo != options_.queue_slo_s.end() && slo->second > 0.0) {
-      eng.usage[q].slo_target_s = slo->second;
+      out.queues[q].slo_target_s = slo->second;
     }
   }
   // Per-queue latency distribution + SLO accounting over completed jobs.
@@ -2408,10 +2338,10 @@ Result<SessionResult> ClusterSession::Run() {
     const size_t q = static_cast<size_t>(eng.scheduler.queue_of(job.id));
     const double latency = job.finish_time - job.submitted->submit_time;
     latencies[q].push_back(latency);
-    eng.usage[q].jobs_completed += 1;
-    if (eng.usage[q].slo_target_s > 0.0 &&
-        latency > eng.usage[q].slo_target_s) {
-      eng.usage[q].slo_violations += 1;
+    out.queues[q].jobs_completed += 1;
+    if (out.queues[q].slo_target_s > 0.0 &&
+        latency > out.queues[q].slo_target_s) {
+      out.queues[q].slo_violations += 1;
     }
   }
   for (size_t q = 0; q < queues.size(); ++q) {
@@ -2424,33 +2354,14 @@ Result<SessionResult> ClusterSession::Run() {
           std::ceil(p * static_cast<double>(lat.size())));
       return lat[std::min(lat.size(), std::max<size_t>(rank, 1)) - 1];
     };
-    eng.usage[q].latency_p50_s = pct(0.50);
-    eng.usage[q].latency_p95_s = pct(0.95);
-    eng.usage[q].latency_p99_s = pct(0.99);
-    out.slo_violations_total += eng.usage[q].slo_violations;
+    out.queues[q].latency_p50_s = pct(0.50);
+    out.queues[q].latency_p95_s = pct(0.95);
+    out.queues[q].latency_p99_s = pct(0.99);
+    out.slo_violations_total += out.queues[q].slo_violations;
   }
-  out.preemptions = eng.preemptions;
-  out.preempted_slot_seconds = eng.preempted_slot_seconds;
-  out.jobs_shed = eng.jobs_shed;
-  out.replicas_added = eng.replicas_added;
-  out.replicas_evicted = eng.replicas_evicted;
-  out.queues = std::move(eng.usage);
   out.maintenance_scheduled = static_cast<uint32_t>(eng.maint.size());
-  out.maintenance_completed = eng.maint_completed;
-  out.maintenance_failed = eng.maint_failed;
-  out.maintenance_while_foreground_pending = eng.maint_while_fg_pending;
   out.repairs_scheduled = static_cast<uint32_t>(eng.repairs.size());
-  out.repairs_completed = eng.repairs_completed;
-  out.repairs_abandoned = eng.repairs_abandoned;
   out.under_replicated_remaining = dfs_->namenode().under_replicated_count();
-  out.task_retries = eng.task_retries;
-  out.speculative_attempts = eng.spec_attempts;
-  out.speculative_wins = eng.spec_wins;
-  out.jobs_planned = eng.jobs_planned;
-  out.plan_cache_hits = eng.plan_cache_hits;
-  out.plan_cache_misses = eng.plan_cache_misses;
-  out.plan_cache_invalidations = eng.plan_cache_invalidations;
-  out.stats_backfilled = eng.stats_backfilled;
 
   // Mirror the session's engine counters into the cluster's unified
   // registry (monotonic across sessions; a snapshot after N sessions is
@@ -2461,42 +2372,42 @@ Result<SessionResult> ClusterSession::Run() {
     m.counter("scheduler.jobs_submitted")->Add(jobs_.size());
     m.counter("scheduler.jobs_completed")
         ->Add(static_cast<uint64_t>(eng.completion_order.size()));
-    m.counter("scheduler.jobs_shed")->Add(eng.jobs_shed);
-    m.counter("scheduler.preemptions")->Add(eng.preemptions);
-    m.counter("scheduler.task_retries")->Add(eng.task_retries);
-    m.counter("scheduler.speculative_attempts")->Add(eng.spec_attempts);
-    m.counter("scheduler.speculative_wins")->Add(eng.spec_wins);
+    m.counter("scheduler.jobs_shed")->Add(out.jobs_shed);
+    m.counter("scheduler.preemptions")->Add(out.preemptions);
+    m.counter("scheduler.task_retries")->Add(out.task_retries);
+    m.counter("scheduler.speculative_attempts")->Add(out.speculative_attempts);
+    m.counter("scheduler.speculative_wins")->Add(out.speculative_wins);
     m.counter("scheduler.slo_violations")->Add(out.slo_violations_total);
     m.gauge("scheduler.preempted_slot_seconds")
-        ->Add(eng.preempted_slot_seconds);
-    m.counter("maintenance.scheduled")->Add(eng.maint.size());
-    m.counter("maintenance.completed")->Add(eng.maint_completed);
-    m.counter("maintenance.failed")->Add(eng.maint_failed);
-    m.counter("repair.scheduled")->Add(eng.repairs.size());
-    m.counter("repair.completed")->Add(eng.repairs_completed);
-    m.counter("repair.abandoned")->Add(eng.repairs_abandoned);
-    m.counter("replication.replicas_added")->Add(eng.replicas_added);
-    m.counter("replication.replicas_evicted")->Add(eng.replicas_evicted);
+        ->Add(out.preempted_slot_seconds);
+    m.counter("maintenance.scheduled")->Add(out.maintenance_scheduled);
+    m.counter("maintenance.completed")->Add(out.maintenance_completed);
+    m.counter("maintenance.failed")->Add(out.maintenance_failed);
+    m.counter("repair.scheduled")->Add(out.repairs_scheduled);
+    m.counter("repair.completed")->Add(out.repairs_completed);
+    m.counter("repair.abandoned")->Add(out.repairs_abandoned);
+    m.counter("replication.replicas_added")->Add(out.replicas_added);
+    m.counter("replication.replicas_evicted")->Add(out.replicas_evicted);
     // Planner counters only materialize when planning is in play, so the
     // metric snapshots of planner-free runs stay byte-identical to before
     // the planner existed.
-    if (eng.jobs_planned > 0 || options_.plan_cache != nullptr ||
-        eng.stats_backfilled > 0) {
+    if (out.jobs_planned > 0 || options_.plan_cache != nullptr ||
+        out.stats_backfilled > 0) {
       uint64_t zone_skips = 0;
       for (const JobExec& job : eng.jobs) {
         for (const TaskState& task : job.tasks) {
           if (task.status == TaskStatus::kDone) {
-            zone_skips += task.zone_skipped_blocks;
+            zone_skips += task.stats.zone_skipped_blocks;
           }
         }
       }
-      m.counter("planner.jobs_planned")->Add(eng.jobs_planned);
+      m.counter("planner.jobs_planned")->Add(out.jobs_planned);
       m.counter("planner.blocks_skipped")->Add(zone_skips);
-      m.counter("planner.plan_cache_hits")->Add(eng.plan_cache_hits);
-      m.counter("planner.plan_cache_misses")->Add(eng.plan_cache_misses);
+      m.counter("planner.plan_cache_hits")->Add(out.plan_cache_hits);
+      m.counter("planner.plan_cache_misses")->Add(out.plan_cache_misses);
       m.counter("planner.plan_cache_invalidations")
-          ->Add(eng.plan_cache_invalidations);
-      m.counter("planner.stats_backfilled")->Add(eng.stats_backfilled);
+          ->Add(out.plan_cache_invalidations);
+      m.counter("planner.stats_backfilled")->Add(out.stats_backfilled);
     }
     obs::Histogram* rr = m.histogram(
         "task.rr_seconds", {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0});
@@ -2525,7 +2436,7 @@ Result<SessionResult> ClusterSession::Run() {
       if (r.ok()) options_.adaptive->ObserveJob(sub.spec, *r);
     }
   }
-  return out;
+  return std::move(out);
 }
 
 }  // namespace mapreduce

@@ -44,7 +44,6 @@
 
 #include "hail/hail_client.h"
 #include "mapreduce/job.h"
-#include "mapreduce/job_runner.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
 #include "util/result.h"
@@ -177,6 +176,17 @@ struct AdmissionControl {
   double shed_wait_s = 0.0;
 };
 
+/// \brief How map-task reads execute under the simulated scheduler.
+enum class ExecutionMode {
+  /// Parallel when the shared worker pool has more than one thread,
+  /// serial otherwise (with one worker there is nothing to overlap).
+  kDefault,
+  /// Run every read inline on the event thread (the original engine).
+  kSerial,
+  /// Overlap reads on a worker pool; simulated results are bit-identical.
+  kParallel,
+};
+
 /// \brief Session-wide options (failure injection, policy, engine).
 struct SessionOptions {
   SchedulerPolicy policy = SchedulerPolicy::kFifo;
@@ -211,27 +221,20 @@ struct SessionOptions {
   /// back to the observed mean for unplanned jobs. Off by default: the
   /// legacy estimator's shed decisions are preserved bit-for-bit.
   bool admission_from_planner = false;
-  /// Node to kill mid-session; -1 disables failure injection. Legacy
-  /// single-kill knob, merged into `fault_plan` at Run time.
-  int kill_node = -1;
-  /// Kill once this fraction of `kill_progress_job`'s tasks completed.
-  double kill_at_progress = 0.5;
-  /// Job whose progress triggers the kill (submission index).
-  int kill_progress_job = 0;
-  /// Deterministic fault schedule: node kills (with optional revive),
-  /// per-(node, block) replica corruption, slow-node factors.
+  /// Deterministic fault schedule: node kills (at a time or at a job's
+  /// progress, with optional revive), per-(node, block) replica
+  /// corruption, slow-node factors. The only fault-injection surface;
+  /// Run rejects a plan that can never fire (FaultPlan::Validate).
   sim::FaultPlan fault_plan;
   /// Re-replicate lost/corrupt replicas through the maintenance queue
   /// (strictly below foreground work). Opt-in: sessions that inject
   /// faults enable it; corrupt replicas are revoked either way.
   bool self_heal = false;
   /// Launch duplicate attempts for straggling tasks (first completion
-  /// wins, deterministically). Opt-in, for plans with slow nodes.
+  /// wins, deterministically): a running task becomes a candidate once it
+  /// has run 1.5x its job's average completed-task duration. Opt-in, for
+  /// plans with slow nodes.
   bool speculative_execution = false;
-  /// A running task becomes a speculation candidate once it has been
-  /// running longer than this factor times the average completed-task
-  /// duration of its job.
-  double speculative_lag_factor = 1.5;
   /// Read attempts failing with a retryable error (Unavailable dead
   /// node, Corruption) requeue with capped exponential backoff; at the
   /// cap the job fails cleanly instead of requeueing forever.
@@ -361,9 +364,11 @@ class ClusterSession {
 
   size_t job_count() const { return jobs_.size(); }
 
-  /// Runs the whole session to completion. Single use. Session-fatal
-  /// errors (reader failure, no alive TaskTrackers, scheduler starvation)
-  /// surface here; per-job failures land in SessionResult::jobs.
+  /// Runs the whole session to completion. Single use. A fault plan that
+  /// can never fire is rejected with InvalidArgument before the session
+  /// boundary touches any cluster state. Session-fatal errors (reader
+  /// failure, no alive TaskTrackers, scheduler starvation) surface here;
+  /// per-job failures land in SessionResult::jobs.
   Result<SessionResult> Run();
 
   /// One submitted job as the session engine sees it (internal, exposed

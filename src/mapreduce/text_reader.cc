@@ -141,15 +141,15 @@ class TextRecordReader : public RecordReader {
       if (parsed.ok) {
         if (InvokeMap(*ctx, HailRecord::FullRow(std::move(parsed.values)),
                       /*already_filtered=*/false)) {
-          ++ctx->records_qualifying;
+          ++ctx->stats.records_qualifying;
         }
       } else {
-        ++ctx->bad_records;
+        ++ctx->stats.bad_records;
         InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)),
                   /*already_filtered=*/false);
       }
     }
-    ctx->records_seen += records;
+    ctx->stats.records_seen += records;
 
     // ---- cost ----
     const double scale = ctx->dfs->config().scale_factor;
@@ -179,7 +179,7 @@ class TextRecordReader : public RecordReader {
       cost->ledger.Bill(obs::CostBucket::kNetwork, net_s);
     }
     cost->logical_bytes_read += logical_bytes;
-    ++ctx->blocks_scanned;
+    ++ctx->stats.blocks_scanned;
     if (ctx->trace != nullptr) {
       ctx->trace->Attr(bspan, "block", loc.block_id);
       ctx->trace->Attr(bspan, "datanode", dn);

@@ -73,9 +73,10 @@ class TrojanRecordReader : public RecordReader {
     if (block_index < ctx->plan->decisions.size() &&
         ctx->plan->decisions[block_index].path ==
             planner::AccessPath::kSkipZoneMap) {
-      ++ctx->blocks_skipped;
-      ++ctx->zone_skipped_blocks;
-      ctx->rows_skipped += ctx->plan->decisions[block_index].block_records;
+      ++ctx->stats.blocks_skipped;
+      ++ctx->stats.zone_skipped_blocks;
+      ctx->stats.rows_skipped +=
+          ctx->plan->decisions[block_index].block_records;
       return Status::OK();
     }
     const size_t bspan =
@@ -132,7 +133,7 @@ class TrojanRecordReader : public RecordReader {
         range_bytes_real = hit.bytes.empty() ? 0 : hit.bytes.end - hit.bytes.begin;
         range_start_offset = hit.bytes.begin;
         index_scan = true;
-        ctx->index_scan = true;
+        ctx->stats.index_scan = true;
         if (ctx->trace != nullptr) {
           const size_t probe =
               ctx->trace->Open("index_probe", "index", cost->total());
@@ -144,7 +145,7 @@ class TrojanRecordReader : public RecordReader {
         }
       }
     } else if (index_column >= 0) {
-      ctx->fallback_scan = true;
+      ctx->stats.fallback_scan = true;
     }
 
     // ---- functional: decode the row range, filter, map ----
@@ -158,15 +159,15 @@ class TrojanRecordReader : public RecordReader {
       InvokeMap(*ctx, HailRecord::FullRow(std::move(row)),
                 /*already_filtered=*/true);
     }
-    ctx->records_seen += end_row - first_row;
-    ctx->records_qualifying += qualifying;
+    ctx->stats.records_seen += end_row - first_row;
+    ctx->stats.records_qualifying += qualifying;
     if (index_scan && end_row == first_row) {
-      ++ctx->blocks_skipped;
+      ++ctx->stats.blocks_skipped;
     } else {
-      ++ctx->blocks_scanned;
+      ++ctx->stats.blocks_scanned;
     }
     if (index_scan) {
-      ctx->rows_skipped += rows.num_records() - (end_row - first_row);
+      ctx->stats.rows_skipped += rows.num_records() - (end_row - first_row);
     }
 
     // ---- cost ----

@@ -1,5 +1,7 @@
 #include "sim/fault_plan.h"
 
+#include <string>
+
 namespace hail {
 namespace sim {
 
@@ -26,6 +28,38 @@ double FaultPlan::slow_factor(int node) const {
     if (s.node == node && s.factor > factor) factor = s.factor;
   }
   return factor;
+}
+
+Status FaultPlan::Validate(int num_nodes, size_t num_jobs) const {
+  const auto off = [num_nodes](int n) { return n < 0 || n >= num_nodes; };
+  const auto invalid = [](const char* fault, size_t i, const char* why) {
+    return Status::InvalidArgument("fault plan: " + std::string(fault) + " " +
+                                   std::to_string(i) + " " + why);
+  };
+  for (size_t i = 0; i < kills.size(); ++i) {
+    const Kill& k = kills[i];
+    const bool by_progress = k.at_progress >= 0.0;
+    if (off(k.node)) return invalid("kill", i, "is off the cluster");
+    if ((k.at_time >= 0.0) == by_progress) {
+      return invalid("kill", i, "needs exactly one of at_time, at_progress");
+    }
+    if (k.at_progress > 1.0) return invalid("kill", i, "has at_progress > 1");
+    if (by_progress && (k.progress_job < 0 ||
+                        static_cast<size_t>(k.progress_job) >= num_jobs)) {
+      return invalid("kill", i, "follows a job the session does not have");
+    }
+  }
+  for (size_t i = 0; i < corruptions.size(); ++i) {
+    const Corrupt& c = corruptions[i];
+    if (off(c.node)) return invalid("corruption", i, "is off the cluster");
+    if (c.nth_block < 0) return invalid("corruption", i, "has nth_block < 0");
+  }
+  for (size_t i = 0; i < slow_nodes.size(); ++i) {
+    const Slow& sl = slow_nodes[i];
+    if (off(sl.node)) return invalid("slow node", i, "is off the cluster");
+    if (!(sl.factor >= 1.0)) return invalid("slow node", i, "has factor < 1");
+  }
+  return Status::OK();
 }
 
 FaultPlan FaultPlan::FromSeed(uint64_t seed, int num_nodes) {

@@ -10,10 +10,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "util/status.h"
 
 namespace hail {
 namespace sim {
@@ -22,7 +24,9 @@ namespace sim {
 struct FaultPlan {
   /// Kill one node, either at a wall-clock time or at a fraction of a
   /// job's task completions (matching the Fig. 8 protocol). Exactly one
-  /// of `at_time >= 0` or `at_progress >= 0` should be set.
+  /// of `at_time >= 0` or `at_progress >= 0` must be set, e.g. the
+  /// paper's kill at 50% progress of the first job:
+  /// `{.node = 3, .at_progress = 0.5, .progress_job = 0}`.
   struct Kill {
     int node = -1;
     /// Simulated time of the kill; < 0 means progress-triggered.
@@ -39,9 +43,9 @@ struct FaultPlan {
     SimTime revive_after = -1.0;
   };
 
-  /// Corrupt one stored replica: the nth block (in block-id order) held
-  /// by `node` gets a byte flipped on disk, so the next verified read
-  /// fails its CRC. `at_time <= 0` corrupts before the session starts.
+  /// Corrupt one stored replica: the nth block (block-id order, modulo the
+  /// node's holdings) held by `node` gets a byte flipped on disk, so the
+  /// next verified read fails its CRC. `at_time <= 0` corrupts up front.
   struct Corrupt {
     int node = -1;
     int nth_block = 0;
@@ -64,6 +68,12 @@ struct FaultPlan {
 
   /// Slowdown factor for `node`; 1.0 when the node is not slowed.
   double slow_factor(int node) const;
+
+  /// InvalidArgument when a fault can never fire as written on a
+  /// `num_nodes`-node cluster running `num_jobs` jobs: a node out of
+  /// range, a kill with neither or both triggers, at_progress > 1 or of a
+  /// missing job, nth_block < 0, or a slow factor below 1.
+  Status Validate(int num_nodes, size_t num_jobs) const;
 
   /// Derives a deterministic kill/corrupt/slow mix for a cluster of
   /// `num_nodes` nodes. The same seed always yields the same plan.

@@ -15,6 +15,7 @@
 #include "hadooppp/hadooppp_upload.h"
 #include "hail/hail_client.h"
 #include "hdfs/dfs_client.h"
+#include "mapreduce/input_format.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/scheduler.h"
 #include "workload/queries.h"

@@ -422,15 +422,15 @@ TEST(ReorgExecutionTest, CommitRefusesOnDeadNode) {
 std::vector<JobResult> RunUntilConverged(Testbed* bed,
                                          AdaptiveManager* manager,
                                          int max_runs,
-                                         int kill_node_on_run = -1) {
+                                         int kill_on_run = -1) {
   std::vector<JobResult> runs;
   for (int i = 0; i < max_runs; ++i) {
     RunOptions options;
     options.execution = ExecutionMode::kSerial;
     options.adaptive = manager;
-    if (kill_node_on_run == i) {
-      options.kill_node = 1;
-      options.kill_at_progress = 0.3;
+    if (kill_on_run == i) {
+      options.fault_plan.kills.push_back(
+          {.node = 1, .at_progress = 0.3, .progress_job = 0});
     }
     auto r = bed->RunQuery(System::kHail, "/d", ShiftedQuery(), false,
                            options, /*collect_output=*/true);
@@ -516,7 +516,7 @@ TEST(AdaptiveLoopTest, SurvivesNodeKillMidReorg) {
   // round of reorg tasks executes (JobRunner revives nodes at the start of
   // each subsequent run, so the reorganization resumes).
   const std::vector<JobResult> runs = RunUntilConverged(
-      &bed, &manager, /*max_runs=*/14, /*kill_node_on_run=*/1);
+      &bed, &manager, /*max_runs=*/14, /*kill_on_run=*/1);
   ASSERT_GE(runs.size(), 2u);
   EXPECT_GT(runs[1].rescheduled_tasks, 0u);  // the kill really happened
 

@@ -161,8 +161,8 @@ TEST(BlockCacheFailoverTest, KillInvalidatesAndNeverServesDeadReplicas) {
 
   const int victim = 2;
   RunOptions failure;
-  failure.kill_node = victim;
-  failure.kill_at_progress = 0.5;
+  failure.fault_plan.kills.push_back(
+      {.node = victim, .at_progress = 0.5, .progress_job = 0});
   const BlockCacheStats before = cache.stats();
   ASSERT_GT(cache.entry_count_for(victim), 0u);  // warmed by the clean run
   auto failed = bed.RunQuery(System::kHail, "/d", q, false, failure, true);

@@ -470,6 +470,84 @@ TEST(FaultPlanTest, FromSeedIsDeterministic) {
                 a.kills[0].at_time != c.kills[0].at_time)));
 }
 
+TEST(FaultPlanTest, RejectsPlansThatCanNeverFire) {
+  using Kill = sim::FaultPlan::Kill;
+  const auto kill = [](Kill k) {
+    sim::FaultPlan plan;
+    plan.kills.push_back(k);
+    return plan;
+  };
+  const auto corrupt = [](sim::FaultPlan::Corrupt c) {
+    sim::FaultPlan plan;
+    plan.corruptions.push_back(c);
+    return plan;
+  };
+  const auto slow = [](sim::FaultPlan::Slow s) {
+    sim::FaultPlan plan;
+    plan.slow_nodes.push_back(s);
+    return plan;
+  };
+  const struct {
+    const char* name;
+    sim::FaultPlan plan;
+  } cases[] = {
+      {"kill with no trigger", kill({.node = 2})},
+      {"kill with both triggers",
+       kill({.node = 2, .at_time = 10.0, .at_progress = 0.5})},
+      {"kill of node 99 on 4 nodes", kill({.node = 99, .at_progress = 0.5})},
+      {"kill of node -1", kill({.node = -1, .at_time = 5.0})},
+      {"kill at progress 1.5", kill({.node = 2, .at_progress = 1.5})},
+      {"kill following job 3 of one",
+       kill({.node = 2, .at_progress = 0.5, .progress_job = 3})},
+      {"kill following job -1",
+       kill({.node = 2, .at_progress = 0.5, .progress_job = -1})},
+      {"corruption on node 17", corrupt({.node = 17, .nth_block = 0})},
+      {"corruption of block -1", corrupt({.node = 0, .nth_block = -1})},
+      {"slow node 4 on 4 nodes", slow({.node = 4, .factor = 2.0})},
+      {"slow factor 0.5", slow({.node = 0, .factor = 0.5})},
+  };
+  Testbed bed(SmallConfig());
+  bed.LoadUserVisits();
+  ASSERT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  // A dead node the session boundary would revive: a rejected plan must
+  // leave it dead, like every other piece of cluster state.
+  bed.dfs().KillNode(1, 0.0);
+  const uint64_t generation = bed.dfs().namenode().directory_generation();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SessionOptions opt;
+    opt.fault_plan = c.plan;
+    ClusterSession session(&bed.dfs(), opt);
+    session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
+    auto sr = session.Run();
+    EXPECT_TRUE(sr.status().IsInvalidArgument()) << sr.status().ToString();
+    EXPECT_EQ(bed.dfs().namenode().directory_generation(), generation);
+    for (int n = 0; n < bed.cluster().num_nodes(); ++n) {
+      EXPECT_EQ(bed.cluster().node(n).alive(), n != 1) << "node " << n;
+    }
+  }
+
+  // The edges are valid and fire: a kill of the last node once every task
+  // of the job completed, on a node slowed by exactly 1.
+  SessionOptions edge;
+  edge.fault_plan = kill({.node = 3, .at_progress = 1.0, .progress_job = 0});
+  edge.fault_plan.slow_nodes.push_back({.node = 3, .factor = 1.0});
+  ClusterSession session(&bed.dfs(), edge);
+  session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
+  auto sr = session.Run();
+  ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+  EXPECT_TRUE(sr->jobs[0].ok()) << sr->jobs[0].status().ToString();
+  EXPECT_FALSE(bed.cluster().node(3).alive());
+
+  // Seeded plans are valid on every cluster size they are drawn for.
+  for (int nodes : {1, 2, 4, 10}) {
+    for (uint64_t seed = 0; seed < 32; ++seed) {
+      EXPECT_TRUE(sim::FaultPlan::FromSeed(seed, nodes).Validate(nodes, 1).ok())
+          << "seed " << seed << " nodes " << nodes;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Repairs sourced from slow nodes racing a query backlog
 // ---------------------------------------------------------------------------

@@ -255,8 +255,8 @@ TEST(FaultToleranceTest, JobSurvivesNodeFailureWithSameResults) {
   ASSERT_TRUE(clean.ok());
 
   RunOptions failure;
-  failure.kill_node = 2;
-  failure.kill_at_progress = 0.5;
+  failure.fault_plan.kills.push_back(
+      {.node = 2, .at_progress = 0.5, .progress_job = 0});
   auto failed = bed.RunQuery(System::kHail, "/data", q, false, failure, true);
   ASSERT_TRUE(failed.ok()) << failed.status().ToString();
   // Same answer despite losing a node mid-job.
@@ -274,7 +274,8 @@ TEST(FaultToleranceTest, HadoopAlsoSurvives) {
   auto clean = bed.RunQuery(System::kHadoop, "/data", q, false, {}, true);
   ASSERT_TRUE(clean.ok());
   RunOptions failure;
-  failure.kill_node = 1;
+  failure.fault_plan.kills.push_back(
+      {.node = 1, .at_progress = 0.5, .progress_job = 0});
   auto failed = bed.RunQuery(System::kHadoop, "/data", q, false, failure,
                              true);
   ASSERT_TRUE(failed.ok());
@@ -293,7 +294,8 @@ TEST(FaultToleranceTest, SingleIndexConfigKeepsIndexScansAfterFailure) {
                                         workload::kVisitDate})
                   .ok());
   RunOptions failure;
-  failure.kill_node = 0;
+  failure.fault_plan.kills.push_back(
+      {.node = 0, .at_progress = 0.5, .progress_job = 0});
   auto one_idx = bed1.RunQuery(System::kHail, "/data", q, false, failure);
   ASSERT_TRUE(one_idx.ok());
   EXPECT_EQ(one_idx->fallback_scans, 0u);  // every replica has the index

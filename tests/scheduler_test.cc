@@ -142,6 +142,35 @@ TEST(ClusterSessionTest, SingleJobSessionMatchesJobRunner) {
   ASSERT_TRUE(sr->jobs[0].ok());
   EXPECT_EQ(DumpResult(*reference), DumpResult(*sr->jobs[0]));
   EXPECT_EQ(sr->maintenance_while_foreground_pending, 0u);
+
+  // RunOptions reach the session unchanged: the same non-default options
+  // give the same job on both paths (fresh, identical clusters — the
+  // faults mutate the DFS).
+  RunOptions options;
+  options.policy = SchedulerPolicy::kFair;
+  options.fault_plan = sim::FaultPlan::FromSeed(11, SmallConfig().num_nodes);
+  options.self_heal = true;
+  options.speculative_execution = true;
+  Testbed runner_bed(SmallConfig());
+  runner_bed.LoadUserVisits();
+  ASSERT_TRUE(runner_bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  auto via_runner = runner_bed.RunQuery(System::kHail, "/d", q, false,
+                                        options, /*collect_output=*/true);
+  ASSERT_TRUE(via_runner.ok()) << via_runner.status().ToString();
+  Testbed session_bed(SmallConfig());
+  session_bed.LoadUserVisits();
+  ASSERT_TRUE(session_bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  ClusterSession faulted(&session_bed.dfs(), options);
+  faulted.Submit(QueryJob(session_bed, "/d", q));
+  auto via_session = faulted.Run();
+  ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
+  ASSERT_TRUE(via_session->jobs[0].ok());
+  const JobResult& job = *via_session->jobs[0];
+  EXPECT_EQ(DumpResult(*via_runner), DumpResult(job));
+  EXPECT_EQ(workload::DumpCost(via_runner->cost),
+            workload::DumpCost(job.cost));
+  // And the options really applied: the faults changed the job.
+  EXPECT_NE(DumpResult(*reference), DumpResult(job));
 }
 
 TEST(ClusterSessionTest, FifoHeadJobRunsAsIfAlone) {
@@ -288,9 +317,8 @@ std::string RunKillScenario(ExecutionMode mode) {
   opt.policy = SchedulerPolicy::kFair;
   opt.queue_weights = {{"a", 2.0}, {"b", 1.0}};
   opt.execution = mode;
-  opt.kill_node = 2;
-  opt.kill_at_progress = 0.5;
-  opt.kill_progress_job = 0;
+  opt.fault_plan.kills.push_back(
+      {.node = 2, .at_progress = 0.5, .progress_job = 0});
   ClusterSession session(&bed.dfs(), opt);
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]), "a");
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[1]), "b");
@@ -472,9 +500,8 @@ std::string RunBigScenario(ExecutionMode mode, uint64_t* maint_completed) {
     opt.execution = mode;
     opt.adaptive = &manager;
     if (round == 1) {
-      opt.kill_node = 2;
-      opt.kill_at_progress = 0.4;
-      opt.kill_progress_job = 1;
+      opt.fault_plan.kills.push_back(
+          {.node = 2, .at_progress = 0.4, .progress_job = 1});
     }
     ClusterSession session(&bed.dfs(), opt);
     session.Submit(QueryJob(bed, "/d", shifted), "a");
@@ -763,8 +790,8 @@ TEST(ClusterSessionTest, RetryBackoffDefaultsArePinned) {
       opt.retry_backoff_s = 10.0;
       opt.retry_backoff_max_s = 60.0;
     }
-    opt.kill_node = 2;
-    opt.kill_at_progress = 0.5;
+    opt.fault_plan.kills.push_back(
+        {.node = 2, .at_progress = 0.5, .progress_job = 0});
     ClusterSession session(&bed.dfs(), opt);
     session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
     auto sr = session.Run();
