@@ -7,11 +7,29 @@
 #include "hdfs/packet.h"
 #include "index/unclustered_index.h"
 #include "planner/block_stats.h"
+#include "util/thread_pool.h"
 
 namespace hail {
 namespace adaptive {
 
 namespace {
+
+/// Installs `fn` as the prepared rewrite's build.
+template <typename Fn>
+void SetBuild(PreparedReorg* out, Fn&& fn) {
+  out->build = std::packaged_task<ReorgOutput()>(std::forward<Fn>(fn));
+  out->output = out->build.get_future();
+}
+
+/// The build's last step for every kind that writes bytes.
+ReorgOutput WithChecksums(std::string bytes, uint32_t chunk_bytes,
+                          uint64_t index_bytes = 0) {
+  ReorgOutput out;
+  out.chunk_crcs = hdfs::ComputeChunkChecksums(bytes, chunk_bytes);
+  out.bytes = std::move(bytes);
+  out.index_bytes = index_bytes;
+  return out;
+}
 
 /// Aggressive replication (kAddReplica): a plain byte copy of the block's
 /// best replica for the hot column onto `task.datanode`. Prefers a source
@@ -53,14 +71,14 @@ Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
                         dfs.datanode(source).ReadBlockRaw(task.block_id));
 
   PreparedReorg out;
-  out.bytes = std::string(raw);
   out.info = info;
-  out.info.replica_bytes = out.bytes.size();
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(
-      out.bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
+  SetBuild(&out, [bytes = std::string(raw),
+                  chunk_bytes = dfs.config().chunk_bytes]() mutable {
+    return WithChecksums(std::move(bytes), chunk_bytes);
+  });
   const double scale = dfs.config().scale_factor;
-  const uint64_t logical = static_cast<uint64_t>(
-      static_cast<double>(out.bytes.size()) * scale);
+  const uint64_t logical =
+      static_cast<uint64_t>(static_cast<double>(raw.size()) * scale);
   const sim::CostModel& src_cost = dfs.cluster().node(source).cost();
   const sim::CostModel& dst_cost = dfs.cluster().node(task.datanode).cost();
   out.seconds = src_cost.DiskAccess(logical);
@@ -106,7 +124,6 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
     // sidecar to CommitReorg. Metadata-only — no bytes are written back.
     PreparedReorg out;
     out.info = old_info;
-    out.stats = planner::BlockStats::Build(base).Serialize();
     const double s = dfs.config().scale_factor;
     const sim::CostModel& node_cost = dfs.cluster().node(task.datanode).cost();
     const uint64_t logical_rows = static_cast<uint64_t>(
@@ -116,6 +133,11 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
     out.seconds =
         node_cost.DiskAccess(logical_payload) +
         node_cost.StatsBuild(logical_rows * base.schema().num_fields());
+    SetBuild(&out, [base = std::move(base)] {
+      ReorgOutput built;
+      built.stats = planner::BlockStats::Build(base).Serialize();
+      return built;
+    });
     return out;
   }
   if (task.column < 0 || task.column >= base.schema().num_fields()) {
@@ -137,31 +159,32 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
   out.info = old_info;
   out.info.layout = hdfs::ReplicaLayout::kPax;
 
+  const uint32_t chunk_bytes = dfs.config().chunk_bytes;
   double cpu = 0.0;
   uint64_t logical_index_delta = 0;  // index bytes written on top of data
   if (task.kind == MaintenanceTask::Kind::kInstallUnclustered) {
     // Lazy path: sort only (key, rowid) pairs; data + clustered index are
-    // spliced through untouched.
-    const UnclusteredIndex uc = UnclusteredIndex::Build(base.column(task.column));
-    out.bytes = BuildHailBlockParts(view.sort_column(), view.index_section(),
-                                    view.pax_section(), task.column,
-                                    uc.Serialize());
+    // spliced through untouched (the build splices copies of them).
     out.info.unclustered_column = task.column;
-    out.info.unclustered_index_bytes = uc.SerializedBytes();
     cpu += cost.UnclusteredBuild(logical_records);
     // Dense: one (key, rowid) entry per logical record (§3.5) — the same
     // size the reader bills when it later loads this index.
     logical_index_delta = LogicalDenseIndexBytes(logical_records, key_type);
+    SetBuild(&out, [base = std::move(base), column = task.column,
+                    sort_column = view.sort_column(),
+                    index = std::string(view.index_section()),
+                    pax = std::string(view.pax_section()), chunk_bytes] {
+      const UnclusteredIndex uc = UnclusteredIndex::Build(base.column(column));
+      return WithChecksums(
+          BuildHailBlockParts(sort_column, index, pax, column, uc.Serialize()),
+          chunk_bytes, uc.SerializedBytes());
+    });
   } else {
     // Full re-sort through the upload's own BuildSortedReplica and
     // BillSortedReplica; the sparse root is exactly what the reader bills
     // for loading it.
-    SortedReplica sorted = BuildSortedReplica(
-        base, task.column, dfs.config().format.varlen_partition_size);
-    out.bytes = std::move(sorted.bytes);
     out.info.sort_column = task.column;
     out.info.index_kind = "clustered";
-    out.info.index_bytes = sorted.index_bytes;
     // The re-sort consumes any previously installed unclustered index
     // (rows moved; its rowids would be stale).
     out.info.unclustered_column = -1;
@@ -172,10 +195,14 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
         dfs.cluster().constants().index_partition_logical);
     cpu += sort.cpu_seconds;
     logical_index_delta = sort.logical_index_bytes;
+    SetBuild(&out, [base = std::move(base), column = task.column,
+                    partition = dfs.config().format.varlen_partition_size,
+                    chunk_bytes] {
+      SortedReplica sorted = BuildSortedReplica(base, column, partition);
+      return WithChecksums(std::move(sorted.bytes), chunk_bytes,
+                           sorted.index_bytes);
+    });
   }
-  out.info.replica_bytes = out.bytes.size();
-  out.chunk_crcs = hdfs::ComputeChunkChecksums(
-      out.bytes, static_cast<uint32_t>(dfs.config().chunk_bytes));
 
   // Simulated duration on the owning datanode: read the replica, do the
   // CPU work, recompute checksums, write data + index back.
@@ -184,6 +211,10 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
                 + cpu + cost.Crc(logical_out)   // transform + checksums
                 + cost.DiskAccess(logical_out); // write
   return out;
+}
+
+void PreparedReorg::StartBuild(ThreadPool* pool) {
+  if (build.valid()) pool->Submit(std::move(build));
 }
 
 Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
@@ -202,21 +233,28 @@ Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
     }
     return Status::OK();
   }
+  // A build StartBuild moved to a pool is joined; one still here runs now.
+  if (prepared.build.valid()) prepared.build();
+  ReorgOutput built = prepared.output.get();
   if (task.kind == MaintenanceTask::Kind::kBuildStats) {
     // Metadata-only: register the sidecar (bumps the directory generation,
     // so cached plans built without these stats are invalidated). The
     // replica bytes and its datanode generation are untouched.
-    dfs->namenode().RegisterBlockStats(task.block_id,
-                                       std::move(prepared.stats));
+    dfs->namenode().RegisterBlockStats(task.block_id, std::move(built.stats));
     return Status::OK();
+  }
+  hdfs::HailBlockReplicaInfo& info = prepared.info;
+  info.replica_bytes = built.bytes.size();
+  if (task.kind == MaintenanceTask::Kind::kInstallUnclustered) {
+    info.unclustered_index_bytes = built.index_bytes;
+  } else if (task.kind == MaintenanceTask::Kind::kResortReplica) {
+    info.index_bytes = built.index_bytes;
   }
   // StoreBlock bumps the replica's generation, which drops every
   // BlockCache entry describing the old bytes.
   dfs->datanode(task.datanode)
-      .StoreBlock(task.block_id, std::move(prepared.bytes),
-                  prepared.chunk_crcs);
-  return dfs->namenode().RegisterReplica(task.block_id, task.datanode,
-                                         prepared.info);
+      .StoreBlock(task.block_id, std::move(built.bytes), built.chunk_crcs);
+  return dfs->namenode().RegisterReplica(task.block_id, task.datanode, info);
 }
 
 }  // namespace adaptive

@@ -10,23 +10,32 @@
 ///    rebuild its clustered index through the upload's own
 ///    BuildSortedReplica / BillSortedReplica (hail/hail_block.h).
 ///
-/// Execution is split so the JobRunner can bill it like any other
-/// simulated work: PrepareReorg (at task assignment, read-only) computes
-/// the new replica bytes and the simulated duration; CommitReorg (at the
-/// completion event) atomically stores the bytes — bumping the datanode's
-/// block generation, which invalidates every BlockCache entry for the old
-/// bytes — and re-registers the replica in the namenode's Dir_rep so
-/// getHostsWithIndex immediately routes queries to the new index.
+/// Execution is split so the session engine can bill it like any other
+/// simulated work:
+///  - PrepareReorg (at task assignment, read-only) makes every
+///    cluster-dependent decision: the checks, the decode of the source
+///    replica, the simulated duration and the Dir_rep fields already
+///    known. The CPU-heavy rest (argsort, re-encode, index build,
+///    checksums, stats) is the *build*, which owns all of its inputs and
+///    never touches MiniDfs, so it can run on a worker thread while the
+///    event thread keeps changing the cluster;
+///  - CommitReorg (at the completion event) joins or runs the build, then
+///    atomically stores the bytes — bumping the datanode's block
+///    generation, which invalidates every BlockCache entry for the old
+///    bytes — and re-registers the replica in the namenode's Dir_rep so
+///    getHostsWithIndex immediately routes queries to the new index.
 
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "hdfs/dfs_client.h"
 
 namespace hail {
+class ThreadPool;
 namespace adaptive {
 
 /// \brief One background replica rewrite.
@@ -65,29 +74,48 @@ struct MaintenanceTask {
   }
 };
 
-/// \brief A rewrite ready to commit, plus its simulated price.
-struct PreparedReorg {
-  std::string bytes;                     // new replica bytes
-  std::vector<uint32_t> chunk_crcs;      // recomputed checksums
-  hdfs::HailBlockReplicaInfo info;       // new Dir_rep record
+/// \brief What a rewrite build produces.
+struct ReorgOutput {
+  std::string bytes;                 // new replica bytes
+  std::vector<uint32_t> chunk_crcs;  // their checksums
+  /// Real bytes of the index the build made: the clustered index of a
+  /// re-sort or the unclustered index of an install; 0 otherwise.
+  uint64_t index_bytes = 0;
   /// kBuildStats only: the serialized planner::BlockStats sidecar to
   /// register at commit (replica bytes stay untouched).
   std::string stats;
+};
+
+/// \brief A rewrite ready to commit, plus its simulated price.
+struct PreparedReorg {
+  /// New Dir_rep record; CommitReorg completes it with the built replica
+  /// and index sizes.
+  hdfs::HailBlockReplicaInfo info;
   /// Simulated seconds the rewrite occupies its slot (read + CPU + write),
   /// billed on the owning datanode's cost model.
   double seconds = 0.0;
+  /// The build, invalid for kEvictReplica (nothing to build). It owns its
+  /// inputs: the decoded block is moved in, and an install or a replica
+  /// add gets its own copy of the source sections or bytes. CommitReorg
+  /// runs it inline unless StartBuild moved it to a pool.
+  std::packaged_task<ReorgOutput()> build;
+  std::future<ReorgOutput> output;
+
+  /// Runs the build on `pool`; CommitReorg then joins it.
+  void StartBuild(ThreadPool* pool);
 };
 
-/// Computes the rewrite without mutating anything. Fails when the replica
+/// Decides the rewrite without mutating anything. Fails when the replica
 /// is missing, not PAX, or the column is out of range. Deterministic for a
-/// given DFS state.
+/// given DFS state, and so is the build it returns: the build computes the
+/// same bytes on any thread, whatever happened to the DFS in between.
 Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
                                    const MaintenanceTask& task);
 
-/// Applies a prepared rewrite: StoreBlock (generation bump + cache
-/// invalidation) and Dir_rep re-registration. Refuses when the node died
-/// since preparation (the task is requeued by the caller and survives the
-/// kill/revive cycle).
+/// Applies a prepared rewrite: joins (or runs) its build, then StoreBlock
+/// (generation bump + cache invalidation) and Dir_rep re-registration.
+/// Refuses when the node died since preparation (the task is requeued by
+/// the caller and survives the kill/revive cycle).
 Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
                    PreparedReorg prepared);
 

@@ -39,6 +39,7 @@ int SlotScheduler::QueueIndex(const std::string& name) {
   auto it = weights_.find(name);
   q.weight = it != weights_.end() && it->second > 0.0 ? it->second : 1.0;
   queues_.push_back(std::move(q));
+  pending_jobs_.emplace_back();
   return static_cast<int>(queues_.size()) - 1;
 }
 
@@ -49,8 +50,24 @@ int SlotScheduler::RegisterJob(const std::string& queue) {
   return static_cast<int>(jobs_.size()) - 1;
 }
 
+void SlotScheduler::IndexPending(int job, bool pending) {
+  const JobEntry& entry = jobs_[static_cast<size_t>(job)];
+  std::set<int>& queue = pending_jobs_[static_cast<size_t>(entry.queue)];
+  if (pending) {
+    if (queue.empty()) ++queues_with_work_;
+    queue.insert(job);
+    if (entry.has_deadline) pending_deadlines_.emplace(entry.deadline, job);
+  } else {
+    queue.erase(job);
+    if (queue.empty()) --queues_with_work_;
+    if (entry.has_deadline) pending_deadlines_.erase({entry.deadline, job});
+  }
+}
+
 void SlotScheduler::SetPending(int job, size_t pending) {
-  jobs_[static_cast<size_t>(job)].pending = pending;
+  JobEntry& entry = jobs_[static_cast<size_t>(job)];
+  if ((entry.pending > 0) != (pending > 0)) IndexPending(job, pending > 0);
+  entry.pending = pending;
 }
 
 void SlotScheduler::OnTaskStarted(int job) {
@@ -70,30 +87,33 @@ int SlotScheduler::queue_of(int job) const {
 }
 
 void SlotScheduler::SetJobDeadline(int job, sim::SimTime deadline) {
-  jobs_[static_cast<size_t>(job)].deadline = deadline;
-  jobs_[static_cast<size_t>(job)].has_deadline = true;
+  JobEntry& entry = jobs_[static_cast<size_t>(job)];
+  const bool indexed = entry.pending > 0;
+  if (indexed) IndexPending(job, false);
+  entry.deadline = deadline;
+  entry.has_deadline = true;
+  if (indexed) IndexPending(job, true);
 }
 
 int SlotScheduler::PickNextJob(sim::SimTime now) const {
   if (policy_ == SchedulerPolicy::kFifo) {
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-      if (jobs_[j].pending > 0) return static_cast<int>(j);
+    // The lowest job id with pending work: the smallest queue head.
+    int first = -1;
+    for (const std::set<int>& queue : pending_jobs_) {
+      if (!queue.empty() && (first < 0 || *queue.begin() < first)) {
+        first = *queue.begin();
+      }
     }
-    return -1;
+    return first;
   }
   // EDF above fair share: a job already past its declared SLO deadline
   // outranks every fair-share deficit — earliest deadline first, ties to
   // the lowest job id. Queues still inside their SLO keep weighted-fair
   // shares below.
-  int edf = -1;
-  for (size_t j = 0; j < jobs_.size(); ++j) {
-    const JobEntry& job = jobs_[j];
-    if (job.pending == 0 || !job.has_deadline || job.deadline > now) continue;
-    if (edf < 0 || job.deadline < jobs_[static_cast<size_t>(edf)].deadline) {
-      edf = static_cast<int>(j);
-    }
+  if (!pending_deadlines_.empty() &&
+      pending_deadlines_.begin()->first <= now) {
+    return pending_deadlines_.begin()->second;
   }
-  if (edf >= 0) return edf;
   // Fair: the queue with pending work whose running/weight deficit is
   // smallest wins (work-conserving — queues without pending work never
   // block others). Ties break on first-registration order, then the
@@ -101,14 +121,7 @@ int SlotScheduler::PickNextJob(sim::SimTime now) const {
   int best_queue = -1;
   double best_deficit = 0.0;
   for (size_t q = 0; q < queues_.size(); ++q) {
-    bool has_pending = false;
-    for (const JobEntry& job : jobs_) {
-      if (job.queue == static_cast<int>(q) && job.pending > 0) {
-        has_pending = true;
-        break;
-      }
-    }
-    if (!has_pending) continue;
+    if (pending_jobs_[q].empty()) continue;
     const double deficit =
         static_cast<double>(queues_[q].running) / queues_[q].weight;
     if (best_queue < 0 || deficit < best_deficit) {
@@ -117,26 +130,10 @@ int SlotScheduler::PickNextJob(sim::SimTime now) const {
     }
   }
   if (best_queue < 0) return -1;
-  for (size_t j = 0; j < jobs_.size(); ++j) {
-    if (jobs_[j].queue == best_queue && jobs_[j].pending > 0) {
-      return static_cast<int>(j);
-    }
-  }
-  return -1;
+  return *pending_jobs_[static_cast<size_t>(best_queue)].begin();
 }
 
-bool SlotScheduler::Contended() const {
-  int queues_with_work = 0;
-  for (size_t q = 0; q < queues_.size(); ++q) {
-    for (const JobEntry& job : jobs_) {
-      if (job.queue == static_cast<int>(q) && job.pending > 0) {
-        ++queues_with_work;
-        break;
-      }
-    }
-  }
-  return queues_with_work >= 2;
-}
+bool SlotScheduler::Contended() const { return queues_with_work_ >= 2; }
 
 // ---------------------------------------------------------------------------
 // Session engine
@@ -199,8 +196,8 @@ struct MaintState {
   adaptive::MaintenanceTask task;
   enum class Status { kPending, kRunning, kCommitted, kFailed } status =
       Status::kPending;
-  /// Rewrite computed at assignment (pre-mutation state), committed at the
-  /// completion event.
+  /// Rewrite decided at assignment (pre-mutation state), built on the pool
+  /// (parallel) or at commit (serial), committed at the completion event.
   std::optional<adaptive::PreparedReorg> prepared;
 };
 
@@ -1014,6 +1011,10 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
   }
   m.status = MaintState::Status::kRunning;
   m.prepared.emplace(std::move(*prep));
+  // The build owns its inputs, so parallel mode runs it on the pool while
+  // the simulation goes on; CommitMaintenance joins it in the post-drain
+  // commit window. Serial mode builds at commit.
+  if (parallel) m.prepared->StartBuild(pool);
   free_slots[static_cast<size_t>(node)] -= 1;
   const double duration = m.prepared->seconds;
   events.ScheduleAfter(duration,

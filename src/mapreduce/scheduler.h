@@ -39,7 +39,9 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hail/hail_client.h"
@@ -73,7 +75,9 @@ enum class SchedulerPolicy {
 /// Pure bookkeeping — the session engine reports pending counts and task
 /// starts/finishes, and asks which job the next free slot should serve.
 /// All decisions are deterministic functions of that call sequence, which
-/// itself is a pure function of the simulated event order.
+/// itself is a pure function of the simulated event order. SetPending and
+/// SetJobDeadline keep the jobs with pending work indexed (per queue, and
+/// by deadline), so a pick costs O(queues + log jobs), not O(jobs).
 class SlotScheduler {
  public:
   struct QueueState {
@@ -128,10 +132,19 @@ class SlotScheduler {
     bool has_deadline = false;
   };
 
+  /// Adds (or removes) `job` to (from) the pending-work indexes.
+  void IndexPending(int job, bool pending);
+
   SchedulerPolicy policy_;
   std::map<std::string, double> weights_;
   std::vector<QueueState> queues_;
   std::vector<JobEntry> jobs_;
+  /// Per queue (indexed like queues_): ids of its jobs with pending work.
+  std::vector<std::set<int>> pending_jobs_;
+  /// (deadline, id) of every job with pending work and a deadline.
+  std::set<std::pair<sim::SimTime, int>> pending_deadlines_;
+  /// Queues whose pending_jobs_ set is non-empty.
+  int queues_with_work_ = 0;
 };
 
 /// \brief An upload tenant: each source file is one slot-occupying task.

@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace hail {
 
@@ -40,8 +42,14 @@ void ThreadPool::WorkerLoop() {
 
 size_t ThreadPool::DefaultThreads() {
   if (const char* env = std::getenv("HAIL_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n >= 1) return static_cast<size_t>(n);
+    // Digits only: from_chars into an unsigned type takes no sign, no
+    // space and no suffix, and reports overflow instead of saturating.
+    const char* end = env + std::strlen(env);
+    size_t n = 0;
+    const auto [stop, ec] = std::from_chars(env, end, n);
+    if (ec == std::errc() && stop == end && n >= 1 && n <= kMaxThreads) {
+      return n;
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -1,7 +1,7 @@
 /// \file thread_pool.h
 /// \brief Fixed-size worker pool with a future-based join primitive.
 ///
-/// One process-wide instance (SharedPool) backs both parallel engines:
+/// One process-wide instance (SharedPool) backs all parallel work:
 ///   - map-task reads (mapreduce/scheduler.cc): the event loop dispatches
 ///     each task's *functional* read to the pool and joins the returned
 ///     future when the simulated completion event is due, so heavy per-task
@@ -9,6 +9,8 @@
 ///     reconstruction) overlaps across hardware threads while all
 ///     scheduling decisions and simulated-clock accounting stay on the
 ///     event thread;
+///   - maintenance rewrite builds (adaptive/reorg.h): started at
+///     assignment, joined in the session's post-drain commit window;
 ///   - HAIL ingest (hail/hail_client.cc): each block's cluster-independent
 ///     work (parse, PAX build, decode, replica sort/index/serialise) is
 ///     prepared on the pool while the calling thread commits finished
@@ -65,8 +67,12 @@ class ThreadPool {
     return result;
   }
 
+  /// Largest worker count HAIL_THREADS may ask for.
+  static constexpr size_t kMaxThreads = 256;
+
   /// Number of hardware threads to use by default: the HAIL_THREADS
-  /// environment variable when set (>= 1), else hardware_concurrency().
+  /// environment variable when it is a whole decimal in [1, kMaxThreads],
+  /// else hardware_concurrency() (1 when unknown).
   static size_t DefaultThreads();
 
  private:
@@ -79,7 +85,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// The process-wide pool shared by parallel reads and HAIL ingest.
+/// The process-wide pool shared by parallel reads, rewrite builds and HAIL
+/// ingest.
 /// Created lazily with DefaultThreads() workers, never destroyed (workers
 /// block on an empty queue between uses). Callers that wait on its futures
 /// must not themselves run on one of its workers.

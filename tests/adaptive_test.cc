@@ -16,6 +16,8 @@
 #include "adaptive/reorg_planner.h"
 #include "adaptive/workload_observer.h"
 #include "hail/hail_block.h"
+#include "hdfs/packet.h"
+#include "util/thread_pool.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
 
@@ -411,6 +413,159 @@ TEST(ReorgExecutionTest, CommitRefusesOnDeadNode) {
   ASSERT_TRUE(prepared.ok());
   bed.dfs().KillNode(victim, 0.0);
   EXPECT_FALSE(CommitReorg(&bed.dfs(), task, std::move(*prepared)).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Rewrite builds own their inputs
+// ---------------------------------------------------------------------------
+
+/// A testbed whose /d replicas are sorted on visitDate only, so the first
+/// block has unindexed replicas to rewrite and a node that holds none.
+void LoadReorgBed(Testbed* bed) {
+  bed->LoadUserVisits();
+  ASSERT_TRUE(bed->UploadHail("/d", {workload::kVisitDate}).ok());
+}
+
+hdfs::BlockLocation FirstBlock(Testbed& bed, const std::string& file) {
+  auto blocks = bed.dfs().namenode().GetFileBlocks(file);
+  if (!blocks.ok() || blocks->empty()) {
+    ADD_FAILURE() << "no blocks in " << file;
+    return {};
+  }
+  return blocks->front();
+}
+
+/// The task of `kind` the tests rewrite: the first block's unindexed
+/// replica (installs, re-sorts, stats) or a copy onto the one node not
+/// holding the block (replica adds).
+MaintenanceTask TaskOf(MaintenanceTask::Kind kind, Testbed& bed) {
+  const hdfs::BlockLocation loc = FirstBlock(bed, "/d");
+  MaintenanceTask task;
+  task.block_id = loc.block_id;
+  task.kind = kind;
+  task.column = workload::kAdRevenue;
+  if (kind == MaintenanceTask::Kind::kBuildStats) task.column = -1;
+  if (kind == MaintenanceTask::Kind::kAddReplica) {
+    task.column = workload::kVisitDate;
+    for (int dn = 0; dn < bed.dfs().num_datanodes(); ++dn) {
+      if (!bed.dfs().namenode().GetReplicaInfo(loc.block_id, dn).ok()) {
+        task.datanode = dn;
+      }
+    }
+  } else {
+    for (int dn : loc.datanodes) {
+      auto info = bed.dfs().namenode().GetReplicaInfo(loc.block_id, dn);
+      if (info.ok() && !info->has_index()) task.datanode = dn;
+    }
+  }
+  EXPECT_GE(task.datanode, 0);
+  return task;
+}
+
+TEST(ReorgExecutionTest, BuildOwnsItsInputsAcrossLaterReplicaWrites) {
+  using Kind = MaintenanceTask::Kind;
+  for (Kind kind : {Kind::kInstallUnclustered, Kind::kResortReplica,
+                    Kind::kAddReplica, Kind::kBuildStats}) {
+    for (bool on_pool : {true, false}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      SCOPED_TRACE(on_pool ? "build on the shared pool" : "build at commit");
+      // The reference: prepare and commit back to back.
+      Testbed twin(SmallConfig());
+      LoadReorgBed(&twin);
+      const MaintenanceTask task = TaskOf(kind, twin);
+      auto reference = PrepareReorg(twin.dfs(), task);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_TRUE(CommitReorg(&twin.dfs(), task, std::move(*reference)).ok());
+
+      Testbed bed(SmallConfig());
+      LoadReorgBed(&bed);
+      ASSERT_EQ(TaskOf(kind, bed), task);
+      auto prepared = PrepareReorg(bed.dfs(), task);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      if (on_pool) prepared->StartBuild(SharedPool());
+      // Overwrite every replica of the block (the rewritten one and any
+      // copy source) before the commit: the build must not read them.
+      const std::string junk(3000, '\x5a');
+      const std::vector<uint32_t> junk_crcs = hdfs::ComputeChunkChecksums(
+          junk, bed.dfs().config().chunk_bytes);
+      for (int dn : FirstBlock(bed, "/d").datanodes) {
+        bed.dfs().datanode(dn).StoreBlock(task.block_id, junk, junk_crcs);
+      }
+      ASSERT_TRUE(CommitReorg(&bed.dfs(), task, std::move(*prepared)).ok());
+
+      const hdfs::Namenode& got_nn = bed.dfs().namenode();
+      const hdfs::Namenode& want_nn = twin.dfs().namenode();
+      if (kind == Kind::kBuildStats) {
+        auto got = got_nn.GetBlockStats(task.block_id);
+        auto want = want_nn.GetBlockStats(task.block_id);
+        ASSERT_TRUE(got.ok() && want.ok());
+        EXPECT_EQ(*got, *want);
+        continue;
+      }
+      const hdfs::Datanode& got_dn = bed.dfs().datanode(task.datanode);
+      const hdfs::Datanode& want_dn = twin.dfs().datanode(task.datanode);
+      auto got_bytes = got_dn.ReadBlockRaw(task.block_id);
+      auto want_bytes = want_dn.ReadBlockRaw(task.block_id);
+      ASSERT_TRUE(got_bytes.ok() && want_bytes.ok());
+      EXPECT_EQ(*got_bytes, *want_bytes);
+      const std::string meta = hdfs::BlockMetaFileName(task.block_id);
+      auto got_crcs = got_dn.store().Get(meta);
+      auto want_crcs = want_dn.store().Get(meta);
+      ASSERT_TRUE(got_crcs.ok() && want_crcs.ok());
+      EXPECT_EQ(*got_crcs, *want_crcs);
+      auto got = got_nn.GetReplicaInfo(task.block_id, task.datanode);
+      auto want = want_nn.GetReplicaInfo(task.block_id, task.datanode);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(got->layout, want->layout);
+      EXPECT_EQ(got->sort_column, want->sort_column);
+      EXPECT_EQ(got->index_kind, want->index_kind);
+      EXPECT_EQ(got->replica_bytes, want->replica_bytes);
+      EXPECT_EQ(got->index_bytes, want->index_bytes);
+      EXPECT_EQ(got->unclustered_column, want->unclustered_column);
+      EXPECT_EQ(got->unclustered_index_bytes, want->unclustered_index_bytes);
+      EXPECT_EQ(got->replica_bytes, got_bytes->size());
+    }
+  }
+}
+
+TEST(ReorgExecutionTest, MalformedTasksFailInPrepare) {
+  using Kind = MaintenanceTask::Kind;
+  Testbed bed(SmallConfig());
+  LoadReorgBed(&bed);
+  ASSERT_TRUE(bed.UploadHadoop("/t").ok());
+  const int fields = bed.schema().num_fields();
+
+  // Missing replica: the named node holds no copy of the block.
+  const MaintenanceTask add = TaskOf(Kind::kAddReplica, bed);
+  for (Kind kind :
+       {Kind::kInstallUnclustered, Kind::kResortReplica, Kind::kBuildStats}) {
+    MaintenanceTask missing = TaskOf(kind, bed);
+    missing.datanode = add.datanode;
+    EXPECT_FALSE(PrepareReorg(bed.dfs(), missing).ok());
+  }
+  // Non-PAX replica: a stock text upload.
+  const hdfs::BlockLocation text = FirstBlock(bed, "/t");
+  for (Kind kind :
+       {Kind::kInstallUnclustered, Kind::kResortReplica, Kind::kBuildStats}) {
+    MaintenanceTask task;
+    task.block_id = text.block_id;
+    task.datanode = text.datanodes.front();
+    task.column = kind == Kind::kBuildStats ? -1 : workload::kAdRevenue;
+    task.kind = kind;
+    EXPECT_TRUE(PrepareReorg(bed.dfs(), task).status().IsInvalidArgument());
+  }
+  // Column out of range.
+  for (Kind kind : {Kind::kInstallUnclustered, Kind::kResortReplica}) {
+    for (int column : {-1, fields}) {
+      MaintenanceTask task = TaskOf(kind, bed);
+      task.column = column;
+      EXPECT_TRUE(PrepareReorg(bed.dfs(), task).status().IsInvalidArgument());
+    }
+  }
+  // The copy's target already holds a replica.
+  MaintenanceTask onto_holder = add;
+  onto_holder.datanode = FirstBlock(bed, "/d").datanodes.front();
+  EXPECT_TRUE(PrepareReorg(bed.dfs(), onto_holder).status().IsAlreadyExists());
 }
 
 // ---------------------------------------------------------------------------

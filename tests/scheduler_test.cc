@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adaptive/adaptive_manager.h"
@@ -20,6 +22,7 @@
 #include "planner/plan_cache.h"
 #include "sim/fault_plan.h"
 #include "util/crc32c.h"
+#include "util/random.h"
 #include "workload/testbed.h"
 #include "workload/uservisits.h"
 
@@ -559,6 +562,189 @@ TEST(SlotSchedulerTest, EdfEscalatesPastDeadlineJobsAboveFairShares) {
   // An overdue job with no pending work never blocks the others.
   sched.SetPending(c, 0);
   EXPECT_EQ(sched.PickNextJob(60.0), b);
+}
+
+// ---------------------------------------------------------------------------
+// SlotScheduler's pending-job indexes against the O(jobs) scans they
+// replaced
+// ---------------------------------------------------------------------------
+
+/// The SlotScheduler picks as they were before pending jobs were indexed:
+/// every PickNextJob and Contended call scans all jobs. Kept verbatim as
+/// the reference the indexed version must agree with.
+class ScanningSlotScheduler {
+ public:
+  ScanningSlotScheduler(SchedulerPolicy policy,
+                        std::map<std::string, double> weights)
+      : policy_(policy), weights_(std::move(weights)) {}
+
+  int RegisterJob(const std::string& queue) {
+    int q = -1;
+    for (size_t i = 0; i < queues_.size(); ++i) {
+      if (queues_[i].name == queue) q = static_cast<int>(i);
+    }
+    if (q < 0) {
+      SlotScheduler::QueueState state;
+      state.name = queue;
+      auto it = weights_.find(queue);
+      state.weight =
+          it != weights_.end() && it->second > 0.0 ? it->second : 1.0;
+      queues_.push_back(state);
+      q = static_cast<int>(queues_.size()) - 1;
+    }
+    jobs_.push_back(JobEntry{q, 0, 0.0, false});
+    return static_cast<int>(jobs_.size()) - 1;
+  }
+  void SetPending(int job, size_t pending) {
+    jobs_[static_cast<size_t>(job)].pending = pending;
+  }
+  void SetJobDeadline(int job, sim::SimTime deadline) {
+    jobs_[static_cast<size_t>(job)].deadline = deadline;
+    jobs_[static_cast<size_t>(job)].has_deadline = true;
+  }
+  void OnTaskStarted(int job) {
+    queues_[static_cast<size_t>(jobs_[static_cast<size_t>(job)].queue)]
+        .running += 1;
+  }
+  void OnTaskFinished(int job) {
+    uint32_t& running =
+        queues_[static_cast<size_t>(jobs_[static_cast<size_t>(job)].queue)]
+            .running;
+    if (running > 0) running -= 1;
+  }
+
+  int PickNextJob(sim::SimTime now) const {
+    if (policy_ == SchedulerPolicy::kFifo) {
+      for (size_t j = 0; j < jobs_.size(); ++j) {
+        if (jobs_[j].pending > 0) return static_cast<int>(j);
+      }
+      return -1;
+    }
+    int edf = -1;
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+      const JobEntry& job = jobs_[j];
+      if (job.pending == 0 || !job.has_deadline || job.deadline > now) {
+        continue;
+      }
+      if (edf < 0 || job.deadline < jobs_[static_cast<size_t>(edf)].deadline) {
+        edf = static_cast<int>(j);
+      }
+    }
+    if (edf >= 0) return edf;
+    int best_queue = -1;
+    double best_deficit = 0.0;
+    for (size_t q = 0; q < queues_.size(); ++q) {
+      bool has_pending = false;
+      for (const JobEntry& job : jobs_) {
+        if (job.queue == static_cast<int>(q) && job.pending > 0) {
+          has_pending = true;
+          break;
+        }
+      }
+      if (!has_pending) continue;
+      const double deficit =
+          static_cast<double>(queues_[q].running) / queues_[q].weight;
+      if (best_queue < 0 || deficit < best_deficit) {
+        best_queue = static_cast<int>(q);
+        best_deficit = deficit;
+      }
+    }
+    if (best_queue < 0) return -1;
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+      if (jobs_[j].queue == best_queue && jobs_[j].pending > 0) {
+        return static_cast<int>(j);
+      }
+    }
+    return -1;
+  }
+
+  bool Contended() const {
+    int queues_with_work = 0;
+    for (size_t q = 0; q < queues_.size(); ++q) {
+      for (const JobEntry& job : jobs_) {
+        if (job.queue == static_cast<int>(q) && job.pending > 0) {
+          ++queues_with_work;
+          break;
+        }
+      }
+    }
+    return queues_with_work >= 2;
+  }
+
+  size_t job_count() const { return jobs_.size(); }
+
+ private:
+  struct JobEntry {
+    int queue = 0;
+    size_t pending = 0;
+    sim::SimTime deadline = 0.0;
+    bool has_deadline = false;
+  };
+  SchedulerPolicy policy_;
+  std::map<std::string, double> weights_;
+  std::vector<SlotScheduler::QueueState> queues_;
+  std::vector<JobEntry> jobs_;
+};
+
+TEST(SlotSchedulerTest, IndexedPicksMatchTheScanningReference) {
+  // Deadlines and `now` come from one small grid, so equal deadlines and
+  // `now` exactly at a deadline are common; queue names come from a pool
+  // larger than the initial registrations, so queues first appear
+  // mid-sequence; weights include a tie, a non-positive weight (treated
+  // as 1.0) and an unlisted queue.
+  const std::map<std::string, double> weights = {
+      {"a", 2.0}, {"b", 1.0}, {"c", 0.5}, {"d", 0.0}};
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e"};
+  const std::vector<sim::SimTime> grid = {0.0, 1.0, 2.0, 2.5, 4.0, 7.0};
+  for (SchedulerPolicy policy :
+       {SchedulerPolicy::kFifo, SchedulerPolicy::kFair}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      Random rng(seed);
+      SlotScheduler indexed(policy, weights);
+      ScanningSlotScheduler reference(policy, weights);
+      for (int i = 0; i < 2; ++i) {
+        const std::string& q = names[rng.Uniform(2)];
+        ASSERT_EQ(indexed.RegisterJob(q), reference.RegisterJob(q));
+      }
+      for (int op = 0; op < 300; ++op) {
+        const int job = static_cast<int>(rng.Uniform(reference.job_count()));
+        switch (rng.Uniform(6)) {
+          case 0: {
+            const std::string& q = names[rng.Uniform(names.size())];
+            ASSERT_EQ(indexed.RegisterJob(q), reference.RegisterJob(q));
+            break;
+          }
+          case 1:
+          case 2: {
+            const size_t pending = rng.Uniform(2) == 0 ? 0 : rng.Uniform(4);
+            indexed.SetPending(job, pending);
+            reference.SetPending(job, pending);
+            break;
+          }
+          case 3: {
+            const sim::SimTime deadline = grid[rng.Uniform(grid.size())];
+            indexed.SetJobDeadline(job, deadline);
+            reference.SetJobDeadline(job, deadline);
+            break;
+          }
+          case 4:
+            indexed.OnTaskStarted(job);
+            reference.OnTaskStarted(job);
+            break;
+          default:
+            indexed.OnTaskFinished(job);
+            reference.OnTaskFinished(job);
+            break;
+        }
+        ASSERT_EQ(indexed.Contended(), reference.Contended())
+            << "seed " << seed << " op " << op;
+        for (sim::SimTime now : grid) {
+          ASSERT_EQ(indexed.PickNextJob(now), reference.PickNextJob(now))
+              << "seed " << seed << " op " << op << " now " << now;
+        }
+      }
+    }
+  }
 }
 
 TEST(ClusterSessionTest, QueueSloAccountingAndViolations) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
+
 #include "util/crc32c.h"
 #include "util/io.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace hail {
 namespace {
@@ -224,6 +230,59 @@ TEST(IoTest, SeekBounds) {
   ByteReader r("abcd");
   EXPECT_TRUE(r.SeekTo(4).ok());
   EXPECT_TRUE(r.SeekTo(5).IsCorruption());
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool::DefaultThreads (HAIL_THREADS parsing; no pool is built)
+// ---------------------------------------------------------------------------
+
+/// Sets HAIL_THREADS (or unsets it for nullopt) for one scope and restores
+/// the caller's value afterwards.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const std::optional<std::string>& value) {
+    if (const char* old = std::getenv("HAIL_THREADS")) saved_ = old;
+    if (value.has_value()) {
+      setenv("HAIL_THREADS", value->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("HAIL_THREADS");
+    }
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_.has_value()) {
+      setenv("HAIL_THREADS", saved_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("HAIL_THREADS");
+    }
+  }
+  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+size_t ThreadsFor(const std::optional<std::string>& value) {
+  ScopedThreadsEnv env(value);
+  return ThreadPool::DefaultThreads();
+}
+
+TEST(ThreadPoolTest, DefaultThreadsAcceptsWholeDecimalsUpToTheCap) {
+  EXPECT_EQ(ThreadsFor("1"), 1u);
+  EXPECT_EQ(ThreadsFor("8"), 8u);
+  EXPECT_EQ(ThreadsFor("08"), 8u);
+  EXPECT_EQ(ThreadsFor("256"), ThreadPool::kMaxThreads);
+}
+
+TEST(ThreadPoolTest, DefaultThreadsFallsBackToTheHardwareOtherwise) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const size_t fallback = hw == 0 ? 1 : hw;
+  EXPECT_EQ(ThreadsFor(std::nullopt), fallback);
+  for (const char* bad :
+       {"", "0", "8x", "x8", " 8", "8 ", "+8", "-8", "2.5", "257", "5000",
+        "99999999999999999999"}) {
+    EXPECT_EQ(ThreadsFor(bad), fallback) << "HAIL_THREADS='" << bad << "'";
+  }
 }
 
 }  // namespace
