@@ -3,17 +3,21 @@
 ///
 /// Wiring (see README "The adaptive path"):
 ///
-///   JobRunner --ObserveJob--> WorkloadObserver --ToWorkload/regret-->
+///   ClusterSession --ObserveJob--> WorkloadObserver --ToWorkload/regret-->
 ///   ReorgPlanner --MaintenanceTasks--> pending queue --TakeTasks-->
-///   JobRunner (low-priority slots) --Prepare/CommitReorg--> datanode
-///   StoreBlock (generation bump -> BlockCache invalidation) + namenode
-///   Dir_rep update --> next query's getHostsWithIndex finds the new index.
+///   session engine (idle slots, IsConverged skip) --Prepare/CommitReorg-->
+///   datanode StoreBlock (generation bump -> BlockCache invalidation) +
+///   namenode Dir_rep update --> next query's getHostsWithIndex finds the
+///   new index.
 ///
 /// The manager is deliberately passive: it never runs work itself. The
-/// JobRunner drains the pending queue into idle map slots while a
-/// foreground job executes, and returns whatever did not finish (node
-/// died, job ended first) — those tasks simply wait for the next job, so
-/// a reorganization interrupted by a node kill resumes after the revive.
+/// session engine (mapreduce/scheduler.h; a JobRunner run is a one-job
+/// session) takes the pending queue at session start and, with
+/// `online_adaptation`, again after every online ObserveJob, and drains
+/// it into idle map slots strictly below foreground work. Tasks still
+/// queued or running when the session ends (node died, session over) come
+/// back through ReturnUnfinished and wait for the next session, so a
+/// reorganization interrupted by a node kill resumes after the revive.
 
 #pragma once
 
@@ -39,20 +43,24 @@ class AdaptiveManager {
   AdaptiveManager(hdfs::MiniDfs* dfs, Schema schema, std::string file,
                   AdaptiveConfig config = AdaptiveConfig());
 
-  // ---- JobRunner hooks ----
+  // ---- session engine hooks ----
 
-  /// Called at job start: hands every pending maintenance task to the
-  /// runner (they execute on idle slots of that job).
+  /// Called at session start and, with online adaptation, after every
+  /// online ObserveJob: hands every pending maintenance task to the engine
+  /// and empties the queue. A later planning round therefore re-emits the
+  /// rewrites that have not committed yet; the engine skips a copy whose
+  /// target already has its layout (IsConverged) at assignment.
   std::vector<MaintenanceTask> TakeTasks();
 
-  /// Called at job end with the tasks that did not run to completion;
-  /// they are requeued ahead of newly planned work.
+  /// Called at session end with the tasks still queued or running (never
+  /// the converged ones); they are requeued ahead of newly planned work.
   void ReturnUnfinished(std::vector<MaintenanceTask> tasks);
 
-  /// Called at job end (after ReturnUnfinished): records the query in the
-  /// observer and runs one planning round against the *post-reorg*
-  /// directory state. Ignores jobs over other files or without an
-  /// annotation.
+  /// Records the query in the observer and runs one planning round against
+  /// the current directory state. Called for each finished query while
+  /// the session runs (online adaptation), else in the session epilogue in
+  /// completion order (after ReturnUnfinished). Ignores jobs over other
+  /// files or without an annotation.
   void ObserveJob(const mapreduce::JobSpec& spec,
                   const mapreduce::JobResult& result);
 
@@ -62,7 +70,7 @@ class AdaptiveManager {
   /// were newly queued (already-pending duplicates are dropped).
   size_t RequestStatsBackfill();
 
-  /// Completion bookkeeping (counters only; the runner already committed).
+  /// Completion bookkeeping (counters only; the engine already committed).
   void NoteCompleted(uint32_t completed, uint32_t failed) {
     completed_total_ += completed;
     failed_total_ += failed;

@@ -89,6 +89,19 @@ Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
 
 }  // namespace
 
+bool IsConverged(const hdfs::MiniDfs& dfs, const MaintenanceTask& task) {
+  const bool resort = task.kind == MaintenanceTask::Kind::kResortReplica;
+  if (!resort && task.kind != MaintenanceTask::Kind::kInstallUnclustered) {
+    return false;
+  }
+  const Result<hdfs::HailBlockReplicaInfo> info =
+      dfs.namenode().GetReplicaInfo(task.block_id, task.datanode);
+  if (!info.ok()) return false;
+  if (info->has_index() && info->sort_column == task.column) return true;
+  return !resort && info->has_unclustered() &&
+         info->unclustered_column == task.column;
+}
+
 Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
                                    const MaintenanceTask& task) {
   if (task.datanode < 0 || task.datanode >= dfs.num_datanodes()) {

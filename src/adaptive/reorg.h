@@ -105,6 +105,16 @@ struct PreparedReorg {
   void StartBuild(ThreadPool* pool);
 };
 
+/// Whether the task's own target replica already has what the task would
+/// build, according to its Dir_rep record: a re-sort has converged when
+/// the target is clustered on the task's column, an unclustered install
+/// when the target carries an unclustered index on the column or is
+/// clustered on it. Replica adds, evictions and stats backfills never
+/// converge, and neither does a task whose replica is missing (PrepareReorg
+/// fails it). Read-only; the session engine asks it at assignment, the
+/// instant PrepareReorg reads the directory.
+bool IsConverged(const hdfs::MiniDfs& dfs, const MaintenanceTask& task);
+
 /// Decides the rewrite without mutating anything. Fails when the replica
 /// is missing, not PAX, or the column is out of range. Deterministic for a
 /// given DFS state, and so is the build it returns: the build computes the

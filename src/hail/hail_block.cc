@@ -268,7 +268,7 @@ Result<UnclusteredIndex> HailBlockView::ReadUnclusteredIndex() const {
   if (!has_unclustered()) {
     return Status::FailedPrecondition("HAIL block has no unclustered index");
   }
-  return UnclusteredIndex::Deserialize(data_.substr(uc_offset_, uc_bytes_));
+  return UnclusteredIndex::Deserialize(unclustered_section());
 }
 
 Result<PaxBlockView> HailBlockView::OpenPax() const {

@@ -188,6 +188,9 @@ class HailBlockView {
   std::string_view pax_section() const {
     return data_.substr(pax_offset_, pax_bytes_);
   }
+  std::string_view unclustered_section() const {
+    return data_.substr(uc_offset_, uc_bytes_);
+  }
 
   /// Materialises the index ("we read the index entirely into main memory
   /// (typically a few KB)", §4.3).

@@ -7,6 +7,21 @@ namespace hail {
 
 namespace {
 constexpr uint32_t kUnclusteredMagic = 0x43554948;  // "HIUC"
+
+/// Smallest serialised entry of a key type: the key (a string's length
+/// prefix) plus its 4-byte row id. 0 for a byte that names no type.
+size_t MinEntryBytes(FieldType type) {
+  switch (type) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+    case FieldType::kString:
+      return 8;
+    case FieldType::kInt64:
+    case FieldType::kDouble:
+      return 12;
+  }
+  return 0;
+}
 }  // namespace
 
 UnclusteredIndex UnclusteredIndex::Build(const ColumnVector& keys) {
@@ -71,8 +86,17 @@ Result<UnclusteredIndex> UnclusteredIndex::Deserialize(std::string_view data) {
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
   const FieldType type = static_cast<FieldType>(type_byte);
+  const size_t min_entry = MinEntryBytes(type);
+  if (min_entry == 0) {
+    return Status::Corruption("unclustered index names an unknown key type");
+  }
   UnclusteredIndex index(type);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
+  // The count is checked against the bytes left before anything is sized
+  // from it.
+  if (index.num_records_ > r.remaining() / min_entry) {
+    return Status::Corruption("unclustered index record count exceeds data");
+  }
   index.row_ids_.reserve(index.num_records_);
   for (uint32_t i = 0; i < index.num_records_; ++i) {
     switch (type) {
@@ -101,7 +125,26 @@ Result<UnclusteredIndex> UnclusteredIndex::Deserialize(std::string_view data) {
     HAIL_ASSIGN_OR_RETURN(uint32_t row, r.GetU32());
     index.row_ids_.push_back(row);
   }
+  if (!r.exhausted()) {
+    return Status::Corruption("trailing bytes after unclustered index");
+  }
   return index;
+}
+
+Status UnclusteredIndex::CheckRowsOf(uint32_t block_records) const {
+  if (num_records_ != block_records) {
+    return Status::Corruption("unclustered index covers " +
+                              std::to_string(num_records_) +
+                              " records of a " +
+                              std::to_string(block_records) + "-record block");
+  }
+  for (uint32_t row : row_ids_) {
+    if (row >= block_records) {
+      return Status::Corruption("unclustered index row id " +
+                                std::to_string(row) + " past the block");
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t UnclusteredIndex::SerializedBytes() const {

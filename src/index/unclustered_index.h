@@ -35,8 +35,15 @@ class UnclusteredIndex {
   std::vector<uint32_t> Lookup(const KeyRange& range) const;
 
   std::string Serialize() const;
+  /// Rejects a wrong magic, an unknown key type, a record count the bytes
+  /// cannot hold, truncation and trailing bytes.
   static Result<UnclusteredIndex> Deserialize(std::string_view data);
   uint64_t SerializedBytes() const;
+
+  /// Corruption unless the index covers exactly the \p block_records rows
+  /// of the block it was stored with, so that every Lookup row id can
+  /// index that block.
+  Status CheckRowsOf(uint32_t block_records) const;
 
  private:
   explicit UnclusteredIndex(FieldType type) : sorted_keys_(type) {}

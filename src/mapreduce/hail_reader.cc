@@ -20,6 +20,8 @@ struct CachedHailBlock : CachedIndexedBlock<HailBlockView, ClusteredIndex> {
 
   /// Lazily deserialises the adaptive unclustered index (same protocol as
   /// the clustered Index(): decode once, count once, cache the error too).
+  /// An index that does not cover exactly this block's rows is Corruption:
+  /// its row ids become the read's selection vector.
   Result<const UnclusteredIndex*> Unclustered(hdfs::BlockCache* cache) const {
     std::lock_guard<std::mutex> lock(uc_mu_);
     if (!uc_ready_) {
@@ -27,10 +29,11 @@ struct CachedHailBlock : CachedIndexedBlock<HailBlockView, ClusteredIndex> {
       cache->NoteIndexDecode();
       Result<UnclusteredIndex> decoded = view.ReadUnclusteredIndex();
       if (decoded.ok()) {
-        uc_.emplace(std::move(*decoded));
+        uc_status_ = decoded->CheckRowsOf(pax.num_records());
       } else {
         uc_status_ = decoded.status();
       }
+      if (uc_status_.ok()) uc_.emplace(std::move(*decoded));
     }
     HAIL_RETURN_NOT_OK(uc_status_);
     return &*uc_;
@@ -293,19 +296,39 @@ class HailRecordReader : public RecordReader {
     }
     add_hosts(loc.datanodes, kPlain);
 
+    // An unclustered replica whose index is corrupt (it fails to decode,
+    // or does not cover exactly its block's rows) is failed over like a
+    // replica that fails its CRC: wasted read billed, replica reported.
     std::string_view bytes;
-    HAIL_ASSIGN_OR_RETURN(
-        size_t winner,
-        ReadReplicaWithFailover(ctx, loc.block_id, loc.logical_bytes,
-                                candidates, cost, &bytes));
+    size_t winner = 0;
+    std::shared_ptr<const CachedHailBlock> cached;
+    const UnclusteredIndex* uc = nullptr;
+    for (size_t first = 0;; first = winner + 1) {
+      HAIL_ASSIGN_OR_RETURN(
+          winner, ReadReplicaWithFailover(ctx, loc.block_id, loc.logical_bytes,
+                                          candidates, cost, &bytes, first));
+      HAIL_ASSIGN_OR_RETURN(cached, OpenCachedHailBlock(*ctx, candidates[winner],
+                                                        loc.block_id, bytes));
+      if (klass[winner] != kUnclustered ||
+          cached->view.unclustered_column() != index_column) {
+        break;
+      }
+      Result<const UnclusteredIndex*> probe =
+          cached->Unclustered(&ctx->dfs->block_cache());
+      if (probe.ok()) {
+        uc = *probe;
+        break;
+      }
+      if (!probe.status().IsCorruption()) return probe.status();
+      BillCorruptRead(ctx, loc.block_id, loc.logical_bytes,
+                      candidates[winner], cost);
+    }
     const int dn = candidates[winner];
     const bool indexed = klass[winner] == kIndexed;
     const bool unclustered = klass[winner] == kUnclustered;
     if (klass[winner] == kPlain && index_column >= 0) {
       ctx->stats.fallback_scan = true;
     }
-    HAIL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedHailBlock> cached,
-                          OpenCachedHailBlock(*ctx, dn, loc.block_id, bytes));
     const HailBlockView& view = cached->view;
     const PaxBlockView& pax = cached->pax;
 
@@ -355,14 +378,11 @@ class HailRecordReader : public RecordReader {
         ctx->trace->Attr(probe, "rows", static_cast<uint64_t>(range.size()));
         ctx->trace->Close(probe, cost->total());
       }
-    } else if (unclustered && view.unclustered_column() == index_column &&
-               key_range.has_value()) {
+    } else if (uc != nullptr) {
       // Adaptive unclustered path (§3.5 semantics): the dense index yields
       // the exact qualifying row ids for the key column, in key order —
       // i.e. random block order, each hit its own random access. Sort them
       // ascending so reconstruction cursors stay sequential.
-      HAIL_ASSIGN_OR_RETURN(const UnclusteredIndex* uc,
-                            cached->Unclustered(&ctx->dfs->block_cache()));
       std::vector<uint32_t> candidates = uc->Lookup(*key_range);
       if (static_cast<double>(candidates.size()) >
           c.unclustered_max_selectivity *

@@ -33,16 +33,49 @@ void DefaultMap(const JobSpec& spec, const HailRecord& record,
 
 }  // namespace
 
+void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
+                     uint64_t logical_bytes, int dn, TaskCost* cost) {
+  // The bytes were transferred and checksummed before the problem
+  // surfaced: the whole wasted read is billed. The sighting is recorded
+  // for the engine to report.
+  const sim::CostConstants& c = ctx->dfs->cluster().constants();
+  const sim::CostModel& node_cost =
+      ctx->dfs->cluster().node(ctx->task_node).cost();
+  ctx->bad_replicas.push_back({block_id, dn});
+  const double waste_start = cost->total();
+  const double disk =
+      c.block_open_ms / 1000.0 +
+      ctx->dfs->cluster().node(dn).cost().DiskAccess(logical_bytes);
+  const double cpu = node_cost.Crc(logical_bytes);
+  double net = 0.0;
+  cost->disk_seconds += disk;
+  cost->cpu_seconds += cpu;
+  if (dn != ctx->task_node) {
+    net = node_cost.NetTransfer(logical_bytes);
+    cost->net_seconds += net;
+  }
+  cost->logical_bytes_read += logical_bytes;
+  cost->ledger.Bill(obs::CostBucket::kFailoverReread, disk + cpu + net);
+  if (ctx->trace != nullptr) {
+    const size_t span =
+        ctx->trace->Open("failover_reread", "failover", waste_start);
+    ctx->trace->Attr(span, "block", block_id);
+    ctx->trace->Attr(span, "datanode", dn);
+    ctx->trace->Attr(span, "bytes", logical_bytes);
+    ctx->trace->Attr(span, "error", "corruption");
+    ctx->trace->Close(span, cost->total());
+  }
+}
+
 Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
                                        uint64_t logical_bytes,
                                        const std::vector<int>& candidates,
                                        TaskCost* cost,
-                                       std::string_view* bytes_out) {
+                                       std::string_view* bytes_out,
+                                       size_t first) {
   const hdfs::DfsConfig& cfg = ctx->dfs->config();
   const sim::CostConstants& c = ctx->dfs->cluster().constants();
-  const sim::CostModel& node_cost =
-      ctx->dfs->cluster().node(ctx->task_node).cost();
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (size_t i = first; i < candidates.size(); ++i) {
     const int dn = candidates[i];
     Result<std::string_view> read =
         ctx->dfs->datanode(dn).ReadBlockVerified(block_id, cfg.chunk_bytes);
@@ -52,33 +85,7 @@ Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
     }
     const Status& st = read.status();
     if (st.IsCorruption()) {
-      // The bytes were transferred and checksummed before the mismatch
-      // surfaced: the whole wasted read is billed, then the next replica
-      // is tried. The sighting is recorded for the engine to report.
-      ctx->bad_replicas.push_back({block_id, dn});
-      const double waste_start = cost->total();
-      const double disk =
-          c.block_open_ms / 1000.0 +
-          ctx->dfs->cluster().node(dn).cost().DiskAccess(logical_bytes);
-      const double cpu = node_cost.Crc(logical_bytes);
-      double net = 0.0;
-      cost->disk_seconds += disk;
-      cost->cpu_seconds += cpu;
-      if (dn != ctx->task_node) {
-        net = node_cost.NetTransfer(logical_bytes);
-        cost->net_seconds += net;
-      }
-      cost->logical_bytes_read += logical_bytes;
-      cost->ledger.Bill(obs::CostBucket::kFailoverReread, disk + cpu + net);
-      if (ctx->trace != nullptr) {
-        const size_t span =
-            ctx->trace->Open("failover_reread", "failover", waste_start);
-        ctx->trace->Attr(span, "block", block_id);
-        ctx->trace->Attr(span, "datanode", dn);
-        ctx->trace->Attr(span, "bytes", logical_bytes);
-        ctx->trace->Attr(span, "error", "corruption");
-        ctx->trace->Close(span, cost->total());
-      }
+      BillCorruptRead(ctx, block_id, logical_bytes, dn, cost);
     } else if (st.IsUnavailable() || st.IsNotFound()) {
       // Dead node, or a replica deleted after an earlier corruption
       // report: only the connection attempt is paid.

@@ -131,18 +131,25 @@ class RecordReader {
 /// Creates the reader matching the job's system.
 std::unique_ptr<RecordReader> MakeRecordReader(System system);
 
-/// Reads one block through an ordered list of candidate replicas,
-/// failing over on Unavailable (dead node), NotFound (replica deleted
-/// after a corruption report) and Corruption (CRC mismatch — recorded in
-/// ctx->bad_replicas, and the wasted transfer + checksum work is billed
-/// to \p cost before the next candidate is tried). Returns the index of
-/// the winning candidate and sets \p bytes_out; Unavailable when every
-/// candidate failed (retryable — a repair may restore a replica).
+/// Reads one block through an ordered list of candidate replicas, from
+/// index \p first on, failing over on Unavailable (dead node), NotFound
+/// (replica deleted after a corruption report) and Corruption (CRC
+/// mismatch, handled by BillCorruptRead before the next candidate is
+/// tried). Returns the index of the winning candidate and sets
+/// \p bytes_out; Unavailable when every candidate failed (retryable — a
+/// repair may restore a replica).
 Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
                                        uint64_t logical_bytes,
                                        const std::vector<int>& candidates,
                                        TaskCost* cost,
-                                       std::string_view* bytes_out);
+                                       std::string_view* bytes_out,
+                                       size_t first = 0);
+
+/// Books a replica read that turned out corrupt: records it in
+/// ctx->bad_replicas and bills the wasted transfer + checksum work to
+/// \p cost as a failover reread.
+void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
+                     uint64_t logical_bytes, int dn, TaskCost* cost);
 
 /// Invokes the job's map function (or the default projector) on a record,
 /// applying the annotation filter first for text records (Bob's manual

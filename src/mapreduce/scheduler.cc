@@ -194,8 +194,10 @@ struct TaskState {
 /// slots (adaptive indexing; see adaptive/adaptive_manager.h).
 struct MaintState {
   adaptive::MaintenanceTask task;
-  enum class Status { kPending, kRunning, kCommitted, kFailed } status =
-      Status::kPending;
+  /// kConverged: skipped at assignment because the target replica already
+  /// had what the task would build (adaptive::IsConverged).
+  enum class Status { kPending, kRunning, kCommitted, kFailed, kConverged }
+      status = Status::kPending;
   /// Rewrite decided at assignment (pre-mutation state), built on the pool
   /// (parallel) or at commit (serial), committed at the completion event.
   std::optional<adaptive::PreparedReorg> prepared;
@@ -981,11 +983,17 @@ void SessionEngine::MaintenanceBeat(int node, int assigned) {
   std::deque<size_t>& queue = maint_by_node[static_cast<size_t>(node)];
   // Mid-session the TaskTracker's per-heartbeat quota applies; once every
   // job is done the cluster is idle and the queue drains as fast as slots
-  // allow.
+  // allow. A task whose target replica already has what it would build
+  // (an earlier copy committed first) is dropped without a slot or quota.
   while (free_slots[static_cast<size_t>(node)] > 0 && !queue.empty() &&
          (session_done || assigned < constants().tasks_per_heartbeat)) {
     const size_t mid = queue.front();
     queue.pop_front();
+    if (adaptive::IsConverged(*dfs, maint[mid].task)) {
+      maint[mid].status = MaintState::Status::kConverged;
+      ++result.maintenance_converged;
+      continue;
+    }
     AssignMaintenance(mid, node);
     ++assigned;
   }
@@ -2384,6 +2392,11 @@ Result<SessionResult> ClusterSession::Run() {
     m.counter("maintenance.scheduled")->Add(out.maintenance_scheduled);
     m.counter("maintenance.completed")->Add(out.maintenance_completed);
     m.counter("maintenance.failed")->Add(out.maintenance_failed);
+    // Like the planner counters below: absent until it counts something,
+    // so snapshots of sessions that skip nothing keep their bytes.
+    if (out.maintenance_converged > 0) {
+      m.counter("maintenance.converged")->Add(out.maintenance_converged);
+    }
     m.counter("repair.scheduled")->Add(out.repairs_scheduled);
     m.counter("repair.completed")->Add(out.repairs_completed);
     m.counter("repair.abandoned")->Add(out.repairs_abandoned);

@@ -316,6 +316,9 @@ struct SessionResult {
   uint32_t maintenance_scheduled = 0;
   uint32_t maintenance_completed = 0;
   uint32_t maintenance_failed = 0;
+  /// Tasks dropped at assignment because their target replica already had
+  /// what they would build; neither failed nor returned to the manager.
+  uint32_t maintenance_converged = 0;
   /// Maintenance assignments made while foreground work was pending
   /// anywhere. The strict low-priority guarantee says this is always 0;
   /// it is recorded (rather than assumed) so tests/bench can pin it.

@@ -568,6 +568,72 @@ TEST(ReorgExecutionTest, MalformedTasksFailInPrepare) {
   EXPECT_TRUE(PrepareReorg(bed.dfs(), onto_holder).status().IsAlreadyExists());
 }
 
+TEST(ReorgExecutionTest, ConvergenceReadsTheTargetsDirRepRecord) {
+  using Kind = MaintenanceTask::Kind;
+  Testbed bed(SmallConfig());
+  LoadReorgBed(&bed);
+  const hdfs::BlockLocation loc = FirstBlock(bed, "/d");
+  int clustered = -1;  // the replica sorted on visitDate at upload
+  int plain = -1;      // an unindexed one
+  for (int dn : loc.datanodes) {
+    auto info = bed.dfs().namenode().GetReplicaInfo(loc.block_id, dn);
+    ASSERT_TRUE(info.ok());
+    (info->has_index() ? clustered : plain) = dn;
+  }
+  ASSERT_GE(clustered, 0);
+  ASSERT_GE(plain, 0);
+  const auto task = [&](Kind kind, int datanode, int column) {
+    MaintenanceTask t;
+    t.block_id = loc.block_id;
+    t.datanode = datanode;
+    t.column = column;
+    t.kind = kind;
+    return t;
+  };
+  const auto converged = [&](Kind kind, int datanode, int column) {
+    return IsConverged(bed.dfs(), task(kind, datanode, column));
+  };
+
+  // A re-sort converges only on a target clustered on its own column.
+  EXPECT_TRUE(converged(Kind::kResortReplica, clustered, workload::kVisitDate));
+  EXPECT_FALSE(converged(Kind::kResortReplica, clustered, workload::kAdRevenue));
+  EXPECT_FALSE(converged(Kind::kResortReplica, plain, workload::kVisitDate));
+  // An install converges on a target clustered on its column ...
+  EXPECT_TRUE(
+      converged(Kind::kInstallUnclustered, clustered, workload::kVisitDate));
+  EXPECT_FALSE(
+      converged(Kind::kInstallUnclustered, clustered, workload::kAdRevenue));
+  EXPECT_FALSE(converged(Kind::kInstallUnclustered, plain, workload::kAdRevenue));
+  // ... or carrying an unclustered index on it, which a re-sort does not
+  // count as its own layout.
+  const MaintenanceTask install =
+      task(Kind::kInstallUnclustered, plain, workload::kAdRevenue);
+  auto prepared = PrepareReorg(bed.dfs(), install);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(CommitReorg(&bed.dfs(), install, std::move(*prepared)).ok());
+  EXPECT_TRUE(converged(Kind::kInstallUnclustered, plain, workload::kAdRevenue));
+  EXPECT_FALSE(converged(Kind::kInstallUnclustered, plain, workload::kSourceIP));
+  EXPECT_FALSE(converged(Kind::kResortReplica, plain, workload::kAdRevenue));
+
+  // Replica adds, evictions and stats backfills never converge, even on a
+  // target that is clustered on the column.
+  for (Kind kind : {Kind::kAddReplica, Kind::kEvictReplica, Kind::kBuildStats}) {
+    EXPECT_FALSE(converged(kind, clustered, workload::kVisitDate))
+        << static_cast<int>(kind);
+  }
+
+  // No record, no convergence: the task reaches PrepareReorg, which fails
+  // it as before.
+  const int absent = TaskOf(Kind::kAddReplica, bed).datanode;
+  ASSERT_FALSE(bed.dfs().namenode().GetReplicaInfo(loc.block_id, absent).ok());
+  for (Kind kind : {Kind::kInstallUnclustered, Kind::kResortReplica}) {
+    for (int column : {workload::kVisitDate, workload::kAdRevenue}) {
+      EXPECT_FALSE(converged(kind, absent, column));
+      EXPECT_FALSE(PrepareReorg(bed.dfs(), task(kind, absent, column)).ok());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The closed loop, end to end
 // ---------------------------------------------------------------------------
@@ -726,6 +792,81 @@ TEST(AdaptiveLoopTest, UnclusteredProbeMatchesFullScanAnswer) {
   // dense index + a few partitions instead of the whole block).
   EXPECT_LT(last.avg_record_reader_seconds,
             reference->avg_record_reader_seconds);
+}
+
+TEST(AdaptiveLoopTest, CorruptUnclusteredIndexFailsOverToAnotherReplica) {
+  // An unclustered index whose CRCs hold but whose rows do not match its
+  // block (a row id past the block, or one row short) must not reach the
+  // selection vector: the read fails over to another replica and the
+  // answer stays exact.
+  const QueryDef needle{"Shift-needle", "@1 = 172.101.11.46", "{@4}", 3.2e-8};
+  for (const bool short_index : {false, true}) {
+    SCOPED_TRACE(short_index ? "one row short" : "row id past the block");
+    Testbed bed(SmallConfig());
+    LoadReorgBed(&bed);
+    auto reference = bed.RunQuery(System::kHail, "/d", needle, false,
+                                  RunOptions{}, /*collect_output=*/true);
+    ASSERT_TRUE(reference.ok());
+    const auto blocks = bed.dfs().namenode().GetFileBlocks("/d");
+    ASSERT_TRUE(blocks.ok());
+    int victim = -1;
+    for (const hdfs::BlockLocation& loc : *blocks) {
+      MaintenanceTask task;
+      task.block_id = loc.block_id;
+      task.column = workload::kSourceIP;
+      task.kind = MaintenanceTask::Kind::kInstallUnclustered;
+      for (int dn : loc.datanodes) {
+        auto info = bed.dfs().namenode().GetReplicaInfo(loc.block_id, dn);
+        if (info.ok() && !info->has_index()) task.datanode = dn;
+      }
+      auto prepared = PrepareReorg(bed.dfs(), task);
+      ASSERT_TRUE(prepared.ok());
+      ASSERT_TRUE(CommitReorg(&bed.dfs(), task, std::move(*prepared)).ok());
+      if (victim < 0) victim = task.datanode;
+    }
+
+    // Re-store the first block's unclustered replica with a doctored
+    // index and fresh checksums; Dir_rep still routes the probe there.
+    const uint64_t block = blocks->front().block_id;
+    hdfs::Datanode& node = bed.dfs().datanode(victim);
+    auto raw = node.ReadBlockRaw(block);
+    ASSERT_TRUE(raw.ok());
+    const std::string original(*raw);
+    auto view = HailBlockView::Open(original);
+    ASSERT_TRUE(view.ok() && view->has_unclustered());
+    std::string uc_bytes(view->unclustered_section());
+    if (short_index) {
+      auto pax = PaxBlock::Deserialize(view->pax_section());
+      ASSERT_TRUE(pax.ok());
+      const ColumnVector& keys = pax->column(workload::kSourceIP);
+      ColumnVector fewer(keys.type());
+      for (size_t i = 0; i + 1 < keys.size(); ++i) {
+        fewer.Append(keys.GetValue(i));
+      }
+      uc_bytes = UnclusteredIndex::Build(fewer).Serialize();
+    } else {
+      // The last u32 is a row id.
+      for (size_t i = uc_bytes.size() - 4; i < uc_bytes.size(); ++i) {
+        uc_bytes[i] = static_cast<char>(0xFF);
+      }
+    }
+    const std::string doctored = BuildHailBlockParts(
+        view->sort_column(), view->index_section(), view->pax_section(),
+        view->unclustered_column(), uc_bytes);
+    node.StoreBlock(block, doctored,
+                    hdfs::ComputeChunkChecksums(
+                        doctored, bed.dfs().config().chunk_bytes));
+
+    auto after = bed.RunQuery(System::kHail, "/d", needle, false,
+                              RunOptions{}, /*collect_output=*/true);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(Sorted(after->output_rows), Sorted(reference->output_rows));
+    EXPECT_EQ(after->unclustered_scan_tasks, after->map_tasks - 1);
+    EXPECT_EQ(after->fallback_scans, 1u);
+    EXPECT_GT(after->cost.bucket(obs::CostBucket::kFailoverReread), 0u);
+    // The replica is reported like one that fails its CRC.
+    EXPECT_FALSE(bed.dfs().namenode().GetReplicaInfo(block, victim).ok());
+  }
 }
 
 TEST(AdaptiveLoopTest, UnselectiveProbeAbandonsToFullScan) {

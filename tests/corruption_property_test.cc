@@ -1,9 +1,9 @@
 /// \file corruption_property_test.cc
 /// \brief Corrupted bytes never crash and never silently succeed.
 ///
-/// Serialised PaxBlock / HAIL block / HSTA stats sidecar bytes are
-/// truncated at every length (covering every section boundary +- 1) and
-/// bit-flipped: the deserialisers must surface a clean
+/// Serialised PaxBlock / HAIL block / HSTA stats sidecar / unclustered
+/// index bytes are truncated at every length (covering every section
+/// boundary +- 1) and bit-flipped: the deserialisers must surface a clean
 /// error — under ASan/UBSan this also proves no out-of-bounds read hides
 /// behind any malformed input.
 /// A structural parse MAY survive a payload bit flip (the bytes are still
@@ -21,6 +21,7 @@
 #include "hdfs/dfs_client.h"
 #include "hdfs/packet.h"
 #include "index/clustered_index.h"
+#include "index/unclustered_index.h"
 #include "layout/pax_block.h"
 #include "planner/block_stats.h"
 #include "util/random.h"
@@ -71,16 +72,39 @@ std::string SerializeHail(const PaxBlock& unsorted, int sort_column) {
   return BuildHailBlock(sorted, &index, sort_column);
 }
 
-/// Opens a HAIL block and touches every section, as the readers do.
+/// The version-2 block an adaptive install leaves behind: the sorted
+/// replica of SerializeHail with a dense unclustered index on
+/// \p uc_column spliced in after its PAX payload.
+std::string SerializeHailWithUnclustered(const PaxBlock& unsorted,
+                                         int sort_column, int uc_column) {
+  const std::string v1 = SerializeHail(unsorted, sort_column);
+  auto view = HailBlockView::Open(v1);
+  EXPECT_TRUE(view.ok());
+  auto sorted = PaxBlock::Deserialize(view->pax_section());
+  EXPECT_TRUE(sorted.ok());
+  const UnclusteredIndex uc = UnclusteredIndex::Build(sorted->column(uc_column));
+  return BuildHailBlockParts(sort_column, view->index_section(),
+                             view->pax_section(), uc_column, uc.Serialize());
+}
+
+/// Opens a HAIL block and touches every section, as the readers do: an
+/// unclustered index must also cover exactly the block's rows, since its
+/// row ids become a read's selection vector.
 Status OpenHailDeep(std::string_view bytes) {
   HAIL_ASSIGN_OR_RETURN(HailBlockView view, HailBlockView::Open(bytes));
   if (view.has_index()) {
     HAIL_RETURN_NOT_OK(view.ReadIndex().status());
   }
-  if (view.has_unclustered()) {
-    HAIL_RETURN_NOT_OK(view.ReadUnclusteredIndex().status());
-  }
   HAIL_ASSIGN_OR_RETURN(PaxBlockView pax, view.OpenPax());
+  if (view.has_unclustered()) {
+    HAIL_ASSIGN_OR_RETURN(UnclusteredIndex uc, view.ReadUnclusteredIndex());
+    HAIL_RETURN_NOT_OK(uc.CheckRowsOf(pax.num_records()));
+    // A decoded index re-serialises to exactly the bytes it came from.
+    EXPECT_EQ(uc.Serialize(), view.unclustered_section());
+    for (uint32_t row : uc.Lookup(KeyRange{})) {
+      EXPECT_LT(row, pax.num_records());
+    }
+  }
   // Decode one row end-to-end so minipage directories are actually used.
   if (pax.num_records() > 0) {
     HAIL_RETURN_NOT_OK(pax.GetRow(pax.num_records() - 1).status());
@@ -251,6 +275,108 @@ TEST(StatsSidecarCorruptionTest, HugeCountsAreRejectedBeforeAllocating) {
   std::string mutated = bytes;
   mutated[buckets_at + 3] = static_cast<char>(0xFF);
   EXPECT_TRUE(planner::BlockStats::Deserialize(mutated).status().IsCorruption());
+}
+
+/// One serialised unclustered index per MakeBlock column: string, date,
+/// double and int32 keys.
+std::vector<std::string> UnclusteredIndexBytes(uint64_t seed) {
+  const PaxBlock block = MakeBlock(seed, false);
+  std::vector<std::string> out;
+  for (int c = 0; c < block.schema().num_fields(); ++c) {
+    out.push_back(UnclusteredIndex::Build(block.column(c)).Serialize());
+  }
+  return out;
+}
+
+TEST_P(CorruptionPropertyTest, TruncatedUnclusteredIndexAlwaysErrors) {
+  for (const std::string& bytes : UnclusteredIndexBytes(GetParam())) {
+    ASSERT_TRUE(UnclusteredIndex::Deserialize(bytes).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(UnclusteredIndex::Deserialize(
+                       std::string_view(bytes).substr(0, len))
+                       .ok())
+          << "silent success at truncation length " << len << " of "
+          << bytes.size();
+    }
+  }
+  for (const int uc_column : {0, 3}) {
+    const std::string bytes = SerializeHailWithUnclustered(
+        MakeBlock(GetParam(), false), /*sort_column=*/1, uc_column);
+    ASSERT_TRUE(HailBlockView::Open(bytes)->has_unclustered());
+    ASSERT_TRUE(OpenHailDeep(bytes).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(OpenHailDeep(std::string_view(bytes).substr(0, len)).ok())
+          << "silent success at truncation length " << len << " of "
+          << bytes.size() << " uc_column=" << uc_column;
+    }
+  }
+}
+
+TEST_P(CorruptionPropertyTest, BitFlippedUnclusteredIndexNeverCrashes) {
+  // Every offset under several masks, so the key-type byte and each byte
+  // of the record count also take large values. A flip that still decodes
+  // (a key or a row id) must re-serialise to the flipped bytes: nothing
+  // of the input is ignored.
+  for (const std::string& bytes : UnclusteredIndexBytes(GetParam())) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        auto decoded = UnclusteredIndex::Deserialize(mutated);
+        if (!decoded.ok()) continue;
+        EXPECT_EQ(decoded->Serialize(), mutated)
+            << "offset " << i << " mask " << mask;
+        (void)decoded->Lookup(KeyRange{});
+      }
+    }
+  }
+  for (const int uc_column : {0, 3}) {
+    const std::string bytes = SerializeHailWithUnclustered(
+        MakeBlock(GetParam(), false), /*sort_column=*/1, uc_column);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        (void)OpenHailDeep(mutated);
+      }
+    }
+  }
+}
+
+TEST(UnclusteredIndexCorruptionTest, UnknownTypeAndHugeCountAreRejected) {
+  ColumnVector keys(FieldType::kInt32);
+  for (int32_t v : {5, 3, 8, 1, 9, 2, 7, 4}) keys.Append(Value(v));
+  const std::string bytes = UnclusteredIndex::Build(keys).Serialize();
+  ASSERT_TRUE(UnclusteredIndex::Deserialize(bytes).ok());
+  // Byte 4 is the key type: 0x7F names none. It used to decode with no
+  // keys, and every Lookup then returned nothing.
+  std::string mutated = bytes;
+  mutated[4] = 0x7F;
+  EXPECT_TRUE(UnclusteredIndex::Deserialize(mutated).status().IsCorruption());
+  // Bytes 5..8 are the record count: 0xFFFFFFFF used to reserve 16 GB of
+  // row ids before the data ran out.
+  mutated = bytes;
+  for (size_t i = 5; i < 9; ++i) mutated[i] = static_cast<char>(0xFF);
+  EXPECT_TRUE(UnclusteredIndex::Deserialize(mutated).status().IsCorruption());
+  // Trailing bytes are not silently dropped.
+  EXPECT_TRUE(
+      UnclusteredIndex::Deserialize(bytes + '\0').status().IsCorruption());
+}
+
+TEST(UnclusteredIndexCorruptionTest, RowsMustCoverExactlyTheBlock) {
+  ColumnVector keys(FieldType::kInt32);
+  for (int32_t v : {5, 3, 8, 1}) keys.Append(Value(v));
+  const UnclusteredIndex index = UnclusteredIndex::Build(keys);
+  EXPECT_TRUE(index.CheckRowsOf(4).ok());
+  EXPECT_TRUE(index.CheckRowsOf(3).IsCorruption());
+  EXPECT_TRUE(index.CheckRowsOf(5).IsCorruption());
+  // The last serialised u32 is a row id: pointing it past the block is
+  // still a well-formed index, but not one of this block.
+  std::string bytes = index.Serialize();
+  bytes[bytes.size() - 4] = 4;
+  auto decoded = UnclusteredIndex::Deserialize(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->CheckRowsOf(4).IsCorruption());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionPropertyTest,

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "mapreduce/job_runner.h"
 #include "mapreduce/scheduler.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "planner/plan_cache.h"
 #include "sim/fault_plan.h"
 #include "util/crc32c.h"
@@ -303,6 +306,206 @@ TEST(ClusterSessionTest, MaintenanceNeverStarvesForeground) {
   EXPECT_EQ(sr->maintenance_while_foreground_pending, 0u);
   // And maintenance still made progress on the idle gaps.
   EXPECT_GT(sr->maintenance_completed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Converged maintenance
+// ---------------------------------------------------------------------------
+
+const QueryDef kShiftedQuery{"Shift-Q", "@4 between(1,10)", "{@1,@4}", 1.7e-2};
+
+/// Every traced rewrite's (start, end), by (block, node, column), in
+/// start order.
+std::map<std::tuple<std::string, std::string, std::string>,
+         std::vector<std::pair<double, double>>>
+ReorgSpans(const obs::Tracer& tracer) {
+  std::map<std::tuple<std::string, std::string, std::string>,
+           std::vector<std::pair<double, double>>>
+      out;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    if (span.name != "reorg") continue;
+    std::map<std::string, std::string> attrs(span.attrs.begin(),
+                                             span.attrs.end());
+    out[{attrs["block"], attrs["node"], attrs["column"]}].emplace_back(
+        span.start, span.start + span.duration);
+  }
+  for (auto& [key, runs] : out) std::sort(runs.begin(), runs.end());
+  return out;
+}
+
+struct ConvergenceRun {
+  SessionResult result;
+  std::string dump;
+  std::vector<std::vector<std::string>> answers;  // sorted, per job
+  std::string metrics;  // the cluster's registry, "name value" lines
+  obs::Tracer tracer;
+};
+
+/// Eight staggered shifted queries over a file sorted on visitDate only,
+/// adapting online with re-sorts straight away (no unclustered stage, so
+/// every traced rewrite is a re-sort). Each finished job's planning round
+/// re-emits every re-sort that has not committed yet, so most queue
+/// entries target a replica that is clustered on adRevenue by the time
+/// they are assigned.
+ConvergenceRun RunConvergenceSession(ExecutionMode mode, bool adapt) {
+  Testbed bed(SmallConfig(21));
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  adaptive::AdaptiveConfig config;
+  config.planner.regret_threshold = 0.2;
+  config.planner.incremental_first = false;
+  adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d", config);
+  ConvergenceRun run;
+  SessionOptions opt;
+  opt.execution = mode;
+  opt.tracer = &run.tracer;
+  if (adapt) {
+    opt.adaptive = &manager;
+    opt.online_adaptation = true;
+  }
+  ClusterSession session(&bed.dfs(), opt);
+  for (int i = 0; i < 8; ++i) {
+    session.Submit(QueryJob(bed, "/d", kShiftedQuery), "default", 15.0 * i);
+  }
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  if (!sr.ok()) return run;
+  run.result = *sr;
+  run.dump = DumpSession(*sr);
+  for (const auto& job : sr->jobs) {
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+    if (!job.ok()) continue;
+    std::vector<std::string> rows = job->output_rows;
+    std::sort(rows.begin(), rows.end());
+    run.answers.push_back(std::move(rows));
+  }
+  run.metrics = bed.dfs().metrics().TakeSnapshot().ToText();
+  return run;
+}
+
+TEST(ClusterSessionTest, ConvergedRewritesAreSkippedNotRebuilt) {
+  const ConvergenceRun serial =
+      RunConvergenceSession(ExecutionMode::kSerial, /*adapt=*/true);
+  const SessionResult& r = serial.result;
+  // Planning rounds re-emitted queued re-sorts, and the copies that found
+  // their target already clustered were skipped ...
+  EXPECT_GT(r.maintenance_converged, 0u);
+  EXPECT_GT(r.maintenance_completed, 0u);
+  EXPECT_EQ(r.maintenance_while_foreground_pending, 0u);
+  // ... neither failed nor left behind once the queue drained.
+  EXPECT_EQ(r.maintenance_scheduled, r.maintenance_completed +
+                                         r.maintenance_failed +
+                                         r.maintenance_converged);
+  // No replica is re-sorted to a column after a re-sort to that column
+  // committed on it. (A copy assigned while its twin still runs is built
+  // too: Dir_rep records a rewrite only at its commit.)
+  size_t built = 0;
+  for (const auto& [key, runs] : ReorgSpans(serial.tracer)) {
+    built += runs.size();
+    for (size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_LT(runs[i].first, runs.front().second)
+          << "block " << std::get<0>(key) << " node " << std::get<1>(key)
+          << " column " << std::get<2>(key) << " rebuilt after its commit";
+    }
+  }
+  EXPECT_EQ(built, r.maintenance_completed);
+
+  // The layout shifts underneath, the answers do not.
+  const ConvergenceRun fixed =
+      RunConvergenceSession(ExecutionMode::kSerial, /*adapt=*/false);
+  EXPECT_EQ(fixed.result.maintenance_scheduled, 0u);
+  EXPECT_EQ(serial.answers, fixed.answers);
+  EXPECT_EQ(serial.answers.size(), 8u);
+
+  // The registry carries the count only once it is nonzero.
+  EXPECT_NE(serial.metrics.find("maintenance.converged " +
+                                std::to_string(r.maintenance_converged) +
+                                "\n"),
+            std::string::npos);
+  EXPECT_EQ(fixed.metrics.find("maintenance.converged"), std::string::npos);
+
+  const ConvergenceRun parallel =
+      RunConvergenceSession(ExecutionMode::kParallel, /*adapt=*/true);
+  EXPECT_EQ(serial.dump, parallel.dump);
+  EXPECT_EQ(serial.tracer.ToChromeJson(), parallel.tracer.ToChromeJson());
+  EXPECT_EQ(parallel.result.maintenance_converged, r.maintenance_converged);
+}
+
+struct SeededQueueRun {
+  SessionResult result;
+  double real_start = -1.0;  // when the real re-sort started
+  double job_seconds = 0.0;
+};
+
+/// One query on a file sorted on visitDate, with node 1's maintenance
+/// queue seeded with `converged` re-sorts of its visitDate replicas
+/// (already clustered on that column) ahead of one real re-sort of an
+/// unindexed replica on the same node.
+SeededQueueRun RunSeededQueue(size_t converged) {
+  Testbed bed(SmallConfig(13));
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+  const int node = 1;
+  std::vector<adaptive::MaintenanceTask> seeded;
+  adaptive::MaintenanceTask real;
+  auto blocks = bed.dfs().namenode().GetFileBlocks("/d");
+  EXPECT_TRUE(blocks.ok());
+  for (const hdfs::BlockLocation& loc : *blocks) {
+    auto info = bed.dfs().namenode().GetReplicaInfo(loc.block_id, node);
+    if (!info.ok()) continue;
+    adaptive::MaintenanceTask task;
+    task.block_id = loc.block_id;
+    task.datanode = node;
+    task.kind = adaptive::MaintenanceTask::Kind::kResortReplica;
+    if (info->has_index() && seeded.size() < converged) {
+      task.column = workload::kVisitDate;
+      seeded.push_back(task);
+    } else if (!info->has_index() && real.datanode < 0) {
+      task.column = workload::kAdRevenue;
+      real = task;
+    }
+  }
+  EXPECT_EQ(seeded.size(), converged);
+  EXPECT_GE(real.datanode, 0);
+  seeded.push_back(real);
+  adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d");
+  manager.ReturnUnfinished(seeded);
+
+  SessionOptions opt;
+  opt.adaptive = &manager;
+  obs::Tracer tracer;
+  opt.tracer = &tracer;
+  ClusterSession session(&bed.dfs(), opt);
+  session.Submit(QueryJob(bed, "/d", kShiftedQuery), "default", 0.0);
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  SeededQueueRun run;
+  if (!sr.ok() || !sr->jobs[0].ok()) return run;
+  run.result = *sr;
+  run.job_seconds = sr->jobs[0]->end_to_end_seconds;
+  const auto spans = ReorgSpans(tracer);
+  EXPECT_EQ(spans.size(), 1u);
+  if (!spans.empty()) run.real_start = spans.begin()->second.front().first;
+  return run;
+}
+
+TEST(ClusterSessionTest, ConvergedQueueEntriesTakeNoSlotAndNoQuota) {
+  // More converged entries than a heartbeat's quota (1) or a node's map
+  // slots (2) sit ahead of the real rewrite.
+  const SeededQueueRun alone = RunSeededQueue(0);
+  const SeededQueueRun behind = RunSeededQueue(3);
+  EXPECT_EQ(alone.result.maintenance_converged, 0u);
+  EXPECT_EQ(behind.result.maintenance_converged, 3u);
+  EXPECT_EQ(behind.result.maintenance_completed, 1u);
+  EXPECT_EQ(behind.result.maintenance_failed, 0u);
+  // The real rewrite starts while the job still runs, where the
+  // per-heartbeat quota holds ...
+  ASSERT_GE(alone.real_start, 0.0);
+  EXPECT_LT(alone.real_start, alone.job_seconds);
+  // ... and at the same heartbeat whether or not converged entries were
+  // in front of it.
+  EXPECT_EQ(behind.real_start, alone.real_start);
+  EXPECT_EQ(behind.job_seconds, alone.job_seconds);
 }
 
 // ---------------------------------------------------------------------------
