@@ -11,9 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
-#include "index/bitmap_index.h"
 #include "index/clustered_index.h"
 #include "index/trojan_index.h"
 #include "index/unclustered_index.h"
@@ -175,61 +172,6 @@ BENCHMARK(BM_Ablation_MultiLevelCrossover)
     ->Arg(16384)  // 16 GB: two levels win
     ->Iterations(1)
     ->UseManualTime();
-
-/// Typed bitmap-index keying: build + lookup never render values to text.
-/// The micro-assert cross-checks every typed lookup against a naive column
-/// scan (abort on mismatch), so the bench doubles as a correctness gate.
-void BM_BitmapIndexTypedLookup(benchmark::State& state) {
-  // Low-cardinality int32 domain (countryCode-style): 40 distinct values
-  // over 200k rows.
-  const uint32_t kRows = 200000;
-  ColumnVector col(FieldType::kInt32);
-  Random rng(7);
-  for (uint32_t i = 0; i < kRows; ++i) {
-    col.AppendInt32(static_cast<int32_t>(rng.Uniform(40)));
-  }
-  const BitmapIndex index = BitmapIndex::Build(col);
-
-  // Micro-assert: typed lookups == naive scan, for every domain value.
-  for (int32_t v = 0; v < 40; ++v) {
-    std::vector<uint32_t> naive;
-    for (uint32_t r = 0; r < kRows; ++r) {
-      if (col.i32()[r] == v) naive.push_back(r);
-    }
-    if (index.Lookup(Value(v)) != naive ||
-        index.Count(Value(v)) != naive.size()) {
-      std::fprintf(stderr, "bitmap typed lookup diverged for key %d\n", v);
-      std::abort();
-    }
-  }
-
-  uint64_t rows_out = 0;
-  int32_t key = 0;
-  for (auto _ : state) {
-    rows_out += index.Lookup(Value(key)).size();
-    key = (key + 1) % 40;
-  }
-  benchmark::DoNotOptimize(rows_out);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["cardinality"] = static_cast<double>(index.cardinality());
-  state.counters["serialized_bytes"] =
-      static_cast<double>(index.SerializedBytes());
-}
-BENCHMARK(BM_BitmapIndexTypedLookup);
-
-void BM_BitmapIndexBuild(benchmark::State& state) {
-  const uint32_t rows = static_cast<uint32_t>(state.range(0));
-  ColumnVector col(FieldType::kInt32);
-  Random rng(8);
-  for (uint32_t i = 0; i < rows; ++i) {
-    col.AppendInt32(static_cast<int32_t>(rng.Uniform(40)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BitmapIndex::Build(col));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-}
-BENCHMARK(BM_BitmapIndexBuild)->Arg(10000)->Arg(200000);
 
 /// Index size comparison (§6.4.2): HAIL ~2 KB vs trojan ~304 KB per block.
 void BM_Ablation_IndexSizes(benchmark::State& state) {

@@ -9,6 +9,21 @@ namespace hail {
 
 namespace {
 constexpr uint32_t kClusteredIndexMagic = 0x58444948;  // "HIDX"
+
+/// Smallest serialised first key of a key type (a string's length
+/// prefix). 0 for a byte that names no type.
+size_t MinKeyBytes(FieldType type) {
+  switch (type) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+    case FieldType::kString:
+      return 4;
+    case FieldType::kInt64:
+    case FieldType::kDouble:
+      return 8;
+  }
+  return 0;
+}
 }  // namespace
 
 ClusteredIndex ClusteredIndex::Build(const ColumnVector& sorted_keys,
@@ -77,11 +92,26 @@ Result<ClusteredIndex> ClusteredIndex::Deserialize(std::string_view data) {
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
   const FieldType type = static_cast<FieldType>(type_byte);
+  const size_t min_key = MinKeyBytes(type);
+  if (min_key == 0) {
+    return Status::Corruption("clustered index names an unknown key type");
+  }
   HAIL_ASSIGN_OR_RETURN(uint32_t partition_size, r.GetU32());
   if (partition_size == 0) return Status::Corruption("zero partition size");
   ClusteredIndex index(type, partition_size);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // The partition count is checked against the bytes left and against the
+  // record count before any key is decoded: Build emits exactly one first
+  // key per started partition.
+  if (n > r.remaining() / min_key) {
+    return Status::Corruption("clustered index partition count exceeds data");
+  }
+  if (n != (uint64_t{index.num_records_} + partition_size - 1) /
+               partition_size) {
+    return Status::Corruption(
+        "clustered index partition count does not match its records");
+  }
   for (uint32_t i = 0; i < n; ++i) {
     switch (type) {
       case FieldType::kInt32:
@@ -107,7 +137,17 @@ Result<ClusteredIndex> ClusteredIndex::Deserialize(std::string_view data) {
       }
     }
   }
+  if (!r.exhausted()) {
+    return Status::Corruption("trailing bytes after clustered index");
+  }
   return index;
+}
+
+Status ClusteredIndex::CheckRowsOf(uint32_t block_records) const {
+  if (num_records_ == block_records) return Status::OK();
+  return Status::Corruption("clustered index covers " +
+                            std::to_string(num_records_) + " records of a " +
+                            std::to_string(block_records) + "-record block");
 }
 
 uint64_t ClusteredIndex::SerializedBytes() const {

@@ -101,8 +101,15 @@ class ClusteredIndex {
   /// record whose key lies in \p range; the caller post-filters.
   RowRange Lookup(const KeyRange& range) const;
 
+  /// Corruption unless the index covers exactly a block of
+  /// \p block_records records (a lookup's row range indexes that block).
+  Status CheckRowsOf(uint32_t block_records) const;
+
   /// Serialises the root directory ("Index" + "Index Metadata" in Fig. 1).
   std::string Serialize() const;
+  /// Corruption for anything Serialize cannot have written: an unknown key
+  /// type, a partition count other than one per started partition or more
+  /// than the bytes hold, and trailing bytes.
   static Result<ClusteredIndex> Deserialize(std::string_view data);
 
   /// Size of the serialised root directory in bytes.

@@ -296,12 +296,14 @@ class HailRecordReader : public RecordReader {
     }
     add_hosts(loc.datanodes, kPlain);
 
-    // An unclustered replica whose index is corrupt (it fails to decode,
-    // or does not cover exactly its block's rows) is failed over like a
-    // replica that fails its CRC: wasted read billed, replica reported.
+    // A replica whose index the read would use is corrupt (it fails to
+    // decode, or does not cover exactly its block's rows) is failed over
+    // like a replica that fails its CRC: wasted read billed, replica
+    // reported.
     std::string_view bytes;
     size_t winner = 0;
     std::shared_ptr<const CachedHailBlock> cached;
+    const ClusteredIndex* index = nullptr;
     const UnclusteredIndex* uc = nullptr;
     for (size_t first = 0;; first = winner + 1) {
       HAIL_ASSIGN_OR_RETURN(
@@ -309,17 +311,25 @@ class HailRecordReader : public RecordReader {
                                           candidates, cost, &bytes, first));
       HAIL_ASSIGN_OR_RETURN(cached, OpenCachedHailBlock(*ctx, candidates[winner],
                                                         loc.block_id, bytes));
-      if (klass[winner] != kUnclustered ||
-          cached->view.unclustered_column() != index_column) {
-        break;
+      const HailBlockView& view = cached->view;
+      Status probe;
+      if (klass[winner] == kIndexed && view.has_index() &&
+          view.sort_column() == index_column && key_range.has_value()) {
+        Result<const ClusteredIndex*> decoded =
+            cached->Index(&ctx->dfs->block_cache());
+        probe = decoded.ok()
+                    ? (*decoded)->CheckRowsOf(cached->pax.num_records())
+                    : decoded.status();
+        if (probe.ok()) index = *decoded;
+      } else if (klass[winner] == kUnclustered &&
+                 view.unclustered_column() == index_column) {
+        Result<const UnclusteredIndex*> decoded =
+            cached->Unclustered(&ctx->dfs->block_cache());
+        probe = decoded.status();
+        if (probe.ok()) uc = *decoded;
       }
-      Result<const UnclusteredIndex*> probe =
-          cached->Unclustered(&ctx->dfs->block_cache());
-      if (probe.ok()) {
-        uc = *probe;
-        break;
-      }
-      if (!probe.status().IsCorruption()) return probe.status();
+      if (probe.ok()) break;
+      if (!probe.IsCorruption()) return probe;
       BillCorruptRead(ctx, loc.block_id, loc.logical_bytes,
                       candidates[winner], cost);
     }
@@ -329,7 +339,6 @@ class HailRecordReader : public RecordReader {
     if (klass[winner] == kPlain && index_column >= 0) {
       ctx->stats.fallback_scan = true;
     }
-    const HailBlockView& view = cached->view;
     const PaxBlockView& pax = cached->pax;
 
     const double scale = cfg.scale_factor;
@@ -361,13 +370,10 @@ class HailRecordReader : public RecordReader {
     uint64_t uc_candidates = 0;  // rows the unclustered index yielded
     SelectionVector selection;
     bool use_selection = false;
-    if (indexed && view.has_index() && view.sort_column() == index_column &&
-        key_range.has_value()) {
+    if (index != nullptr) {
       // "We read the index entirely into main memory (typically a few
       // KB) to perform an index lookup." — decoded once per block
       // version, shared across tasks and queries.
-      HAIL_ASSIGN_OR_RETURN(const ClusteredIndex* index,
-                            cached->Index(&ctx->dfs->block_cache()));
       range = index->Lookup(*key_range);
       index_scan = true;
       if (ctx->trace != nullptr) {

@@ -18,13 +18,14 @@
 /// read, CRC verification, filtering, tuple reconstruction) is pure with
 /// respect to the simulation — its result depends only on the split, the
 /// assigned node and the DFS state at assignment time. The parallel
-/// engine exploits this: AssignTask dispatches the read to a fixed-size
+/// mode exploits this: AssignTask dispatches the read to a fixed-size
 /// worker pool and the event loop joins the future no later than the
 /// task's earliest possible completion instant, reserving the completion
-/// event's FIFO slot at assignment time. Scheduling decisions, the
+/// event's FIFO slot at assignment time. Serial mode runs the same loop
+/// and does the read inline at assignment. Scheduling decisions, the
 /// simulated clock and all TaskCost accounting stay on the event thread,
 /// so every simulated number (durations, per-task stats, JobResults) is
-/// bit-identical to serial execution — only wall-clock time changes.
+/// bit-identical between the modes — only wall-clock time changes.
 ///
 /// Since the shared-cluster scheduler landed (mapreduce/scheduler.h),
 /// JobRunner::Run is a one-job ClusterSession: the engine itself lives in
@@ -42,9 +43,9 @@
 namespace hail {
 namespace mapreduce {
 
-/// \brief Per-run options: every session option (fault plan, retries,
-/// speculation, execution engine, adaptive loop, tracing, plan cache)
-/// plus the single-job EXPLAIN profile.
+/// \brief Per-run options: every session option (fault plan,
+/// speculation, execution mode, adaptive loop, tracing, plan cache) plus
+/// the single-job EXPLAIN profile.
 struct RunOptions : SessionOptions {
   /// Attach an EXPLAIN-style QueryProfile (obs/explain.h) to the
   /// JobResult: access path, blocks scanned vs skipped, rows through the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -199,7 +200,8 @@ struct MaintState {
   enum class Status { kPending, kRunning, kCommitted, kFailed, kConverged }
       status = Status::kPending;
   /// Rewrite decided at assignment (pre-mutation state), built on the pool
-  /// (parallel) or at commit (serial), committed at the completion event.
+  /// (parallel) or at commit (serial), committed in the commit window after
+  /// the completion event.
   std::optional<adaptive::PreparedReorg> prepared;
 };
 
@@ -213,8 +215,8 @@ struct ReadOutcome {
   /// index probes, failover rereads); the engine splices them onto the
   /// task span at the completion event. Empty when tracing is off.
   obs::TraceBuffer trace;
-  /// Corrupt replicas the read failed over past; the engine reports them
-  /// to the namenode at the completion event (readers are const over DFS).
+  /// Corrupt replicas the read failed over past; the completion event asks
+  /// the commit window to report them (readers are const over DFS).
   std::vector<BadReplicaReport> bad_replicas;
 };
 
@@ -235,6 +237,14 @@ struct RepairState {
 /// A running task becomes a speculation candidate once it has run this
 /// factor times its job's average completed-task duration.
 constexpr double kSpeculativeLagFactor = 1.5;
+/// Read attempts failing with a retryable error (Unavailable dead node,
+/// Corruption) requeue after a backoff that starts at kRetryBackoffS and
+/// doubles up to kRetryBackoffMaxS; when the failed attempt was the task's
+/// kMaxTaskAttempts-th, the job fails cleanly instead of requeueing
+/// forever.
+constexpr int kMaxTaskAttempts = 4;
+constexpr double kRetryBackoffS = 10.0;
+constexpr double kRetryBackoffMaxS = 60.0;
 
 ExecutionMode ResolveMode(ExecutionMode requested) {
   if (requested != ExecutionMode::kDefault) return requested;
@@ -244,8 +254,12 @@ ExecutionMode ResolveMode(ExecutionMode requested) {
                                           : ExecutionMode::kSerial;
 }
 
-/// One admitted job's mutable execution state.
+/// One admitted job's mutable execution state. Move-only: its tasks own
+/// their map outputs.
 struct JobExec {
+  JobExec() = default;
+  JobExec(JobExec&&) = default;
+
   const ClusterSession::Submitted* submitted = nullptr;
   int id = -1;
   /// kWaiting: not yet admitted (deferred submit / dependency).
@@ -253,8 +267,7 @@ struct JobExec {
   /// kActive: tasks visible to the scheduler.
   enum class Phase { kWaiting, kStarting, kActive, kDone, kFailed };
   Phase phase = Phase::kWaiting;
-  JobPlan plan;                          // query jobs
-  std::unique_ptr<RecordReader> reader;  // serial mode reuses one reader
+  JobPlan plan;  // query jobs
   std::vector<TaskState> tasks;
   PendingTaskIndex pending{0};
   uint32_t completed = 0;
@@ -296,10 +309,9 @@ struct SessionEngine {
 
   /// Span tracing (obs/trace.h). All tracer mutation happens on the event
   /// thread inside event callbacks, and only while the session is healthy:
-  /// after a fatal error serial drains the remaining events as no-ops
-  /// while parallel discards unjoined reads, so appending past that
-  /// instant would diverge between the modes. The guard keeps the span
-  /// append order — and hence span ids — bit-identical.
+  /// after a fatal error the loop discards unjoined reads and unapplied
+  /// commits and drains the remaining events, a tail that is not part of
+  /// the session's schedule and stays out of its trace.
   obs::Tracer* tracer = nullptr;
   uint64_t session_span = 0;
   bool tracing() const { return tracer != nullptr && first_error.ok(); }
@@ -316,26 +328,22 @@ struct SessionEngine {
   /// Per-node FIFO of maint indexes (a rewrite runs on the datanode that
   /// holds the replica).
   std::vector<std::deque<size_t>> maint_by_node;
-  /// Parallel mode: commits requested by completion events, applied by the
-  /// loop after every in-flight read has drained (reads assigned before
-  /// the commit must observe — and may be concurrently reading — the
-  /// pre-rewrite bytes).
-  std::vector<size_t> pending_commits;
 
   // ---- self-healing re-replication (options->self_heal) ----
   std::vector<RepairState> repairs;
   /// Per-target-node FIFO of repair indexes.
   std::vector<std::deque<size_t>> repairs_by_node;
-  /// Parallel mode: repair commits deferred exactly like reorg commits.
-  std::vector<size_t> pending_repair_commits;
 
-  // ---- parallel engine state (unused in serial mode) ----
+  // ---- the event loop's read barrier and commit list ----
+  /// Where map-task reads and rewrite builds run: on `pool` (parallel) or
+  /// inline on the event thread (serial). Nothing else reads it.
   bool parallel = false;
   ThreadPool* pool = nullptr;
-  /// One dispatched-but-not-joined functional read. `seq` is the
-  /// completion event's reserved FIFO slot; `earliest_completion` the
-  /// soonest simulated instant the task can complete (cost >= 0), which
-  /// bounds how far the event loop may run before joining.
+  /// One dispatched-but-not-joined functional read (an inline read's
+  /// future is already satisfied). `seq` is the completion event's reserved
+  /// FIFO slot; `earliest_completion` the soonest simulated instant the
+  /// task can complete (cost >= 0), which bounds how far the event loop
+  /// may run before joining.
   struct InFlight {
     int job = -1;
     size_t task_id = 0;
@@ -347,31 +355,13 @@ struct SessionEngine {
     std::future<ReadOutcome> future;
   };
   std::deque<InFlight> inflight;  // assignment (= reserved seq) order
-  /// Fault injection (kill/revive/corrupt), bad-replica reports and upload
-  /// execution all mutate shared DFS state; requested inside events,
-  /// applied by the loop *after* the event returns and every in-flight
-  /// read has joined (reads assigned before the mutation must observe
-  /// pre-mutation state, both for serial-equivalence and because pool
-  /// threads read it concurrently).
-  struct PendingFault {
-    enum class Kind { kKill, kRevive, kCorrupt };
-    Kind kind = Kind::kKill;
-    int node = -1;
-    double revive_after = -1.0;  // kKill
-    int nth_block = 0;           // kCorrupt
-    /// kKill: the failure-detection event's reserved FIFO slot (identical
-    /// tie-break rank to serial, which schedules it inline).
-    uint64_t seq = 0;
-  };
-  std::vector<PendingFault> pending_faults;
-  std::vector<BadReplicaReport> pending_bad_reports;
-  struct PendingUpload {
-    int job = -1;
-    size_t task_id = 0;
-    int node = -1;
-    uint64_t seq = 0;
-  };
-  std::vector<PendingUpload> pending_uploads;
+  /// Shared-DFS mutations the current event requested — upload execution,
+  /// reorg and repair commits, bad-replica reports, kills, revives and
+  /// corruptions — in request order. The loop applies them after the event
+  /// returns and every in-flight read has joined: reads assigned before a
+  /// mutation observe (and may be concurrently reading) the pre-mutation
+  /// state.
+  std::vector<std::function<void()>> commits;
 
   const sim::CostConstants& constants() const {
     return dfs->cluster().constants();
@@ -408,35 +398,26 @@ struct SessionEngine {
   void TrySpeculate(int node, int* assigned);
   void DispatchRead(int j, size_t task_id, int attempt, int node);
   void AssignUpload(int j, size_t task_id, int node);
-  void ExecuteUpload(int j, size_t task_id, int node,
-                     const uint64_t* reserved_seq);
+  void ExecuteUpload(int j, size_t task_id, int node, uint64_t seq);
   void AssignMaintenance(size_t mid, int node);
   void OnMaintenanceComplete(size_t mid, int node);
   void CommitMaintenance(size_t mid);
-  // Fault plan execution (Request* defers to the parallel loop's
-  // post-drain mutation window; serial applies inline).
+  // Fault plan execution: requests go on the commit list, Apply* runs in
+  // the commit window.
   void RequestKill(int victim, double revive_after);
-  void ApplyKill(int victim, double revive_after,
-                 const uint64_t* reserved_seq);
-  void RequestRevive(int node);
+  void ApplyKill(int victim, double revive_after, uint64_t detect_seq);
   void ApplyRevive(int node);
-  void RequestCorrupt(int node, int nth_block);
   void ApplyCorrupt(int node, int nth_block);
-  void ApplyBadReplicaReports(const std::vector<BadReplicaReport>& reports);
   // Self-healing re-replication.
   void IngestRepairs();
   enum class RepairAssign { kAssigned, kSkipped, kStall };
   RepairAssign AssignRepair(size_t rid, int node);
   void OnRepairComplete(size_t rid, int node);
-  void CommitRepairInline(size_t rid);
+  void CommitRepairTask(size_t rid);
   void RetargetRepair(size_t rid);
-  ReadOutcome ExecuteRead(int j, RecordReader* rdr, const InputSplit& split,
-                          int node) const;
-  void FinishRead(int j, size_t task_id, int attempt, int node,
-                  sim::SimTime assign_time, ReadOutcome outcome,
-                  const uint64_t* reserved_seq);
+  ReadOutcome ExecuteRead(int j, const InputSplit& split, int node) const;
   void JoinOldest();
-  void RunParallelLoop();
+  void RunLoop();
   void AccountUsage(int j, const TaskState& task, double slot_seconds);
   JobResult AssembleResult(const JobExec& job) const;
 };
@@ -501,7 +482,6 @@ void SessionEngine::AdmitJob(int j) {
                                          "' has no input"));
       return;
     }
-    job.reader = MakeRecordReader(sub.spec.system);
     job.tasks.resize(job.plan.splits.size());
     for (size_t i = 0; i < job.plan.splits.size(); ++i) {
       job.tasks[i].split = &job.plan.splits[i];
@@ -676,9 +656,9 @@ void SessionEngine::JobDone(int j) {
   if (tracing() && job.span != 0) tracer->SetEnd(job.span, job.finish_time);
   if (options->online_adaptation && options->adaptive != nullptr &&
       job.submitted->kind == ClusterSession::Submitted::Kind::kQuery) {
-    // Deferred to its own event: at an event boundary both execution
-    // modes have applied every pending shared-DFS mutation, so the
-    // observe/plan round reads identical state serial and parallel.
+    // Deferred to its own event: at an event boundary the loop has applied
+    // every commit requested so far, so the observe/plan round reads the
+    // committed state.
     events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                          [this, j] { ObserveOnline(j); });
   }
@@ -807,10 +787,9 @@ void SessionEngine::Heartbeat(int node) {
     if (job.submitted->kind == ClusterSession::Submitted::Kind::kUpload) {
       AssignUpload(j, *pick, node);
       ++assigned;
-      // An ingest launch consumes the rest of this beat: nothing else may
-      // be assigned in the same event, so DFS state visible to later
-      // assignments is identical whether the upload executed inline
-      // (serial) or deferred until in-flight reads drained (parallel).
+      // An ingest launch consumes the rest of this beat: its writes land
+      // in the commit window after this event, so nothing else is
+      // assigned against the pre-upload state.
       upload_assigned = true;
       break;
     }
@@ -1006,9 +985,8 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
     ++result.maintenance_while_foreground_pending;
   }
   MaintState& m = maint[mid];
-  // The rewrite is computed against the DFS state at assignment time (the
-  // same instant serial execution would read it); the mutation waits for
-  // the completion event.
+  // The rewrite is computed against the DFS state at assignment time; the
+  // mutation waits for the commit window after the completion event.
   Result<adaptive::PreparedReorg> prep = adaptive::PrepareReorg(*dfs, m.task);
   if (!prep.ok()) {
     // A broken task (replica gone, wrong layout) is dropped, not retried;
@@ -1020,8 +998,8 @@ void SessionEngine::AssignMaintenance(size_t mid, int node) {
   m.status = MaintState::Status::kRunning;
   m.prepared.emplace(std::move(*prep));
   // The build owns its inputs, so parallel mode runs it on the pool while
-  // the simulation goes on; CommitMaintenance joins it in the post-drain
-  // commit window. Serial mode builds at commit.
+  // the simulation goes on; CommitMaintenance joins it in the commit
+  // window. Serial mode builds at commit.
   if (parallel) m.prepared->StartBuild(pool);
   free_slots[static_cast<size_t>(node)] -= 1;
   const double duration = m.prepared->seconds;
@@ -1056,11 +1034,7 @@ void SessionEngine::OnMaintenanceComplete(size_t mid, int node) {
     tracer->Attr(sp, "column", static_cast<int64_t>(m.task.column));
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
   }
-  if (parallel) {
-    pending_commits.push_back(mid);
-  } else {
-    CommitMaintenance(mid);
-  }
+  commits.push_back([this, mid] { CommitMaintenance(mid); });
   // The freed slot asks for more work (maintenance or requeued foreground).
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                        [this, node] { Heartbeat(node); });
@@ -1184,16 +1158,12 @@ void SessionEngine::OnRepairComplete(size_t rid, int node) {
                  static_cast<int64_t>(r.entry.lost_datanode));
     tracer->Attr(sp, "target", static_cast<int64_t>(node));
   }
-  if (parallel) {
-    pending_repair_commits.push_back(rid);
-  } else {
-    CommitRepairInline(rid);
-  }
+  commits.push_back([this, rid] { CommitRepairTask(rid); });
   events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                        [this, node] { Heartbeat(node); });
 }
 
-void SessionEngine::CommitRepairInline(size_t rid) {
+void SessionEngine::CommitRepairTask(size_t rid) {
   RepairState& r = repairs[rid];
   Status st = CommitRepair(dfs, r.entry, r.target, std::move(*r.prepared));
   r.prepared.reset();
@@ -1202,8 +1172,8 @@ void SessionEngine::CommitRepairInline(size_t rid) {
     ++result.repairs_completed;
     return;
   }
-  // The target vanished between completion and commit (parallel mode's
-  // drain window): place the replica somewhere else.
+  // The commit failed (the target is gone): place the replica somewhere
+  // else.
   r.status = RepairState::Status::kQueued;
   r.target = -1;
   RetargetRepair(rid);
@@ -1223,48 +1193,29 @@ void SessionEngine::RetargetRepair(size_t rid) {
 }
 
 void SessionEngine::RequestKill(int victim, double revive_after) {
-  if (!parallel) {
-    ApplyKill(victim, revive_after, /*reserved_seq=*/nullptr);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kKill;
-  f.node = victim;
-  f.revive_after = revive_after;
-  f.seq = events.ReserveSeq();
-  pending_faults.push_back(f);
+  // The failure-detection event's FIFO rank is fixed at the request.
+  const uint64_t detect_seq = events.ReserveSeq();
+  commits.push_back([this, victim, revive_after, detect_seq] {
+    ApplyKill(victim, revive_after, detect_seq);
+  });
 }
 
 void SessionEngine::ApplyKill(int victim, double revive_after,
-                              const uint64_t* reserved_seq) {
+                              uint64_t detect_seq) {
   if (!dfs->cluster().node(victim).alive()) return;
   dfs->KillNode(victim, events.Now());
-  auto detect = [this, victim] { OnFailureDetected(victim); };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq,
-                              events.Now() + constants().expiry_interval_s,
-                              std::move(detect));
-  } else {
-    events.ScheduleAfter(constants().expiry_interval_s, std::move(detect));
-  }
+  events.ScheduleAtReserved(detect_seq,
+                            events.Now() + constants().expiry_interval_s,
+                            [this, victim] { OnFailureDetected(victim); });
   if (revive_after >= 0.0) {
     // Never revive before the failure detection fired — the detector's
     // requeue/repair bookkeeping assumes the node stayed dead until then.
     const double delay =
         std::max(revive_after, constants().expiry_interval_s + 1.0);
-    events.ScheduleAfter(delay, [this, victim] { RequestRevive(victim); });
+    events.ScheduleAfter(delay, [this, victim] {
+      commits.push_back([this, victim] { ApplyRevive(victim); });
+    });
   }
-}
-
-void SessionEngine::RequestRevive(int node) {
-  if (!parallel) {
-    ApplyRevive(node);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kRevive;
-  f.node = node;
-  pending_faults.push_back(f);
 }
 
 void SessionEngine::ApplyRevive(int node) {
@@ -1295,18 +1246,6 @@ void SessionEngine::ApplyRevive(int node) {
   }
 }
 
-void SessionEngine::RequestCorrupt(int node, int nth_block) {
-  if (!parallel) {
-    ApplyCorrupt(node, nth_block);
-    return;
-  }
-  PendingFault f;
-  f.kind = PendingFault::Kind::kCorrupt;
-  f.node = node;
-  f.nth_block = nth_block;
-  pending_faults.push_back(f);
-}
-
 void SessionEngine::ApplyCorrupt(int node, int nth_block) {
   // "nth block of node i" resolves against the namenode's block-id-ordered
   // holdings at injection time — deterministic for a given DFS state.
@@ -1316,24 +1255,13 @@ void SessionEngine::ApplyCorrupt(int node, int nth_block) {
   (void)dfs->InjectCorruption(node, block);
 }
 
-void SessionEngine::ApplyBadReplicaReports(
-    const std::vector<BadReplicaReport>& reports) {
-  if (reports.empty()) return;
-  if (parallel) {
-    pending_bad_reports.insert(pending_bad_reports.end(), reports.begin(),
-                               reports.end());
-    return;
-  }
-  for (const BadReplicaReport& r : reports) {
-    (void)dfs->ReportBadReplica(r.block_id, r.datanode);
-  }
-  IngestRepairs();
-}
-
-ReadOutcome SessionEngine::ExecuteRead(int j, RecordReader* rdr,
-                                       const InputSplit& split,
+ReadOutcome SessionEngine::ExecuteRead(int j, const InputSplit& split,
                                        int node) const {
   const JobExec& job = jobs[static_cast<size_t>(j)];
+  // Readers are cheap to construct; a private instance per read keeps the
+  // pool threads free of any shared reader state.
+  const std::unique_ptr<RecordReader> rdr =
+      MakeRecordReader(job.submitted->spec.system);
   ReadOutcome out;
   out.output = std::make_unique<MapOutput>(job.submitted->spec.collect_output);
   ReadContext ctx;
@@ -1350,36 +1278,6 @@ ReadOutcome SessionEngine::ExecuteRead(int j, RecordReader* rdr,
   out.stats = ctx.stats;
   out.bad_replicas = std::move(ctx.bad_replicas);
   return out;
-}
-
-void SessionEngine::FinishRead(int j, size_t task_id, int attempt, int node,
-                               sim::SimTime assign_time, ReadOutcome outcome,
-                               const uint64_t* reserved_seq) {
-  // The outcome travels inside the completion event instead of being
-  // written into TaskState here: with speculation two attempts of one task
-  // can be live at once, and only the completion order decides whose
-  // results count. (EventQueue callbacks are copyable std::functions,
-  // hence the shared_ptr.)
-  auto oc = std::make_shared<ReadOutcome>(std::move(outcome));
-  // A failed attempt still occupied its slot for setup + cleanup before
-  // reporting the error.
-  double duration = constants().task_setup_s + constants().task_cleanup_s;
-  double rr = 0.0;
-  if (oc->cost.ok()) {
-    // Slow nodes stretch the data-access portion of the attempt.
-    const double factor = options->fault_plan.slow_factor(node);
-    rr = constants().task_rr_init_ms / 1000.0 + oc->cost->total() * factor;
-    duration += oc->cost->total() * factor;
-  }
-  auto completion = [this, j, task_id, attempt, node, rr, oc] {
-    OnTaskComplete(j, task_id, attempt, node, rr, oc);
-  };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq, assign_time + duration,
-                              std::move(completion));
-  } else {
-    events.ScheduleAfter(duration, std::move(completion));
-  }
 }
 
 void SessionEngine::AssignTask(int j, size_t task_id, int node) {
@@ -1452,20 +1350,8 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
 
 void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
                                  int node) {
-  JobExec& job = jobs[static_cast<size_t>(j)];
-  const InputSplit* split = job.tasks[task_id].split;
-  if (!parallel) {
-    // Functional read happens now; the simulated duration covers setup +
-    // record reading + cleanup.
-    FinishRead(j, task_id, attempt, node, events.Now(),
-               ExecuteRead(j, job.reader.get(), *split, node),
-               /*reserved_seq=*/nullptr);
-    return;
-  }
-
-  // Parallel: reserve the completion event's FIFO slot here — exactly
-  // where serial would allocate it — and dispatch the read to the pool.
-  // The loop joins the future before the simulation can reach the task's
+  // The completion event's FIFO slot is reserved here, at assignment; the
+  // loop joins the read before the simulation can reach the task's
   // earliest possible completion instant.
   InFlight f;
   f.job = j;
@@ -1476,13 +1362,15 @@ void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
   f.earliest_completion =
       f.assign_time + constants().task_setup_s + constants().task_cleanup_s;
   f.seq = events.ReserveSeq();
-  const System system = job.submitted->spec.system;
-  f.future = pool->Submit([this, j, split, node, system] {
-    // Readers are cheap to construct; a private instance per read keeps
-    // the pool threads free of any shared reader state.
-    std::unique_ptr<RecordReader> rdr = MakeRecordReader(system);
-    return ExecuteRead(j, rdr.get(), *split, node);
-  });
+  const InputSplit* split = jobs[static_cast<size_t>(j)].tasks[task_id].split;
+  if (parallel) {
+    f.future = pool->Submit(
+        [this, j, split, node] { return ExecuteRead(j, *split, node); });
+  } else {
+    std::promise<ReadOutcome> done;
+    done.set_value(ExecuteRead(j, *split, node));
+    f.future = done.get_future();
+  }
   inflight.push_back(std::move(f));
 }
 
@@ -1495,25 +1383,16 @@ void SessionEngine::AssignUpload(int j, size_t task_id, int node) {
   task.assign_time = events.Now();
   free_slots[static_cast<size_t>(node)] -= 1;
   scheduler.OnTaskStarted(j);
-  if (!parallel) {
-    ExecuteUpload(j, task_id, node, /*reserved_seq=*/nullptr);
-    return;
-  }
-  // Uploads mutate shared DFS state: defer execution until the loop has
-  // drained every in-flight pool read (they were assigned pre-mutation and
-  // must observe pre-upload bytes). The completion event's FIFO rank and
-  // the upload's simulated start instant are fixed here, so the deferral
-  // changes nothing simulated.
-  PendingUpload u;
-  u.job = j;
-  u.task_id = task_id;
-  u.node = node;
-  u.seq = events.ReserveSeq();
-  pending_uploads.push_back(u);
+  // The upload writes shared DFS state, so it runs in the commit window.
+  // Its completion's FIFO rank is reserved here, and its simulated start
+  // is this event's instant either way.
+  const uint64_t seq = events.ReserveSeq();
+  commits.push_back(
+      [this, j, task_id, node, seq] { ExecuteUpload(j, task_id, node, seq); });
 }
 
 void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
-                                  const uint64_t* reserved_seq) {
+                                  uint64_t seq) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
   const UploadJobSpec& spec = job.submitted->upload;
@@ -1554,23 +1433,39 @@ void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
   const double duration =
       constants().task_setup_s + task.rr_seconds + constants().task_cleanup_s;
   const int attempt = task.attempt;
-  auto completion = [this, j, task_id, attempt, node] {
-    OnTaskComplete(j, task_id, attempt, node, /*rr_seconds=*/0.0,
-                   /*outcome=*/nullptr);
-  };
-  if (reserved_seq != nullptr) {
-    events.ScheduleAtReserved(*reserved_seq, start + duration,
-                              std::move(completion));
-  } else {
-    events.ScheduleAfter(duration, std::move(completion));
-  }
+  events.ScheduleAtReserved(seq, start + duration,
+                            [this, j, task_id, attempt, node] {
+                              OnTaskComplete(j, task_id, attempt, node,
+                                             /*rr_seconds=*/0.0,
+                                             /*outcome=*/nullptr);
+                            });
 }
 
 void SessionEngine::JoinOldest() {
   InFlight f = std::move(inflight.front());
   inflight.pop_front();
-  FinishRead(f.job, f.task_id, f.attempt, f.node, f.assign_time,
-             f.future.get(), &f.seq);
+  // The outcome travels inside the completion event instead of being
+  // written into TaskState here: with speculation two attempts of one task
+  // can be live at once, and only the completion order decides whose
+  // results count. (EventQueue callbacks are copyable std::functions,
+  // hence the shared_ptr.)
+  auto oc = std::make_shared<ReadOutcome>(f.future.get());
+  // A failed attempt still occupied its slot for setup + cleanup before
+  // reporting the error.
+  double duration = constants().task_setup_s + constants().task_cleanup_s;
+  double rr = 0.0;
+  if (oc->cost.ok()) {
+    // Slow nodes stretch the data-access portion of the attempt.
+    const double factor = options->fault_plan.slow_factor(f.node);
+    rr = constants().task_rr_init_ms / 1000.0 + oc->cost->total() * factor;
+    duration += oc->cost->total() * factor;
+  }
+  events.ScheduleAtReserved(
+      f.seq, f.assign_time + duration,
+      [this, j = f.job, task_id = f.task_id, attempt = f.attempt,
+       node = f.node, rr, oc] {
+        OnTaskComplete(j, task_id, attempt, node, rr, oc);
+      });
 }
 
 void SessionEngine::AccountUsage(int j, const TaskState& task,
@@ -1591,10 +1486,16 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
   // Corrupt-replica sightings are reported no matter whose attempt this is
-  // — the failed-over read really happened. Serial reports inline (before
-  // any kill below); parallel defers to the loop's post-drain window in
-  // the same order.
-  if (outcome != nullptr) ApplyBadReplicaReports(outcome->bad_replicas);
+  // — the failed-over read really happened. The report goes on the commit
+  // list ahead of any kill requested below.
+  if (outcome != nullptr && !outcome->bad_replicas.empty()) {
+    commits.push_back([this, reports = outcome->bad_replicas] {
+      for (const BadReplicaReport& r : reports) {
+        (void)dfs->ReportBadReplica(r.block_id, r.datanode);
+      }
+      IngestRepairs();
+    });
+  }
   if (attempt != 0 && attempt == task.loser_attempt) {
     // The losing attempt of a task whose race already ended: give the
     // slot back, discard the result — but bill the duplicate's reader
@@ -1783,7 +1684,7 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   // with capped exponential backoff; anything else — and the attempt cap
   // — fails the job cleanly instead of requeueing forever.
   const bool retryable = st.IsUnavailable() || st.IsCorruption();
-  if (!retryable || task.reschedules + 1 >= options->max_task_attempts) {
+  if (!retryable || task.reschedules + 1 >= kMaxTaskAttempts) {
     task.status = TaskStatus::kDone;  // attempt retired; job is over
     FailJob(j, st);
     return;
@@ -1792,9 +1693,9 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   task.awaiting_backoff = true;
   task.reschedules += 1;
   ++result.task_retries;
-  double backoff = options->retry_backoff_s;
+  double backoff = kRetryBackoffS;
   for (int i = 1; i < task.reschedules; ++i) backoff *= 2.0;
-  backoff = std::min(backoff, options->retry_backoff_max_s);
+  backoff = std::min(backoff, kRetryBackoffMaxS);
   events.ScheduleAfter(backoff, [this, j, task_id] {
     JobExec& job2 = jobs[static_cast<size_t>(j)];
     TaskState& t = job2.tasks[task_id];
@@ -1909,7 +1810,7 @@ void SessionEngine::OnFailureDetected(int node) {
   }
 }
 
-void SessionEngine::RunParallelLoop() {
+void SessionEngine::RunLoop() {
   for (;;) {
     // Join every in-flight read whose completion event could precede the
     // next queued event — (earliest_completion, reserved seq) is a strict
@@ -1932,63 +1833,24 @@ void SessionEngine::RunParallelLoop() {
       continue;  // only in-flight reads remain; join them next pass
     }
     events.RunOne();
-    if (!pending_faults.empty() || !pending_commits.empty() ||
-        !pending_uploads.empty() || !pending_repair_commits.empty() ||
-        !pending_bad_reports.empty()) {
-      // Drain all in-flight reads before mutating shared DFS state
-      // (upload execution, reorg/repair commit, bad-replica report or
-      // fault): they were assigned pre-mutation and must observe — and
-      // may be concurrently reading — the pre-mutation bytes. The apply
-      // order mirrors the inline order serial uses within one event:
-      // reports land before fault requests (OnTaskComplete reports at
-      // entry, requests kills later), and at most one category besides
-      // those is pending per event.
-      while (!inflight.empty()) JoinOldest();
-      for (const PendingUpload& u : pending_uploads) {
-        ExecuteUpload(u.job, u.task_id, u.node, &u.seq);
-      }
-      pending_uploads.clear();
-      for (size_t mid : pending_commits) CommitMaintenance(mid);
-      pending_commits.clear();
-      for (size_t rid : pending_repair_commits) CommitRepairInline(rid);
-      pending_repair_commits.clear();
-      if (!pending_bad_reports.empty()) {
-        std::vector<BadReplicaReport> reports =
-            std::move(pending_bad_reports);
-        pending_bad_reports.clear();
-        for (const BadReplicaReport& r : reports) {
-          (void)dfs->ReportBadReplica(r.block_id, r.datanode);
-        }
-        IngestRepairs();
-      }
-      if (!pending_faults.empty()) {
-        std::vector<PendingFault> faults = std::move(pending_faults);
-        pending_faults.clear();
-        for (const PendingFault& f : faults) {
-          switch (f.kind) {
-            case PendingFault::Kind::kKill:
-              ApplyKill(f.node, f.revive_after, &f.seq);
-              break;
-            case PendingFault::Kind::kRevive:
-              ApplyRevive(f.node);
-              break;
-            case PendingFault::Kind::kCorrupt:
-              ApplyCorrupt(f.node, f.nth_block);
-              break;
-          }
-        }
-      }
-    }
+    if (commits.empty()) continue;
+    // The commit barrier: every in-flight read was assigned before these
+    // mutations and must observe (and may be concurrently reading) the
+    // pre-mutation state, so all of them join first. The mutations then
+    // apply in the order the event requested them.
+    while (!inflight.empty()) JoinOldest();
+    std::vector<std::function<void()>> batch = std::move(commits);
+    commits.clear();
+    for (const std::function<void()>& commit : batch) commit();
   }
   // Error exit: wait out any stragglers so no pool thread touches this
-  // engine after Run returns (their results are discarded, exactly as
-  // serial never executed those reads' results).
+  // engine after Run returns; their results are discarded. The remaining
+  // events still run (failure detection, for one, still feeds the
+  // namenode's repair queue), but the commits they request never apply.
   while (!inflight.empty()) {
     inflight.front().future.wait();
     inflight.pop_front();
   }
-  // Serial drains every remaining (no-op) event after an error; mirror it
-  // so executed-event accounting matches.
   events.RunUntilEmpty();
 }
 
@@ -2234,8 +2096,9 @@ Result<SessionResult> ClusterSession::Run() {
     if (c.at_time <= 0.0) continue;  // applied at the session boundary
     const int cn = c.node;
     const int nth = c.nth_block;
-    eng.events.ScheduleAt(c.at_time,
-                          [&eng, cn, nth] { eng.RequestCorrupt(cn, nth); });
+    eng.events.ScheduleAt(c.at_time, [&eng, cn, nth] {
+      eng.commits.push_back([&eng, cn, nth] { eng.ApplyCorrupt(cn, nth); });
+    });
   }
 
   // Per-node TaskTracker heartbeats, staggered like real daemon start
@@ -2272,14 +2135,9 @@ Result<SessionResult> ClusterSession::Run() {
     eng.events.ScheduleAt(t0 + stagger, Beat{&eng, i, c.heartbeat_interval_s});
   }
 
-  if (eng.parallel) {
-    eng.RunParallelLoop();
-  } else {
-    eng.events.RunUntilEmpty();
-  }
+  eng.RunLoop();
   if (eng.tracer != nullptr && eng.session_span != 0) {
-    // Both modes drain to an empty queue, so Now() — the last executed
-    // event's instant — is identical serial and parallel.
+    // The loop drains to an empty queue: Now() is the last event's instant.
     eng.tracer->SetEnd(eng.session_span, eng.events.Now());
   }
 

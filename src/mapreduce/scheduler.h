@@ -28,10 +28,13 @@
 ///
 /// Determinism: every scheduling decision is a pure function of the event
 /// order — policy state (queue deficits, pending counts) mutates only on
-/// the event thread, and the parallel execution engine reserves completion
-/// FIFO slots at assignment exactly as in the single-job engine — so
-/// serial and parallel execution stay bit-identical across interleaved
-/// jobs (tests/scheduler_test.cc pins it with %.17g dumps).
+/// the event thread. One event loop runs every session: completion and
+/// failure-detection FIFO slots are reserved when the work is requested,
+/// and each event's shared-DFS mutations go on one ordered commit list
+/// that the loop applies after the event, once every in-flight read has
+/// joined. Serial and parallel execution differ only in where reads and
+/// rewrite builds run, so they stay bit-identical across interleaved jobs
+/// (tests/scheduler_test.cc pins it with %.17g dumps).
 ///
 /// JobRunner::Run is now a one-job ClusterSession; its simulated outputs
 /// are byte-identical to the pre-session engine.
@@ -189,14 +192,16 @@ struct AdmissionControl {
   double shed_wait_s = 0.0;
 };
 
-/// \brief How map-task reads execute under the simulated scheduler.
+/// \brief Where a session runs map-task reads and maintenance rewrite
+/// builds. Both modes drive the same event loop and the same commit list,
+/// so every simulated output is identical; only wall-clock time differs.
 enum class ExecutionMode {
-  /// Parallel when the shared worker pool has more than one thread,
-  /// serial otherwise (with one worker there is nothing to overlap).
+  /// kParallel when the shared worker pool has more than one thread,
+  /// kSerial otherwise (with one worker there is nothing to overlap).
   kDefault,
-  /// Run every read inline on the event thread (the original engine).
+  /// Reads and rewrite builds run inline on the event thread.
   kSerial,
-  /// Overlap reads on a worker pool; simulated results are bit-identical.
+  /// Reads and rewrite builds run on the shared worker pool.
   kParallel,
 };
 
@@ -218,7 +223,8 @@ struct SessionOptions {
   /// to its queue as `preempted_slot_seconds`.
   bool preemption = false;
   double preemption_catchup_s = 60.0;
-  /// Serial/parallel execution of the functional reads (shared pool).
+  /// Whether reads and rewrite builds run inline or on the shared pool;
+  /// nothing else in the session depends on it.
   ExecutionMode execution = ExecutionMode::kDefault;
   /// Background replica maintenance rides the whole session's idle slots.
   adaptive::AdaptiveManager* adaptive = nullptr;
@@ -248,18 +254,11 @@ struct SessionOptions {
   /// has run 1.5x its job's average completed-task duration. Opt-in, for
   /// plans with slow nodes.
   bool speculative_execution = false;
-  /// Read attempts failing with a retryable error (Unavailable dead
-  /// node, Corruption) requeue with capped exponential backoff; at the
-  /// cap the job fails cleanly instead of requeueing forever.
-  int max_task_attempts = 4;
-  double retry_backoff_s = 10.0;
-  double retry_backoff_max_s = 60.0;
   /// Feed each completed query to the adaptive manager as it finishes
   /// (instead of only in the session epilogue) so the planner can react —
   /// e.g. add hot-block replicas — while the storm is still running. The
-  /// observe/plan round runs as its own deferred event, after both
-  /// engines have applied every pending shared-DFS mutation, preserving
-  /// serial==parallel.
+  /// observe/plan round runs as its own deferred event, after the session
+  /// loop has applied every commit requested before it.
   bool online_adaptation = false;
 
   /// When non-null, the session emits spans (session, jobs, tasks, block

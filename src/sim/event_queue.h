@@ -8,11 +8,12 @@
 /// deterministic for a fixed input.
 ///
 /// Sequence numbers can also be *reserved* ahead of insertion
-/// (ReserveSeq/ScheduleAtReserved): the parallel task-execution engine
-/// reserves an event's tie-break slot at the simulated instant the serial
-/// engine would have scheduled it, then fills in the callback once the
-/// off-thread work joins — making parallel event ordering byte-identical
-/// to serial even for exact timestamp collisions.
+/// (ReserveSeq/ScheduleAtReserved): the session engine's one event loop
+/// reserves a completion's or a failure detection's tie-break slot when
+/// the work is requested, then fills in the callback once the read joins
+/// or the commit applies. The event order is therefore the same whether a
+/// read ran inline or on a worker pool, even for exact timestamp
+/// collisions.
 
 #pragma once
 

@@ -10,7 +10,7 @@
 ///     scheduling decisions and simulated-clock accounting stay on the
 ///     event thread;
 ///   - maintenance rewrite builds (adaptive/reorg.h): started at
-///     assignment, joined in the session's post-drain commit window;
+///     assignment, joined in the session's commit window;
 ///   - HAIL ingest (hail/hail_client.cc): each block's cluster-independent
 ///     work (parse, PAX build, decode, replica sort/index/serialise) is
 ///     prepared on the pool while the calling thread commits finished

@@ -1,8 +1,8 @@
 /// \file corruption_property_test.cc
 /// \brief Corrupted bytes never crash and never silently succeed.
 ///
-/// Serialised PaxBlock / HAIL block / HSTA stats sidecar / unclustered
-/// index bytes are truncated at every length (covering every section
+/// Serialised PaxBlock / HAIL block / HSTA stats sidecar / clustered and
+/// unclustered index bytes are truncated at every length (covering every section
 /// boundary +- 1) and bit-flipped: the deserialisers must surface a clean
 /// error — under ASan/UBSan this also proves no out-of-bounds read hides
 /// behind any malformed input.
@@ -87,15 +87,19 @@ std::string SerializeHailWithUnclustered(const PaxBlock& unsorted,
                              view->pax_section(), uc_column, uc.Serialize());
 }
 
-/// Opens a HAIL block and touches every section, as the readers do: an
-/// unclustered index must also cover exactly the block's rows, since its
-/// row ids become a read's selection vector.
+/// Opens a HAIL block and touches every section, as the readers do: a
+/// clustered or unclustered index must also cover exactly the block's
+/// rows, since its row range or row ids select what a read touches.
 Status OpenHailDeep(std::string_view bytes) {
   HAIL_ASSIGN_OR_RETURN(HailBlockView view, HailBlockView::Open(bytes));
-  if (view.has_index()) {
-    HAIL_RETURN_NOT_OK(view.ReadIndex().status());
-  }
   HAIL_ASSIGN_OR_RETURN(PaxBlockView pax, view.OpenPax());
+  if (view.has_index()) {
+    HAIL_ASSIGN_OR_RETURN(ClusteredIndex index, view.ReadIndex());
+    HAIL_RETURN_NOT_OK(index.CheckRowsOf(pax.num_records()));
+    // A decoded index re-serialises to exactly the bytes it came from.
+    EXPECT_EQ(index.Serialize(), view.index_section());
+    EXPECT_LE(index.Lookup(KeyRange{}).end, pax.num_records());
+  }
   if (view.has_unclustered()) {
     HAIL_ASSIGN_OR_RETURN(UnclusteredIndex uc, view.ReadUnclusteredIndex());
     HAIL_RETURN_NOT_OK(uc.CheckRowsOf(pax.num_records()));
@@ -377,6 +381,116 @@ TEST(UnclusteredIndexCorruptionTest, RowsMustCoverExactlyTheBlock) {
   auto decoded = UnclusteredIndex::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->CheckRowsOf(4).IsCorruption());
+}
+
+/// One serialised clustered index per MakeBlock column (string, date,
+/// double and int32 keys), each over the block sorted on that column.
+std::vector<std::string> ClusteredIndexBytes(uint64_t seed) {
+  const PaxBlock block = MakeBlock(seed, false);
+  std::vector<std::string> out;
+  for (int c = 0; c < block.schema().num_fields(); ++c) {
+    PaxBlock sorted = block;
+    sorted.SortByColumn(c);
+    out.push_back(ClusteredIndex::Build(sorted.column(c), 8).Serialize());
+  }
+  return out;
+}
+
+TEST_P(CorruptionPropertyTest, TruncatedClusteredIndexAlwaysErrors) {
+  for (const std::string& bytes : ClusteredIndexBytes(GetParam())) {
+    ASSERT_TRUE(ClusteredIndex::Deserialize(bytes).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(
+          ClusteredIndex::Deserialize(std::string_view(bytes).substr(0, len))
+              .ok())
+          << "silent success at truncation length " << len << " of "
+          << bytes.size();
+    }
+  }
+  // Version-1 HAIL blocks indexed on each key type.
+  for (int sort_column = 0; sort_column < 4; ++sort_column) {
+    const std::string bytes =
+        SerializeHail(MakeBlock(GetParam(), false), sort_column);
+    ASSERT_TRUE(OpenHailDeep(bytes).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(OpenHailDeep(std::string_view(bytes).substr(0, len)).ok())
+          << "silent success at truncation length " << len << " of "
+          << bytes.size() << " sort_column=" << sort_column;
+    }
+  }
+}
+
+TEST_P(CorruptionPropertyTest, BitFlippedClusteredIndexNeverCrashes) {
+  // Every offset under several masks, so the key-type byte, the partition
+  // size and each byte of both counts also take large values. A flip that
+  // still decodes (a key, or a record count that keeps the partition
+  // count) must re-serialise to the flipped bytes: nothing of the input
+  // is ignored.
+  for (const std::string& bytes : ClusteredIndexBytes(GetParam())) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        auto decoded = ClusteredIndex::Deserialize(mutated);
+        if (!decoded.ok()) continue;
+        EXPECT_EQ(decoded->Serialize(), mutated)
+            << "offset " << i << " mask " << mask;
+        (void)decoded->Lookup(KeyRange{});
+      }
+    }
+  }
+  for (int sort_column = 0; sort_column < 4; ++sort_column) {
+    const std::string bytes =
+        SerializeHail(MakeBlock(GetParam(), false), sort_column);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        (void)OpenHailDeep(mutated);
+      }
+    }
+  }
+}
+
+TEST(ClusteredIndexCorruptionTest, UnknownTypeBadCountsAndTrailingBytes) {
+  ColumnVector keys(FieldType::kInt32);
+  for (int32_t v = 0; v < 64; ++v) keys.Append(Value(v));
+  // 64 records in partitions of 8: 8 first keys. The header is the magic
+  // (bytes 0..3), the key type (4), the partition size (5..8), the record
+  // count (9..12) and the partition count (13..16).
+  const std::string bytes = ClusteredIndex::Build(keys, 8).Serialize();
+  ASSERT_TRUE(ClusteredIndex::Deserialize(bytes).ok());
+  const auto rejected = [](const std::string& mutated) {
+    return ClusteredIndex::Deserialize(mutated).status().IsCorruption();
+  };
+  // 0x7F names no key type. Decoded, every Lookup would return the empty
+  // range [0,0), and an index scan would read no rows.
+  std::string mutated = bytes;
+  mutated[4] = 0x7F;
+  EXPECT_TRUE(rejected(mutated));
+  // A partition count the remaining bytes cannot hold.
+  mutated = bytes;
+  for (size_t i = 13; i < 17; ++i) mutated[i] = static_cast<char>(0xFF);
+  EXPECT_TRUE(rejected(mutated));
+  // 7 first keys for 64 records (the eighth would be left unread) ...
+  mutated = bytes;
+  mutated[13] = 7;
+  EXPECT_TRUE(rejected(mutated));
+  // ... and 72 records, which need 9 partitions, over 8 first keys.
+  mutated = bytes;
+  mutated[9] = 72;
+  EXPECT_TRUE(rejected(mutated));
+  // Trailing bytes are not silently dropped.
+  EXPECT_TRUE(rejected(bytes + '\0'));
+}
+
+TEST(ClusteredIndexCorruptionTest, RecordsMustMatchTheBlock) {
+  ColumnVector keys(FieldType::kInt32);
+  for (int32_t v = 0; v < 20; ++v) keys.Append(Value(v));
+  const ClusteredIndex index = ClusteredIndex::Build(keys, 8);
+  EXPECT_TRUE(index.CheckRowsOf(20).ok());
+  EXPECT_TRUE(index.CheckRowsOf(19).IsCorruption());
+  EXPECT_TRUE(index.CheckRowsOf(21).IsCorruption());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionPropertyTest,

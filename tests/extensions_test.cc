@@ -1,14 +1,12 @@
 /// \file extensions_test.cc
-/// \brief Tests for the paper's future-work extensions we implemented:
-/// the §3.4 index advisor and the §3.5 bitmap index.
+/// \brief Tests for the paper's §3.4 future-work extension: the
+/// workload-driven index advisor.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "hail/index_advisor.h"
-#include "index/bitmap_index.h"
-#include "util/random.h"
 #include "workload/queries.h"
 #include "workload/uservisits.h"
 
@@ -118,92 +116,6 @@ TEST(IndexAdvisorTest, EqualBenefitTiesBreakByColumnId) {
   for (int round = 0; round < 5; ++round) {
     EXPECT_EQ(SuggestSortColumns(schema, workload, 3), columns);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bitmap index (§3.5 future work)
-// ---------------------------------------------------------------------------
-
-TEST(BitmapIndexTest, EqualityLookupExact) {
-  ColumnVector col(FieldType::kString);
-  const std::vector<std::string> countries = {"USA", "DEU", "USA", "FRA",
-                                              "DEU", "USA"};
-  for (const auto& c : countries) col.Append(Value(c));
-  const BitmapIndex index = BitmapIndex::Build(col);
-  EXPECT_EQ(index.cardinality(), 3u);
-  EXPECT_EQ(index.Lookup(Value(std::string("USA"))),
-            (std::vector<uint32_t>{0, 2, 5}));
-  EXPECT_EQ(index.Lookup(Value(std::string("DEU"))),
-            (std::vector<uint32_t>{1, 4}));
-  EXPECT_TRUE(index.Lookup(Value(std::string("JPN"))).empty());
-  EXPECT_EQ(index.Count(Value(std::string("USA"))), 3u);
-}
-
-TEST(BitmapIndexTest, LookupAnyMergesBitsets) {
-  ColumnVector col(FieldType::kInt32);
-  for (int v : {1, 2, 3, 1, 2, 3, 1}) col.Append(Value(int32_t{v}));
-  const BitmapIndex index = BitmapIndex::Build(col);
-  EXPECT_EQ(index.LookupAny({Value(int32_t{1}), Value(int32_t{3})}),
-            (std::vector<uint32_t>{0, 2, 3, 5, 6}));
-}
-
-TEST(BitmapIndexTest, SerializeRoundTrip) {
-  Random rng(5);
-  ColumnVector col(FieldType::kInt32);
-  for (int i = 0; i < 1000; ++i) {
-    col.Append(Value(static_cast<int32_t>(rng.Uniform(8))));
-  }
-  const BitmapIndex index = BitmapIndex::Build(col);
-  const std::string bytes = index.Serialize();
-  EXPECT_EQ(bytes.size(), index.SerializedBytes());
-  auto back = BitmapIndex::Deserialize(bytes);
-  ASSERT_TRUE(back.ok());
-  for (int v = 0; v < 8; ++v) {
-    EXPECT_EQ(back->Lookup(Value(int32_t{v})), index.Lookup(Value(int32_t{v})));
-  }
-  EXPECT_TRUE(BitmapIndex::Deserialize("junk").status().IsCorruption());
-}
-
-TEST(BitmapIndexTest, AgreesWithNaiveScan) {
-  Random rng(9);
-  ColumnVector col(FieldType::kString);
-  const char* langs[] = {"en", "de", "fr", "zh", "pt-br"};
-  std::vector<std::string> data;
-  for (int i = 0; i < 500; ++i) {
-    data.push_back(langs[rng.Uniform(5)]);
-    col.Append(Value(data.back()));
-  }
-  const BitmapIndex index = BitmapIndex::Build(col);
-  for (const char* lang : langs) {
-    std::vector<uint32_t> expected;
-    for (uint32_t r = 0; r < 500; ++r) {
-      if (data[r] == lang) expected.push_back(r);
-    }
-    EXPECT_EQ(index.Lookup(Value(std::string(lang))), expected) << lang;
-  }
-}
-
-TEST(BitmapIndexTest, CompactForLowCardinality) {
-  // §3.5's motivation: for low-cardinality domains the bitmap is far
-  // smaller than a dense unclustered index (8B+ per row).
-  Random rng(13);
-  ColumnVector col(FieldType::kInt32);
-  const int rows = 100000;
-  for (int i = 0; i < rows; ++i) {
-    col.Append(Value(static_cast<int32_t>(rng.Uniform(10))));
-  }
-  const BitmapIndex index = BitmapIndex::Build(col);
-  // ~10 bitsets * rows/8 bytes ~ 125 KB vs ~800 KB dense.
-  EXPECT_LT(index.SerializedBytes(), static_cast<uint64_t>(rows) * 8 / 4);
-}
-
-TEST(BitmapIndexTest, EmptyColumn) {
-  ColumnVector col(FieldType::kInt32);
-  const BitmapIndex index = BitmapIndex::Build(col);
-  EXPECT_EQ(index.cardinality(), 0u);
-  EXPECT_TRUE(index.Lookup(Value(int32_t{1})).empty());
-  auto back = BitmapIndex::Deserialize(index.Serialize());
-  ASSERT_TRUE(back.ok());
 }
 
 }  // namespace

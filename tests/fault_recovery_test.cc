@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "hail/hail_block.h"
 #include "hail/re_replication.h"
 #include "hdfs/dfs_client.h"
 #include "hdfs/packet.h"
@@ -309,9 +310,7 @@ TEST(FaultRecoveryTest, RetriesAreCappedWhenNoReplicaIsReadable) {
     ASSERT_TRUE(bed.dfs().InjectCorruption(node, target.block_id).ok());
   }
 
-  SessionOptions opt;
-  opt.max_task_attempts = 4;
-  ClusterSession session(&bed.dfs(), opt);
+  ClusterSession session(&bed.dfs());
   session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
   auto sr = session.Run();
   ASSERT_TRUE(sr.ok()) << sr.status().ToString();
@@ -319,6 +318,76 @@ TEST(FaultRecoveryTest, RetriesAreCappedWhenNoReplicaIsReadable) {
   EXPECT_EQ(sr->task_retries, 3u);  // 1 initial + 3 retries = 4 attempts
   // Each corrupt read was reported: the replicas are revoked and queued.
   EXPECT_GE(bed.dfs().namenode().under_replicated_count(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// A malformed clustered index with valid CRCs is failed over
+// ---------------------------------------------------------------------------
+
+TEST(FaultRecoveryTest, CorruptClusteredIndexFailsOverToAnotherReplica) {
+  // A clustered index whose CRCs hold but whose key-type byte names no
+  // type (a writer bug, not a disk fault) must not decode: every Lookup
+  // would return the empty range, and the index scan of that replica would
+  // silently return no rows. The read fails over to another replica
+  // instead, billed and reported exactly like a replica that fails its
+  // CRC.
+  enum class Fault { kNone, kMalformedIndex, kCrc };
+  const auto run = [](Fault fault) {
+    Testbed bed(SmallConfig(5));
+    bed.LoadUserVisits();
+    // Only the first replica is indexed, so it is the sole clustered
+    // candidate and every read of its block tries it first.
+    EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
+    const auto blocks = bed.dfs().namenode().GetFileBlocks("/d");
+    EXPECT_TRUE(blocks.ok() && !blocks->empty());
+    const uint64_t block = blocks->front().block_id;
+    int victim = -1;
+    for (int dn : blocks->front().datanodes) {
+      auto info = bed.dfs().namenode().GetReplicaInfo(block, dn);
+      if (info.ok() && info->has_index()) victim = dn;
+    }
+    EXPECT_GE(victim, 0);
+    hdfs::Datanode& node = bed.dfs().datanode(victim);
+    if (fault == Fault::kMalformedIndex) {
+      auto raw = node.ReadBlockRaw(block);
+      EXPECT_TRUE(raw.ok());
+      std::string doctored(*raw);
+      auto view = HailBlockView::Open(doctored);
+      EXPECT_TRUE(view.ok() && view->has_index());
+      // Byte 4 of the index section is its key type.
+      doctored[static_cast<size_t>(view->index_section().data() -
+                                   doctored.data()) +
+               4] = 0x7F;
+      node.StoreBlock(block, doctored,
+                      hdfs::ComputeChunkChecksums(
+                          doctored, bed.dfs().config().chunk_bytes));
+    } else if (fault == Fault::kCrc) {
+      EXPECT_TRUE(bed.dfs().InjectCorruption(victim, block).ok());
+    }
+    // Every row qualifies, so the doctored block contributes rows.
+    const QueryDef all_dates{"All-dates",
+                             "@3 between(1900-01-01,2100-01-01)", "{@1}",
+                             1.0};
+    auto r = bed.RunQuery(System::kHail, "/d", all_dates, false,
+                          RunOptions{}, /*collect_output=*/true);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    // The replica is reported and dropped.
+    EXPECT_EQ(bed.dfs().namenode().GetReplicaInfo(block, victim).ok(),
+              fault == Fault::kNone);
+    return r.ok() ? *r : JobResult{};
+  };
+  const JobResult reference = run(Fault::kNone);
+  const JobResult malformed = run(Fault::kMalformedIndex);
+  EXPECT_EQ(reference.index_scan_tasks, reference.map_tasks);
+  EXPECT_EQ(Sorted(malformed.output_rows), Sorted(reference.output_rows));
+  EXPECT_EQ(malformed.index_scan_tasks, malformed.map_tasks - 1);
+  EXPECT_EQ(malformed.fallback_scans, 1u);
+  EXPECT_EQ(reference.cost.bucket(obs::CostBucket::kFailoverReread), 0u);
+  EXPECT_GT(malformed.cost.bucket(obs::CostBucket::kFailoverReread), 0u);
+  // One wasted read, billed like the CRC failure of the same replica.
+  const JobResult crc = run(Fault::kCrc);
+  EXPECT_EQ(workload::DumpResult(malformed), workload::DumpResult(crc));
+  EXPECT_EQ(workload::DumpCost(malformed.cost), workload::DumpCost(crc.cost));
 }
 
 // ---------------------------------------------------------------------------

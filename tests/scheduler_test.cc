@@ -615,9 +615,9 @@ std::string RunUploadScenario(ExecutionMode mode, uint64_t* dependent_out) {
 
 TEST(ClusterSessionTest, UploadExecutionFailureFailsOnlyThatTenant) {
   // The failure fires at *execution* time (sort_columns exceeds the
-  // replication factor), on whatever slot the scheduler granted — in
-  // parallel mode through the deferred post-drain path — and must take
-  // down only the ingest tenant, dropping its remaining files.
+  // replication factor), on whatever slot the scheduler granted — in the
+  // commit window after the assigning event — and must take down only the
+  // ingest tenant, dropping its remaining files.
   for (ExecutionMode mode :
        {ExecutionMode::kSerial, ExecutionMode::kParallel}) {
     Testbed bed(SmallConfig());
@@ -1149,69 +1149,26 @@ TEST(ClusterSessionTest, PreemptionSerialEqualsParallel) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry/backoff knobs: defaults pinned to the former hardcoded constants
+// Retry/backoff policy: 4 attempts, 10 s doubling to 60 s
 // ---------------------------------------------------------------------------
 
 TEST(ClusterSessionTest, RetryBackoffDefaultsArePinned) {
-  // These defaults reproduce the formerly hardcoded retry policy; the
-  // simulated outputs of every existing scenario depend on them.
-  const SessionOptions session_defaults;
-  EXPECT_EQ(session_defaults.max_task_attempts, 4);
-  EXPECT_DOUBLE_EQ(session_defaults.retry_backoff_s, 10.0);
-  EXPECT_DOUBLE_EQ(session_defaults.retry_backoff_max_s, 60.0);
-  const RunOptions run_defaults;
-  EXPECT_EQ(run_defaults.max_task_attempts, 4);
-  EXPECT_DOUBLE_EQ(run_defaults.retry_backoff_s, 10.0);
-  EXPECT_DOUBLE_EQ(run_defaults.retry_backoff_max_s, 60.0);
-
-  // And explicitly passing the defaults is bit-identical to omitting
-  // them, under a fault plan that actually exercises retries.
-  const auto run = [](bool explicit_opts) {
-    Testbed bed(SmallConfig(7));
-    bed.LoadUserVisits();
-    EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate,
-                                      workload::kSourceIP,
-                                      workload::kAdRevenue})
-                    .ok());
-    SessionOptions opt;
-    if (explicit_opts) {
-      opt.max_task_attempts = 4;
-      opt.retry_backoff_s = 10.0;
-      opt.retry_backoff_max_s = 60.0;
-    }
-    opt.fault_plan.kills.push_back(
-        {.node = 2, .at_progress = 0.5, .progress_job = 0});
-    ClusterSession session(&bed.dfs(), opt);
-    session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
-    auto sr = session.Run();
-    EXPECT_TRUE(sr.ok()) << sr.status().ToString();
-    return sr.ok() ? DumpSession(*sr) : sr.status().ToString();
-  };
-  const std::string defaults = run(false);
-  EXPECT_EQ(defaults, run(true));
-  EXPECT_EQ(crc32c::Extend(0, defaults.data(), defaults.size()), 0xede1bdd3u);
-
-  // Tightened backoff genuinely changes the schedule (the knob is live).
-  Testbed bed(SmallConfig(5));
+  // The fixed retry policy under a fault plan that actually exercises
+  // retries; the simulated outputs of every existing scenario depend on it.
+  Testbed bed(SmallConfig(7));
   bed.LoadUserVisits();
-  ASSERT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
-  auto blocks = bed.dfs().namenode().GetFileBlocks("/d");
-  ASSERT_TRUE(blocks.ok() && !blocks->empty());
-  for (int node : blocks->front().datanodes) {
-    ASSERT_TRUE(bed.dfs().InjectCorruption(node, blocks->front().block_id).ok());
-  }
-  const auto run_attempts = [&](int attempts, double backoff) {
-    SessionOptions opt;
-    opt.max_task_attempts = attempts;
-    opt.retry_backoff_s = backoff;
-    ClusterSession session(&bed.dfs(), opt);
-    session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
-    auto sr = session.Run();
-    EXPECT_TRUE(sr.ok());
-    EXPECT_FALSE(sr->jobs[0].ok());
-    return sr->task_retries;
-  };
-  EXPECT_EQ(run_attempts(2, 1.0), 1u);  // 1 initial + 1 retry
+  ASSERT_TRUE(bed.UploadHail("/d", {workload::kVisitDate, workload::kSourceIP,
+                                    workload::kAdRevenue})
+                  .ok());
+  SessionOptions opt;
+  opt.fault_plan.kills.push_back(
+      {.node = 2, .at_progress = 0.5, .progress_job = 0});
+  ClusterSession session(&bed.dfs(), opt);
+  session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
+  auto sr = session.Run();
+  ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+  const std::string dump = DumpSession(*sr);
+  EXPECT_EQ(crc32c::Extend(0, dump.data(), dump.size()), 0xede1bdd3u);
 }
 
 // ---------------------------------------------------------------------------
