@@ -1,6 +1,7 @@
 #include "adaptive/reorg_planner.h"
 
 #include <algorithm>
+#include <climits>
 
 namespace hail {
 namespace adaptive {
@@ -53,7 +54,7 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
   // always, unclustered probes as the escalation signal.
   const double unserved = sum.full_scan_regret + sum.unclustered_share;
   if (observer.empty() || unserved < options_.regret_threshold ||
-      observer.TotalWeight() < options_.min_workload_weight) {
+      observer.TotalWeight() < kMinWorkloadWeight) {
     // Below threshold the streak is broken: a column that heats up again
     // later must restart at the cheap incremental stage.
     hot_rounds_.clear();
@@ -129,8 +130,7 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
   hot_rounds_[hot] = streak;
   int& rounds = hot_rounds_[hot];
   ++rounds;
-  const bool escalate =
-      !options_.incremental_first || rounds > options_.escalate_after_rounds;
+  const bool escalate = rounds > options_.escalate_after_rounds;
   sum.hot_column = hot;
   sum.escalated = escalate;
 
@@ -179,10 +179,6 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
     task.kind = escalate ? MaintenanceTask::Kind::kResortReplica
                          : MaintenanceTask::Kind::kInstallUnclustered;
     tasks.push_back(task);
-    if (options_.max_tasks_per_round > 0 &&
-        tasks.size() >= options_.max_tasks_per_round) {
-      break;
-    }
   }
 
   // Aggressive replication: extra copies of the hot column's blocks beyond
@@ -191,10 +187,6 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
   if (options_.aggressive_replication &&
       options_.replication_budget_bytes > 0) {
     const uint64_t block_bytes = dfs.config().block_size;
-    const auto cap_reached = [&]() {
-      return options_.max_tasks_per_round > 0 &&
-             tasks.size() >= options_.max_tasks_per_round;
-    };
     for (auto it = extras_.begin(); it != extras_.end();) {
       if (it->second == hot) {
         ++it;
@@ -207,7 +199,6 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
         it = extras_.erase(it);
         continue;
       }
-      if (cap_reached()) break;
       MaintenanceTask evict;
       evict.block_id = it->first.first;
       evict.datanode = it->first.second;
@@ -221,14 +212,14 @@ std::vector<MaintenanceTask> ReorgPlanner::Plan(const hdfs::MiniDfs& dfs,
     // planning round never over-commits the budget it just spent.
     uint64_t used = block_bytes * extras_.size();
     const int n = dfs.num_datanodes();
-    for (size_t b = 0; b < blocks->size() && !cap_reached(); ++b) {
+    for (size_t b = 0; b < blocks->size(); ++b) {
       if (used + block_bytes > options_.replication_budget_bytes) break;
       const hdfs::BlockLocation& loc = (*blocks)[b];
-      int extras_here = 0;
-      for (const auto& [key, col] : extras_) {
-        if (key.first == loc.block_id) ++extras_here;
+      // One extra replica per block.
+      const auto extra = extras_.lower_bound({loc.block_id, INT_MIN});
+      if (extra != extras_.end() && extra->first.first == loc.block_id) {
+        continue;
       }
-      if (extras_here >= options_.max_extra_replicas_per_block) continue;
       // Round-robin from the block index so extras spread over the
       // cluster instead of piling onto the lowest node ids.
       int target = -1;

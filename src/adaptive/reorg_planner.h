@@ -35,35 +35,31 @@
 namespace hail {
 namespace adaptive {
 
+/// The planner idles when the log's total decayed weight falls below
+/// this: once a workload shifts to unfiltered full scans, the stale
+/// filtered entries decay toward zero and stop justifying reorganization
+/// (regret is a weight *ratio*, so it alone never ages out).
+inline constexpr double kMinWorkloadWeight = 0.05;
+
 struct PlannerOptions {
   /// Regret (weight share served by full scans) that triggers action.
   double regret_threshold = 0.25;
-  /// Install unclustered indexes before paying for re-sorts.
-  bool incremental_first = true;
   /// Planning rounds a column must stay hot (served unclustered or
-  /// scanned) before escalating from unclustered install to full re-sort.
+  /// scanned) before escalating from unclustered install to full re-sort;
+  /// 0 re-sorts straight away.
   int escalate_after_rounds = 2;
-  /// Cap on emitted tasks per planning round; 0 = unlimited.
-  size_t max_tasks_per_round = 0;
-  /// Idle when the log's total decayed weight falls below this: once a
-  /// workload shifts to unfiltered full scans, the stale filtered entries
-  /// decay toward zero and stop justifying reorganization (regret is a
-  /// weight *ratio*, so it alone never ages out).
-  double min_workload_weight = 0.05;
   /// Aggressive replication (paper §7 "aggressive elephants"): once a hot
-  /// column is identified, add extra replicas of its blocks *beyond* the
-  /// replication factor — copied from the best (clustered) source onto
-  /// nodes not yet holding the block — and evict extras whose column went
-  /// cold, all under `replication_budget_bytes` of extra storage. The
-  /// planner only ever evicts replicas it added itself; baseline replicas
-  /// are untouched (and the commit path refuses to drop below the
-  /// replication factor regardless).
+  /// column is identified, add one extra replica of each of its blocks
+  /// *beyond* the replication factor — copied from the best (clustered)
+  /// source onto a node not yet holding the block — and evict extras
+  /// whose column went cold, all under `replication_budget_bytes` of
+  /// extra storage. The planner only ever evicts replicas it added
+  /// itself; baseline replicas are untouched (and the commit path refuses
+  /// to drop below the replication factor regardless).
   bool aggressive_replication = false;
   /// Total extra storage for added replicas, in *real* (in-process) bytes,
   /// accounted at the DFS block size. 0 disables adds.
   uint64_t replication_budget_bytes = 0;
-  /// Cap of extra replicas per block (beyond the replication factor).
-  int max_extra_replicas_per_block = 1;
 };
 
 /// \brief What one planning round decided (introspection + tests/bench).

@@ -121,7 +121,7 @@ Result<TrojanIndex> TrojanBlockView::ReadIndex() const {
   if (!has_index()) {
     return Status::FailedPrecondition("trojan block has no index");
   }
-  return TrojanIndex::Deserialize(data_.substr(index_offset_, index_bytes_));
+  return TrojanIndex::Deserialize(index_section());
 }
 
 Result<RowBinaryBlockView> TrojanBlockView::OpenRows() const {

@@ -89,6 +89,10 @@ class TrojanBlockView {
   uint64_t data_bytes() const { return data_.size() - rows_offset_; }
   uint64_t total_bytes() const { return data_.size(); }
 
+  /// The serialised trojan index (empty when the block has none).
+  std::string_view index_section() const {
+    return data_.substr(index_offset_, index_bytes_);
+  }
   Result<TrojanIndex> ReadIndex() const;
   Result<RowBinaryBlockView> OpenRows() const;
   /// Offset of the row data section within the block (the trojan index's

@@ -49,11 +49,15 @@ Status Namenode::RegisterReplica(uint64_t block_id, int datanode,
   if (datanode < 0 || datanode >= num_datanodes_) {
     return Status::InvalidArgument("bad datanode id");
   }
-  std::vector<int>& holders = dir_block_[block_id];
-  if (std::find(holders.begin(), holders.end(), datanode) == holders.end()) {
-    holders.push_back(datanode);
+  std::vector<Replica>& reps = replicas_[block_id];
+  auto it = std::find_if(reps.begin(), reps.end(), [&](const Replica& r) {
+    return r.datanode == datanode;
+  });
+  if (it == reps.end()) {
+    reps.push_back({datanode, info});
+  } else {
+    it->info = info;
   }
-  dir_rep_[{block_id, datanode}] = info;
   // A freshly registered replica on this node is legitimate: forget any
   // earlier revocation of the same (block, node) pair.
   auto rev = revoked_.find(datanode);
@@ -70,13 +74,13 @@ void Namenode::SetBlockLogicalBytes(uint64_t block_id, uint64_t logical_bytes) {
 }
 
 Result<std::vector<int>> Namenode::GetBlockDatanodes(uint64_t block_id) const {
-  auto it = dir_block_.find(block_id);
-  if (it == dir_block_.end()) {
+  auto it = replicas_.find(block_id);
+  if (it == replicas_.end()) {
     return Status::NotFound("unknown block " + std::to_string(block_id));
   }
   std::vector<int> alive;
-  for (int dn : it->second) {
-    if (IsDatanodeAlive(dn)) alive.push_back(dn);
+  for (const Replica& r : it->second) {
+    if (IsDatanodeAlive(r.datanode)) alive.push_back(r.datanode);
   }
   return alive;
 }
@@ -120,26 +124,34 @@ Result<std::vector<BlockLocation>> Namenode::GetFileBlocks(
 
 Result<HailBlockReplicaInfo> Namenode::GetReplicaInfo(uint64_t block_id,
                                                       int datanode) const {
-  auto it = dir_rep_.find({block_id, datanode});
-  if (it == dir_rep_.end()) {
+  const Replica* r = FindReplica(block_id, datanode);
+  if (r == nullptr) {
     return Status::NotFound("no replica info for block " +
                             std::to_string(block_id) + " on dn " +
                             std::to_string(datanode));
   }
-  return it->second;
+  return r->info;
+}
+
+const Namenode::Replica* Namenode::FindReplica(uint64_t block_id,
+                                               int datanode) const {
+  auto it = replicas_.find(block_id);
+  if (it == replicas_.end()) return nullptr;
+  for (const Replica& r : it->second) {
+    if (r.datanode == datanode) return &r;
+  }
+  return nullptr;
 }
 
 std::vector<int> Namenode::GetHostsWithIndex(uint64_t block_id,
                                              int column) const {
   std::vector<int> hosts;
-  auto it = dir_block_.find(block_id);
-  if (it == dir_block_.end()) return hosts;
-  for (int dn : it->second) {
-    if (!IsDatanodeAlive(dn)) continue;
-    auto rep = dir_rep_.find({block_id, dn});
-    if (rep == dir_rep_.end()) continue;
-    if (rep->second.has_index() && rep->second.sort_column == column) {
-      hosts.push_back(dn);
+  auto it = replicas_.find(block_id);
+  if (it == replicas_.end()) return hosts;
+  for (const Replica& r : it->second) {
+    if (r.info.has_index() && r.info.sort_column == column &&
+        IsDatanodeAlive(r.datanode)) {
+      hosts.push_back(r.datanode);
     }
   }
   return hosts;
@@ -148,14 +160,11 @@ std::vector<int> Namenode::GetHostsWithIndex(uint64_t block_id,
 std::vector<int> Namenode::GetHostsWithUnclusteredIndex(uint64_t block_id,
                                                         int column) const {
   std::vector<int> hosts;
-  auto it = dir_block_.find(block_id);
-  if (it == dir_block_.end()) return hosts;
-  for (int dn : it->second) {
-    if (!IsDatanodeAlive(dn)) continue;
-    auto rep = dir_rep_.find({block_id, dn});
-    if (rep == dir_rep_.end()) continue;
-    if (rep->second.unclustered_column == column) {
-      hosts.push_back(dn);
+  auto it = replicas_.find(block_id);
+  if (it == replicas_.end()) return hosts;
+  for (const Replica& r : it->second) {
+    if (r.info.unclustered_column == column && IsDatanodeAlive(r.datanode)) {
+      hosts.push_back(r.datanode);
     }
   }
   return hosts;
@@ -169,13 +178,7 @@ Result<std::vector<uint64_t>> Namenode::DeleteFile(const std::string& file) {
   std::vector<uint64_t> blocks = std::move(it->second);
   files_.erase(it);
   for (uint64_t block_id : blocks) {
-    auto holders = dir_block_.find(block_id);
-    if (holders != dir_block_.end()) {
-      for (int dn : holders->second) {
-        dir_rep_.erase({block_id, dn});
-      }
-      dir_block_.erase(holders);
-    }
+    replicas_.erase(block_id);
     block_logical_bytes_.erase(block_id);
     block_stats_.erase(block_id);
     block_mutations_.erase(block_id);
@@ -204,24 +207,25 @@ bool Namenode::IsDatanodeAlive(int datanode) const {
 }
 
 std::vector<uint64_t> Namenode::BlocksOnDatanode(int datanode) const {
-  // dir_block_ is an ordered map, so the result is in block-id order.
+  // replicas_ is an ordered map, so the result is in block-id order.
   std::vector<uint64_t> blocks;
-  for (const auto& [block_id, holders] : dir_block_) {
-    if (std::find(holders.begin(), holders.end(), datanode) != holders.end()) {
-      blocks.push_back(block_id);
+  for (const auto& [block_id, reps] : replicas_) {
+    for (const Replica& r : reps) {
+      if (r.datanode == datanode) {
+        blocks.push_back(block_id);
+        break;
+      }
     }
   }
   return blocks;
 }
 
 void Namenode::RevokeReplica(uint64_t block_id, int datanode) {
-  auto holders = dir_block_.find(block_id);
-  if (holders != dir_block_.end()) {
-    holders->second.erase(std::remove(holders->second.begin(),
-                                      holders->second.end(), datanode),
-                          holders->second.end());
+  auto it = replicas_.find(block_id);
+  if (it != replicas_.end()) {
+    std::erase_if(it->second,
+                  [&](const Replica& r) { return r.datanode == datanode; });
   }
-  dir_rep_.erase({block_id, datanode});
   revoked_[datanode].insert(block_id);
   NoteBlockMutation(block_id);
 }
@@ -256,15 +260,15 @@ bool Namenode::BlockStatsFresh(uint64_t block_id) const {
 }
 
 Status Namenode::ReportCorruptReplica(uint64_t block_id, int datanode) {
-  auto rep = dir_rep_.find({block_id, datanode});
-  if (rep == dir_rep_.end()) {
+  const Replica* r = FindReplica(block_id, datanode);
+  if (r == nullptr) {
     // Already reported (every task touching the bad replica reports it).
     return Status::OK();
   }
   UnderReplicatedEntry entry;
   entry.block_id = block_id;
   entry.lost_datanode = datanode;
-  entry.lost_info = rep->second;
+  entry.lost_info = r->info;
   entry.ownership_revoked = true;
   RevokeReplica(block_id, datanode);
   if (repair_pending_.insert({block_id, datanode}).second) {
@@ -274,17 +278,16 @@ Status Namenode::ReportCorruptReplica(uint64_t block_id, int datanode) {
 }
 
 void Namenode::EnqueueLostNodeReplicas(int datanode) {
-  for (const auto& [block_id, holders] : dir_block_) {
-    if (std::find(holders.begin(), holders.end(), datanode) == holders.end()) {
-      continue;
-    }
-    auto rep = dir_rep_.find({block_id, datanode});
-    if (rep == dir_rep_.end()) continue;
+  for (const auto& [block_id, reps] : replicas_) {
+    auto r = std::find_if(reps.begin(), reps.end(), [&](const Replica& x) {
+      return x.datanode == datanode;
+    });
+    if (r == reps.end()) continue;
     if (!repair_pending_.insert({block_id, datanode}).second) continue;
     UnderReplicatedEntry entry;
     entry.block_id = block_id;
     entry.lost_datanode = datanode;
-    entry.lost_info = rep->second;
+    entry.lost_info = r->info;
     entry.ownership_revoked = false;
     under_replicated_.push_back(std::move(entry));
   }
@@ -307,7 +310,7 @@ Status Namenode::CompleteRepair(const UnderReplicatedEntry& entry, int target,
   HAIL_RETURN_NOT_OK(RegisterReplica(entry.block_id, target, info));
   if (!entry.ownership_revoked &&
       !IsDatanodeAlive(entry.lost_datanode) &&
-      dir_rep_.count({entry.block_id, entry.lost_datanode}) > 0) {
+      FindReplica(entry.block_id, entry.lost_datanode) != nullptr) {
     // The dead node's copy has been superseded; make sure a revive
     // deletes it instead of serving it.
     RevokeReplica(entry.block_id, entry.lost_datanode);
@@ -322,18 +325,17 @@ void Namenode::AbandonRepair(const UnderReplicatedEntry& entry) {
 
 Status Namenode::DropReplica(uint64_t block_id, int datanode,
                              int min_remaining) {
-  if (dir_rep_.count({block_id, datanode}) == 0) {
+  if (FindReplica(block_id, datanode) == nullptr) {
     return Status::NotFound("no replica of block " + std::to_string(block_id) +
                             " on datanode " + std::to_string(datanode));
   }
   if (repair_pending_.count({block_id, datanode}) > 0) {
     return Status::FailedPrecondition("replica is queued for repair");
   }
-  auto holders = dir_block_.find(block_id);
   int alive_remaining = 0;
-  if (holders != dir_block_.end()) {
-    for (int dn : holders->second) {
-      if (dn != datanode && IsDatanodeAlive(dn)) ++alive_remaining;
+  for (const Replica& r : replicas_.at(block_id)) {
+    if (r.datanode != datanode && IsDatanodeAlive(r.datanode)) {
+      ++alive_remaining;
     }
   }
   if (alive_remaining < min_remaining) {

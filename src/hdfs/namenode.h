@@ -5,7 +5,10 @@
 /// replicas as byte-equivalent. HAIL adds Dir_rep: (blockID, datanode) ->
 /// HailBlockReplicaInfo describing the sort order and index each physical
 /// replica carries, so the scheduler can route map tasks to the replica
-/// with the matching clustered index (getHostsWithIndex, §4.3).
+/// with the matching clustered index (getHostsWithIndex, §4.3). Both live
+/// in one record per (block, datanode), kept with the block's other
+/// replicas: a host query is one lookup plus a walk of the block's few
+/// replicas.
 
 #pragma once
 
@@ -162,7 +165,7 @@ class Namenode {
   void AbandonRepair(const UnderReplicatedEntry& entry);
 
   /// Deliberately drops one replica (aggressive-replication eviction):
-  /// removes (block, datanode) from Dir_block/Dir_rep without queueing a
+  /// removes the (block, datanode) record without queueing a
   /// repair — the drop is wanted, nothing was lost. Refuses when the
   /// replica is unknown, is being repaired, or when fewer than
   /// \p min_remaining alive replicas would survive the drop.
@@ -209,14 +212,23 @@ class Namenode {
   uint64_t next_block_id_ = 1;
   int placement_cursor_ = 0;  // rotating follower placement
   std::map<std::string, std::vector<uint64_t>> files_;
-  std::map<uint64_t, std::vector<int>> dir_block_;
+  /// One replica's Dir_block membership and its Dir_rep record.
+  struct Replica {
+    int datanode = -1;
+    HailBlockReplicaInfo info;
+  };
+  /// blockID -> its replicas in registration order. A block whose last
+  /// replica was revoked keeps an empty entry, so GetBlockDatanodes
+  /// answers an empty list rather than NotFound.
+  std::map<uint64_t, std::vector<Replica>> replicas_;
   std::map<uint64_t, uint64_t> block_logical_bytes_;
-  // Dir_rep: (blockID, datanode) -> replica info.
-  std::map<std::pair<uint64_t, int>, HailBlockReplicaInfo> dir_rep_;
   std::vector<int> dead_;  // datanode ids currently dead
 
-  /// Removes (block, datanode) from Dir_block/Dir_rep and remembers the
-  /// revocation so a revive of the node deletes its stale copy.
+  /// The (block, datanode) record, or nullptr when none is registered.
+  const Replica* FindReplica(uint64_t block_id, int datanode) const;
+
+  /// Removes the (block, datanode) record and remembers the revocation so
+  /// a revive of the node deletes its stale copy.
   void RevokeReplica(uint64_t block_id, int datanode);
 
   // Self-healing state: lost replicas awaiting repair, the (block, node)

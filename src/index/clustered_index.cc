@@ -9,21 +9,6 @@ namespace hail {
 
 namespace {
 constexpr uint32_t kClusteredIndexMagic = 0x58444948;  // "HIDX"
-
-/// Smallest serialised first key of a key type (a string's length
-/// prefix). 0 for a byte that names no type.
-size_t MinKeyBytes(FieldType type) {
-  switch (type) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-    case FieldType::kString:
-      return 4;
-    case FieldType::kInt64:
-    case FieldType::kDouble:
-      return 8;
-  }
-  return 0;
-}
 }  // namespace
 
 ClusteredIndex ClusteredIndex::Build(const ColumnVector& sorted_keys,
@@ -92,7 +77,7 @@ Result<ClusteredIndex> ClusteredIndex::Deserialize(std::string_view data) {
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
   const FieldType type = static_cast<FieldType>(type_byte);
-  const size_t min_key = MinKeyBytes(type);
+  const size_t min_key = MinSerializedKeyBytes(type);
   if (min_key == 0) {
     return Status::Corruption("clustered index names an unknown key type");
   }

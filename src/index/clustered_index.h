@@ -35,6 +35,22 @@ inline uint64_t IndexKeyWidth(FieldType type) {
   return IsFixedSize(type) ? FieldTypeWidth(type) : 16;
 }
 
+/// Smallest serialised key of a key type (a string's length prefix); 0
+/// for a byte that names no type. The index decoders check a stored count
+/// against the bytes left with it before sizing anything from the count.
+inline size_t MinSerializedKeyBytes(FieldType type) {
+  switch (type) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+    case FieldType::kString:
+      return 4;
+    case FieldType::kInt64:
+    case FieldType::kDouble:
+      return 8;
+  }
+  return 0;
+}
+
 /// Paper-scale bytes of a sparse index root: one (key, pointer) entry per
 /// `records_per_entry` logical records (+1 for the trailing partial
 /// partition). HAIL's clustered root uses 4-byte pointers at 1024

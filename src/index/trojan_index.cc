@@ -83,12 +83,27 @@ Result<TrojanIndex> TrojanIndex::Deserialize(std::string_view data) {
   if (magic != kTrojanMagic) return Status::Corruption("not a trojan index");
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
   const FieldType type = static_cast<FieldType>(type_byte);
+  const size_t min_key = MinSerializedKeyBytes(type);
+  if (min_key == 0) {
+    return Status::Corruption("trojan index names an unknown key type");
+  }
   HAIL_ASSIGN_OR_RETURN(uint32_t rows_per_entry, r.GetU32());
   if (rows_per_entry == 0) return Status::Corruption("zero rows per entry");
   TrojanIndex index(type, rows_per_entry);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
   HAIL_ASSIGN_OR_RETURN(index.data_bytes_, r.GetU64());
   HAIL_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // The entry count is checked against the bytes left (key + 8-byte
+  // offset per entry) and against the record count before anything is
+  // sized from it: Build emits one entry per started run of rows.
+  if (n > r.remaining() / (min_key + 8)) {
+    return Status::Corruption("trojan index entry count exceeds data");
+  }
+  if (n != (uint64_t{index.num_records_} + rows_per_entry - 1) /
+               rows_per_entry) {
+    return Status::Corruption(
+        "trojan index entry count does not match its records");
+  }
   index.entry_offsets_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     switch (type) {
@@ -116,6 +131,9 @@ Result<TrojanIndex> TrojanIndex::Deserialize(std::string_view data) {
     }
     HAIL_ASSIGN_OR_RETURN(uint64_t off, r.GetU64());
     index.entry_offsets_.push_back(off);
+  }
+  if (!r.exhausted()) {
+    return Status::Corruption("trailing bytes after trojan index");
   }
   return index;
 }

@@ -61,6 +61,9 @@ class TrojanIndex {
   LookupResult Lookup(const KeyRange& range) const;
 
   std::string Serialize() const;
+  /// Rejects a wrong magic, an unknown key type, zero rows per entry, an
+  /// entry count the bytes cannot hold or that differs from
+  /// ceil(num_records / rows_per_entry), and trailing bytes.
   static Result<TrojanIndex> Deserialize(std::string_view data);
   uint64_t SerializedBytes() const;
 

@@ -7,21 +7,6 @@ namespace hail {
 
 namespace {
 constexpr uint32_t kUnclusteredMagic = 0x43554948;  // "HIUC"
-
-/// Smallest serialised entry of a key type: the key (a string's length
-/// prefix) plus its 4-byte row id. 0 for a byte that names no type.
-size_t MinEntryBytes(FieldType type) {
-  switch (type) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-    case FieldType::kString:
-      return 8;
-    case FieldType::kInt64:
-    case FieldType::kDouble:
-      return 12;
-  }
-  return 0;
-}
 }  // namespace
 
 UnclusteredIndex UnclusteredIndex::Build(const ColumnVector& keys) {
@@ -86,10 +71,11 @@ Result<UnclusteredIndex> UnclusteredIndex::Deserialize(std::string_view data) {
   }
   HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
   const FieldType type = static_cast<FieldType>(type_byte);
-  const size_t min_entry = MinEntryBytes(type);
-  if (min_entry == 0) {
+  const size_t min_key = MinSerializedKeyBytes(type);
+  if (min_key == 0) {
     return Status::Corruption("unclustered index names an unknown key type");
   }
+  const size_t min_entry = min_key + 4;  // key + row id
   UnclusteredIndex index(type);
   HAIL_ASSIGN_OR_RETURN(index.num_records_, r.GetU32());
   // The count is checked against the bytes left before anything is sized

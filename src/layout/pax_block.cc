@@ -1116,20 +1116,6 @@ Result<std::string_view> PaxBlockView::GetBadRecord(uint32_t i) const {
   return r.GetLengthPrefixed();
 }
 
-uint64_t PaxBlockView::EstimateColumnReadBytes(int column,
-                                               uint64_t rows_touched) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (num_records_ == 0 || rows_touched == 0) return 0;
-  if (rows_touched >= num_records_) return ci.minipage_bytes;
-  // Partition-granular: assume each touched row costs one partition read,
-  // capped at the full minipage.
-  const uint32_t partitions =
-      (num_records_ + varlen_partition_ - 1) / varlen_partition_;
-  const uint64_t partition_bytes = ci.minipage_bytes / partitions;
-  const uint64_t cost = rows_touched * partition_bytes;
-  return cost > ci.minipage_bytes ? ci.minipage_bytes : cost;
-}
-
 PaxBlock BuildPaxBlockFromText(const Schema& schema, std::string_view text,
                                BlockFormatOptions options) {
   PaxBlock block(schema, options);

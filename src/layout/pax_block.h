@@ -323,11 +323,6 @@ class PaxBlockView {
   /// Raw text of bad record \p i (0 <= i < num_bad_records()).
   Result<std::string_view> GetBadRecord(uint32_t i) const;
 
-  /// I/O accounting: adds the byte cost of touching `rows` arbitrary rows
-  /// of column \p i, assuming partition-granular reads. Reading a column
-  /// fully costs column_bytes(i).
-  uint64_t EstimateColumnReadBytes(int column, uint64_t rows_touched) const;
-
  private:
   struct ColumnInfo {
     FieldType type;

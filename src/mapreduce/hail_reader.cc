@@ -3,7 +3,7 @@
 #include "hail/hail_block.h"
 #include "mapreduce/cached_block.h"
 #include "mapreduce/record_reader.h"
-#include "planner/access_path.h"
+#include "planner/access_planner.h"
 #include "query/vectorized.h"
 
 namespace hail {
@@ -204,18 +204,24 @@ class HailRecordReader : public RecordReader {
   Result<TaskCost> ReadSplit(const InputSplit& split,
                              ReadContext* ctx) override {
     TaskCost cost;
+    // Columns the task touches: filter columns + projection (all when no
+    // projection was annotated, §4.3), and the key range on the index
+    // column — the same for every block of the split.
+    const std::optional<QueryAnnotation>& annotation = ctx->spec->annotation;
+    const planner::QueryShape shape = planner::ResolveShape(
+        annotation.has_value() ? &*annotation : nullptr,
+        ctx->spec->schema.num_fields(), ctx->plan->index_column);
     for (size_t b = 0; b < split.blocks.size(); ++b) {
       HAIL_RETURN_NOT_OK(
-          ReadOneBlock(split.block_indexes[b], ctx, &cost));
+          ReadOneBlock(split.block_indexes[b], shape, ctx, &cost));
     }
     return cost;
   }
 
  private:
-  Status ReadOneBlock(uint32_t block_index, ReadContext* ctx,
-                      TaskCost* cost) {
+  Status ReadOneBlock(uint32_t block_index, const planner::QueryShape& shape,
+                      ReadContext* ctx, TaskCost* cost) {
     const hdfs::BlockLocation& loc = ctx->plan->file_blocks[block_index];
-    const hdfs::DfsConfig& cfg = ctx->dfs->config();
     const int index_column = ctx->plan->index_column;
 
     // Per-block access decision from the cost-based planner (empty vector
@@ -249,52 +255,25 @@ class HailRecordReader : public RecordReader {
             ? ctx->trace->Open("block_read", "read", cost->total())
             : 0;
 
-    // Replica choice via getHostsWithIndex (§4.3): prefer the local node,
-    // then any node whose replica has the matching clustered index. When
-    // no clustered replica matches, probe for an adaptive *unclustered*
-    // index on the filter column (installed online by the reorganizer)
-    // before falling back to a full scan. All eligible replicas form one
-    // ordered failover list (indexed > unclustered > plain, local first
-    // within each class): a dead or corrupt replica costs a wasted
-    // attempt, not the task.
-    const std::optional<KeyRange> key_range =
-        (index_column >= 0 && ctx->spec->annotation.has_value())
-            ? ctx->spec->annotation->filter.KeyRangeFor(index_column)
-            : std::nullopt;
-    enum : uint8_t { kIndexed = 0, kUnclustered = 1, kPlain = 2 };
-    std::vector<int> candidates;
-    std::vector<uint8_t> klass;
-    auto add_hosts = [&](const std::vector<int>& hosts, uint8_t k) {
-      auto add_one = [&](int h) {
-        if (std::find(candidates.begin(), candidates.end(), h) ==
-            candidates.end()) {
-          candidates.push_back(h);
-          klass.push_back(k);
-        }
-      };
-      for (int h : hosts) {
-        if (h == ctx->task_node) add_one(h);
-      }
-      for (int h : hosts) add_one(h);
-    };
+    // Replica choice via getHostsWithIndex (§4.3), in the planner's one
+    // replica order: matching clustered index, then an adaptive
+    // *unclustered* index on the filter column (installed online by the
+    // reorganizer), then the plain holders, local first within each
+    // class. The list is the failover order: a dead or corrupt replica
+    // costs a wasted attempt, not the task.
+    //
     // A planned full scan (fresh stats predicted an unclustered probe
     // would be abandoned, or no index exists) goes straight to the plain
     // replicas: no dense-index read is wasted before the inevitable pass.
     // Advisory only — with a clustered replica alive the planner never
     // chooses kFullScan, and missing stats leave the dynamic path intact.
+    const std::optional<KeyRange>& key_range = shape.index_range;
     const bool planned_scan = decision != nullptr && decision->stats_fresh &&
                               decision->path == planner::AccessPath::kFullScan;
-    if (index_column >= 0 && !planned_scan) {
-      add_hosts(ctx->dfs->namenode().GetHostsWithIndex(loc.block_id,
-                                                       index_column),
-                kIndexed);
-      if (key_range.has_value()) {
-        add_hosts(ctx->dfs->namenode().GetHostsWithUnclusteredIndex(
-                      loc.block_id, index_column),
-                  kUnclustered);
-      }
-    }
-    add_hosts(loc.datanodes, kPlain);
+    const std::vector<planner::ReplicaCandidate> candidates =
+        planner::OrderReplicas(ctx->dfs->namenode(), loc,
+                               planned_scan ? -1 : index_column,
+                               key_range.has_value(), ctx->task_node);
 
     // A replica whose index the read would use is corrupt (it fails to
     // decode, or does not cover exactly its block's rows) is failed over
@@ -309,11 +288,13 @@ class HailRecordReader : public RecordReader {
       HAIL_ASSIGN_OR_RETURN(
           winner, ReadReplicaWithFailover(ctx, loc.block_id, loc.logical_bytes,
                                           candidates, cost, &bytes, first));
-      HAIL_ASSIGN_OR_RETURN(cached, OpenCachedHailBlock(*ctx, candidates[winner],
+      const planner::ReplicaCandidate& replica = candidates[winner];
+      HAIL_ASSIGN_OR_RETURN(cached, OpenCachedHailBlock(*ctx, replica.datanode,
                                                         loc.block_id, bytes));
       const HailBlockView& view = cached->view;
       Status probe;
-      if (klass[winner] == kIndexed && view.has_index() &&
+      if (replica.path == planner::AccessPath::kClusteredIndex &&
+          view.has_index() &&
           view.sort_column() == index_column && key_range.has_value()) {
         Result<const ClusteredIndex*> decoded =
             cached->Index(&ctx->dfs->block_cache());
@@ -321,7 +302,7 @@ class HailRecordReader : public RecordReader {
                     ? (*decoded)->CheckRowsOf(cached->pax.num_records())
                     : decoded.status();
         if (probe.ok()) index = *decoded;
-      } else if (klass[winner] == kUnclustered &&
+      } else if (replica.path == planner::AccessPath::kUnclusteredIndex &&
                  view.unclustered_column() == index_column) {
         Result<const UnclusteredIndex*> decoded =
             cached->Unclustered(&ctx->dfs->block_cache());
@@ -331,37 +312,16 @@ class HailRecordReader : public RecordReader {
       if (probe.ok()) break;
       if (!probe.IsCorruption()) return probe;
       BillCorruptRead(ctx, loc.block_id, loc.logical_bytes,
-                      candidates[winner], cost);
+                      replica.datanode, cost);
     }
-    const int dn = candidates[winner];
-    const bool indexed = klass[winner] == kIndexed;
-    const bool unclustered = klass[winner] == kUnclustered;
-    if (klass[winner] == kPlain && index_column >= 0) {
+    const int dn = candidates[winner].datanode;
+    const planner::AccessPath replica_path = candidates[winner].path;
+    if (replica_path == planner::AccessPath::kFullScan && index_column >= 0) {
       ctx->stats.fallback_scan = true;
     }
     const PaxBlockView& pax = cached->pax;
-
-    const double scale = cfg.scale_factor;
-    const uint64_t logical_records = static_cast<uint64_t>(
-        static_cast<double>(pax.num_records()) * scale);
-    const sim::CostModel& node_cost =
-        ctx->dfs->cluster().node(ctx->task_node).cost();
-    const sim::CostModel& disk_cost = ctx->dfs->cluster().node(dn).cost();
+    const std::vector<int>& proj = shape.proj;
     const sim::CostConstants& c = ctx->dfs->cluster().constants();
-
-    // Columns the task touches: filter columns + projection (all when no
-    // projection was annotated, §4.3).
-    std::vector<int> proj;
-    if (ctx->spec->annotation.has_value() &&
-        !ctx->spec->annotation->projection.empty()) {
-      proj = ctx->spec->annotation->projection;
-    } else {
-      for (int i = 0; i < pax.num_columns(); ++i) proj.push_back(i);
-    }
-    std::vector<int> filter_cols;
-    if (ctx->spec->annotation.has_value()) {
-      filter_cols = ctx->spec->annotation->filter.ReferencedColumns();
-    }
 
     RowRange range{0, pax.num_records()};
     bool index_scan = false;
@@ -493,99 +453,44 @@ class HailRecordReader : public RecordReader {
       ctx->stats.rows_skipped += pax.num_records() - rows_touched;
     }
 
-    // ---- cost ----
-    const double fraction =
-        pax.num_records() == 0
-            ? 0.0
-            : static_cast<double>(range.size()) /
-                  static_cast<double>(pax.num_records());
+    // ---- cost: the read just executed, priced by the planner's model ----
+    const double scale = ctx->dfs->config().scale_factor;
+    const sim::CostModel& node_cost =
+        ctx->dfs->cluster().node(ctx->task_node).cost();
+    planner::BlockRead read;
+    read.path = index_scan ? planner::AccessPath::kClusteredIndex
+                : uc_scan  ? planner::AccessPath::kUnclusteredIndex
+                           : planner::AccessPath::kFullScan;
+    read.abandoned_probe = uc_abandoned;
+    if (read.path != planner::AccessPath::kFullScan || uc_abandoned) {
+      read.key_type = pax.schema().field(index_column).type;
+    }
+    read.column_bytes.reserve(static_cast<size_t>(pax.num_columns()));
+    for (int colm = 0; colm < pax.num_columns(); ++colm) {
+      read.column_bytes.push_back(static_cast<uint64_t>(
+          static_cast<double>(pax.column_value_bytes(colm)) * scale));
+    }
+    read.records = static_cast<uint64_t>(
+        static_cast<double>(pax.num_records()) * scale);
     // Records the CPU actually looked at: the index range for (full/index)
     // scans, only the index's candidate rows for unclustered probes.
-    const uint64_t logical_range_records = static_cast<uint64_t>(
-        static_cast<double>(uc_scan ? uc_candidates : range.size()) * scale);
-    const uint64_t logical_qualifying = static_cast<uint64_t>(
-        static_cast<double>(qualifying) * scale);
+    read.range_records = static_cast<uint64_t>(
+        static_cast<double>(rows_touched) * scale);
+    read.qualifying =
+        static_cast<uint64_t>(static_cast<double>(qualifying) * scale);
+    read.range_fraction = pax.num_records() == 0
+                              ? 0.0
+                              : static_cast<double>(range.size()) /
+                                    static_cast<double>(pax.num_records());
+    const planner::ReadCost billed = planner::CostBlockRead(
+        read, shape, ctx->dfs->cluster().node(dn).cost(), node_cost, c);
+    const uint64_t bytes_read = billed.bytes;
 
-    // Columns the scan touches beyond the index itself.
-    std::vector<int> accessed_cols = filter_cols;
-    for (int colm : proj) {
-      if (std::find(accessed_cols.begin(), accessed_cols.end(), colm) ==
-          accessed_cols.end()) {
-        accessed_cols.push_back(colm);
-      }
-    }
-
-    uint64_t bytes_read = 0;
-    int column_seeks = 0;
-    if (uc_scan) {
-      // §3.5's unclustered economics: the dense index (one key+rowid entry
-      // per record) is read in full, then every qualifying record costs a
-      // random partition-granular access per touched column. Pays off only
-      // for very selective queries — exactly the paper's argument.
-      bytes_read += LogicalDenseIndexBytes(
-          logical_records, pax.schema().field(index_column).type);
-      column_seeks += 1;
-      const uint64_t logical_candidates = static_cast<uint64_t>(
-          static_cast<double>(uc_candidates) * scale);
-      const uint64_t logical_partitions =
-          logical_records / c.index_partition_logical + 1;
-      // Candidates land in random partitions; with n candidates over P
-      // partitions at most min(n, P) distinct partitions are touched.
-      const uint64_t partitions_touched =
-          std::min<uint64_t>(logical_candidates, logical_partitions);
-      for (int colm : accessed_cols) {
-        const uint64_t col_logical = static_cast<uint64_t>(
-            static_cast<double>(pax.column_value_bytes(colm)) * scale);
-        bytes_read += partitions_touched * (col_logical / logical_partitions);
-        column_seeks += static_cast<int>(partitions_touched);
-      }
-    } else if (index_scan) {
-      // Header + index root: read in full, a few KB at paper scale.
-      bytes_read += LogicalSparseIndexBytes(
-          logical_records, c.index_partition_logical,
-          pax.schema().field(index_column).type, /*pointer_bytes=*/4);
-      column_seeks += 1;
-      if (!range.empty()) {
-        for (int colm : accessed_cols) {
-          const uint64_t col_logical = static_cast<uint64_t>(
-              static_cast<double>(pax.column_value_bytes(colm)) * scale);
-          bytes_read +=
-              static_cast<uint64_t>(fraction * static_cast<double>(col_logical));
-          column_seeks += 1;  // each minipage slice is a separate extent
-        }
-      }
-    } else {
-      // Full scan of the PAX replica: every minipage, one pass. Billed on
-      // values-only bytes (the real offset side-cars are scaled-down
-      // dense; at paper scale they are negligible).
-      uint64_t value_bytes = 0;
-      for (int colm = 0; colm < pax.num_columns(); ++colm) {
-        value_bytes += pax.column_value_bytes(colm);
-      }
-      bytes_read =
-          static_cast<uint64_t>(static_cast<double>(value_bytes) * scale);
-      column_seeks = 1;
-      if (uc_abandoned) {
-        // The probe read the dense index before deciding to scan.
-        bytes_read += LogicalDenseIndexBytes(
-            logical_records, pax.schema().field(index_column).type);
-        column_seeks += 1;
-      }
-    }
-
-    const double seek_s =
-        c.block_open_ms / 1000.0 + column_seeks * disk_cost.DiskSeek();
-    const double transfer_s = disk_cost.DiskTransfer(bytes_read);
-    cost->disk_seconds += seek_s + transfer_s;
-    cost->ledger.Bill(obs::CostBucket::kSeek, seek_s);
-    cost->ledger.Bill(obs::CostBucket::kTransfer, transfer_s);
-    const double cpu_s = node_cost.Crc(bytes_read) +
-                         node_cost.PredicateEval(logical_range_records) +
-                         node_cost.Reconstruct(logical_qualifying,
-                                               static_cast<int>(proj.size())) +
-                         node_cost.MapCalls(logical_qualifying);
-    cost->cpu_seconds += cpu_s;
-    cost->ledger.Bill(obs::CostBucket::kCpu, cpu_s);
+    cost->disk_seconds += billed.seek_s + billed.transfer_s;
+    cost->ledger.Bill(obs::CostBucket::kSeek, billed.seek_s);
+    cost->ledger.Bill(obs::CostBucket::kTransfer, billed.transfer_s);
+    cost->cpu_seconds += billed.cpu_s;
+    cost->ledger.Bill(obs::CostBucket::kCpu, billed.cpu_s);
     // Scan-on-compressed (format v3): the filter ran on the encoded form,
     // so only qualifying rows pay the per-value decode, once per encoded
     // projected column. Zero for v1/v2 blocks (every column reads kPlain).
@@ -597,16 +502,13 @@ class HailRecordReader : public RecordReader {
     }
     if (encoded_projected > 0) {
       const double decode_s =
-          node_cost.DecodeValues(logical_qualifying * encoded_projected);
+          node_cost.DecodeValues(read.qualifying * encoded_projected);
       cost->cpu_seconds += decode_s;
       cost->ledger.Bill(obs::CostBucket::kDecode, decode_s);
     }
-    if (!index_scan && !uc_scan) {
-      // Full scans decode every record, not just qualifying ones.
-      const double scan_cpu_s =
-          node_cost.Reconstruct(logical_range_records, pax.num_columns());
-      cost->cpu_seconds += scan_cpu_s;
-      cost->ledger.Bill(obs::CostBucket::kCpu, scan_cpu_s);
+    if (read.path == planner::AccessPath::kFullScan) {
+      cost->cpu_seconds += billed.scan_cpu_s;
+      cost->ledger.Bill(obs::CostBucket::kCpu, billed.scan_cpu_s);
     }
     if (dn != ctx->task_node) {
       const double net_s = node_cost.NetTransfer(bytes_read);
@@ -619,9 +521,13 @@ class HailRecordReader : public RecordReader {
       ctx->trace->Attr(bspan, "datanode", dn);
       ctx->trace->Attr(bspan, "generation",
                        ctx->dfs->datanode(dn).block_generation(loc.block_id));
-      ctx->trace->Attr(bspan, "replica",
-                       indexed ? "clustered"
-                               : (unclustered ? "unclustered" : "plain"));
+      ctx->trace->Attr(
+          bspan, "replica",
+          replica_path == planner::AccessPath::kClusteredIndex
+              ? "clustered"
+              : (replica_path == planner::AccessPath::kUnclusteredIndex
+                     ? "unclustered"
+                     : "plain"));
       ctx->trace->Attr(bspan, "bytes", bytes_read);
       ctx->trace->Attr(bspan, "rows", rows_touched);
       ctx->trace->Attr(bspan, "qualifying", qualifying);

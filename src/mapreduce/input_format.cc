@@ -32,21 +32,18 @@ void HailSplits(hdfs::MiniDfs* dfs,
   // "HailSplitting first clusters the blocks of the input ... by locality.
   // As a result it produces as many collections of blocks as there are
   // datanodes storing at least one block of the given input."
+  // A block's home is the first replica a reader would try: a matching
+  // index holder, else (e.g. the indexed replica's node died) any holder,
+  // which the reader will scan.
   std::map<int, std::vector<uint32_t>> by_node;  // node -> block positions
   for (uint32_t i = 0; i < blocks.size(); ++i) {
-    const std::vector<int> hosts =
-        dfs->namenode().GetHostsWithIndex(blocks[i].block_id, index_column);
-    int home;
-    if (!hosts.empty()) {
-      home = hosts.front();
-    } else if (!blocks[i].datanodes.empty()) {
-      // No matching index (e.g. the indexed replica's node died): fall
-      // back to any holder; the reader will scan.
-      home = blocks[i].datanodes.front();
-    } else {
+    const std::vector<planner::ReplicaCandidate> order =
+        planner::OrderReplicas(dfs->namenode(), blocks[i], index_column,
+                               /*with_unclustered=*/false, /*local_node=*/-1);
+    if (order.empty()) {
       continue;  // unreadable block; surfaced by the reader as an error
     }
-    by_node[home].push_back(i);
+    by_node[order.front().datanode].push_back(i);
   }
 
   // "For each collection of blocks, HailSplitting creates as many input

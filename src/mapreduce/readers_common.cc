@@ -67,16 +67,14 @@ void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
   }
 }
 
-Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
-                                       uint64_t logical_bytes,
-                                       const std::vector<int>& candidates,
-                                       TaskCost* cost,
-                                       std::string_view* bytes_out,
-                                       size_t first) {
+Result<size_t> ReadReplicaWithFailover(
+    ReadContext* ctx, uint64_t block_id, uint64_t logical_bytes,
+    const std::vector<planner::ReplicaCandidate>& candidates, TaskCost* cost,
+    std::string_view* bytes_out, size_t first) {
   const hdfs::DfsConfig& cfg = ctx->dfs->config();
   const sim::CostConstants& c = ctx->dfs->cluster().constants();
   for (size_t i = first; i < candidates.size(); ++i) {
-    const int dn = candidates[i];
+    const int dn = candidates[i].datanode;
     Result<std::string_view> read =
         ctx->dfs->datanode(dn).ReadBlockVerified(block_id, cfg.chunk_bytes);
     if (read.ok()) {

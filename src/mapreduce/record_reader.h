@@ -1,9 +1,10 @@
 /// \file record_reader.h
 /// \brief RecordReader UDF interface (paper §4.2/§4.3).
 ///
-/// A record reader consumes one input split: it chooses a replica, reads
-/// (part of) each block, produces HailRecords for the map function, and
-/// returns the I/O + CPU cost the task incurred. The three concrete
+/// A record reader consumes one input split: it reads (part of) each
+/// block from the first readable replica of the planner's replica order
+/// (planner::OrderReplicas), produces HailRecords for the map function,
+/// and returns the I/O + CPU cost the task incurred. The three concrete
 /// readers mirror the paper's systems:
 ///  - TextRecordReader: stock Hadoop full scan over text blocks, with
 ///    LineRecordReader boundary semantics;
@@ -21,6 +22,7 @@
 #include "mapreduce/job.h"
 #include "obs/cost_attribution.h"
 #include "obs/trace.h"
+#include "planner/access_planner.h"
 #include "query/vectorized.h"
 
 namespace hail {
@@ -131,19 +133,17 @@ class RecordReader {
 /// Creates the reader matching the job's system.
 std::unique_ptr<RecordReader> MakeRecordReader(System system);
 
-/// Reads one block through an ordered list of candidate replicas, from
-/// index \p first on, failing over on Unavailable (dead node), NotFound
+/// Reads one block through the replica order of planner::OrderReplicas,
+/// from index \p first on, failing over on Unavailable (dead node), NotFound
 /// (replica deleted after a corruption report) and Corruption (CRC
 /// mismatch, handled by BillCorruptRead before the next candidate is
 /// tried). Returns the index of the winning candidate and sets
 /// \p bytes_out; Unavailable when every candidate failed (retryable — a
 /// repair may restore a replica).
-Result<size_t> ReadReplicaWithFailover(ReadContext* ctx, uint64_t block_id,
-                                       uint64_t logical_bytes,
-                                       const std::vector<int>& candidates,
-                                       TaskCost* cost,
-                                       std::string_view* bytes_out,
-                                       size_t first = 0);
+Result<size_t> ReadReplicaWithFailover(
+    ReadContext* ctx, uint64_t block_id, uint64_t logical_bytes,
+    const std::vector<planner::ReplicaCandidate>& candidates, TaskCost* cost,
+    std::string_view* bytes_out, size_t first = 0);
 
 /// Books a replica read that turned out corrupt: records it in
 /// ctx->bad_replicas and bills the wasted transfer + checksum work to

@@ -548,35 +548,16 @@ bool SessionEngine::ShedIfOverloaded(int j) {
   if (ac.shed_wait_s > 0.0) {
     const int q = scheduler.queue_of(j);
     const QueueUsage& u = result.queues[static_cast<size_t>(q)];
-    // The legacy estimator needs one completed task for its observed mean;
-    // the planner-fed estimator (options->admission_from_planner) can
-    // project from predicted job costs before anything completed.
-    const bool planner_fed = options->admission_from_planner;
-    if ((u.tasks > 0 || planner_fed) && total_slots > 0) {
-      const double mean_ss =
-          u.tasks > 0 ? u.slot_seconds / static_cast<double>(u.tasks) : 0.0;
+    if (u.tasks > 0 && total_slots > 0) {
+      const double mean_ss = u.slot_seconds / static_cast<double>(u.tasks);
       size_t backlog_tasks = 0;
-      double backlog_cost = 0.0;  // planner-fed: predicted slot-seconds
       for (const JobExec& other : jobs) {
         if (other.submitted->queue != queue) continue;
-        size_t pending = 0;
         if (other.phase == JobExec::Phase::kActive) {
-          pending = other.pending.size();
+          backlog_tasks += other.pending.size();
         } else if (other.phase == JobExec::Phase::kStarting) {
-          pending = other.tasks.size();
-        } else {
-          continue;
+          backlog_tasks += other.tasks.size();
         }
-        backlog_tasks += pending;
-        // A shed candidate never computes a plan, so predictions come
-        // from the *already admitted* jobs' plans; unplanned jobs fall
-        // back to the observed mean.
-        const double per_task =
-            other.plan.planned && !other.tasks.empty()
-                ? other.plan.predicted_cost_seconds /
-                      static_cast<double>(other.tasks.size())
-                : mean_ss;
-        backlog_cost += static_cast<double>(pending) * per_task;
       }
       const std::vector<SlotScheduler::QueueState>& queues =
           scheduler.queues();
@@ -589,9 +570,7 @@ bool SessionEngine::ShedIfOverloaded(int j) {
                              : 1.0;
       const double entitled = total_slots * own / weight_sum;
       const double projected =
-          planner_fed
-              ? backlog_cost / entitled
-              : static_cast<double>(backlog_tasks) * mean_ss / entitled;
+          static_cast<double>(backlog_tasks) * mean_ss / entitled;
       if (projected > ac.shed_wait_s) {
         char wait[32];
         std::snprintf(wait, sizeof(wait), "%.1f", projected);
@@ -1523,9 +1502,10 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     const int loser_node = task.loser_node;
     task.loser_attempt = 0;
     task.loser_node = -1;
+    // The attempt ended either way; only a live node gets its slot back.
+    scheduler.OnTaskFinished(j);
     if (dfs->cluster().node(loser_node).alive()) {
       free_slots[static_cast<size_t>(loser_node)] += 1;
-      scheduler.OnTaskFinished(j);
       events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                            [this, loser_node] { Heartbeat(loser_node); });
     }
@@ -1556,9 +1536,9 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     } else {
       task.status = TaskStatus::kDone;
     }
+    scheduler.OnTaskFinished(j);
     if (!dfs->cluster().node(node).alive()) return;  // slot died with it
     free_slots[static_cast<size_t>(node)] += 1;
-    scheduler.OnTaskFinished(j);
     events.ScheduleAfter(constants().oob_heartbeat_latency_s,
                          [this, node] { Heartbeat(node); });
     return;
@@ -1746,6 +1726,7 @@ void SessionEngine::OnFailureDetected(int node) {
       if (task.loser_attempt != 0 && task.loser_node == node) {
         task.loser_attempt = 0;
         task.loser_node = -1;
+        scheduler.OnTaskFinished(job.id);
       }
       if (task.status == TaskStatus::kRunning && task.spec_attempt != 0 &&
           task.spec_node == node) {

@@ -234,12 +234,6 @@ struct SessionOptions {
   /// cache survives across sessions; invalidated automatically by any
   /// namenode directory mutation.
   planner::PlanCache* plan_cache = nullptr;
-  /// Estimate a queue's projected wait from the planner's predicted job
-  /// costs (admitted jobs' plan.predicted_cost_seconds spread over their
-  /// pending tasks) instead of the observed mean task duration. Falls
-  /// back to the observed mean for unplanned jobs. Off by default: the
-  /// legacy estimator's shed decisions are preserved bit-for-bit.
-  bool admission_from_planner = false;
   /// Deterministic fault schedule: node kills (at a time or at a job's
   /// progress, with optional revive), per-(node, block) replica
   /// corruption, slow-node factors. The only fault-injection surface;

@@ -9,17 +9,10 @@ namespace {
 /// Replica order to try: local first ("it is the local HDFS client ...
 /// that decides from which datanode a map task will read", §4.2), then
 /// the remaining alive holders — failover walks this list.
-std::vector<int> ReplicaOrder(const std::vector<int>& holders,
-                              int task_node) {
-  std::vector<int> order;
-  order.reserve(holders.size());
-  for (int dn : holders) {
-    if (dn == task_node) order.push_back(dn);
-  }
-  for (int dn : holders) {
-    if (dn != task_node) order.push_back(dn);
-  }
-  return order;
+std::vector<planner::ReplicaCandidate> ReplicaOrder(
+    const ReadContext& ctx, const hdfs::BlockLocation& loc) {
+  return planner::OrderReplicas(ctx.dfs->namenode(), loc, /*index_column=*/-1,
+                                /*with_unclustered=*/false, ctx.task_node);
 }
 
 /// Clears the context's row-matcher pointer on every exit path so it never
@@ -75,12 +68,13 @@ class TextRecordReader : public RecordReader {
             ? ctx->trace->Open("block_read", "read", cost->total())
             : 0;
     std::string_view data;
-    std::vector<int> candidates = ReplicaOrder(loc.datanodes, ctx->task_node);
+    const std::vector<planner::ReplicaCandidate> candidates =
+        ReplicaOrder(*ctx, loc);
     HAIL_ASSIGN_OR_RETURN(
         size_t winner,
         ReadReplicaWithFailover(ctx, loc.block_id, loc.logical_bytes,
                                 candidates, cost, &data));
-    const int dn = candidates[winner];
+    const int dn = candidates[winner].datanode;
 
     // Boundary rule part 1: if the previous block (of the *same* part
     // file) does not end in a newline, our first line fragment belongs to
@@ -97,8 +91,8 @@ class TextRecordReader : public RecordReader {
       TaskCost boundary_cost;  // wasted boundary attempts are negligible
       HAIL_RETURN_NOT_OK(
           ReadReplicaWithFailover(ctx, prev.block_id, prev.logical_bytes,
-                                  ReplicaOrder(prev.datanodes, ctx->task_node),
-                                  &boundary_cost, &prev_data)
+                                  ReplicaOrder(*ctx, prev), &boundary_cost,
+                                  &prev_data)
               .status());
       if (!prev_data.empty() && prev_data.back() != '\n') {
         const size_t nl = data.find('\n');
@@ -117,9 +111,8 @@ class TextRecordReader : public RecordReader {
         TaskCost boundary_cost;
         HAIL_RETURN_NOT_OK(
             ReadReplicaWithFailover(ctx, nloc.block_id, nloc.logical_bytes,
-                                    ReplicaOrder(nloc.datanodes,
-                                                 ctx->task_node),
-                                    &boundary_cost, &ndata)
+                                    ReplicaOrder(*ctx, nloc), &boundary_cost,
+                                    &ndata)
                 .status());
         const size_t nl = ndata.find('\n');
         if (nl == std::string_view::npos) {

@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "hadooppp/trojan_block.h"
 #include "mapreduce/cached_block.h"
 #include "mapreduce/record_reader.h"
@@ -68,36 +66,21 @@ class TrojanRecordReader : public RecordReader {
   Status ReadOneBlock(uint32_t block_index, const CompiledPredicate* filter,
                       ReadContext* ctx, TaskCost* cost) {
     const hdfs::BlockLocation& loc = ctx->plan->file_blocks[block_index];
-    // Binding zone-map skip from the cost-based planner (currently only
-    // HAIL jobs are planned, but the decision surface is generic).
-    if (block_index < ctx->plan->decisions.size() &&
-        ctx->plan->decisions[block_index].path ==
-            planner::AccessPath::kSkipZoneMap) {
-      ++ctx->stats.blocks_skipped;
-      ++ctx->stats.zone_skipped_blocks;
-      ctx->stats.rows_skipped +=
-          ctx->plan->decisions[block_index].block_records;
-      return Status::OK();
-    }
     const size_t bspan =
         ctx->trace != nullptr
             ? ctx->trace->Open("block_read", "read", cost->total())
             : 0;
     // All replicas are identical: the failover order is locality-only.
-    std::vector<int> candidates;
-    for (int h : loc.datanodes) {
-      if (h == ctx->task_node) candidates.push_back(h);
-    }
-    for (int h : loc.datanodes) {
-      if (h != ctx->task_node) candidates.push_back(h);
-    }
+    const std::vector<planner::ReplicaCandidate> candidates =
+        planner::OrderReplicas(ctx->dfs->namenode(), loc, /*index_column=*/-1,
+                               /*with_unclustered=*/false, ctx->task_node);
     const hdfs::DfsConfig& cfg = ctx->dfs->config();
     std::string_view bytes;
     HAIL_ASSIGN_OR_RETURN(
         size_t winner,
         ReadReplicaWithFailover(ctx, loc.block_id, loc.logical_bytes,
                                 candidates, cost, &bytes));
-    const int dn = candidates[winner];
+    const int dn = candidates[winner].datanode;
     HAIL_ASSIGN_OR_RETURN(
         std::shared_ptr<const CachedTrojanBlock> cached,
         OpenCachedTrojanBlock(*ctx, dn, loc.block_id, bytes));

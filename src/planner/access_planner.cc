@@ -8,25 +8,51 @@
 namespace hail {
 namespace planner {
 
-namespace {
-
-/// Shared per-query inputs resolved once, not per block.
-struct QueryShape {
-  std::vector<int> proj;          // projected columns (all when empty spec)
-  std::vector<int> accessed;      // filter ∪ projection
-  std::vector<int> filter_cols;   // filter columns with a key range
-  std::optional<KeyRange> index_range;  // range on the index column
-};
-
-QueryShape ResolveShape(const Schema& schema,
-                        const QueryAnnotation& annotation, int index_column) {
-  QueryShape shape;
-  if (!annotation.projection.empty()) {
-    shape.proj = annotation.projection;
-  } else {
-    for (int i = 0; i < schema.num_fields(); ++i) shape.proj.push_back(i);
+std::vector<ReplicaCandidate> OrderReplicas(const hdfs::Namenode& nn,
+                                            const hdfs::BlockLocation& loc,
+                                            int index_column,
+                                            bool with_unclustered,
+                                            int local_node) {
+  std::vector<ReplicaCandidate> out;
+  out.reserve(loc.datanodes.size());
+  const auto add_class = [&](const std::vector<int>& hosts, AccessPath path) {
+    const auto add = [&](int dn) {
+      for (const ReplicaCandidate& c : out) {
+        if (c.datanode == dn) return;
+      }
+      out.push_back({dn, path});
+    };
+    for (int dn : hosts) {
+      if (dn == local_node) add(dn);
+    }
+    for (int dn : hosts) add(dn);
+  };
+  if (index_column >= 0) {
+    add_class(nn.GetHostsWithIndex(loc.block_id, index_column),
+              AccessPath::kClusteredIndex);
+    if (with_unclustered) {
+      add_class(nn.GetHostsWithUnclusteredIndex(loc.block_id, index_column),
+                AccessPath::kUnclusteredIndex);
+    }
   }
-  shape.filter_cols = annotation.filter.ReferencedColumns();
+  add_class(loc.datanodes, AccessPath::kFullScan);
+  return out;
+}
+
+QueryShape ResolveShape(const QueryAnnotation* annotation, int num_columns,
+                        int index_column) {
+  QueryShape shape;
+  if (annotation != nullptr && !annotation->projection.empty()) {
+    shape.proj = annotation->projection;
+  } else {
+    for (int i = 0; i < num_columns; ++i) shape.proj.push_back(i);
+  }
+  if (annotation != nullptr) {
+    shape.filter_cols = annotation->filter.ReferencedColumns();
+    if (index_column >= 0) {
+      shape.index_range = annotation->filter.KeyRangeFor(index_column);
+    }
+  }
   shape.accessed = shape.filter_cols;
   for (int c : shape.proj) {
     if (std::find(shape.accessed.begin(), shape.accessed.end(), c) ==
@@ -34,107 +60,81 @@ QueryShape ResolveShape(const Schema& schema,
       shape.accessed.push_back(c);
     }
   }
-  if (index_column >= 0) {
-    shape.index_range = annotation.filter.KeyRangeFor(index_column);
-  }
   return shape;
 }
 
-/// Logical values-only bytes of one column, from its stats sidecar.
-uint64_t ColumnLogicalBytes(const BlockStats& stats, int column,
-                            double scale) {
-  if (column < 0 || column >= static_cast<int>(stats.columns.size())) {
-    return 0;
-  }
-  return static_cast<uint64_t>(
-      static_cast<double>(stats.columns[static_cast<size_t>(column)]
-                              .value_bytes) *
-      scale);
-}
-
-/// Predicted billed cost of reading one block on \p path — the same
-/// arithmetic the HAIL reader bills at execution time (hail_reader.cc),
-/// fed from stats instead of the opened block. Estimates use node 0's
-/// cost model: path choice only needs relative costs, and a fixed node
-/// keeps plans independent of scheduling.
-double EstimateBlockCost(const hdfs::MiniDfs& dfs, const Schema& schema,
-                         const QueryShape& shape, int index_column,
-                         AccessPath path, const BlockStats& stats,
-                         double sel_index, double sel_combined) {
-  const sim::CostModel& cm = dfs.cluster().node(0).cost();
-  const sim::CostConstants& c = dfs.cluster().constants();
-  const double scale = dfs.config().scale_factor;
-  const uint64_t logical_records = static_cast<uint64_t>(
-      static_cast<double>(stats.num_records) * scale);
-  const uint64_t logical_qualifying = static_cast<uint64_t>(
-      sel_combined * static_cast<double>(logical_records));
-
-  uint64_t bytes = 0;
-  double seeks = 0.0;
-  uint64_t logical_range = 0;
-  if (path == AccessPath::kUnclusteredIndex) {
-    const FieldType key_type = schema.field(index_column).type;
-    bytes += LogicalDenseIndexBytes(logical_records, key_type);
-    seeks += 1.0;
-    const uint64_t logical_candidates = static_cast<uint64_t>(
-        sel_index * static_cast<double>(logical_records));
-    const uint64_t logical_partitions =
-        logical_records / c.index_partition_logical + 1;
-    const uint64_t partitions_touched =
-        std::min<uint64_t>(logical_candidates, logical_partitions);
+ReadCost CostBlockRead(const BlockRead& read, const QueryShape& shape,
+                       const sim::CostModel& disk, const sim::CostModel& cpu,
+                       const sim::CostConstants& c) {
+  const auto column_bytes = [&](int column) -> uint64_t {
+    return column >= 0 && column < static_cast<int>(read.column_bytes.size())
+               ? read.column_bytes[static_cast<size_t>(column)]
+               : 0;
+  };
+  ReadCost out;
+  uint64_t seeks = 1;  // the index, or the one sequential pass
+  if (read.path == AccessPath::kUnclusteredIndex) {
+    // §3.5's unclustered economics: the dense index (one key+rowid entry
+    // per record) is read in full, then every candidate record costs a
+    // random partition-granular access per touched column. Pays off only
+    // for very selective queries — exactly the paper's argument.
+    out.bytes += LogicalDenseIndexBytes(read.records, read.key_type);
+    const uint64_t partitions = read.records / c.index_partition_logical + 1;
+    // Candidates land in random partitions; with n candidates over P
+    // partitions at most min(n, P) distinct partitions are touched.
+    const uint64_t touched = std::min<uint64_t>(read.range_records, partitions);
     for (int colm : shape.accessed) {
-      const uint64_t col_logical = ColumnLogicalBytes(stats, colm, scale);
-      bytes += partitions_touched * (col_logical / logical_partitions);
-      seeks += static_cast<double>(partitions_touched);
+      out.bytes += touched * (column_bytes(colm) / partitions);
+      seeks += touched;
     }
-    logical_range = logical_candidates;
-  } else if (path == AccessPath::kClusteredIndex) {
-    const FieldType key_type = schema.field(index_column).type;
-    bytes += LogicalSparseIndexBytes(logical_records,
-                                     c.index_partition_logical, key_type,
-                                     /*pointer_bytes=*/4);
-    seeks += 1.0;
-    if (sel_index > 0.0) {
+  } else if (read.path == AccessPath::kClusteredIndex) {
+    // Header + index root: read in full, a few KB at paper scale.
+    out.bytes += LogicalSparseIndexBytes(read.records,
+                                         c.index_partition_logical,
+                                         read.key_type, /*pointer_bytes=*/4);
+    if (read.range_fraction > 0.0) {
       for (int colm : shape.accessed) {
-        const uint64_t col_logical = ColumnLogicalBytes(stats, colm, scale);
-        bytes += static_cast<uint64_t>(sel_index *
-                                       static_cast<double>(col_logical));
-        seeks += 1.0;
+        out.bytes += static_cast<uint64_t>(
+            read.range_fraction * static_cast<double>(column_bytes(colm)));
+        ++seeks;  // each minipage slice is a separate extent
       }
     }
-    logical_range = static_cast<uint64_t>(
-        sel_index * static_cast<double>(logical_records));
   } else {
-    for (int colm = 0; colm < static_cast<int>(stats.columns.size());
-         ++colm) {
-      bytes += ColumnLogicalBytes(stats, colm, scale);
+    // Full scan of the PAX replica: every minipage, one pass. Billed on
+    // values-only bytes (the real offset side-cars are scaled-down dense;
+    // at paper scale they are negligible).
+    for (uint64_t bytes : read.column_bytes) out.bytes += bytes;
+    if (read.abandoned_probe) {
+      out.bytes += LogicalDenseIndexBytes(read.records, read.key_type);
+      ++seeks;
     }
-    seeks += 1.0;
-    logical_range = logical_records;
   }
-
-  const double seek_s = c.block_open_ms / 1000.0 + seeks * cm.DiskSeek();
-  const double transfer_s = cm.DiskTransfer(bytes);
-  double cpu_s = cm.Crc(bytes) + cm.PredicateEval(logical_range) +
-                 cm.Reconstruct(logical_qualifying,
-                                static_cast<int>(shape.proj.size())) +
-                 cm.MapCalls(logical_qualifying);
-  if (path == AccessPath::kFullScan) {
-    // Full scans decode every record, not just qualifying ones.
-    cpu_s += cm.Reconstruct(logical_range,
-                            static_cast<int>(stats.columns.size()));
+  out.seek_s =
+      c.block_open_ms / 1000.0 + static_cast<double>(seeks) * disk.DiskSeek();
+  out.transfer_s = disk.DiskTransfer(out.bytes);
+  out.cpu_s = cpu.Crc(out.bytes) + cpu.PredicateEval(read.range_records) +
+              cpu.Reconstruct(read.qualifying,
+                              static_cast<int>(shape.proj.size())) +
+              cpu.MapCalls(read.qualifying);
+  if (read.path == AccessPath::kFullScan) {
+    out.scan_cpu_s = cpu.Reconstruct(
+        read.range_records, static_cast<int>(read.column_bytes.size()));
   }
-  return seek_s + transfer_s + cpu_s;
+  return out;
 }
-
-}  // namespace
 
 FilePlan PlanAccessPaths(const hdfs::MiniDfs& dfs, const Schema& schema,
                          const QueryAnnotation& annotation, int index_column,
                          const std::vector<hdfs::BlockLocation>& blocks) {
   const hdfs::Namenode& nn = dfs.namenode();
   const sim::CostConstants& c = dfs.cluster().constants();
-  const QueryShape shape = ResolveShape(schema, annotation, index_column);
+  const QueryShape shape =
+      ResolveShape(&annotation, schema.num_fields(), index_column);
+  // Stats-based estimates use node 0's cost model: path choice only needs
+  // relative costs, and a fixed node keeps plans independent of
+  // scheduling.
+  const sim::CostModel& cm = dfs.cluster().node(0).cost();
+  const double scale = dfs.config().scale_factor;
 
   FilePlan plan;
   plan.decisions.resize(blocks.size());
@@ -149,12 +149,17 @@ FilePlan PlanAccessPaths(const hdfs::MiniDfs& dfs, const Schema& schema,
       if (parsed.ok()) stats.emplace(std::move(*parsed));
     }
 
-    const bool clustered_alive =
-        index_column >= 0 && shape.index_range.has_value() &&
-        !nn.GetHostsWithIndex(loc.block_id, index_column).empty();
-    const bool unclustered_alive =
-        index_column >= 0 && shape.index_range.has_value() &&
-        !nn.GetHostsWithUnclusteredIndex(loc.block_id, index_column).empty();
+    // The index paths a reader would find, from its own replica order.
+    bool clustered_alive = false;
+    bool unclustered_alive = false;
+    if (shape.index_range.has_value()) {
+      for (const ReplicaCandidate& r :
+           OrderReplicas(nn, loc, index_column, /*with_unclustered=*/true,
+                         /*local_node=*/-1)) {
+        clustered_alive |= r.path == AccessPath::kClusteredIndex;
+        unclustered_alive |= r.path == AccessPath::kUnclusteredIndex;
+      }
+    }
 
     if (!stats.has_value()) {
       // Missing or stale sidecar: worst-case assumptions. Never a skip;
@@ -164,7 +169,6 @@ FilePlan PlanAccessPaths(const hdfs::MiniDfs& dfs, const Schema& schema,
       d.est_selectivity = 1.0;
       d.path = clustered_alive ? AccessPath::kClusteredIndex
                                : AccessPath::kFullScan;
-      const sim::CostModel& cm = dfs.cluster().node(0).cost();
       d.est_cost_seconds = c.block_open_ms / 1000.0 + cm.DiskSeek() +
                            cm.DiskTransfer(loc.logical_bytes) +
                            cm.Crc(loc.logical_bytes);
@@ -216,9 +220,31 @@ FilePlan PlanAccessPaths(const hdfs::MiniDfs& dfs, const Schema& schema,
       d.path = AccessPath::kFullScan;
     }
     d.est_selectivity = sel_combined;
+
+    // Predicted billed cost: the read the HAIL reader would bill on this
+    // path, from stats instead of the opened block.
+    BlockRead read;
+    read.path = d.path;
+    if (d.path != AccessPath::kFullScan) {
+      read.key_type = schema.field(index_column).type;
+    }
+    for (const ColumnStats& col : stats->columns) {
+      read.column_bytes.push_back(static_cast<uint64_t>(
+          static_cast<double>(col.value_bytes) * scale));
+    }
+    read.records = static_cast<uint64_t>(
+        static_cast<double>(stats->num_records) * scale);
+    read.range_records =
+        d.path == AccessPath::kFullScan
+            ? read.records
+            : static_cast<uint64_t>(sel_index *
+                                    static_cast<double>(read.records));
+    read.qualifying = static_cast<uint64_t>(
+        sel_combined * static_cast<double>(read.records));
+    read.range_fraction = sel_index;
+    const ReadCost cost = CostBlockRead(read, shape, cm, cm, c);
     d.est_cost_seconds =
-        EstimateBlockCost(dfs, schema, shape, index_column, d.path, *stats,
-                          sel_index, sel_combined);
+        cost.seek_s + cost.transfer_s + (cost.cpu_s + cost.scan_cpu_s);
     plan.predicted_cost_seconds += d.est_cost_seconds;
   }
   return plan;

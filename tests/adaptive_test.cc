@@ -166,7 +166,7 @@ TEST(ReorgPlannerTest, ShiftToFullScansStopsReorganization) {
   }
   // Regret (a ratio) is still 1.0 — only the absolute weight aged out.
   EXPECT_DOUBLE_EQ(observer.FullScanRegret(), 1.0);
-  EXPECT_LT(observer.TotalWeight(), PlannerOptions().min_workload_weight);
+  EXPECT_LT(observer.TotalWeight(), kMinWorkloadWeight);
   const auto tasks =
       planner.Plan(bed.dfs(), bed.schema(), "/d", observer, &summary);
   EXPECT_TRUE(tasks.empty());

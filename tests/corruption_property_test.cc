@@ -1,9 +1,10 @@
 /// \file corruption_property_test.cc
 /// \brief Corrupted bytes never crash and never silently succeed.
 ///
-/// Serialised PaxBlock / HAIL block / HSTA stats sidecar / clustered and
-/// unclustered index bytes are truncated at every length (covering every section
-/// boundary +- 1) and bit-flipped: the deserialisers must surface a clean
+/// Serialised PaxBlock / HAIL block / HSTA stats sidecar / clustered,
+/// unclustered and trojan index bytes are truncated at every length
+/// (covering every section boundary +- 1) and bit-flipped: the
+/// deserialisers must surface a clean
 /// error — under ASan/UBSan this also proves no out-of-bounds read hides
 /// behind any malformed input.
 /// A structural parse MAY survive a payload bit flip (the bytes are still
@@ -17,12 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "hadooppp/trojan_block.h"
 #include "hail/hail_block.h"
 #include "hdfs/dfs_client.h"
 #include "hdfs/packet.h"
 #include "index/clustered_index.h"
+#include "index/trojan_index.h"
 #include "index/unclustered_index.h"
 #include "layout/pax_block.h"
+#include "layout/row_binary.h"
 #include "planner/block_stats.h"
 #include "util/random.h"
 #include "workload/uservisits.h"
@@ -491,6 +495,143 @@ TEST(ClusteredIndexCorruptionTest, RecordsMustMatchTheBlock) {
   EXPECT_TRUE(index.CheckRowsOf(20).ok());
   EXPECT_TRUE(index.CheckRowsOf(19).IsCorruption());
   EXPECT_TRUE(index.CheckRowsOf(21).IsCorruption());
+}
+
+/// A Hadoop++ trojan block over MakeBlock's rows sorted on \p sort_column:
+/// binary rows plus a trojan directory of 8 rows per entry.
+std::string SerializeTrojan(uint64_t seed, int sort_column) {
+  PaxBlock sorted = MakeBlock(seed, false);
+  sorted.SortByColumn(sort_column);
+  std::vector<ColumnVector> columns;
+  for (int c = 0; c < sorted.num_columns(); ++c) {
+    columns.push_back(sorted.column(c));
+  }
+  RowBinaryBlockBuilder rows(sorted.schema());
+  for (uint32_t r = 0; r < sorted.num_records(); ++r) {
+    rows.AddRowFromColumns(columns, r);
+  }
+  const TrojanIndex index = TrojanIndex::Build(
+      sorted.column(sort_column), rows.row_offsets(), rows.data_bytes(), 8);
+  return hadooppp::BuildTrojanBlock(rows.Finish(), &index, sort_column);
+}
+
+/// Opens a trojan block and decodes its index, as the trojan reader does
+/// before an index scan (the row section is not decoded).
+Status OpenTrojanIndex(std::string_view bytes) {
+  HAIL_ASSIGN_OR_RETURN(hadooppp::TrojanBlockView view,
+                        hadooppp::TrojanBlockView::Open(bytes));
+  HAIL_ASSIGN_OR_RETURN(TrojanIndex index, view.ReadIndex());
+  // A decoded index re-serialises to exactly the bytes it came from.
+  EXPECT_EQ(index.Serialize(), view.index_section());
+  (void)index.Lookup(KeyRange{});
+  return Status::OK();
+}
+
+/// The trojan index of each MakeBlock column (string, date, double and
+/// int32 keys), each over the rows sorted on that column.
+std::vector<std::string> TrojanIndexBytes(uint64_t seed) {
+  std::vector<std::string> out;
+  for (int c = 0; c < 4; ++c) {
+    const std::string block = SerializeTrojan(seed, c);
+    out.emplace_back(hadooppp::TrojanBlockView::Open(block)->index_section());
+  }
+  return out;
+}
+
+TEST_P(CorruptionPropertyTest, TruncatedTrojanIndexAlwaysErrors) {
+  for (const std::string& bytes : TrojanIndexBytes(GetParam())) {
+    ASSERT_TRUE(TrojanIndex::Deserialize(bytes).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(
+          TrojanIndex::Deserialize(std::string_view(bytes).substr(0, len))
+              .ok())
+          << "silent success at truncation length " << len << " of "
+          << bytes.size();
+    }
+  }
+  // Trojan blocks indexed on each key type: every cut through the header
+  // or the index section is an error (the index precedes the rows).
+  for (int sort_column = 0; sort_column < 4; ++sort_column) {
+    const std::string bytes = SerializeTrojan(GetParam(), sort_column);
+    ASSERT_TRUE(OpenTrojanIndex(bytes).ok());
+    const size_t rows_offset =
+        hadooppp::TrojanBlockView::Open(bytes)->rows_offset();
+    for (size_t len = 0; len < rows_offset; ++len) {
+      EXPECT_FALSE(OpenTrojanIndex(std::string_view(bytes).substr(0, len)).ok())
+          << "silent success at truncation length " << len << " of "
+          << rows_offset << " sort_column=" << sort_column;
+    }
+  }
+}
+
+TEST_P(CorruptionPropertyTest, BitFlippedTrojanIndexNeverCrashes) {
+  // Every offset under several masks, so the key-type byte, the rows per
+  // entry and each byte of both counts also take large values. A flip
+  // that still decodes (a key, an offset, or counts that keep the entry
+  // count) must re-serialise to the flipped bytes: nothing of the input
+  // is ignored.
+  for (const std::string& bytes : TrojanIndexBytes(GetParam())) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        auto decoded = TrojanIndex::Deserialize(mutated);
+        if (!decoded.ok()) continue;
+        EXPECT_EQ(decoded->Serialize(), mutated)
+            << "offset " << i << " mask " << mask;
+        (void)decoded->Lookup(KeyRange{});
+      }
+    }
+  }
+  for (int sort_column = 0; sort_column < 4; ++sort_column) {
+    const std::string bytes = SerializeTrojan(GetParam(), sort_column);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int mask : {0x01, 0x10, 0x80}) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        (void)OpenTrojanIndex(mutated);
+      }
+    }
+  }
+}
+
+TEST(TrojanIndexCorruptionTest, UnknownTypeBadCountsAndTrailingBytes) {
+  ColumnVector keys(FieldType::kInt32);
+  std::vector<uint64_t> offsets;
+  for (int32_t v = 0; v < 64; ++v) {
+    keys.Append(Value(v));
+    offsets.push_back(8u * static_cast<uint64_t>(v));
+  }
+  // 64 records at 8 rows per entry: 8 entries. The header is the magic
+  // (bytes 0..3), the key type (4), the rows per entry (5..8), the record
+  // count (9..12), the data bytes (13..20) and the entry count (21..24).
+  const std::string bytes =
+      TrojanIndex::Build(keys, offsets, 512, 8).Serialize();
+  ASSERT_TRUE(TrojanIndex::Deserialize(bytes).ok());
+  const auto rejected = [](const std::string& mutated) {
+    return TrojanIndex::Deserialize(mutated).status().IsCorruption();
+  };
+  // 0x7F names no key type. It used to decode with 0 entries, and every
+  // Lookup then returned rows [0,0).
+  std::string mutated = bytes;
+  mutated[4] = 0x7F;
+  EXPECT_TRUE(rejected(mutated));
+  // An entry count the remaining bytes cannot hold: 0xFFFFFFF0 used to
+  // reserve 32 GB of offsets before the data ran out.
+  mutated = bytes;
+  mutated[21] = static_cast<char>(0xF0);
+  for (size_t i = 22; i < 25; ++i) mutated[i] = static_cast<char>(0xFF);
+  EXPECT_TRUE(rejected(mutated));
+  // 7 entries for 64 records ...
+  mutated = bytes;
+  mutated[21] = 7;
+  EXPECT_TRUE(rejected(mutated));
+  // ... and 72 records, which need 9 entries, over 8 entries.
+  mutated = bytes;
+  mutated[9] = 72;
+  EXPECT_TRUE(rejected(mutated));
+  // Trailing bytes are not silently dropped.
+  EXPECT_TRUE(rejected(bytes + '\0'));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionPropertyTest,

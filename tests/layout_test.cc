@@ -194,21 +194,6 @@ TEST(PaxBlockViewTest, EmptyBlock) {
   EXPECT_EQ(view->num_records(), 0u);
 }
 
-TEST(PaxBlockViewTest, ColumnReadEstimates) {
-  const Schema schema = MixedSchema();
-  BlockFormatOptions options;
-  options.varlen_partition_size = 10;
-  PaxBlock block = BuildPaxBlockFromText(schema, MakeText(100, 7), options);
-  const std::string bytes = block.Serialize();
-  auto view = PaxBlockView::Open(bytes);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->EstimateColumnReadBytes(0, 0), 0u);
-  EXPECT_EQ(view->EstimateColumnReadBytes(0, 100), view->column_bytes(0));
-  EXPECT_EQ(view->EstimateColumnReadBytes(0, 1000), view->column_bytes(0));
-  EXPECT_GT(view->EstimateColumnReadBytes(0, 1), 0u);
-  EXPECT_LT(view->EstimateColumnReadBytes(0, 1), view->column_bytes(0));
-}
-
 // ---------------------------------------------------------------------------
 // Encoded minipages (format v3)
 // ---------------------------------------------------------------------------

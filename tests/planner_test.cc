@@ -323,7 +323,7 @@ TEST(PlanCacheTest, StatsBackfillRidesTheMaintenanceQueue) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: legacy estimator untouched, planner-fed behind a knob
+// Admission control: a plan cache does not change unplanned sessions
 // ---------------------------------------------------------------------------
 
 TEST(AdmissionTest, PlanCachePresenceDoesNotChangeUnplannedSessions) {
@@ -353,41 +353,6 @@ TEST(AdmissionTest, PlanCachePresenceDoesNotChangeUnplannedSessions) {
   // Unplanned plans carry no planning CPU, so caching them is invisible:
   // every simulated number of the session must be bit-identical.
   EXPECT_EQ(dumps[0], dumps[1]);
-}
-
-TEST(AdmissionTest, PlannerFedProjectionShedsBeforeAnyTaskCompletes) {
-  for (const bool planner_fed : {false, true}) {
-    Testbed bed(SmallConfig());
-    bed.LoadUserVisits();
-    ASSERT_TRUE(bed.UploadHail("/uv", {workload::kVisitDate}).ok());
-    const QueryDef scan{"Scan", "@4 between(1,10)", "{@1,@4}", 1.7e-2};
-
-    SessionOptions opt;
-    AdmissionControl ac;
-    ac.shed_wait_s = 0.05;
-    opt.queue_admission = {{"q", ac}};
-    opt.admission_from_planner = planner_fed;
-    ClusterSession session(&bed.dfs(), opt);
-    // Two heavy planned tenants at time 0; a third arrives at t=5s, before
-    // any task completed (job startup alone is 8s).
-    session.Submit(QueryJob(bed, "/uv", scan, /*use_planner=*/true), "q");
-    session.Submit(QueryJob(bed, "/uv", scan, /*use_planner=*/true), "q");
-    session.Submit(QueryJob(bed, "/uv", scan, /*use_planner=*/true), "q",
-                   5.0);
-    auto sr = session.Run();
-    ASSERT_TRUE(sr.ok()) << sr.status().ToString();
-    if (planner_fed) {
-      // The planner's predicted costs project a wait over the shed bound
-      // with zero completed-task history.
-      EXPECT_TRUE(sr->jobs[2].status().IsOverloaded())
-          << sr->jobs[2].status().ToString();
-      EXPECT_EQ(sr->jobs_shed, 1u);
-    } else {
-      // Legacy estimator: no completed task yet, no projection, admit.
-      ASSERT_TRUE(sr->jobs[2].ok()) << sr->jobs[2].status().ToString();
-      EXPECT_EQ(sr->jobs_shed, 0u);
-    }
-  }
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ ConvergenceRun RunConvergenceSession(ExecutionMode mode, bool adapt) {
   EXPECT_TRUE(bed.UploadHail("/d", {workload::kVisitDate}).ok());
   adaptive::AdaptiveConfig config;
   config.planner.regret_threshold = 0.2;
-  config.planner.incremental_first = false;
+  config.planner.escalate_after_rounds = 0;
   adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d", config);
   ConvergenceRun run;
   SessionOptions opt;
@@ -1146,6 +1146,68 @@ TEST(ClusterSessionTest, PreemptionSerialEqualsParallel) {
       RunPreemptionScenario(ExecutionMode::kParallel, true, nullptr);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(crc32c::Extend(0, serial.data(), serial.size()), 0xd266f92bu);
+}
+
+// ---------------------------------------------------------------------------
+// Fair-share accounting across speculation and a node death
+// ---------------------------------------------------------------------------
+
+/// Node 1 runs 8x slow, so its tasks get speculative twins, and dies at
+/// t = 20 s. Queue a runs Bob-Q4 alone first; at t = 80 s queues a and b
+/// (equal weights) each submit it again and share the three surviving
+/// nodes. Every attempt that ends must leave its queue's running count —
+/// also a speculation loser whose node died — or kFair picks and
+/// preemption keep reading a as busier than it is.
+SessionResult RunSpeculationDeathSession(ExecutionMode mode) {
+  TestbedConfig config = SmallConfig(3);
+  config.logical_block_bytes = 64ull * 1024 * 1024;  // scale 8192
+  config.blocks_per_node = 4;
+  Testbed bed(config);
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {}).ok());
+  SessionOptions opt;
+  opt.execution = mode;
+  opt.policy = SchedulerPolicy::kFair;
+  opt.speculative_execution = true;
+  opt.fault_plan.slow_nodes.push_back({.node = 1, .factor = 8.0});
+  opt.fault_plan.kills.push_back({.node = 1, .at_time = 20.0});
+  const QueryDef q4 = workload::BobQueries()[3];
+  ClusterSession session(&bed.dfs(), opt);
+  session.Submit(QueryJob(bed, "/d", q4), "a");
+  session.Submit(QueryJob(bed, "/d", q4), "a", 80.0);
+  session.Submit(QueryJob(bed, "/d", q4), "b", 80.0);
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  if (!sr.ok()) return SessionResult();
+  for (const auto& job : sr->jobs) {
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+  }
+  return *sr;
+}
+
+TEST(ClusterSessionTest, SpeculationLosersOnADeadNodeReleaseTheirShare) {
+  const SessionResult serial =
+      RunSpeculationDeathSession(ExecutionMode::kSerial);
+  const SessionResult parallel =
+      RunSpeculationDeathSession(ExecutionMode::kParallel);
+  EXPECT_EQ(DumpSession(serial), DumpSession(parallel));
+  EXPECT_GT(serial.speculative_attempts, 0u);
+  ASSERT_EQ(serial.queues.size(), 2u);
+  const QueueUsage& a = serial.queues[0];
+  const QueueUsage& b = serial.queues[1];
+  ASSERT_EQ(a.queue, "a");
+  ASSERT_EQ(b.queue, "b");
+  ASSERT_GT(a.contended_slot_seconds, 0.0);
+  ASSERT_GT(b.contended_slot_seconds, 0.0);
+  // Equal weights: the contended window splits about evenly. A leaked
+  // running count on a gives b about twice a's slot-seconds.
+  const double ratio =
+      std::max(a.contended_slot_seconds, b.contended_slot_seconds) /
+      std::min(a.contended_slot_seconds, b.contended_slot_seconds);
+  EXPECT_LE(ratio, 1.25) << "a " << a.contended_tasks << " tasks / "
+                         << a.contended_slot_seconds << " s, b "
+                         << b.contended_tasks << " tasks / "
+                         << b.contended_slot_seconds << " s";
 }
 
 // ---------------------------------------------------------------------------
