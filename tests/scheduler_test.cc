@@ -1211,6 +1211,153 @@ TEST(ClusterSessionTest, SpeculationLosersOnADeadNodeReleaseTheirShare) {
 }
 
 // ---------------------------------------------------------------------------
+// Attempt paths: duplicates, race losers, node deaths and failed reads
+// ---------------------------------------------------------------------------
+
+struct AttemptRun {
+  SessionResult result;
+  std::string dump;
+  std::string trace;
+};
+
+/// Five nodes; node 1 runs `slow`x slow, so its tasks get speculative
+/// duplicates. Under kFair with speculation on, queue a runs Bob-Q4 at
+/// t = 0 and queue b at t = 10 s; `faults` adds kills or corruptions. Each
+/// recipe below steers a task's attempts into one combination of a win, a
+/// loss, a death and a failed read.
+AttemptRun RunAttemptSession(ExecutionMode mode, double slow,
+                             sim::FaultPlan faults,
+                             uint64_t logical_block_bytes) {
+  TestbedConfig config = SmallConfig(3);
+  config.num_nodes = 5;
+  config.logical_block_bytes = logical_block_bytes;
+  config.blocks_per_node = 4;
+  Testbed bed(config);
+  bed.LoadUserVisits();
+  EXPECT_TRUE(bed.UploadHail("/d", {}).ok());
+  obs::Tracer tracer;
+  SessionOptions opt;
+  opt.execution = mode;
+  opt.policy = SchedulerPolicy::kFair;
+  opt.speculative_execution = true;
+  opt.tracer = &tracer;
+  opt.fault_plan = std::move(faults);
+  opt.fault_plan.slow_nodes.push_back({.node = 1, .factor = slow});
+  const QueryDef q4 = workload::BobQueries()[3];
+  ClusterSession session(&bed.dfs(), opt);
+  session.Submit(QueryJob(bed, "/d", q4), "a");
+  session.Submit(QueryJob(bed, "/d", q4), "b", 10.0);
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  AttemptRun run;
+  if (!sr.ok()) return run;
+  run.result = *sr;
+  run.dump = DumpSession(*sr);
+  run.trace = tracer.ToChromeJson();
+  return run;
+}
+
+/// Runs a recipe serially and in parallel; both runs must reproduce the
+/// pinned session dump and Chrome trace. Returns the serial result.
+SessionResult ExpectAttemptSessionPinned(double slow,
+                                         const sim::FaultPlan& faults,
+                                         uint64_t logical_block_bytes,
+                                         uint32_t dump_crc,
+                                         uint32_t trace_crc) {
+  const AttemptRun serial = RunAttemptSession(ExecutionMode::kSerial, slow,
+                                              faults, logical_block_bytes);
+  const AttemptRun parallel = RunAttemptSession(
+      ExecutionMode::kParallel, slow, faults, logical_block_bytes);
+  EXPECT_EQ(serial.dump, parallel.dump);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  for (const AttemptRun* run : {&serial, &parallel}) {
+    EXPECT_EQ(crc32c::Extend(0, run->dump.data(), run->dump.size()),
+              dump_crc);
+    EXPECT_EQ(crc32c::Extend(0, run->trace.data(), run->trace.size()),
+              trace_crc);
+  }
+  return serial.result;
+}
+
+constexpr uint64_t kAttemptBlockBytes = 64ull * 1024 * 1024;
+
+/// The corruptions of the failed-read recipes: block 9 (mod holdings) of
+/// nodes 0, 1 and 4.
+sim::FaultPlan CorruptNinthBlocks(sim::SimTime at) {
+  sim::FaultPlan faults;
+  for (int node : {0, 1, 4}) {
+    faults.corruptions.push_back({.node = node, .nth_block = 9, .at_time = at});
+  }
+  return faults;
+}
+
+void ExpectJobsOk(const SessionResult& r) {
+  ASSERT_EQ(r.jobs.size(), 2u);
+  for (const auto& job : r.jobs) {
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+  }
+}
+
+TEST(AttemptPathTest, DuplicateLosesToItsPrimary) {
+  const SessionResult r = ExpectAttemptSessionPinned(
+      2.0, {}, kAttemptBlockBytes, 0xcd3539fbu, 0xc28d68c8u);
+  EXPECT_GT(r.speculative_attempts, 0u);
+  EXPECT_EQ(r.speculative_wins, 0u);
+  ExpectJobsOk(r);
+}
+
+/// Node 3 dies at t = 20 s while it runs a race loser and a primary whose
+/// duplicate lives on elsewhere.
+TEST(AttemptPathTest, LoserAndDuplicateOutliveADeadNode) {
+  sim::FaultPlan faults;
+  faults.kills.push_back({.node = 3, .at_time = 20.0});
+  const SessionResult r = ExpectAttemptSessionPinned(
+      8.0, faults, kAttemptBlockBytes, 0x6c87ab3bu, 0x762d6046u);
+  EXPECT_GT(r.speculative_wins, 0u);
+  EXPECT_EQ(r.task_retries, 0u);
+  ExpectJobsOk(r);
+}
+
+TEST(AttemptPathTest, DuplicateDiesWhileItsPrimaryRuns) {
+  sim::FaultPlan faults;
+  faults.kills.push_back({.node = 0, .at_time = 43.0});
+  const SessionResult r = ExpectAttemptSessionPinned(
+      30.0, faults, kAttemptBlockBytes, 0x89549d63u, 0xbe44d542u);
+  EXPECT_GT(r.speculative_attempts, r.speculative_wins);
+  ExpectJobsOk(r);
+}
+
+/// The duplicate reads a block corrupted on every holder after its primary
+/// read it: the failed duplicate ends, and the primary finishes unretried.
+TEST(AttemptPathTest, DuplicateReadFailsWhileItsPrimaryRuns) {
+  const SessionResult r = ExpectAttemptSessionPinned(
+      30.0, CorruptNinthBlocks(30.0), kAttemptBlockBytes, 0x6d49eff3u,
+      0x34fec30au);
+  EXPECT_GT(r.speculative_attempts, r.speculative_wins);
+  EXPECT_EQ(r.task_retries, 0u);
+  ExpectJobsOk(r);
+}
+
+/// Both jobs read the corrupted block until the retry cap fails them,
+/// while their sibling tasks and a duplicate still run.
+TEST(AttemptPathTest, JobsFailAtTheRetryCapWithAttemptsInFlight) {
+  for (const auto& [slow, dump_crc, trace_crc] :
+       {std::tuple<double, uint32_t, uint32_t>{4.0, 0xb7d1bb1eu, 0x098f857du},
+        std::tuple<double, uint32_t, uint32_t>{2.0, 0x2c722a9bu,
+                                               0x91885775u}}) {
+    const SessionResult r = ExpectAttemptSessionPinned(
+        slow, CorruptNinthBlocks(1.0), 1024ull * 1024 * 1024, dump_crc,
+        trace_crc);
+    EXPECT_GT(r.task_retries, 0u);
+    EXPECT_GT(r.speculative_attempts, r.speculative_wins);
+    ASSERT_EQ(r.jobs.size(), 2u);
+    for (const auto& job : r.jobs) {
+      EXPECT_TRUE(job.status().IsUnavailable()) << job.status().ToString();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Retry/backoff policy: 4 attempts, 10 s doubling to 60 s
 // ---------------------------------------------------------------------------
 
