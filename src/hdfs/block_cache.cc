@@ -133,15 +133,6 @@ BlockCacheStats BlockCache::stats() const {
   return out;
 }
 
-size_t BlockCache::entry_count() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
-}
-
 size_t BlockCache::entry_count_for(int datanode) const {
   size_t n = 0;
   for (const Shard& shard : shards_) {

@@ -113,9 +113,6 @@ class BlockCache {
   /// Snapshot of the monotonic counters.
   BlockCacheStats stats() const;
 
-  /// Live entries across all shards (test hook).
-  size_t entry_count() const;
-
   /// Live entries for one datanode (test hook: must be 0 after a kill —
   /// a dead node's replicas are never served from cache).
   size_t entry_count_for(int datanode) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hdfs/packet.h"
-#include "util/logging.h"
 
 namespace hail {
 namespace hdfs {

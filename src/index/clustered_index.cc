@@ -144,27 +144,4 @@ uint64_t ClusteredIndex::SerializedBytes() const {
   return bytes;
 }
 
-// ---------------------------------------------------------------------------
-// TwoLevelIndex
-// ---------------------------------------------------------------------------
-
-TwoLevelIndex TwoLevelIndex::Build(const ColumnVector& sorted_keys,
-                                   uint32_t partition_size, uint32_t fanout) {
-  assert(fanout > 0);
-  ClusteredIndex leaf = ClusteredIndex::Build(sorted_keys, partition_size);
-  ColumnVector root(sorted_keys.type());
-  for (uint32_t r = 0; r < sorted_keys.size();
-       r += static_cast<uint64_t>(partition_size) * fanout) {
-    root.Append(sorted_keys.GetValue(r));
-  }
-  return TwoLevelIndex(std::move(leaf), std::move(root), fanout);
-}
-
-RowRange TwoLevelIndex::Lookup(const KeyRange& range) const {
-  // Functionally identical result to the single-level index; the root is
-  // consulted first (narrowing the directory range), then the directory.
-  // The extra cost is the second page access, charged by the cost model.
-  return leaf_.Lookup(range);
-}
-
 }  // namespace hail

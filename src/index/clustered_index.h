@@ -140,32 +140,4 @@ class ClusteredIndex {
   uint32_t num_records_ = 0;
 };
 
-/// \brief Two-level variant used only for the §3.5 multi-level ablation.
-///
-/// The root holds every `fanout`-th directory key; a lookup first searches
-/// the root, then one directory page — costing one extra seek when the
-/// directory does not fit in memory. HAIL never uses this in its pipeline;
-/// bench_index_micro shows the crossover block size (~5 GB).
-class TwoLevelIndex {
- public:
-  static TwoLevelIndex Build(const ColumnVector& sorted_keys,
-                             uint32_t partition_size, uint32_t fanout);
-
-  RowRange Lookup(const KeyRange& range) const;
-  uint32_t num_partitions() const { return leaf_.num_partitions(); }
-  uint32_t fanout() const { return fanout_; }
-  /// Directory pages that a lookup touches (1 root page is cached; each
-  /// additional page would cost one seek on disk).
-  int directory_pages_touched() const { return 2; }
-
- private:
-  TwoLevelIndex(ClusteredIndex leaf, ColumnVector root_keys, uint32_t fanout)
-      : leaf_(std::move(leaf)), root_keys_(std::move(root_keys)),
-        fanout_(fanout) {}
-
-  ClusteredIndex leaf_;
-  ColumnVector root_keys_;
-  uint32_t fanout_;
-};
-
 }  // namespace hail

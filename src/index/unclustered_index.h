@@ -1,12 +1,16 @@
 /// \file unclustered_index.h
-/// \brief Dense unclustered index — the §3.5 ablation, not used by HAIL.
+/// \brief Dense unclustered index: one (key, rowid) entry per record.
 ///
-/// The paper explains why HAIL rejects unclustered indexes: they are dense
-/// by definition (one entry per record, ~10-20% of the block size), cost
-/// more write I/O at upload, and trigger random I/O per qualifying record
-/// at query time, so they only pay off for very selective queries.
-/// bench_index_micro quantifies all three claims against the clustered
-/// index.
+/// HAIL's upload never builds one. The paper (§3.5) rejects unclustered
+/// indexes there: they are dense by definition (~10-20% of the block
+/// size), cost more write I/O at upload, and trigger random I/O per
+/// qualifying record at query time, so they only pay off for very
+/// selective queries. Adaptive indexing installs one on a replica's hot
+/// column (adaptive::MaintenanceTask::Kind::kInstallUnclustered), and the
+/// HAIL reader probes it when no live replica is clustered on the filter
+/// column. bench_index_micro times its lookup and compares its size and
+/// modelled query I/O with the clustered index; it does not measure the
+/// upload write cost.
 
 #pragma once
 

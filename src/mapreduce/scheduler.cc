@@ -39,6 +39,7 @@ int SlotScheduler::QueueIndex(const std::string& name) {
   q.name = name;
   auto it = weights_.find(name);
   q.weight = it != weights_.end() && it->second > 0.0 ? it->second : 1.0;
+  weight_sum_ += q.weight;
   queues_.push_back(std::move(q));
   pending_jobs_.emplace_back();
   return static_cast<int>(queues_.size()) - 1;
@@ -83,6 +84,16 @@ void SlotScheduler::OnTaskFinished(int job) {
   if (running > 0) running -= 1;
 }
 
+double SlotScheduler::Share(int queue) const {
+  const QueueState& q = queues_[static_cast<size_t>(queue)];
+  return static_cast<double>(q.running) / q.weight;
+}
+
+double SlotScheduler::EntitledSlots(int queue, int total_slots) const {
+  return static_cast<double>(total_slots) *
+         queues_[static_cast<size_t>(queue)].weight / weight_sum_;
+}
+
 int SlotScheduler::queue_of(int job) const {
   return jobs_[static_cast<size_t>(job)].queue;
 }
@@ -123,8 +134,7 @@ int SlotScheduler::PickNextJob(sim::SimTime now) const {
   double best_deficit = 0.0;
   for (size_t q = 0; q < queues_.size(); ++q) {
     if (pending_jobs_[q].empty()) continue;
-    const double deficit =
-        static_cast<double>(queues_[q].running) / queues_[q].weight;
+    const double deficit = Share(static_cast<int>(q));
     if (best_queue < 0 || deficit < best_deficit) {
       best_queue = static_cast<int>(q);
       best_deficit = deficit;
@@ -144,16 +154,28 @@ namespace {
 
 enum class TaskStatus { kPending, kRunning, kDone };
 
+/// One running copy of a task: it holds a map slot on `node` from `start`
+/// until its completion event, or until the failure detector ends it.
+struct Attempt {
+  /// From TaskState::attempt_serial, so a duplicate never aliases a retry.
+  int id = 0;
+  int node = -1;
+  sim::SimTime start = 0.0;
+  /// Another copy of the task already won; this one only returns its slot.
+  bool lost = false;
+};
+
 struct TaskState {
   const InputSplit* split = nullptr;            // query tasks
   const UploadJobSpec::File* file = nullptr;    // upload tasks
   TaskStatus status = TaskStatus::kPending;
-  /// Attempt id of the current primary attempt; ids come from
-  /// `attempt_serial` so a speculative duplicate never aliases a retry.
-  int attempt = 0;
   int attempt_serial = 0;
-  int run_on = -1;
-  sim::SimTime assign_time = 0.0;  // of the latest attempt
+  /// Running copies, in start order. The first one not lost is the task's
+  /// own attempt; a second one is its speculative duplicate (the first
+  /// completion wins).
+  std::vector<Attempt> attempts;
+  /// The node whose map output a kDone task kept.
+  int output_node = -1;
   /// Instant the task last became pending (activation, requeue, backoff
   /// release, preemption); the preemption trigger measures catch-up wait
   /// against it.
@@ -162,15 +184,7 @@ struct TaskState {
   /// True while a retryable failure waits out its backoff (the task is
   /// in neither the pending index nor any slot).
   bool awaiting_backoff = false;
-  // Speculative execution: one duplicate attempt may run concurrently
-  // with the primary; the first completion wins, the other attempt only
-  // returns its slot (loser_* bookkeeping).
-  int spec_attempt = 0;  // 0 = no duplicate in flight
-  int spec_node = -1;
-  sim::SimTime spec_assign_time = 0.0;
   bool speculated = false;  // a task is speculated at most once
-  int loser_attempt = 0;
-  int loser_node = -1;
   // Statistics and output of the last *successful* attempt.
   std::unique_ptr<MapOutput> output;
   ReadStats stats;
@@ -183,6 +197,18 @@ struct TaskState {
   // Fair-share accounting: whether the latest assignment happened under
   // cross-queue contention, accumulated slot occupancy.
   bool contended = false;
+  /// Index in `attempts` of the first attempt not lost; attempts.size()
+  /// when none is live.
+  size_t own() const {
+    size_t i = 0;
+    while (i < attempts.size() && attempts[i].lost) ++i;
+    return i;
+  }
+  size_t live_attempts() const {
+    return static_cast<size_t>(
+        std::count_if(attempts.begin(), attempts.end(),
+                      [](const Attempt& a) { return !a.lost; }));
+  }
   const std::vector<int>& preferred_nodes() const {
     static const std::vector<int> kNone;
     if (split != nullptr) return split->preferred_nodes;
@@ -388,10 +414,19 @@ struct SessionEngine {
   /// Files planner output into the per-node maintenance queues.
   void EnqueueMaintTasks(std::vector<adaptive::MaintenanceTask> tasks);
   void MaintenanceBeat(int node, int assigned);
-  void OnTaskComplete(int j, size_t task_id, int attempt, int node,
-                      double rr_seconds,
+  /// Schedules an out-of-band heartbeat of `node`: a freed slot asks for
+  /// work shortly instead of waiting for the periodic beat.
+  void Kick(int node);
+  /// Every attempt starts here (taking a slot and the queue's running
+  /// count) and ends in EndAttempt, which gives both back; the slot only
+  /// while the node is alive. Returns the new attempt's id.
+  int StartAttempt(int j, size_t task_id, int node);
+  void EndAttempt(int j, size_t task_id, size_t index);
+  /// Makes the task pending again and visible to the scheduler.
+  void Requeue(int j, size_t task_id);
+  void OnTaskComplete(int j, size_t task_id, int attempt, double rr_seconds,
                       const std::shared_ptr<ReadOutcome>& outcome);
-  void HandleFailedAttempt(int j, size_t task_id, int attempt, int node,
+  void HandleFailedAttempt(int j, size_t task_id, size_t index,
                            const Status& st);
   void OnFailureDetected(int node);
   void AssignTask(int j, size_t task_id, int node);
@@ -559,18 +594,8 @@ bool SessionEngine::ShedIfOverloaded(int j) {
           backlog_tasks += other.tasks.size();
         }
       }
-      const std::vector<SlotScheduler::QueueState>& queues =
-          scheduler.queues();
-      double weight_sum = 0.0;
-      for (const SlotScheduler::QueueState& qs : queues) {
-        weight_sum += qs.weight > 0.0 ? qs.weight : 1.0;
-      }
-      const double own = queues[static_cast<size_t>(q)].weight > 0.0
-                             ? queues[static_cast<size_t>(q)].weight
-                             : 1.0;
-      const double entitled = total_slots * own / weight_sum;
-      const double projected =
-          static_cast<double>(backlog_tasks) * mean_ss / entitled;
+      const double projected = static_cast<double>(backlog_tasks) * mean_ss /
+                               scheduler.EntitledSlots(q, total_slots);
       if (projected > ac.shed_wait_s) {
         char wait[32];
         std::snprintf(wait, sizeof(wait), "%.1f", projected);
@@ -589,14 +614,24 @@ void SessionEngine::ActivateJob(int j) {
   if (job.phase != JobExec::Phase::kStarting) return;
   job.phase = JobExec::Phase::kActive;
   job.pending = PendingTaskIndex(dfs->cluster().num_nodes());
-  for (size_t i = 0; i < job.tasks.size(); ++i) {
-    job.tasks[i].pending_since = events.Now();
-    job.pending.Push(i, job.tasks[i].preferred_nodes());
-  }
-  foreground_pending += job.tasks.size();
-  scheduler.SetPending(j, job.pending.size());
+  for (size_t i = 0; i < job.tasks.size(); ++i) Requeue(j, i);
   // No immediate poke: the next TaskTracker heartbeat (periodic or
   // out-of-band) picks the work up, like a real JobTracker.
+}
+
+void SessionEngine::Requeue(int j, size_t task_id) {
+  JobExec& job = jobs[static_cast<size_t>(j)];
+  TaskState& task = job.tasks[task_id];
+  task.status = TaskStatus::kPending;
+  task.pending_since = events.Now();
+  job.pending.Push(task_id, task.preferred_nodes());
+  ++foreground_pending;
+  scheduler.SetPending(j, job.pending.size());
+}
+
+void SessionEngine::Kick(int node) {
+  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
+                       [this, node] { Heartbeat(node); });
 }
 
 void SessionEngine::FailJob(int j, Status st) {
@@ -656,16 +691,13 @@ void SessionEngine::ObserveOnline(int j) {
   if (session_done && first_error.ok()) {
     // The cluster may already be idle: kick the nodes that just got work
     // (mid-session the periodic beats pick it up).
-    std::vector<int> kick;
+    std::vector<int> nodes;
     for (size_t mid = before; mid < maint.size(); ++mid) {
-      kick.push_back(maint[mid].task.datanode);
+      nodes.push_back(maint[mid].task.datanode);
     }
-    std::sort(kick.begin(), kick.end());
-    kick.erase(std::unique(kick.begin(), kick.end()), kick.end());
-    for (int node : kick) {
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, node] { Heartbeat(node); });
-    }
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    for (int node : nodes) Kick(node);
   }
 }
 
@@ -721,10 +753,7 @@ void SessionEngine::CheckSessionDone() {
     const bool has_work =
         !maint_by_node[n].empty() ||
         (n < repairs_by_node.size() && !repairs_by_node[n].empty());
-    if (!has_work) continue;
-    const int idle_node = static_cast<int>(n);
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, idle_node] { Heartbeat(idle_node); });
+    if (has_work) Kick(static_cast<int>(n));
   }
 }
 
@@ -807,25 +836,11 @@ void SessionEngine::MaybePreempt() {
   }
   const sim::SimTime now = events.Now();
   const std::vector<SlotScheduler::QueueState>& queues = scheduler.queues();
-  const auto share_of = [&](int q) {
-    const SlotScheduler::QueueState& qs = queues[static_cast<size_t>(q)];
-    return qs.running / (qs.weight > 0.0 ? qs.weight : 1.0);
-  };
   // Starved queue: running strictly below its fair-share entitlement,
   // with a runnable pending task older than the catch-up deadline. The
   // entitlement gate matters: an over-share queue whose *excess* tasks
   // queue up behind its own running ones is backlogged, not starved.
   // Lowest queue index wins ties (registration order).
-  double weight_sum = 0.0;
-  for (const SlotScheduler::QueueState& qs : queues) {
-    weight_sum += qs.weight > 0.0 ? qs.weight : 1.0;
-  }
-  const auto entitled = [&](int q) {
-    const SlotScheduler::QueueState& qs = queues[static_cast<size_t>(q)];
-    const double w = qs.weight > 0.0 ? qs.weight : 1.0;
-    return static_cast<double>(total_slots) * w /
-           (weight_sum > 0.0 ? weight_sum : 1.0);
-  };
   int starved = -1;
   for (const JobExec& job : jobs) {
     if (job.phase != JobExec::Phase::kActive || job.pending.size() == 0)
@@ -833,7 +848,7 @@ void SessionEngine::MaybePreempt() {
     const int q = scheduler.queue_of(job.id);
     if (starved >= 0 && q >= starved) continue;
     if (static_cast<double>(queues[static_cast<size_t>(q)].running) >=
-        entitled(q)) {
+        scheduler.EntitledSlots(q, total_slots)) {
       continue;
     }
     for (const TaskState& t : job.tasks) {
@@ -847,17 +862,18 @@ void SessionEngine::MaybePreempt() {
   // Victim queue: the most over-share queue (highest running/weight)
   // strictly above the starved queue's share. Ties: lowest queue index.
   int victim_q = -1;
-  double victim_share = share_of(starved);
+  double victim_share = scheduler.Share(starved);
   for (size_t q = 0; q < queues.size(); ++q) {
     if (static_cast<int>(q) == starved || queues[q].running == 0) continue;
-    if (share_of(static_cast<int>(q)) > victim_share) {
+    if (scheduler.Share(static_cast<int>(q)) > victim_share) {
       victim_q = static_cast<int>(q);
-      victim_share = share_of(static_cast<int>(q));
+      victim_share = scheduler.Share(static_cast<int>(q));
     }
   }
   if (victim_q < 0) return;
   // Victim task: the most recently assigned running query task of that
-  // queue (least sunk work wasted); ties break on lowest (job, task).
+  // queue (least sunk work wasted); ties break on lowest (job, task). A
+  // task with a duplicate is left to its own race.
   int vj = -1;
   size_t vt = 0;
   sim::SimTime latest = 0.0;
@@ -869,46 +885,38 @@ void SessionEngine::MaybePreempt() {
     }
     for (size_t t = 0; t < job.tasks.size(); ++t) {
       const TaskState& task = job.tasks[t];
-      if (task.status != TaskStatus::kRunning) continue;
-      if (task.spec_attempt != 0) continue;  // speculation has its own race
-      if (task.run_on < 0 || !dfs->cluster().node(task.run_on).alive())
+      if (task.status != TaskStatus::kRunning || task.live_attempts() != 1)
         continue;
-      if (vj < 0 || task.assign_time > latest) {
+      const Attempt& own = task.attempts[task.own()];
+      if (!dfs->cluster().node(own.node).alive()) continue;
+      if (vj < 0 || own.start > latest) {
         vj = job.id;
         vt = t;
-        latest = task.assign_time;
+        latest = own.start;
       }
     }
   }
   if (vj < 0) return;
   JobExec& job = jobs[static_cast<size_t>(vj)];
-  TaskState& task = job.tasks[vt];
-  const int node = task.run_on;
-  // Requeue the attempt. The in-flight completion callback goes stale: the
-  // status check (and attempt bump at reassignment) makes it a no-op, so
-  // no result is double-counted and the slot is freed exactly once — here.
-  // Deliberately NOT counted as a reschedule: preemption is the
-  // scheduler's choice, not a task failure, so it neither consumes retry
-  // attempts nor inflates a later failure's backoff.
-  task.status = TaskStatus::kPending;
-  task.run_on = -1;
-  task.pending_since = now;
-  job.pending.Push(vt, task.preferred_nodes());
-  ++foreground_pending;
-  scheduler.SetPending(vj, job.pending.size());
-  scheduler.OnTaskFinished(vj);
-  free_slots[static_cast<size_t>(node)] += 1;
-  const double wasted = now - task.assign_time;
+  const size_t index = job.tasks[vt].own();
+  const Attempt own = job.tasks[vt].attempts[index];
+  // End the attempt and requeue the task; the attempt's completion event
+  // finds no record and does nothing. Deliberately NOT counted as a
+  // reschedule: preemption is the scheduler's choice, not a task failure,
+  // so it neither consumes retry attempts nor inflates a later failure's
+  // backoff.
+  EndAttempt(vj, vt, index);
+  Requeue(vj, vt);
+  const double wasted = now - own.start;
   // The preempted slot time is billed to the victim tenant's cost ledger:
   // the cluster did the work, the queue's own overdraft caused its loss.
   job.waste_ledger.Bill(obs::CostBucket::kWastedPreemption, wasted);
   job.waste_seconds += wasted;
   if (tracing()) {
-    const uint64_t sp = tracer->AddSpan("preemption", "sched",
-                                        task.assign_time, wasted, job.span,
-                                        /*lane=*/node);
+    const uint64_t sp = tracer->AddSpan("preemption", "sched", own.start,
+                                        wasted, job.span, /*lane=*/own.node);
     tracer->Attr(sp, "task", static_cast<uint64_t>(vt));
-    tracer->Attr(sp, "node", static_cast<int64_t>(node));
+    tracer->Attr(sp, "node", static_cast<int64_t>(own.node));
     tracer->Attr(sp, "wasted_slot_seconds", wasted);
   }
   QueueUsage& u = result.queues[static_cast<size_t>(victim_q)];
@@ -918,8 +926,7 @@ void SessionEngine::MaybePreempt() {
   result.preempted_slot_seconds += wasted;
   // The freed slot goes to whoever the policy now favors (the starved
   // queue, by construction) on the next beat.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(own.node);
 }
 
 void SessionEngine::MaintenanceBeat(int node, int assigned) {
@@ -1015,8 +1022,7 @@ void SessionEngine::OnMaintenanceComplete(size_t mid, int node) {
   }
   commits.push_back([this, mid] { CommitMaintenance(mid); });
   // The freed slot asks for more work (maintenance or requeued foreground).
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
 }
 
 void SessionEngine::CommitMaintenance(size_t mid) {
@@ -1055,13 +1061,9 @@ void SessionEngine::IngestRepairs() {
     const size_t rid = repairs.size();
     if (r.target >= 0) {
       repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-      if (session_done) {
-        // Mid-session the periodic beats pick the repair up; after the
-        // last job only an explicit kick reaches the idle target.
-        const int target = r.target;
-        events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                             [this, target] { Heartbeat(target); });
-      }
+      // Mid-session the periodic beats pick the repair up; after the
+      // last job only an explicit kick reaches the idle target.
+      if (session_done) Kick(r.target);
     }
     repairs.push_back(std::move(r));
   }
@@ -1138,8 +1140,7 @@ void SessionEngine::OnRepairComplete(size_t rid, int node) {
     tracer->Attr(sp, "target", static_cast<int64_t>(node));
   }
   commits.push_back([this, rid] { CommitRepairTask(rid); });
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
 }
 
 void SessionEngine::CommitRepairTask(size_t rid) {
@@ -1164,11 +1165,7 @@ void SessionEngine::RetargetRepair(size_t rid) {
   r.target = PickRepairTarget(*dfs, r.entry);
   if (r.target < 0) return;  // unplaced; retried after the next revive
   repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-  if (session_done) {
-    const int target = r.target;
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, target] { Heartbeat(target); });
-  }
+  if (session_done) Kick(r.target);
 }
 
 void SessionEngine::RequestKill(int victim, double revive_after) {
@@ -1206,8 +1203,7 @@ void SessionEngine::ApplyRevive(int node) {
   // the session ends) and give stalled/unplaced repairs another chance —
   // the revive may have restored their only source, or made this node an
   // eligible target.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
   if (options->self_heal) {
     for (size_t rid = 0; rid < repairs.size(); ++rid) {
       if (repairs[rid].status == RepairState::Status::kQueued &&
@@ -1219,8 +1215,7 @@ void SessionEngine::ApplyRevive(int node) {
       if (repairs_by_node[n].empty()) continue;
       const int rn = static_cast<int>(n);
       if (rn == node || !dfs->cluster().node(rn).alive()) continue;
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, rn] { Heartbeat(rn); });
+      Kick(rn);
     }
   }
 }
@@ -1259,16 +1254,32 @@ ReadOutcome SessionEngine::ExecuteRead(int j, const InputSplit& split,
   return out;
 }
 
-void SessionEngine::AssignTask(int j, size_t task_id, int node) {
-  JobExec& job = jobs[static_cast<size_t>(j)];
-  TaskState& task = job.tasks[task_id];
-  task.status = TaskStatus::kRunning;
-  task.attempt = ++task.attempt_serial;
-  task.run_on = node;
-  task.assign_time = events.Now();
+int SessionEngine::StartAttempt(int j, size_t task_id, int node) {
+  TaskState& task = jobs[static_cast<size_t>(j)].tasks[task_id];
+  const int id = ++task.attempt_serial;
+  task.attempts.push_back(Attempt{id, node, events.Now(), /*lost=*/false});
   free_slots[static_cast<size_t>(node)] -= 1;
   scheduler.OnTaskStarted(j);
-  DispatchRead(j, task_id, task.attempt, node);
+  return id;
+}
+
+void SessionEngine::EndAttempt(int j, size_t task_id, size_t index) {
+  std::vector<Attempt>& attempts =
+      jobs[static_cast<size_t>(j)].tasks[task_id].attempts;
+  const int node = attempts[index].node;
+  attempts.erase(attempts.begin() + static_cast<std::ptrdiff_t>(index));
+  // A session keeps every task to its end; a finished one holds no storage.
+  if (attempts.empty()) attempts.shrink_to_fit();
+  scheduler.OnTaskFinished(j);
+  // A dead node's slots come back with the node (ApplyRevive).
+  if (dfs->cluster().node(node).alive()) {
+    free_slots[static_cast<size_t>(node)] += 1;
+  }
+}
+
+void SessionEngine::AssignTask(int j, size_t task_id, int node) {
+  jobs[static_cast<size_t>(j)].tasks[task_id].status = TaskStatus::kRunning;
+  DispatchRead(j, task_id, StartAttempt(j, task_id, node), node);
 }
 
 void SessionEngine::TrySpeculate(int node, int* assigned) {
@@ -1300,11 +1311,10 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
     const double threshold = kSpeculativeLagFactor * avg;
     for (size_t i = 0; i < job.tasks.size(); ++i) {
       const TaskState& t = job.tasks[i];
-      if (t.status != TaskStatus::kRunning || t.speculated ||
-          t.spec_attempt != 0 || t.run_on == node) {
-        continue;
-      }
-      const double elapsed = events.Now() - t.assign_time;
+      if (t.status != TaskStatus::kRunning || t.speculated) continue;
+      const Attempt& own = t.attempts[t.own()];
+      if (own.node == node) continue;
+      const double elapsed = events.Now() - own.start;
       if (elapsed <= threshold) continue;
       const double overdue = elapsed - threshold;
       if (best_j < 0 || overdue > best_overdue) {
@@ -1315,16 +1325,11 @@ void SessionEngine::TrySpeculate(int node, int* assigned) {
     }
   }
   if (best_j < 0) return;
-  TaskState& task = jobs[static_cast<size_t>(best_j)].tasks[best_t];
-  task.speculated = true;
-  task.spec_attempt = ++task.attempt_serial;
-  task.spec_node = node;
-  task.spec_assign_time = events.Now();
-  free_slots[static_cast<size_t>(node)] -= 1;
-  scheduler.OnTaskStarted(best_j);
+  jobs[static_cast<size_t>(best_j)].tasks[best_t].speculated = true;
+  const int attempt = StartAttempt(best_j, best_t, node);
   ++result.speculative_attempts;
   *assigned += 1;
-  DispatchRead(best_j, best_t, task.spec_attempt, node);
+  DispatchRead(best_j, best_t, attempt, node);
 }
 
 void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
@@ -1354,14 +1359,8 @@ void SessionEngine::DispatchRead(int j, size_t task_id, int attempt,
 }
 
 void SessionEngine::AssignUpload(int j, size_t task_id, int node) {
-  JobExec& job = jobs[static_cast<size_t>(j)];
-  TaskState& task = job.tasks[task_id];
-  task.status = TaskStatus::kRunning;
-  task.attempt += 1;
-  task.run_on = node;
-  task.assign_time = events.Now();
-  free_slots[static_cast<size_t>(node)] -= 1;
-  scheduler.OnTaskStarted(j);
+  jobs[static_cast<size_t>(j)].tasks[task_id].status = TaskStatus::kRunning;
+  StartAttempt(j, task_id, node);
   // The upload writes shared DFS state, so it runs in the commit window.
   // Its completion's FIFO rank is reserved here, and its simulated start
   // is this event's instant either way.
@@ -1396,14 +1395,13 @@ void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
       st = rep.status();
     }
   }
+  // An upload task runs exactly one attempt.
   if (!st.ok()) {
     // Per-tenant failure: the upload job dies, the cluster lives on.
-    free_slots[static_cast<size_t>(node)] += 1;
-    scheduler.OnTaskFinished(j);
+    EndAttempt(j, task_id, 0);
     task.status = TaskStatus::kDone;
     FailJob(j, std::move(st));
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, node] { Heartbeat(node); });
+    Kick(node);
     return;
   }
   // The ingest runs inside a task wrapper: it holds its slot for the
@@ -1411,10 +1409,10 @@ void SessionEngine::ExecuteUpload(int j, size_t task_id, int node,
   task.rr_seconds = std::max(0.0, completed_at - start);
   const double duration =
       constants().task_setup_s + task.rr_seconds + constants().task_cleanup_s;
-  const int attempt = task.attempt;
+  const int attempt = task.attempts.front().id;
   events.ScheduleAtReserved(seq, start + duration,
-                            [this, j, task_id, attempt, node] {
-                              OnTaskComplete(j, task_id, attempt, node,
+                            [this, j, task_id, attempt] {
+                              OnTaskComplete(j, task_id, attempt,
                                              /*rr_seconds=*/0.0,
                                              /*outcome=*/nullptr);
                             });
@@ -1441,9 +1439,8 @@ void SessionEngine::JoinOldest() {
   }
   events.ScheduleAtReserved(
       f.seq, f.assign_time + duration,
-      [this, j = f.job, task_id = f.task_id, attempt = f.attempt,
-       node = f.node, rr, oc] {
-        OnTaskComplete(j, task_id, attempt, node, rr, oc);
+      [this, j = f.job, task_id = f.task_id, attempt = f.attempt, rr, oc] {
+        OnTaskComplete(j, task_id, attempt, rr, oc);
       });
 }
 
@@ -1460,7 +1457,7 @@ void SessionEngine::AccountUsage(int j, const TaskState& task,
 }
 
 void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
-                                   int node, double rr_seconds,
+                                   double rr_seconds,
                                    const std::shared_ptr<ReadOutcome>& outcome) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
@@ -1475,7 +1472,15 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       IngestRepairs();
     });
   }
-  if (attempt != 0 && attempt == task.loser_attempt) {
+  const auto it =
+      std::find_if(task.attempts.begin(), task.attempts.end(),
+                   [attempt](const Attempt& a) { return a.id == attempt; });
+  // No record: preemption or the failure detector already ended it.
+  if (it == task.attempts.end()) return;
+  const size_t index = static_cast<size_t>(it - task.attempts.begin());
+  const Attempt a = *it;
+  const int node = a.node;
+  if (a.lost) {
     // The losing attempt of a task whose race already ended: give the
     // slot back, discard the result — but bill the duplicate's reader
     // cost to the tenant as wasted speculation (the cluster did the work).
@@ -1499,48 +1504,18 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
                        start + constants().task_setup_s, factor);
       }
     }
-    const int loser_node = task.loser_node;
-    task.loser_attempt = 0;
-    task.loser_node = -1;
-    // The attempt ended either way; only a live node gets its slot back.
-    scheduler.OnTaskFinished(j);
-    if (dfs->cluster().node(loser_node).alive()) {
-      free_slots[static_cast<size_t>(loser_node)] += 1;
-      events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                           [this, loser_node] { Heartbeat(loser_node); });
-    }
+    EndAttempt(j, task_id, index);
+    if (dfs->cluster().node(node).alive()) Kick(node);
     return;
-  }
-  const bool is_primary =
-      task.status == TaskStatus::kRunning && attempt == task.attempt;
-  const bool is_spec = task.status == TaskStatus::kRunning &&
-                       task.spec_attempt != 0 && attempt == task.spec_attempt;
-  if (!is_primary && !is_spec) {
-    return;  // stale completion of a superseded attempt
   }
   if (job.phase == JobExec::Phase::kFailed) {
     // Sibling task of a tenant that already failed: just give the slot
     // back to the cluster. This must run even after the session's last
     // job finished (session_done) — a zombie slot would otherwise block
     // the post-session maintenance drain on this node.
-    if (is_primary && task.spec_attempt != 0) {
-      // A duplicate is still in flight; promote it so its own arrival
-      // lands here too and releases its slot.
-      task.attempt = task.spec_attempt;
-      task.run_on = task.spec_node;
-      task.spec_attempt = 0;
-      task.spec_node = -1;
-    } else if (is_spec) {
-      task.spec_attempt = 0;
-      task.spec_node = -1;
-    } else {
-      task.status = TaskStatus::kDone;
-    }
-    scheduler.OnTaskFinished(j);
-    if (!dfs->cluster().node(node).alive()) return;  // slot died with it
-    free_slots[static_cast<size_t>(node)] += 1;
-    events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                         [this, node] { Heartbeat(node); });
+    EndAttempt(j, task_id, index);
+    if (task.live_attempts() == 0) task.status = TaskStatus::kDone;
+    if (dfs->cluster().node(node).alive()) Kick(node);
     return;
   }
   if (session_done) return;
@@ -1548,27 +1523,16 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     return;  // node died mid-run; the failure detector handles it
   }
   if (outcome != nullptr && !outcome->cost.ok()) {
-    HandleFailedAttempt(j, task_id, attempt, node, outcome->cost.status());
+    HandleFailedAttempt(j, task_id, index, outcome->cost.status());
     return;
   }
 
-  // First completion wins: retire the sibling attempt (if any) as the
-  // loser — its arrival only returns its slot.
-  if (task.spec_attempt != 0) {
-    if (is_spec) {
-      task.loser_attempt = task.attempt;
-      task.loser_node = task.run_on;
-      task.attempt = attempt;
-      task.run_on = node;
-      task.assign_time = task.spec_assign_time;
-      ++result.speculative_wins;
-    } else {
-      task.loser_attempt = task.spec_attempt;
-      task.loser_node = task.spec_node;
-    }
-    task.spec_attempt = 0;
-    task.spec_node = -1;
-  }
+  // First completion wins: every other attempt of the task is marked lost,
+  // and its arrival only returns its slot. A win by the duplicate counts
+  // as a speculative win.
+  if (index != task.own()) ++result.speculative_wins;
+  EndAttempt(j, task_id, index);
+  for (Attempt& other : task.attempts) other.lost = true;
   if (outcome != nullptr) {
     task.output = std::move(outcome->output);
     task.stats = outcome->stats;
@@ -1579,14 +1543,12 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     task.rr_seconds = rr_seconds;
   }
   task.status = TaskStatus::kDone;
-  free_slots[static_cast<size_t>(node)] += 1;
-  scheduler.OnTaskFinished(j);
+  task.output_node = node;
   ++job.completed;
   if (tracing()) {
-    const sim::SimTime start = task.assign_time;
     const uint64_t sp = tracer->AddSpan(
-        outcome != nullptr ? "map_task" : "upload_task", "task", start,
-        events.Now() - start, job.span, node);
+        outcome != nullptr ? "map_task" : "upload_task", "task", a.start,
+        events.Now() - a.start, job.span, node);
     tracer->Attr(sp, "task", static_cast<uint64_t>(task_id));
     tracer->Attr(sp, "attempt", static_cast<int64_t>(attempt));
     tracer->Attr(sp, "node", static_cast<int64_t>(node));
@@ -1596,7 +1558,7 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
       tracer->Attr(sp, "billed_cost_seconds", task.billed_seconds);
       tracer->Attr(sp, "billed_cost_nanos", task.ledger.total_nanos);
       tracer->Splice(outcome->trace, sp, node,
-                     start + constants().task_setup_s,
+                     a.start + constants().task_setup_s,
                      options->fault_plan.slow_factor(node));
     } else if (task.file != nullptr) {
       tracer->Attr(sp, "file", task.file->dfs_path);
@@ -1624,42 +1586,28 @@ void SessionEngine::OnTaskComplete(int j, size_t task_id, int attempt,
     JobDone(j);
     if (session_done) return;  // idle cluster: only maintenance remains
   }
-  // Out-of-band heartbeat: the freed slot asks for work shortly after
-  // completion instead of waiting for the periodic beat.
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
+  Kick(node);
 }
 
-void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
-                                        int node, const Status& st) {
+void SessionEngine::HandleFailedAttempt(int j, size_t task_id, size_t index,
+                                        const Status& st) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   TaskState& task = job.tasks[task_id];
+  const Attempt a = task.attempts[index];
   if (tracing()) {
-    const sim::SimTime start =
-        attempt == task.attempt ? task.assign_time : task.spec_assign_time;
-    const uint64_t sp = tracer->AddSpan("map_task", "task", start,
-                                        events.Now() - start, job.span, node);
+    const uint64_t sp = tracer->AddSpan("map_task", "task", a.start,
+                                        events.Now() - a.start, job.span,
+                                        a.node);
     tracer->Attr(sp, "task", static_cast<uint64_t>(task_id));
-    tracer->Attr(sp, "attempt", static_cast<int64_t>(attempt));
-    tracer->Attr(sp, "node", static_cast<int64_t>(node));
+    tracer->Attr(sp, "attempt", static_cast<int64_t>(a.id));
+    tracer->Attr(sp, "node", static_cast<int64_t>(a.node));
     tracer->Attr(sp, "result", "failed");
     tracer->Attr(sp, "error", st.message());
   }
-  free_slots[static_cast<size_t>(node)] += 1;
-  scheduler.OnTaskFinished(j);
-  events.ScheduleAfter(constants().oob_heartbeat_latency_s,
-                       [this, node] { Heartbeat(node); });
-  if (task.spec_attempt != 0) {
-    // The sibling attempt lives on as the sole attempt of the task.
-    if (attempt == task.attempt) {
-      task.attempt = task.spec_attempt;
-      task.run_on = task.spec_node;
-      task.assign_time = task.spec_assign_time;
-    }
-    task.spec_attempt = 0;
-    task.spec_node = -1;
-    return;
-  }
+  EndAttempt(j, task_id, index);
+  Kick(a.node);
+  // The task's other copy runs on as its only attempt.
+  if (task.live_attempts() > 0) return;
   // Retryable failures (dead replica set, exhausted failover) requeue
   // with capped exponential backoff; anything else — and the attempt cap
   // — fails the job cleanly instead of requeueing forever.
@@ -1677,17 +1625,13 @@ void SessionEngine::HandleFailedAttempt(int j, size_t task_id, int attempt,
   for (int i = 1; i < task.reschedules; ++i) backoff *= 2.0;
   backoff = std::min(backoff, kRetryBackoffMaxS);
   events.ScheduleAfter(backoff, [this, j, task_id] {
-    JobExec& job2 = jobs[static_cast<size_t>(j)];
-    TaskState& t = job2.tasks[task_id];
-    const bool still_wanted = t.awaiting_backoff &&
-                              job2.phase == JobExec::Phase::kActive &&
-                              !session_done;
+    TaskState& t = jobs[static_cast<size_t>(j)].tasks[task_id];
+    const bool still_wanted =
+        t.awaiting_backoff &&
+        jobs[static_cast<size_t>(j)].phase == JobExec::Phase::kActive &&
+        !session_done;
     t.awaiting_backoff = false;
-    if (!still_wanted) return;
-    t.pending_since = events.Now();
-    job2.pending.Push(task_id, t.preferred_nodes());
-    ++foreground_pending;
-    scheduler.SetPending(j, job2.pending.size());
+    if (still_wanted) Requeue(j, task_id);
   });
 }
 
@@ -1710,81 +1654,47 @@ void SessionEngine::OnFailureDetected(int node) {
     }
   }
   if (session_done) return;
-  // Lost in-flight tasks and completed map outputs on the dead node are
-  // re-executed elsewhere. Jobs already done keep their numbers (fixed at
-  // completion); upload tasks are not re-executed — their pipeline writes
-  // committed at assignment and live on the chain's surviving replicas —
-  // a running upload task simply completes at detection time.
+  // Every attempt of an active job on the dead node ends here (its slot
+  // died with it; a late completion finds no record). A running query
+  // task left without a live attempt, and a finished one whose map output
+  // sat on the dead node, re-run elsewhere. Jobs already done keep their
+  // numbers (fixed at completion); upload tasks are not re-executed —
+  // their pipeline writes committed at assignment and live on the chain's
+  // surviving replicas — a running upload task simply completes here.
   for (JobExec& job : jobs) {
     if (job.phase != JobExec::Phase::kActive) continue;
-    bool requeued = false;
+    const bool upload =
+        job.submitted->kind == ClusterSession::Submitted::Kind::kUpload;
     for (size_t i = 0; i < job.tasks.size(); ++i) {
       TaskState& task = job.tasks[i];
-      // Speculation bookkeeping tied to the dead node dissolves — the
-      // slot died with it, and late completions arrive as superseded
-      // attempts.
-      if (task.loser_attempt != 0 && task.loser_node == node) {
-        task.loser_attempt = 0;
-        task.loser_node = -1;
-        scheduler.OnTaskFinished(job.id);
+      for (size_t k = task.attempts.size(); k-- > 0;) {
+        const Attempt a = task.attempts[k];
+        if (a.node != node) continue;
+        EndAttempt(job.id, i, k);
+        if (!upload) continue;
+        task.status = TaskStatus::kDone;
+        ++job.completed;
+        // The slot vanished at the kill instant: charge only the
+        // occupancy the node actually provided, not the full nominal
+        // duration (queries in the same situation re-run and account
+        // their successful attempt only).
+        const double nominal = constants().task_setup_s + task.rr_seconds +
+                               constants().task_cleanup_s;
+        const double held = dfs->cluster().node(node).death_time() - a.start;
+        AccountUsage(job.id, task, std::clamp(held, 0.0, nominal));
       }
-      if (task.status == TaskStatus::kRunning && task.spec_attempt != 0 &&
-          task.spec_node == node) {
-        task.spec_attempt = 0;
-        task.spec_node = -1;
-        scheduler.OnTaskFinished(job.id);
-      }
-      if (task.run_on != node) continue;
-      if (job.submitted->kind == ClusterSession::Submitted::Kind::kUpload) {
-        if (task.status == TaskStatus::kRunning) {
-          task.status = TaskStatus::kDone;
-          scheduler.OnTaskFinished(job.id);
-          ++job.completed;
-          // The slot vanished at the kill instant: charge only the
-          // occupancy the node actually provided, not the full nominal
-          // duration (queries in the same situation re-run and account
-          // their successful attempt only).
-          const double nominal = constants().task_setup_s + task.rr_seconds +
-                                 constants().task_cleanup_s;
-          const double held = dfs->cluster().node(node).death_time() -
-                              task.assign_time;
-          AccountUsage(job.id, task, std::clamp(held, 0.0, nominal));
-        }
-        continue;
-      }
-      if (task.status == TaskStatus::kRunning) {
-        if (task.spec_attempt != 0) {
-          // The surviving speculative attempt becomes the primary: no
-          // requeue, the task keeps running where the duplicate is.
-          task.attempt = task.spec_attempt;
-          task.run_on = task.spec_node;
-          task.assign_time = task.spec_assign_time;
-          task.spec_attempt = 0;
-          task.spec_node = -1;
-          scheduler.OnTaskFinished(job.id);
-          continue;
-        }
-        task.status = TaskStatus::kPending;
-        task.reschedules += 1;
-        task.pending_since = events.Now();
-        scheduler.OnTaskFinished(job.id);
-        job.pending.Push(i, task.preferred_nodes());
-        ++foreground_pending;
-        requeued = true;
-      } else if (task.status == TaskStatus::kDone) {
-        task.status = TaskStatus::kPending;
-        task.reschedules += 1;
-        task.pending_since = events.Now();
+      if (upload) continue;
+      if (task.status == TaskStatus::kDone && task.output_node == node) {
         task.output.reset();
         --job.completed;
-        job.pending.Push(i, task.preferred_nodes());
-        ++foreground_pending;
-        requeued = true;
+      } else if (task.status != TaskStatus::kRunning ||
+                 task.live_attempts() > 0) {
+        continue;
       }
+      task.reschedules += 1;
+      Requeue(job.id, i);
     }
-    if (requeued) scheduler.SetPending(job.id, job.pending.size());
-    if (job.submitted->kind == ClusterSession::Submitted::Kind::kUpload &&
-        job.completed == job.tasks.size()) {
+    if (upload && job.completed == job.tasks.size()) {
       JobDone(job.id);
       if (session_done) return;
     }

@@ -121,6 +121,13 @@ class SlotScheduler {
   /// window in which fair-share entitlement is actually measurable.
   bool Contended() const;
 
+  /// The queue's fair-share deficit, running tasks / weight: kFair gives
+  /// the next slot to the smallest, and preemption takes one from the
+  /// largest.
+  double Share(int queue) const;
+  /// Slots the queue's weight entitles it to out of `total_slots`.
+  double EntitledSlots(int queue, int total_slots) const;
+
   int queue_of(int job) const;
   const std::vector<QueueState>& queues() const { return queues_; }
 
@@ -148,6 +155,8 @@ class SlotScheduler {
   std::set<std::pair<sim::SimTime, int>> pending_deadlines_;
   /// Queues whose pending_jobs_ set is non-empty.
   int queues_with_work_ = 0;
+  /// Sum of the queue weights, added in registration order.
+  double weight_sum_ = 0.0;
 };
 
 /// \brief An upload tenant: each source file is one slot-occupying task.

@@ -65,14 +65,6 @@ bool Predicate::Matches(const std::vector<Value>& row) const {
   return true;
 }
 
-std::vector<const PredicateTerm*> Predicate::TermsOnColumn(int column) const {
-  std::vector<const PredicateTerm*> out;
-  for (const PredicateTerm& t : terms_) {
-    if (t.column == column) out.push_back(&t);
-  }
-  return out;
-}
-
 std::vector<int> Predicate::ReferencedColumns() const {
   std::vector<int> out;
   for (const PredicateTerm& t : terms_) {

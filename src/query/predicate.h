@@ -94,9 +94,6 @@ class Predicate {
   /// True when a full row satisfies every term.
   bool Matches(const std::vector<Value>& row) const;
 
-  /// Terms restricted to one column (for per-column post-filtering).
-  std::vector<const PredicateTerm*> TermsOnColumn(int column) const;
-
   /// Columns referenced by any term.
   std::vector<int> ReferencedColumns() const;
 

@@ -66,16 +66,5 @@ uint32_t Extend(uint32_t init_crc, const void* data, size_t size) {
   return ~crc;
 }
 
-uint32_t Mask(uint32_t crc) {
-  constexpr uint32_t kMaskDelta = 0xa282ead8u;
-  return ((crc >> 15) | (crc << 17)) + kMaskDelta;
-}
-
-uint32_t Unmask(uint32_t masked) {
-  constexpr uint32_t kMaskDelta = 0xa282ead8u;
-  const uint32_t rot = masked - kMaskDelta;
-  return (rot >> 17) | (rot << 15);
-}
-
 }  // namespace crc32c
 }  // namespace hail

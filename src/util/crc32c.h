@@ -23,12 +23,5 @@ inline uint32_t Value(const void* data, size_t size) {
   return Extend(0, data, size);
 }
 
-/// Masks a CRC so that a CRC of CRC-bearing data does not degenerate
-/// (RocksDB/LevelDB idiom; HDFS stores raw CRCs, we expose both).
-uint32_t Mask(uint32_t crc);
-
-/// Inverse of Mask().
-uint32_t Unmask(uint32_t masked);
-
 }  // namespace crc32c
 }  // namespace hail

@@ -1,7 +1,5 @@
 #include "util/random.h"
 
-#include <cmath>
-
 namespace hail {
 
 std::string Random::NextString(size_t length) {
@@ -11,43 +9,6 @@ std::string Random::NextString(size_t length) {
     out.push_back(static_cast<char>('a' + Uniform(26)));
   }
   return out;
-}
-
-double Random::NextExponential(double mean) {
-  // Inversion; guard against log(0).
-  double u = NextDouble();
-  if (u <= 0.0) u = 1e-18;
-  return -mean * std::log(u);
-}
-
-namespace {
-double Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  }
-  return sum;
-}
-}  // namespace
-
-ZipfGenerator::ZipfGenerator(uint64_t n, double theta, uint64_t seed)
-    : n_(n), theta_(theta), rng_(seed) {
-  // Gray et al. "Quickly generating billion-record synthetic databases".
-  zetan_ = Zeta(n_, theta_);
-  const double zeta2 = Zeta(2, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2 / zetan_);
-}
-
-uint64_t ZipfGenerator::Next() {
-  const double u = rng_.NextDouble();
-  const double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  const uint64_t rank = static_cast<uint64_t>(
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  return rank >= n_ ? n_ - 1 : rank;
 }
 
 }  // namespace hail

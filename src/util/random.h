@@ -49,36 +49,11 @@ class Random {
   /// Random lowercase ASCII string of the given length.
   std::string NextString(size_t length);
 
-  /// Exponentially distributed value with the given mean.
-  double NextExponential(double mean);
-
   /// Forks an independent stream (for per-node / per-block generators).
   Random Fork() { return Random(NextU64()); }
 
  private:
   uint64_t state_;
-};
-
-/// \brief Zipf-distributed generator over [0, n) with parameter theta.
-///
-/// Used by workload generators to produce skewed attribute values
-/// (e.g. popular sourceIPs in UserVisits).
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta, uint64_t seed);
-
-  /// Next Zipf-distributed rank in [0, n).
-  uint64_t Next();
-
-  uint64_t n() const { return n_; }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  Random rng_;
 };
 
 }  // namespace hail

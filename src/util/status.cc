@@ -1,5 +1,10 @@
 #include "util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "util/macros.h"
+
 namespace hail {
 
 namespace {
@@ -69,4 +74,13 @@ Status Status::WithContext(std::string_view context) const {
   return Status(state_->code, std::move(msg));
 }
 
+namespace internal {
+
+void FatalStatus(const char* file, int line, const Status& st) {
+  std::fprintf(stderr, "%s:%d: HAIL_CHECK_OK failed: %s\n", file, line,
+               st.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 }  // namespace hail

@@ -122,27 +122,4 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
-std::string FormatSeconds(double seconds) {
-  char buf[32];
-  if (seconds < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.0f ms", seconds * 1000.0);
-  } else if (seconds < 120.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f s", seconds);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f s", seconds);
-  }
-  return buf;
-}
-
-std::string FormatCount(uint64_t n) {
-  std::string digits = std::to_string(n);
-  std::string out;
-  const size_t len = digits.size();
-  for (size_t i = 0; i < len; ++i) {
-    if (i > 0 && (len - i) % 3 == 0) out += ',';
-    out += digits[i];
-  }
-  return out;
-}
-
 }  // namespace hail

@@ -31,11 +31,7 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Strict double parse of the full string.
 Result<double> ParseDouble(std::string_view s);
 
-/// "1427.3 s", "64.0 MB", etc. for human-readable bench output.
+/// "64.0 MB" etc. for human-readable bench output.
 std::string FormatBytes(uint64_t bytes);
-std::string FormatSeconds(double seconds);
-
-/// Thousands-separated integer, e.g. 3,200.
-std::string FormatCount(uint64_t n);
 
 }  // namespace hail

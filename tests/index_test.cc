@@ -149,20 +149,6 @@ TEST(ClusteredIndexTest, IndexIsSparse) {
   EXPECT_LT(index.SerializedBytes(), data_bytes / 100);
 }
 
-TEST(TwoLevelIndexTest, AgreesWithSingleLevel) {
-  const ColumnVector col = SortedInts(4096, 8);
-  const ClusteredIndex flat = ClusteredIndex::Build(col, 64);
-  const TwoLevelIndex tree = TwoLevelIndex::Build(col, 64, 8);
-  Random rng(9);
-  for (int trial = 0; trial < 100; ++trial) {
-    int32_t a = static_cast<int32_t>(rng.Uniform(10000));
-    int32_t b = a + static_cast<int32_t>(rng.Uniform(2000));
-    const KeyRange kr = KeyRange::Between(Value(a), Value(b));
-    EXPECT_EQ(tree.Lookup(kr).begin, flat.Lookup(kr).begin);
-    EXPECT_EQ(tree.Lookup(kr).end, flat.Lookup(kr).end);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Trojan index
 // ---------------------------------------------------------------------------

@@ -103,13 +103,6 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   EXPECT_EQ(whole, partial);
 }
 
-TEST(Crc32cTest, MaskRoundTrips) {
-  for (uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
-    EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
-    EXPECT_NE(crc32c::Mask(crc), crc);
-  }
-}
-
 TEST(Crc32cTest, DetectsSingleBitFlip) {
   std::string data(1024, 'x');
   const uint32_t clean = crc32c::Value(data.data(), data.size());
@@ -151,8 +144,6 @@ TEST(StringUtilTest, ParseDoubleStrict) {
 
 TEST(StringUtilTest, Formatting) {
   EXPECT_EQ(FormatBytes(64ull * 1024 * 1024), "64.0 MB");
-  EXPECT_EQ(FormatCount(3200), "3,200");
-  EXPECT_EQ(FormatCount(42), "42");
 }
 
 // ---------------------------------------------------------------------------
@@ -183,16 +174,6 @@ TEST(RandomTest, BernoulliRoughlyFair) {
     if (rng.Bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
-}
-
-TEST(RandomTest, ZipfSkewsLow) {
-  ZipfGenerator zipf(1000, 0.9, 5);
-  int low = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (zipf.Next() < 10) ++low;
-  }
-  // Heavily skewed: the 1% lowest ranks get far more than 1% of draws.
-  EXPECT_GT(low, 1000);
 }
 
 // ---------------------------------------------------------------------------
