@@ -1358,6 +1358,130 @@ TEST(AttemptPathTest, JobsFailAtTheRetryCapWithAttemptsInFlight) {
 }
 
 // ---------------------------------------------------------------------------
+// Background paths: builds on nodes that die, stalled repairs, no target
+// ---------------------------------------------------------------------------
+
+struct BackgroundRun {
+  SessionResult result;
+  std::string dump;
+  std::string trace;
+  size_t manager_pending = 0;
+};
+
+/// Four self-healing nodes (seed 7) and `faults`. Without `adapt`, Bob-Q1
+/// runs at t = 0 over a file whose three replicas are sorted on visitDate,
+/// sourceIP and adRevenue. With `adapt`, the file is sorted on visitDate
+/// only and four shifted queries at 0, 15, 30 and 45 s drive online
+/// re-sorts straight away.
+BackgroundRun RunBackgroundSession(ExecutionMode mode, bool adapt,
+                                   sim::FaultPlan faults) {
+  Testbed bed(SmallConfig(7));
+  bed.LoadUserVisits();
+  const std::vector<int> sorted =
+      adapt ? std::vector<int>{workload::kVisitDate}
+            : std::vector<int>{workload::kVisitDate, workload::kSourceIP,
+                               workload::kAdRevenue};
+  EXPECT_TRUE(bed.UploadHail("/d", sorted).ok());
+  adaptive::AdaptiveConfig config;
+  config.planner.regret_threshold = 0.2;
+  config.planner.escalate_after_rounds = 0;
+  adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d", config);
+  obs::Tracer tracer;
+  SessionOptions opt;
+  opt.execution = mode;
+  opt.self_heal = true;
+  opt.tracer = &tracer;
+  opt.fault_plan = std::move(faults);
+  if (adapt) {
+    opt.adaptive = &manager;
+    opt.online_adaptation = true;
+  }
+  ClusterSession session(&bed.dfs(), opt);
+  if (adapt) {
+    for (int i = 0; i < 4; ++i) {
+      session.Submit(QueryJob(bed, "/d", kShiftedQuery), "default", 15.0 * i);
+    }
+  } else {
+    session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
+  }
+  auto sr = session.Run();
+  EXPECT_TRUE(sr.ok()) << sr.status().ToString();
+  BackgroundRun run;
+  if (!sr.ok()) return run;
+  run.result = *sr;
+  run.dump = DumpSession(*sr);
+  run.trace = tracer.ToChromeJson();
+  run.manager_pending = manager.pending_tasks();
+  for (const auto& job : sr->jobs) {
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+  }
+  return run;
+}
+
+/// Runs a recipe serially and in parallel; both runs must reproduce the
+/// pinned session dump and Chrome trace. Returns the serial run.
+BackgroundRun ExpectBackgroundSessionPinned(bool adapt,
+                                            const sim::FaultPlan& faults,
+                                            uint32_t dump_crc,
+                                            uint32_t trace_crc) {
+  const BackgroundRun serial =
+      RunBackgroundSession(ExecutionMode::kSerial, adapt, faults);
+  const BackgroundRun parallel =
+      RunBackgroundSession(ExecutionMode::kParallel, adapt, faults);
+  EXPECT_EQ(serial.dump, parallel.dump);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  EXPECT_EQ(serial.manager_pending, parallel.manager_pending);
+  for (const BackgroundRun* run : {&serial, &parallel}) {
+    EXPECT_EQ(crc32c::Extend(0, run->dump.data(), run->dump.size()),
+              dump_crc);
+    EXPECT_EQ(crc32c::Extend(0, run->trace.data(), run->trace.size()),
+              trace_crc);
+  }
+  return serial;
+}
+
+/// Node 0 dies at 1 s and node 2 at 33.2 s, both for good. Node 2 dies
+/// while it re-creates two of node 0's replicas, and with two nodes left
+/// that already hold every block, no node can take them again.
+sim::FaultPlan RepairTargetDiesPlan() {
+  sim::FaultPlan faults;
+  faults.kills.push_back({.node = 0, .at_time = 1.0});
+  faults.kills.push_back({.node = 2, .at_time = 33.2});
+  return faults;
+}
+
+TEST(BackgroundPathTest, RepairTargetDiesMidBuildAndFindsNoNewHome) {
+  const BackgroundRun r = ExpectBackgroundSessionPinned(
+      /*adapt=*/false, RepairTargetDiesPlan(), 0xe2c2ced5u, 0x34f07e77u);
+  EXPECT_GT(r.result.repairs_scheduled, 0u);
+  EXPECT_GT(r.result.under_replicated_remaining, 0u);
+}
+
+/// As above, and node 1 dies too at 33.25 s, then revives 60 s later:
+/// repairs whose every source is dead stall until the revive, some are no
+/// longer needed once node 1 is back, and the revive places the repairs
+/// left without a target.
+TEST(BackgroundPathTest, RepairsStallUntilARevivePlacesThem) {
+  sim::FaultPlan faults = RepairTargetDiesPlan();
+  faults.kills.push_back({.node = 1, .at_time = 33.25, .revive_after = 60.0});
+  const BackgroundRun r = ExpectBackgroundSessionPinned(
+      /*adapt=*/false, faults, 0x08866178u, 0x95798568u);
+  EXPECT_GT(r.result.repairs_abandoned, 0u);
+  EXPECT_GT(r.result.under_replicated_remaining, 0u);
+}
+
+/// Node 2 dies at 34.3 s in the middle of an online re-sort; the rewrite
+/// goes back to the adaptive manager at session end.
+TEST(BackgroundPathTest, RewriteNodeDiesMidBuild) {
+  sim::FaultPlan faults;
+  faults.kills.push_back({.node = 2, .at_time = 34.3});
+  const BackgroundRun r = ExpectBackgroundSessionPinned(
+      /*adapt=*/true, faults, 0x5b65673cu, 0xa4ee75d7u);
+  EXPECT_GT(r.result.maintenance_completed, 0u);
+  EXPECT_GT(r.manager_pending, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Retry/backoff policy: 4 attempts, 10 s doubling to 60 s
 // ---------------------------------------------------------------------------
 
