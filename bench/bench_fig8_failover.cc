@@ -10,10 +10,10 @@
 /// (sim/fault_plan.h), the same path the fault matrix and recovery
 /// tests drive.
 ///
-/// On top of the paper protocol, a self-healing run (kill + revive with
-/// re-replication enabled) is gated: once the under-replicated backlog
-/// has drained, a clean re-run of the query must cost within 10% of the
-/// pre-fault baseline and keep zero fallback scans — the repaired
+/// On top of the paper protocol, a self-healing run (the same kill, with
+/// re-replication enabled) is gated: the session must re-create the lost
+/// replicas, and a clean re-run of the query must then cost within 10% of
+/// the pre-fault baseline and keep zero fallback scans — the repaired
 /// replicas carry the clustered index, not just the bytes. Nonzero exit
 /// on violation.
 
@@ -54,6 +54,7 @@ struct RecoveryCell {
   double failed = 0;     // query during which the node dies (healing on)
   double recovered = 0;  // clean re-run after repairs drained
   uint32_t recovered_fallback_scans = 0;
+  uint64_t repairs = 0;  // lost replicas re-created by the failure run
   uint32_t base_index_tasks = 0;
   uint32_t recovered_index_tasks = 0;
   double recovery_overhead() const { return (recovered - base) / base; }
@@ -111,10 +112,11 @@ const Fig8Results& Run() {
                        failed->fallback_scans, failed->rescheduled_tasks};
     }
     {
-      // Self-healing: the node dies mid-query and revives a minute
-      // later; background re-replication rebuilds the lost replicas
-      // (with their sort order) while the revived node's stale copies
-      // are discarded. The run returns only after the backlog drains.
+      // Self-healing: the node dies mid-query and stays dead; background
+      // re-replication rebuilds its lost replicas (with their sort order)
+      // on idle slots, and the run returns only after the backlog drains.
+      // The next run's session boundary revives the node, which discards
+      // its stale copies.
       Testbed bed(PaperUserVisitsConfig());
       bed.LoadUserVisits();
       HAIL_CHECK_OK(bed.UploadHail("/uv", BobSortColumns()).status());
@@ -122,10 +124,12 @@ const Fig8Results& Run() {
       auto base = bed.RunQuery(System::kHail, "/uv", q);
       HAIL_CHECK_OK(base.status());
       RunOptions healing;
-      healing.fault_plan = KillPlan(/*revive_after=*/60.0);
+      healing.fault_plan = KillPlan(/*revive_after=*/-1.0);
       healing.self_heal = true;
       auto failed = bed.RunQuery(System::kHail, "/uv", q, false, healing);
       HAIL_CHECK_OK(failed.status());
+      out.recovery.repairs =
+          bed.dfs().metrics().counter("repair.completed")->Value();
       auto recovered = bed.RunQuery(System::kHail, "/uv", q);
       HAIL_CHECK_OK(recovered.status());
       out.recovery.base = base->end_to_end_seconds;
@@ -190,8 +194,9 @@ bool PrintTables() {
   const bool cost_ok = rec.recovery_overhead() <= kRecoveryOverheadTolerance;
   const bool index_ok = rec.recovered_fallback_scans == 0 &&
                         rec.recovered_index_tasks == rec.base_index_tasks;
-  std::printf("\n  Self-healing (kill at 50%%, revive after 60 s, "
-              "re-replication on):\n");
+  std::printf("\n  Self-healing (kill at 50%%, no revive, re-replication "
+              "on): %llu replicas re-created\n",
+              static_cast<unsigned long long>(rec.repairs));
   std::printf("    pre-fault %.1f s -> during failure %.1f s -> "
               "post-recovery %.1f s (%+.1f%%, tolerance %.0f%%)\n",
               rec.base, rec.failed, rec.recovered,
@@ -205,11 +210,15 @@ bool PrintTables() {
                          "of pre-fault baseline\n",
                  kRecoveryOverheadTolerance * 100.0);
   }
+  if (rec.repairs == 0) {
+    std::fprintf(stderr, "FAIL: no lost replica was re-created, so the "
+                         "recovery gate reads the original replicas\n");
+  }
   if (!index_ok) {
     std::fprintf(stderr, "FAIL: repaired replicas lost their clustered "
                          "index (fallback scans after recovery)\n");
   }
-  return cost_ok && index_ok;
+  return rec.repairs > 0 && cost_ok && index_ok;
 }
 
 }  // namespace

@@ -14,10 +14,12 @@
 /// session engine (mapreduce/scheduler.h; a JobRunner run is a one-job
 /// session) takes the pending queue at session start and, with
 /// `online_adaptation`, again after every online ObserveJob, and drains
-/// it into idle map slots strictly below foreground work. Tasks still
-/// queued or running when the session ends (node died, session over) come
-/// back through ReturnUnfinished and wait for the next session, so a
-/// reorganization interrupted by a node kill resumes after the revive.
+/// it into idle map slots strictly below foreground work, as background
+/// tasks of the same kind as self-healing repairs (which a node runs
+/// first). Tasks still queued or running when the session ends (node
+/// died, session over) come back through ReturnUnfinished and wait for
+/// the next session, so a reorganization interrupted by a node kill
+/// resumes after the revive.
 
 #pragma once
 

@@ -35,8 +35,7 @@ ReorgOutput WithChecksums(std::string bytes, uint32_t chunk_bytes,
 /// best replica for the hot column onto `task.datanode`. Prefers a source
 /// whose replica carries a clustered index on the column (lowest datanode
 /// id), so the extra copy is the *useful* layout; falls back to the
-/// lowest-id alive PAX holder. Billed like a re-replication repair: source
-/// read + network transfer + checksum + target write.
+/// lowest-id alive PAX holder.
 Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
                                         const MaintenanceTask& task) {
   const hdfs::Namenode& nn = dfs.namenode();
@@ -65,11 +64,17 @@ Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
     return Status::Unavailable("no live PAX source replica for block " +
                                std::to_string(task.block_id));
   }
-  HAIL_ASSIGN_OR_RETURN(hdfs::HailBlockReplicaInfo info,
-                        nn.GetReplicaInfo(task.block_id, source));
-  HAIL_ASSIGN_OR_RETURN(std::string_view raw,
-                        dfs.datanode(source).ReadBlockRaw(task.block_id));
+  return PrepareCopy(dfs, task.block_id, source, task.datanode);
+}
 
+}  // namespace
+
+Result<PreparedReorg> PrepareCopy(const hdfs::MiniDfs& dfs, uint64_t block_id,
+                                  int source, int target) {
+  HAIL_ASSIGN_OR_RETURN(hdfs::HailBlockReplicaInfo info,
+                        dfs.namenode().GetReplicaInfo(block_id, source));
+  HAIL_ASSIGN_OR_RETURN(std::string_view raw,
+                        dfs.datanode(source).ReadBlockRaw(block_id));
   PreparedReorg out;
   out.info = info;
   SetBuild(&out, [bytes = std::string(raw),
@@ -80,14 +85,23 @@ Result<PreparedReorg> PrepareAddReplica(const hdfs::MiniDfs& dfs,
   const uint64_t logical =
       static_cast<uint64_t>(static_cast<double>(raw.size()) * scale);
   const sim::CostModel& src_cost = dfs.cluster().node(source).cost();
-  const sim::CostModel& dst_cost = dfs.cluster().node(task.datanode).cost();
+  const sim::CostModel& dst_cost = dfs.cluster().node(target).cost();
   out.seconds = src_cost.DiskAccess(logical);
-  if (source != task.datanode) out.seconds += dst_cost.NetTransfer(logical);
+  if (source != target) out.seconds += dst_cost.NetTransfer(logical);
   out.seconds += dst_cost.Crc(logical) + dst_cost.DiskAccess(logical);
   return out;
 }
 
-}  // namespace
+void SetResortBuild(const hdfs::MiniDfs& dfs, PaxBlock base, int column,
+                    PreparedReorg* out) {
+  SetBuild(out, [base = std::move(base), column,
+                 partition = dfs.config().format.varlen_partition_size,
+                 chunk_bytes = dfs.config().chunk_bytes] {
+    SortedReplica sorted = BuildSortedReplica(base, column, partition);
+    return WithChecksums(std::move(sorted.bytes), chunk_bytes,
+                         sorted.index_bytes);
+  });
+}
 
 bool IsConverged(const hdfs::MiniDfs& dfs, const MaintenanceTask& task) {
   const bool resort = task.kind == MaintenanceTask::Kind::kResortReplica;
@@ -208,13 +222,7 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
         dfs.cluster().constants().index_partition_logical);
     cpu += sort.cpu_seconds;
     logical_index_delta = sort.logical_index_bytes;
-    SetBuild(&out, [base = std::move(base), column = task.column,
-                    partition = dfs.config().format.varlen_partition_size,
-                    chunk_bytes] {
-      SortedReplica sorted = BuildSortedReplica(base, column, partition);
-      return WithChecksums(std::move(sorted.bytes), chunk_bytes,
-                           sorted.index_bytes);
-    });
+    SetResortBuild(dfs, std::move(base), task.column, &out);
   }
 
   // Simulated duration on the owning datanode: read the replica, do the
@@ -228,6 +236,11 @@ Result<PreparedReorg> PrepareReorg(const hdfs::MiniDfs& dfs,
 
 void PreparedReorg::StartBuild(ThreadPool* pool) {
   if (build.valid()) pool->Submit(std::move(build));
+}
+
+ReorgOutput PreparedReorg::Join() {
+  if (build.valid()) build();
+  return output.get();
 }
 
 Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
@@ -246,9 +259,7 @@ Status CommitReorg(hdfs::MiniDfs* dfs, const MaintenanceTask& task,
     }
     return Status::OK();
   }
-  // A build StartBuild moved to a pool is joined; one still here runs now.
-  if (prepared.build.valid()) prepared.build();
-  ReorgOutput built = prepared.output.get();
+  ReorgOutput built = prepared.Join();
   if (task.kind == MaintenanceTask::Kind::kBuildStats) {
     // Metadata-only: register the sidecar (bumps the directory generation,
     // so cached plans built without these stats are invalidated). The

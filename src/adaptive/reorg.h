@@ -1,5 +1,6 @@
 /// \file reorg.h
-/// \brief Per-block replica rewrites: the adaptive loop's hands.
+/// \brief Per-block replica rewrites: the adaptive loop's hands, and the
+/// build machinery self-healing repairs share with them.
 ///
 /// A MaintenanceTask names one replica and what to make of it:
 ///  - kInstallUnclustered: splice a dense per-block UnclusteredIndex on
@@ -24,6 +25,11 @@
 ///    generation, which invalidates every BlockCache entry for the old
 ///    bytes — and re-registers the replica in the namenode's Dir_rep so
 ///    getHostsWithIndex immediately routes queries to the new index.
+///
+/// A repair (hail/re_replication.h) is prepared into the same
+/// PreparedReorg through the same two builds — PrepareCopy's byte copy
+/// and SetResortBuild's re-sort — so the engine runs both kinds of
+/// background work through one prepare -> build -> commit path.
 
 #pragma once
 
@@ -33,6 +39,7 @@
 #include <vector>
 
 #include "hdfs/dfs_client.h"
+#include "layout/pax_block.h"
 
 namespace hail {
 class ThreadPool;
@@ -86,24 +93,43 @@ struct ReorgOutput {
   std::string stats;
 };
 
-/// \brief A rewrite ready to commit, plus its simulated price.
+/// \brief A rewrite or repair ready to commit, plus its simulated price.
 struct PreparedReorg {
-  /// New Dir_rep record; CommitReorg completes it with the built replica
+  /// New Dir_rep record; the commit completes it with the built replica
   /// and index sizes.
   hdfs::HailBlockReplicaInfo info;
   /// Simulated seconds the rewrite occupies its slot (read + CPU + write),
-  /// billed on the owning datanode's cost model.
+  /// billed on the cost models of the nodes it reads and writes.
   double seconds = 0.0;
   /// The build, invalid for kEvictReplica (nothing to build). It owns its
-  /// inputs: the decoded block is moved in, and an install or a replica
-  /// add gets its own copy of the source sections or bytes. CommitReorg
-  /// runs it inline unless StartBuild moved it to a pool.
+  /// inputs: the decoded block is moved in, and an install or a byte copy
+  /// gets its own copy of the source sections or bytes. Join runs it
+  /// inline unless StartBuild moved it to a pool.
   std::packaged_task<ReorgOutput()> build;
   std::future<ReorgOutput> output;
 
-  /// Runs the build on `pool`; CommitReorg then joins it.
+  /// Runs the build on `pool`; Join then waits for it.
   void StartBuild(ThreadPool* pool);
+  /// The build's output: joins a build StartBuild moved to a pool, or
+  /// runs it here.
+  ReorgOutput Join();
 };
+
+/// Prepares a byte copy of `source`'s replica of the block onto `target`.
+/// The Dir_rep record is the source's (the bytes are its bytes), and the
+/// price is source read + network transfer (between distinct nodes) +
+/// checksum + target write. Aggressive replication (kAddReplica) and a
+/// repair from a same-layout survivor both copy through it.
+Result<PreparedReorg> PrepareCopy(const hdfs::MiniDfs& dfs, uint64_t block_id,
+                                  int source, int target);
+
+/// Installs the re-sort build on `out`: `base` sorted on `column` through
+/// BuildSortedReplica (a negative column keeps arrival order, unindexed),
+/// then checksummed; the output's index_bytes is the new clustered
+/// index's size, 0 when unindexed. Adaptive re-sorts and repairs that
+/// re-create a lost layout build through it; each bills its own sum.
+void SetResortBuild(const hdfs::MiniDfs& dfs, PaxBlock base, int column,
+                    PreparedReorg* out);
 
 /// Whether the task's own target replica already has what the task would
 /// build, according to its Dir_rep record: a re-sort has converged when

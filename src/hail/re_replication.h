@@ -4,8 +4,9 @@
 /// When a node dies or a replica is reported corrupt, the namenode queues
 /// an UnderReplicatedEntry remembering the *replica-specific* layout that
 /// was lost (sort column, index kind — §3.3's Dir_rep record). Repair
-/// jobs ride the scheduler's maintenance queue (strictly below foreground
-/// work) and re-create that exact layout on a new node:
+/// jobs run as the session engine's background work (strictly below
+/// foreground work, ahead of adaptive rewrites) and re-create that exact
+/// layout on a new node:
 ///
 ///  - when a surviving replica already has the wanted layout, the repair
 ///    is a plain byte copy (source read + network + checksum + write);
@@ -14,32 +15,19 @@
 ///    upload pipeline uses, so the repaired cluster answers clustered
 ///    index scans exactly like the pre-fault one.
 ///
-/// Execution mirrors adaptive/reorg.h: PrepareRepair at assignment
-/// (read-only, computes bytes + simulated price), CommitRepair at the
-/// completion event (StoreBlock on the target + namenode bookkeeping,
-/// including revoking the dead node's stale copy).
+/// A repair is an adaptive::PreparedReorg built by adaptive/reorg.h's
+/// byte copy or re-sort: PrepareRepair at assignment (read-only, decides
+/// the source and the simulated price), the build on the worker pool or
+/// at commit, CommitRepair at the completion event (StoreBlock on the
+/// target + namenode bookkeeping, including revoking the dead node's
+/// stale copy).
 
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
+#include "adaptive/reorg.h"
 #include "hdfs/dfs_client.h"
 
 namespace hail {
-
-/// \brief A repair ready to commit, plus its simulated price.
-struct PreparedRepair {
-  std::string bytes;                 // re-created replica bytes
-  std::vector<uint32_t> chunk_crcs;  // recomputed checksums
-  hdfs::HailBlockReplicaInfo info;   // Dir_rep record to register
-  /// Simulated seconds the repair occupies its maintenance slot
-  /// (source read + network + transform CPU + checksum + target write).
-  double seconds = 0.0;
-  /// Surviving replica the repair read from.
-  int source_datanode = -1;
-};
 
 /// True when the entry still describes missing data. A node-death loss
 /// whose node revived with the replica intact, or a block that no longer
@@ -54,18 +42,19 @@ bool RepairStillNeeded(const hdfs::MiniDfs& dfs,
 int PickRepairTarget(const hdfs::MiniDfs& dfs,
                      const hdfs::UnderReplicatedEntry& entry);
 
-/// Computes the repair without mutating anything. Returns Unavailable
+/// Decides the repair without mutating anything. Returns Unavailable
 /// when no live source replica exists right now (retry later).
-/// Deterministic for a given DFS state.
-Result<PreparedRepair> PrepareRepair(const hdfs::MiniDfs& dfs,
-                                     const hdfs::UnderReplicatedEntry& entry,
-                                     int target);
+/// Deterministic for a given DFS state, and so is the build it returns.
+Result<adaptive::PreparedReorg> PrepareRepair(
+    const hdfs::MiniDfs& dfs, const hdfs::UnderReplicatedEntry& entry,
+    int target);
 
-/// Applies a prepared repair: StoreBlock on the target (generation bump +
-/// cache invalidation) and namenode CompleteRepair (register + revoke the
-/// superseded copy). Refuses when the target died since preparation.
+/// Applies a prepared repair: joins (or runs) its build, then StoreBlock
+/// on the target (generation bump + cache invalidation) and namenode
+/// CompleteRepair (register + revoke the superseded copy). Refuses when
+/// the target died since preparation.
 Status CommitRepair(hdfs::MiniDfs* dfs,
                     const hdfs::UnderReplicatedEntry& entry, int target,
-                    PreparedRepair prepared);
+                    adaptive::PreparedReorg prepared);
 
 }  // namespace hail

@@ -426,8 +426,7 @@ class HailRecordReader : public RecordReader {
           HAIL_ASSIGN_OR_RETURN(Value v, ReadProjectedValue(&accessor, r));
           values.push_back(std::move(v));
         }
-        InvokeMap(*ctx, HailRecord::Projected(proj, std::move(values)),
-                  /*already_filtered=*/true);
+        InvokeMap(*ctx, HailRecord::Projected(proj, std::move(values)));
       }
     }
     // Bad records are handed to the map function with a flag (§4.3);
@@ -435,8 +434,7 @@ class HailRecordReader : public RecordReader {
     HAIL_ASSIGN_OR_RETURN(BadRecordCursor bad, pax.OpenBadRecords());
     while (!bad.Done()) {
       HAIL_ASSIGN_OR_RETURN(std::string_view raw, bad.Next());
-      InvokeMap(*ctx, HailRecord::BadRecord(std::string(raw)),
-                /*already_filtered=*/true);
+      InvokeMap(*ctx, HailRecord::BadRecord(std::string(raw)));
       ++ctx->stats.bad_records;
     }
     ctx->stats.records_seen += uc_scan ? uc_candidates : range.size();

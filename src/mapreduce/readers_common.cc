@@ -98,27 +98,13 @@ Result<size_t> ReadReplicaWithFailover(
                              std::to_string(block_id));
 }
 
-bool InvokeMap(const ReadContext& ctx, const HailRecord& record,
-               bool already_filtered) {
+void InvokeMap(const ReadContext& ctx, const HailRecord& record) {
   const JobSpec& spec = *ctx.spec;
-  if (!record.bad() && !already_filtered && spec.annotation.has_value() &&
-      spec.annotation->has_filter()) {
-    // Stock Hadoop: Bob's map function string-splits the row and filters
-    // by hand (§4.1). The engine applies the same predicate for result
-    // equivalence — through the split's compiled matcher when the reader
-    // installed one.
-    const bool match =
-        ctx.row_matcher != nullptr
-            ? ctx.row_matcher->MatchesRow(record.values())
-            : spec.annotation->filter.Matches(record.values());
-    if (!match) return false;
-  }
   if (spec.map) {
     spec.map(record, ctx.out);
   } else {
     DefaultMap(spec, record, ctx.out);
   }
-  return true;
 }
 
 }  // namespace mapreduce

@@ -23,7 +23,6 @@
 #include "obs/cost_attribution.h"
 #include "obs/trace.h"
 #include "planner/access_planner.h"
-#include "query/vectorized.h"
 
 namespace hail {
 namespace mapreduce {
@@ -105,11 +104,6 @@ struct ReadContext {
   int task_node = 0;
   MapOutput* out = nullptr;
 
-  /// Optional pre-compiled annotation filter, installed by row-major
-  /// readers for the duration of a split so InvokeMap evaluates the
-  /// per-row filter without Predicate::Matches' per-term type dispatch.
-  const CompiledPredicate* row_matcher = nullptr;
-
   /// Statistics the reader reports back.
   ReadStats stats;
   /// Replicas whose CRC verification failed during this task (each was
@@ -151,11 +145,9 @@ Result<size_t> ReadReplicaWithFailover(
 void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
                      uint64_t logical_bytes, int dn, TaskCost* cost);
 
-/// Invokes the job's map function (or the default projector) on a record,
-/// applying the annotation filter first for text records (Bob's manual
-/// filter in stock Hadoop). Returns true when the record qualified.
-bool InvokeMap(const ReadContext& ctx, const HailRecord& record,
-               bool already_filtered);
+/// Invokes the job's map function (or the default projector) on a record
+/// the reader already filtered.
+void InvokeMap(const ReadContext& ctx, const HailRecord& record);
 
 }  // namespace mapreduce
 }  // namespace hail

@@ -1,6 +1,7 @@
 #include "mapreduce/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -217,19 +218,36 @@ struct TaskState {
   std::vector<int> upload_pref;
 };
 
-/// One background replica-reorganization task riding on the session's idle
-/// slots (adaptive indexing; see adaptive/adaptive_manager.h).
-struct MaintState {
-  adaptive::MaintenanceTask task;
-  /// kConverged: skipped at assignment because the target replica already
-  /// had what the task would build (adaptive::IsConverged).
-  enum class Status { kPending, kRunning, kCommitted, kFailed, kConverged }
-      status = Status::kPending;
-  /// Rewrite decided at assignment (pre-mutation state), built on the pool
-  /// (parallel) or at commit (serial), committed in the commit window after
-  /// the completion event.
+/// One background replica rewrite on the session's idle slots: an adaptive
+/// rewrite (adaptive/adaptive_manager.h) or a self-healing repair that
+/// re-creates a lost or corrupt replica (hail/re_replication.h). Either
+/// runs only while no foreground task is pending anywhere, is decided at
+/// assignment (pre-mutation state), built on the pool (parallel) or at
+/// commit (serial), and committed in the commit window after its
+/// completion event.
+struct BackgroundTask {
+  adaptive::MaintenanceTask rewrite;  // unused by a repair
+  /// A repair's loss record; null for a rewrite. Out of line, because most
+  /// records are rewrites.
+  std::unique_ptr<hdfs::UnderReplicatedEntry> repair;
+  /// The datanode it runs on: the rewrite's replica holder, or the repair's
+  /// target (-1 while no node can take it; a revive places it again).
+  int node = -1;
+  /// kDone covers committed, failed, converged and abandoned work.
+  enum class Status { kQueued, kRunning, kDone } status = Status::kQueued;
   std::optional<adaptive::PreparedReorg> prepared;
+
+  /// Seconds the prepared work holds its slot on a node slowed by `slow`:
+  /// a repair is stretched by it, a rewrite is not.
+  double SlotSeconds(double slow) const {
+    return repair != nullptr ? prepared->seconds * slow : prepared->seconds;
+  }
 };
+
+/// A node's two background FIFOs: repairs drain before rewrites
+/// (durability beats index freshness).
+constexpr size_t kRepairFifo = 0;
+constexpr size_t kRewriteFifo = 1;
 
 /// Everything a functional read produces; computed inline (serial) or on a
 /// pool thread (parallel), consumed on the event thread either way.
@@ -244,20 +262,6 @@ struct ReadOutcome {
   /// Corrupt replicas the read failed over past; the completion event asks
   /// the commit window to report them (readers are const over DFS).
   std::vector<BadReplicaReport> bad_replicas;
-};
-
-/// One lost/corrupt replica being re-created from a surviving copy
-/// (self-healing). Rides the maintenance queue strictly below foreground
-/// work, mirroring MaintState's prepare-at-assignment/commit-at-completion
-/// split.
-struct RepairState {
-  hdfs::UnderReplicatedEntry entry;
-  /// Datanode the new replica goes to; -1 while unplaced (no eligible
-  /// target — retried after the next revive).
-  int target = -1;
-  enum class Status { kQueued, kRunning, kCommitted, kDropped } status =
-      Status::kQueued;
-  std::optional<PreparedRepair> prepared;
 };
 
 /// A running task becomes a speculation candidate once it has run this
@@ -349,20 +353,15 @@ struct SessionEngine {
   /// per-job results and the derived totals at the end.
   SessionResult result;
 
-  // ---- background maintenance (adaptive replica reorganization) ----
-  std::vector<MaintState> maint;
-  /// Per-node FIFO of maint indexes (a rewrite runs on the datanode that
-  /// holds the replica).
-  std::vector<std::deque<size_t>> maint_by_node;
-
-  // ---- self-healing re-replication (options->self_heal) ----
-  std::vector<RepairState> repairs;
-  /// Per-target-node FIFO of repair indexes.
-  std::vector<std::deque<size_t>> repairs_by_node;
+  // ---- background work: adaptive rewrites and self-healing repairs ----
+  std::vector<BackgroundTask> background;
+  /// Per node, the FIFOs of queued `background` indexes: kRepairFifo, then
+  /// kRewriteFifo.
+  std::vector<std::array<std::deque<size_t>, 2>> background_by_node;
 
   // ---- the event loop's read barrier and commit list ----
-  /// Where map-task reads and rewrite builds run: on `pool` (parallel) or
-  /// inline on the event thread (serial). Nothing else reads it.
+  /// Where map-task reads and background builds run: on `pool` (parallel)
+  /// or inline on the event thread (serial). Nothing else reads it.
   bool parallel = false;
   ThreadPool* pool = nullptr;
   /// One dispatched-but-not-joined functional read (an inline read's
@@ -411,8 +410,10 @@ struct SessionEngine {
   /// Online adaptation (options->online_adaptation): observe one finished
   /// query and enqueue whatever the planner decided, mid-session.
   void ObserveOnline(int j);
-  /// Files planner output into the per-node maintenance queues.
+  /// Files planner output into the per-node rewrite FIFOs.
   void EnqueueMaintTasks(std::vector<adaptive::MaintenanceTask> tasks);
+  /// Offers the node's free slots to its background FIFOs, repairs first,
+  /// within the heartbeat's remaining quota (none once the session is done).
   void MaintenanceBeat(int node, int assigned);
   /// Schedules an out-of-band heartbeat of `node`: a freed slot asks for
   /// work shortly instead of waiting for the periodic beat.
@@ -434,22 +435,24 @@ struct SessionEngine {
   void DispatchRead(int j, size_t task_id, int attempt, int node);
   void AssignUpload(int j, size_t task_id, int node);
   void ExecuteUpload(int j, size_t task_id, int node, uint64_t seq);
-  void AssignMaintenance(size_t mid, int node);
-  void OnMaintenanceComplete(size_t mid, int node);
-  void CommitMaintenance(size_t mid);
+  /// What offering a queued background task a slot did: it took a quota
+  /// unit (assigned, or a rewrite that failed to prepare), was dropped
+  /// without one, or stalled its FIFO for the rest of the beat.
+  enum class Offer { kTook, kSkipped, kStalled };
+  Offer AssignBackground(size_t id, int node);
+  void OnBackgroundComplete(size_t id, int node);
+  void CommitBackground(size_t id);
   // Fault plan execution: requests go on the commit list, Apply* runs in
   // the commit window.
   void RequestKill(int victim, double revive_after);
   void ApplyKill(int victim, double revive_after, uint64_t detect_seq);
   void ApplyRevive(int node);
   void ApplyCorrupt(int node, int nth_block);
-  // Self-healing re-replication.
+  // Self-healing re-replication (options->self_heal).
   void IngestRepairs();
-  enum class RepairAssign { kAssigned, kSkipped, kStall };
-  RepairAssign AssignRepair(size_t rid, int node);
-  void OnRepairComplete(size_t rid, int node);
-  void CommitRepairTask(size_t rid);
-  void RetargetRepair(size_t rid);
+  /// Files a queued repair on the FIFO of the node PickRepairTarget
+  /// chooses; leaves it unplaced when no node is eligible.
+  void PlaceRepair(size_t id);
   ReadOutcome ExecuteRead(int j, const InputSplit& split, int node) const;
   void JoinOldest();
   void RunLoop();
@@ -685,15 +688,15 @@ void SessionEngine::ObserveOnline(int j) {
   JobExec& job = jobs[static_cast<size_t>(j)];
   if (job.phase != JobExec::Phase::kDone || job.observed) return;
   job.observed = true;
-  const size_t before = maint.size();
+  const size_t before = background.size();
   options->adaptive->ObserveJob(job.submitted->spec, AssembleResult(job));
   EnqueueMaintTasks(options->adaptive->TakeTasks());
   if (session_done && first_error.ok()) {
     // The cluster may already be idle: kick the nodes that just got work
     // (mid-session the periodic beats pick it up).
     std::vector<int> nodes;
-    for (size_t mid = before; mid < maint.size(); ++mid) {
-      nodes.push_back(maint[mid].task.datanode);
+    for (size_t id = before; id < background.size(); ++id) {
+      nodes.push_back(background[id].node);
     }
     std::sort(nodes.begin(), nodes.end());
     nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -706,8 +709,12 @@ void SessionEngine::EnqueueMaintTasks(
   const int n = dfs->cluster().num_nodes();
   for (const adaptive::MaintenanceTask& task : tasks) {
     if (task.datanode < 0 || task.datanode >= n) continue;
-    maint_by_node[static_cast<size_t>(task.datanode)].push_back(maint.size());
-    maint.push_back(MaintState{task, MaintState::Status::kPending, {}});
+    background_by_node[static_cast<size_t>(task.datanode)][kRewriteFifo]
+        .push_back(background.size());
+    BackgroundTask& t = background.emplace_back();
+    t.rewrite = task;
+    t.node = task.datanode;
+    ++result.maintenance_scheduled;
   }
 }
 
@@ -746,14 +753,14 @@ void SessionEngine::AdmitDependents(int j) {
 void SessionEngine::CheckSessionDone() {
   if (session_done || jobs_finished != jobs.size()) return;
   session_done = true;
-  // The cluster just went idle; remaining maintenance and repairs drain
-  // on the freed slots (every job's reported numbers are already fixed —
+  // The cluster just went idle; remaining repairs and rewrites drain on
+  // the freed slots (every job's reported numbers are already fixed —
   // heartbeats below only ever assign background work).
-  for (size_t n = 0; n < maint_by_node.size(); ++n) {
-    const bool has_work =
-        !maint_by_node[n].empty() ||
-        (n < repairs_by_node.size() && !repairs_by_node[n].empty());
-    if (has_work) Kick(static_cast<int>(n));
+  for (size_t n = 0; n < background_by_node.size(); ++n) {
+    const auto& fifos = background_by_node[n];
+    if (!fifos[kRepairFifo].empty() || !fifos[kRewriteFifo].empty()) {
+      Kick(static_cast<int>(n));
+    }
   }
 }
 
@@ -931,241 +938,178 @@ void SessionEngine::MaybePreempt() {
 
 void SessionEngine::MaintenanceBeat(int node, int assigned) {
   if (foreground_pending > 0) return;
-  // Re-replication repairs run before adaptive reorgs (durability beats
-  // index freshness), under the same strict-background gate and quota.
-  if (!repairs_by_node.empty()) {
-    std::deque<size_t>& rq = repairs_by_node[static_cast<size_t>(node)];
-    while (free_slots[static_cast<size_t>(node)] > 0 && !rq.empty() &&
-           (session_done || assigned < constants().tasks_per_heartbeat)) {
-      const size_t rid = rq.front();
-      rq.pop_front();
-      const RepairAssign r = AssignRepair(rid, node);
-      if (r == RepairAssign::kStall) break;  // requeued; retry later
-      if (r == RepairAssign::kAssigned) ++assigned;
-    }
-  }
-  if (maint_by_node.empty()) return;
-  std::deque<size_t>& queue = maint_by_node[static_cast<size_t>(node)];
   // Mid-session the TaskTracker's per-heartbeat quota applies; once every
-  // job is done the cluster is idle and the queue drains as fast as slots
-  // allow. A task whose target replica already has what it would build
-  // (an earlier copy committed first) is dropped without a slot or quota.
-  while (free_slots[static_cast<size_t>(node)] > 0 && !queue.empty() &&
-         (session_done || assigned < constants().tasks_per_heartbeat)) {
-    const size_t mid = queue.front();
-    queue.pop_front();
-    if (adaptive::IsConverged(*dfs, maint[mid].task)) {
-      maint[mid].status = MaintState::Status::kConverged;
-      ++result.maintenance_converged;
-      continue;
+  // job is done the cluster is idle and the FIFOs drain as fast as slots
+  // allow. Repairs go first under the same gate and quota.
+  for (std::deque<size_t>& fifo :
+       background_by_node[static_cast<size_t>(node)]) {
+    while (free_slots[static_cast<size_t>(node)] > 0 && !fifo.empty() &&
+           (session_done || assigned < constants().tasks_per_heartbeat)) {
+      const size_t id = fifo.front();
+      fifo.pop_front();
+      const Offer offer = AssignBackground(id, node);
+      if (offer == Offer::kStalled) break;
+      if (offer == Offer::kTook) ++assigned;
     }
-    AssignMaintenance(mid, node);
-    ++assigned;
   }
 }
 
-void SessionEngine::AssignMaintenance(size_t mid, int node) {
+SessionEngine::Offer SessionEngine::AssignBackground(size_t id, int node) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kQueued) return Offer::kSkipped;
+  const auto abandon = [&] {
+    dfs->namenode().AbandonRepair(*t.repair);
+    t.status = BackgroundTask::Status::kDone;
+    ++result.repairs_abandoned;
+    return Offer::kSkipped;
+  };
+  // Work that is no longer needed is dropped before it takes a slot or
+  // quota: a rewrite whose target already has what it would build (an
+  // earlier copy committed first), a repair whose lost node revived with
+  // its replica intact or whose file is gone.
+  if (t.repair == nullptr && adaptive::IsConverged(*dfs, t.rewrite)) {
+    t.status = BackgroundTask::Status::kDone;
+    ++result.maintenance_converged;
+    return Offer::kSkipped;
+  }
+  if (t.repair != nullptr && !RepairStillNeeded(*dfs, *t.repair)) {
+    return abandon();
+  }
   if (foreground_pending > 0) {
     // Strict low priority is an invariant, not a hope: record violations
     // (tests pin this at zero) instead of silently absorbing them.
     ++result.maintenance_while_foreground_pending;
   }
-  MaintState& m = maint[mid];
-  // The rewrite is computed against the DFS state at assignment time; the
+  // The work is decided against the DFS state at assignment time; the
   // mutation waits for the commit window after the completion event.
-  Result<adaptive::PreparedReorg> prep = adaptive::PrepareReorg(*dfs, m.task);
+  Result<adaptive::PreparedReorg> prep =
+      t.repair == nullptr ? adaptive::PrepareReorg(*dfs, t.rewrite)
+                          : PrepareRepair(*dfs, *t.repair, node);
   if (!prep.ok()) {
-    // A broken task (replica gone, wrong layout) is dropped, not retried;
-    // it must not wedge the queue.
-    m.status = MaintState::Status::kFailed;
-    ++result.maintenance_failed;
-    return;
+    if (t.repair == nullptr) {
+      // A broken rewrite (replica gone, wrong layout) is dropped, not
+      // retried, so it cannot wedge the queue; it used its quota unit.
+      t.status = BackgroundTask::Status::kDone;
+      ++result.maintenance_failed;
+      return Offer::kTook;
+    }
+    if (!prep.status().IsUnavailable()) return abandon();
+    // No live source right now (every surviving holder is dead): park the
+    // repair; a later beat — after a revive — tries again.
+    background_by_node[static_cast<size_t>(node)][kRepairFifo].push_back(id);
+    return Offer::kStalled;
   }
-  m.status = MaintState::Status::kRunning;
-  m.prepared.emplace(std::move(*prep));
+  t.status = BackgroundTask::Status::kRunning;
+  t.prepared.emplace(std::move(*prep));
   // The build owns its inputs, so parallel mode runs it on the pool while
-  // the simulation goes on; CommitMaintenance joins it in the commit
+  // the simulation goes on; CommitBackground joins it in the commit
   // window. Serial mode builds at commit.
-  if (parallel) m.prepared->StartBuild(pool);
+  if (parallel) t.prepared->StartBuild(pool);
   free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration = m.prepared->seconds;
-  events.ScheduleAfter(duration,
-                       [this, mid, node] { OnMaintenanceComplete(mid, node); });
+  events.ScheduleAfter(t.SlotSeconds(options->fault_plan.slow_factor(node)),
+                       [this, id, node] { OnBackgroundComplete(id, node); });
+  return Offer::kTook;
 }
 
-void SessionEngine::OnMaintenanceComplete(size_t mid, int node) {
-  MaintState& m = maint[mid];
-  if (m.status != MaintState::Status::kRunning) return;
-  if (!first_error.ok()) {
-    // The session failed; don't mutate DFS state while the queue drains.
-    m.status = MaintState::Status::kPending;
-    m.prepared.reset();
-    return;
-  }
-  if (!dfs->cluster().node(node).alive()) {
-    // Node killed mid-reorg: the prepared bytes are gone with it. Requeue;
-    // after a revive the next session's planner state still wants this
-    // block.
-    m.status = MaintState::Status::kPending;
-    m.prepared.reset();
-    return;
-  }
-  free_slots[static_cast<size_t>(node)] += 1;
-  if (tracing()) {
-    const double duration = m.prepared->seconds;
-    const uint64_t sp =
-        tracer->AddSpan("reorg", "maint", events.Now() - duration, duration,
-                        session_span, /*lane=*/node);
-    tracer->Attr(sp, "block", m.task.block_id);
-    tracer->Attr(sp, "column", static_cast<int64_t>(m.task.column));
-    tracer->Attr(sp, "node", static_cast<int64_t>(node));
-  }
-  commits.push_back([this, mid] { CommitMaintenance(mid); });
-  // The freed slot asks for more work (maintenance or requeued foreground).
-  Kick(node);
-}
-
-void SessionEngine::CommitMaintenance(size_t mid) {
-  MaintState& m = maint[mid];
-  Status st = adaptive::CommitReorg(dfs, m.task, std::move(*m.prepared));
-  m.prepared.reset();
-  if (st.ok()) {
-    m.status = MaintState::Status::kCommitted;
-    ++result.maintenance_completed;
-    if (m.task.kind == adaptive::MaintenanceTask::Kind::kAddReplica) {
-      ++result.replicas_added;
-    } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kEvictReplica) {
-      ++result.replicas_evicted;
-    } else if (m.task.kind == adaptive::MaintenanceTask::Kind::kBuildStats) {
-      ++result.stats_backfilled;
+void SessionEngine::OnBackgroundComplete(size_t id, int node) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kRunning) return;
+  if (!first_error.ok() || !dfs->cluster().node(node).alive()) {
+    // The session failed (no DFS mutation while the queue drains), or the
+    // node died mid-build and took the written bytes with it. A repair is
+    // placed again at once, unless the session failed; a rewrite waits for
+    // the session end, which hands it back to the manager (after a revive
+    // its planner state still wants the block).
+    t.status = BackgroundTask::Status::kQueued;
+    t.prepared.reset();
+    if (t.repair != nullptr) {
+      t.node = -1;
+      if (first_error.ok()) PlaceRepair(id);
     }
-  } else {
-    m.status = MaintState::Status::kFailed;
-    ++result.maintenance_failed;
-  }
-}
-
-void SessionEngine::IngestRepairs() {
-  if (!options->self_heal) return;
-  std::vector<hdfs::UnderReplicatedEntry> lost =
-      dfs->namenode().TakeUnderReplicated();
-  for (hdfs::UnderReplicatedEntry& e : lost) {
-    if (!RepairStillNeeded(*dfs, e)) {
-      dfs->namenode().AbandonRepair(e);
-      ++result.repairs_abandoned;
-      continue;
-    }
-    RepairState r;
-    r.entry = std::move(e);
-    r.target = PickRepairTarget(*dfs, r.entry);
-    const size_t rid = repairs.size();
-    if (r.target >= 0) {
-      repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-      // Mid-session the periodic beats pick the repair up; after the
-      // last job only an explicit kick reaches the idle target.
-      if (session_done) Kick(r.target);
-    }
-    repairs.push_back(std::move(r));
-  }
-}
-
-SessionEngine::RepairAssign SessionEngine::AssignRepair(size_t rid,
-                                                        int node) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kQueued) return RepairAssign::kSkipped;
-  if (foreground_pending > 0) {
-    // Same strict-background invariant as adaptive maintenance: record
-    // violations (tests pin this at zero), never absorb them silently.
-    ++result.maintenance_while_foreground_pending;
-  }
-  if (!RepairStillNeeded(*dfs, r.entry)) {
-    // The lost node revived with its replica intact (or the file is
-    // gone): nothing is missing anymore.
-    dfs->namenode().AbandonRepair(r.entry);
-    r.status = RepairState::Status::kDropped;
-    ++result.repairs_abandoned;
-    return RepairAssign::kSkipped;
-  }
-  Result<PreparedRepair> prep = PrepareRepair(*dfs, r.entry, node);
-  if (!prep.ok()) {
-    if (prep.status().IsUnavailable()) {
-      // No live source right now (every surviving holder is dead): park
-      // the repair; a later beat — after a revive — tries again.
-      repairs_by_node[static_cast<size_t>(node)].push_back(rid);
-      return RepairAssign::kStall;
-    }
-    dfs->namenode().AbandonRepair(r.entry);
-    r.status = RepairState::Status::kDropped;
-    ++result.repairs_abandoned;
-    return RepairAssign::kSkipped;
-  }
-  r.status = RepairState::Status::kRunning;
-  r.prepared.emplace(std::move(*prep));
-  free_slots[static_cast<size_t>(node)] -= 1;
-  const double duration =
-      r.prepared->seconds * options->fault_plan.slow_factor(node);
-  events.ScheduleAfter(duration,
-                       [this, rid, node] { OnRepairComplete(rid, node); });
-  return RepairAssign::kAssigned;
-}
-
-void SessionEngine::OnRepairComplete(size_t rid, int node) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kRunning) return;
-  if (!first_error.ok()) {
-    // The session failed; don't mutate DFS state while the queue drains.
-    r.status = RepairState::Status::kQueued;
-    r.prepared.reset();
-    r.target = -1;
-    return;
-  }
-  if (!dfs->cluster().node(node).alive()) {
-    // Target died mid-repair: the written bytes died with it. Replace.
-    r.status = RepairState::Status::kQueued;
-    r.prepared.reset();
-    r.target = -1;
-    RetargetRepair(rid);
     return;
   }
   free_slots[static_cast<size_t>(node)] += 1;
   if (tracing()) {
     const double duration =
-        r.prepared->seconds * options->fault_plan.slow_factor(node);
-    const uint64_t sp =
-        tracer->AddSpan("repair", "repair", events.Now() - duration, duration,
-                        session_span, /*lane=*/node);
-    tracer->Attr(sp, "block", r.entry.block_id);
-    tracer->Attr(sp, "lost_datanode",
-                 static_cast<int64_t>(r.entry.lost_datanode));
-    tracer->Attr(sp, "target", static_cast<int64_t>(node));
+        t.SlotSeconds(options->fault_plan.slow_factor(node));
+    const sim::SimTime start = events.Now() - duration;
+    if (t.repair == nullptr) {
+      const uint64_t sp = tracer->AddSpan("reorg", "maint", start, duration,
+                                          session_span, /*lane=*/node);
+      tracer->Attr(sp, "block", t.rewrite.block_id);
+      tracer->Attr(sp, "column", static_cast<int64_t>(t.rewrite.column));
+      tracer->Attr(sp, "node", static_cast<int64_t>(node));
+    } else {
+      const uint64_t sp = tracer->AddSpan("repair", "repair", start, duration,
+                                          session_span, /*lane=*/node);
+      tracer->Attr(sp, "block", t.repair->block_id);
+      tracer->Attr(sp, "lost_datanode",
+                   static_cast<int64_t>(t.repair->lost_datanode));
+      tracer->Attr(sp, "target", static_cast<int64_t>(node));
+    }
   }
-  commits.push_back([this, rid] { CommitRepairTask(rid); });
+  commits.push_back([this, id] { CommitBackground(id); });
+  // The freed slot asks for more work (background or requeued foreground).
   Kick(node);
 }
 
-void SessionEngine::CommitRepairTask(size_t rid) {
-  RepairState& r = repairs[rid];
-  Status st = CommitRepair(dfs, r.entry, r.target, std::move(*r.prepared));
-  r.prepared.reset();
-  if (st.ok()) {
-    r.status = RepairState::Status::kCommitted;
-    ++result.repairs_completed;
+void SessionEngine::CommitBackground(size_t id) {
+  BackgroundTask& t = background[id];
+  adaptive::PreparedReorg prepared = std::move(*t.prepared);
+  t.prepared.reset();
+  if (t.repair != nullptr) {
+    if (CommitRepair(dfs, *t.repair, t.node, std::move(prepared)).ok()) {
+      t.status = BackgroundTask::Status::kDone;
+      ++result.repairs_completed;
+      return;
+    }
+    // The commit failed (the target is gone): place the replica somewhere
+    // else.
+    t.status = BackgroundTask::Status::kQueued;
+    PlaceRepair(id);
     return;
   }
-  // The commit failed (the target is gone): place the replica somewhere
-  // else.
-  r.status = RepairState::Status::kQueued;
-  r.target = -1;
-  RetargetRepair(rid);
+  t.status = BackgroundTask::Status::kDone;
+  if (!adaptive::CommitReorg(dfs, t.rewrite, std::move(prepared)).ok()) {
+    ++result.maintenance_failed;
+    return;
+  }
+  ++result.maintenance_completed;
+  using Kind = adaptive::MaintenanceTask::Kind;
+  if (t.rewrite.kind == Kind::kAddReplica) {
+    ++result.replicas_added;
+  } else if (t.rewrite.kind == Kind::kEvictReplica) {
+    ++result.replicas_evicted;
+  } else if (t.rewrite.kind == Kind::kBuildStats) {
+    ++result.stats_backfilled;
+  }
 }
 
-void SessionEngine::RetargetRepair(size_t rid) {
-  RepairState& r = repairs[rid];
-  if (r.status != RepairState::Status::kQueued) return;
-  r.target = PickRepairTarget(*dfs, r.entry);
-  if (r.target < 0) return;  // unplaced; retried after the next revive
-  repairs_by_node[static_cast<size_t>(r.target)].push_back(rid);
-  if (session_done) Kick(r.target);
+void SessionEngine::IngestRepairs() {
+  if (!options->self_heal) return;
+  for (hdfs::UnderReplicatedEntry& e :
+       dfs->namenode().TakeUnderReplicated()) {
+    if (!RepairStillNeeded(*dfs, e)) {
+      dfs->namenode().AbandonRepair(e);
+      ++result.repairs_abandoned;
+      continue;
+    }
+    background.emplace_back().repair =
+        std::make_unique<hdfs::UnderReplicatedEntry>(std::move(e));
+    ++result.repairs_scheduled;
+    PlaceRepair(background.size() - 1);
+  }
+}
+
+void SessionEngine::PlaceRepair(size_t id) {
+  BackgroundTask& t = background[id];
+  if (t.status != BackgroundTask::Status::kQueued) return;
+  t.node = PickRepairTarget(*dfs, *t.repair);
+  if (t.node < 0) return;  // unplaced; placed again after the next revive
+  background_by_node[static_cast<size_t>(t.node)][kRepairFifo].push_back(id);
+  // Mid-session the periodic beats pick the repair up; after the last job
+  // only an explicit kick reaches the idle target.
+  if (session_done) Kick(t.node);
 }
 
 void SessionEngine::RequestKill(int victim, double revive_after) {
@@ -1205,14 +1149,13 @@ void SessionEngine::ApplyRevive(int node) {
   // eligible target.
   Kick(node);
   if (options->self_heal) {
-    for (size_t rid = 0; rid < repairs.size(); ++rid) {
-      if (repairs[rid].status == RepairState::Status::kQueued &&
-          repairs[rid].target < 0) {
-        RetargetRepair(rid);
+    for (size_t id = 0; id < background.size(); ++id) {
+      if (background[id].repair != nullptr && background[id].node < 0) {
+        PlaceRepair(id);
       }
     }
-    for (size_t n = 0; n < repairs_by_node.size(); ++n) {
-      if (repairs_by_node[n].empty()) continue;
+    for (size_t n = 0; n < background_by_node.size(); ++n) {
+      if (background_by_node[n][kRepairFifo].empty()) continue;
       const int rn = static_cast<int>(n);
       if (rn == node || !dfs->cluster().node(rn).alive()) continue;
       Kick(rn);
@@ -1643,14 +1586,12 @@ void SessionEngine::OnFailureDetected(int node) {
     dfs->namenode().EnqueueLostNodeReplicas(node);
     IngestRepairs();
     // Queued repairs that were targeted at the dead node need a new home.
-    if (!repairs_by_node.empty()) {
-      std::deque<size_t>& rq = repairs_by_node[static_cast<size_t>(node)];
-      while (!rq.empty()) {
-        const size_t rid = rq.front();
-        rq.pop_front();
-        repairs[rid].target = -1;
-        RetargetRepair(rid);
-      }
+    std::deque<size_t>& fifo =
+        background_by_node[static_cast<size_t>(node)][kRepairFifo];
+    while (!fifo.empty()) {
+      const size_t id = fifo.front();
+      fifo.pop_front();
+      PlaceRepair(id);
     }
   }
   if (session_done) return;
@@ -1803,7 +1744,7 @@ JobResult SessionEngine::AssembleResult(const JobExec& job) const {
   // Background maintenance is session-scoped; every job reports the
   // session totals (a single-job session reads exactly like the old
   // single-job runner).
-  out.maintenance_scheduled = static_cast<uint32_t>(maint.size());
+  out.maintenance_scheduled = result.maintenance_scheduled;
   out.maintenance_completed = result.maintenance_completed;
   out.maintenance_failed = result.maintenance_failed;
   return out;
@@ -1937,12 +1878,11 @@ Result<SessionResult> ClusterSession::Run() {
     return Status::FailedPrecondition("no alive TaskTrackers");
   }
 
-  // Adaptive maintenance: take every pending replica rewrite; they run on
-  // slots with no foreground work and whatever does not finish goes back.
-  eng.maint_by_node.resize(static_cast<size_t>(cluster.num_nodes()));
-  eng.repairs_by_node.resize(static_cast<size_t>(cluster.num_nodes()));
-  // Losses recorded by earlier sessions wait in the namenode; a
-  // self-healing session picks them up at the boundary.
+  // Background work runs on slots with no foreground work, and whatever
+  // does not finish goes back. Losses recorded by earlier sessions wait in
+  // the namenode; a self-healing session picks them up at the boundary,
+  // then takes every pending adaptive rewrite.
+  eng.background_by_node.resize(static_cast<size_t>(cluster.num_nodes()));
   eng.IngestRepairs();
   if (options_.adaptive != nullptr) {
     eng.EnqueueMaintTasks(options_.adaptive->TakeTasks());
@@ -2032,27 +1972,23 @@ Result<SessionResult> ClusterSession::Run() {
     eng.tracer->SetEnd(eng.session_span, eng.events.Now());
   }
 
-  // Unfinished maintenance goes back to the manager *before* any error
-  // exit — a failed session must not lose queued reorganization work.
-  if (options_.adaptive != nullptr) {
-    std::vector<adaptive::MaintenanceTask> unfinished;
-    for (const MaintState& m : eng.maint) {
-      if (m.status == MaintState::Status::kPending ||
-          m.status == MaintState::Status::kRunning) {
-        unfinished.push_back(m.task);
-      }
+  // Unfinished background work goes back *before* any error exit: a
+  // failed session must lose neither a lost replica, which stays on the
+  // namenode's books until some session re-creates it, nor queued
+  // reorganization work, which returns to the manager.
+  std::vector<adaptive::MaintenanceTask> unfinished;
+  for (const BackgroundTask& t : eng.background) {
+    if (t.status == BackgroundTask::Status::kDone) continue;
+    if (t.repair != nullptr) {
+      dfs_->namenode().RequeueUnderReplicated(*t.repair);
+    } else {
+      unfinished.push_back(t.rewrite);
     }
+  }
+  if (options_.adaptive != nullptr) {
     options_.adaptive->ReturnUnfinished(std::move(unfinished));
     options_.adaptive->NoteCompleted(eng.result.maintenance_completed,
                                      eng.result.maintenance_failed);
-  }
-  // Unserviced repairs go back to the namenode *before* any error exit —
-  // a lost replica stays on the books until some session re-creates it.
-  for (const RepairState& r : eng.repairs) {
-    if (r.status == RepairState::Status::kQueued ||
-        r.status == RepairState::Status::kRunning) {
-      dfs_->namenode().RequeueUnderReplicated(r.entry);
-    }
   }
   HAIL_RETURN_NOT_OK(eng.first_error);
   for (const JobExec& job : eng.jobs) {
@@ -2117,8 +2053,6 @@ Result<SessionResult> ClusterSession::Run() {
     out.queues[q].latency_p99_s = pct(0.99);
     out.slo_violations_total += out.queues[q].slo_violations;
   }
-  out.maintenance_scheduled = static_cast<uint32_t>(eng.maint.size());
-  out.repairs_scheduled = static_cast<uint32_t>(eng.repairs.size());
   out.under_replicated_remaining = dfs_->namenode().under_replicated_count();
 
   // Mirror the session's engine counters into the cluster's unified

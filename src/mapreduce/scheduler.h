@@ -21,10 +21,13 @@
 ///  - upload jobs occupy map slots too: each source file is one slot task
 ///    whose simulated duration comes from the real upload pipeline, so
 ///    ingest and queries genuinely contend;
-///  - adaptive maintenance stays strictly low priority across ALL tenants:
-///    a replica rewrite is assigned only when no foreground task of any
-///    active job is pending anywhere (SessionResult records the invariant
-///    counter, which must stay 0).
+///  - background work stays strictly low priority across ALL tenants: an
+///    adaptive replica rewrite or a self-healing repair is assigned only
+///    when no foreground task of any active job is pending anywhere
+///    (SessionResult records the invariant counter, which must stay 0).
+///    Both kinds are one record type, queued in two FIFOs per node
+///    (repairs drain first) and run through one prepare -> build ->
+///    commit path.
 ///
 /// Determinism: every scheduling decision is a pure function of the event
 /// order — policy state (queue deficits, pending counts) mutates only on
@@ -33,7 +36,7 @@
 /// and each event's shared-DFS mutations go on one ordered commit list
 /// that the loop applies after the event, once every in-flight read has
 /// joined. Serial and parallel execution differ only in where reads and
-/// rewrite builds run, so they stay bit-identical across interleaved jobs
+/// background builds run, so they stay bit-identical across interleaved jobs
 /// (tests/scheduler_test.cc pins it with %.17g dumps).
 ///
 /// JobRunner::Run is now a one-job ClusterSession; its simulated outputs
@@ -201,16 +204,17 @@ struct AdmissionControl {
   double shed_wait_s = 0.0;
 };
 
-/// \brief Where a session runs map-task reads and maintenance rewrite
-/// builds. Both modes drive the same event loop and the same commit list,
-/// so every simulated output is identical; only wall-clock time differs.
+/// \brief Where a session runs map-task reads and the builds of background
+/// rewrites and repairs. Both modes drive the same event loop and the same
+/// commit list, so every simulated output is identical; only wall-clock
+/// time differs.
 enum class ExecutionMode {
   /// kParallel when the shared worker pool has more than one thread,
   /// kSerial otherwise (with one worker there is nothing to overlap).
   kDefault,
-  /// Reads and rewrite builds run inline on the event thread.
+  /// Reads and background builds run inline on the event thread.
   kSerial,
-  /// Reads and rewrite builds run on the shared worker pool.
+  /// Reads and background builds run on the shared worker pool.
   kParallel,
 };
 
@@ -232,8 +236,8 @@ struct SessionOptions {
   /// to its queue as `preempted_slot_seconds`.
   bool preemption = false;
   double preemption_catchup_s = 60.0;
-  /// Whether reads and rewrite builds run inline or on the shared pool;
-  /// nothing else in the session depends on it.
+  /// Whether reads and background builds run inline or on the shared
+  /// pool; nothing else in the session depends on it.
   ExecutionMode execution = ExecutionMode::kDefault;
   /// Background replica maintenance rides the whole session's idle slots.
   adaptive::AdaptiveManager* adaptive = nullptr;
@@ -248,9 +252,9 @@ struct SessionOptions {
   /// corruption, slow-node factors. The only fault-injection surface;
   /// Run rejects a plan that can never fire (FaultPlan::Validate).
   sim::FaultPlan fault_plan;
-  /// Re-replicate lost/corrupt replicas through the maintenance queue
-  /// (strictly below foreground work). Opt-in: sessions that inject
-  /// faults enable it; corrupt replicas are revoked either way.
+  /// Re-replicate lost/corrupt replicas as background work (strictly
+  /// below foreground work, ahead of adaptive rewrites). Opt-in: sessions
+  /// that inject faults enable it; corrupt replicas are revoked either way.
   bool self_heal = false;
   /// Launch duplicate attempts for straggling tasks (first completion
   /// wins, deterministically): a running task becomes a candidate once it

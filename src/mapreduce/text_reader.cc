@@ -1,4 +1,5 @@
 #include "mapreduce/record_reader.h"
+#include "query/vectorized.h"
 #include "schema/row_parser.h"
 
 namespace hail {
@@ -15,17 +16,6 @@ std::vector<planner::ReplicaCandidate> ReplicaOrder(
                                 /*with_unclustered=*/false, ctx.task_node);
 }
 
-/// Clears the context's row-matcher pointer on every exit path so it never
-/// dangles into reader-local state.
-class RowMatcherScope {
- public:
-  explicit RowMatcherScope(ReadContext* ctx) : ctx_(ctx) {}
-  ~RowMatcherScope() { ctx_->row_matcher = nullptr; }
-
- private:
-  ReadContext* ctx_;
-};
-
 /// \brief Stock Hadoop: full scan over text blocks.
 ///
 /// Reproduces LineRecordReader's boundary rules in the "line belongs to
@@ -38,29 +28,28 @@ class TextRecordReader : public RecordReader {
                              ReadContext* ctx) override {
     TaskCost cost;
     RowParser parser(ctx->spec->schema);
-    // Compile the annotation filter once per split; InvokeMap then skips
-    // the per-row, per-term type dispatch of Predicate::Matches. A filter
-    // that cannot be compiled against the schema fails the split, same as
-    // the HAIL reader.
-    CompiledPredicate matcher;
-    RowMatcherScope scope(ctx);
-    if (ctx->spec->annotation.has_value() &&
-        ctx->spec->annotation->has_filter()) {
+    // Compile the annotation filter once per split (it depends only on
+    // the job spec); a filter that cannot be compiled against the schema
+    // fails the split, same as the HAIL reader.
+    const bool has_filter = ctx->spec->annotation.has_value() &&
+                            ctx->spec->annotation->has_filter();
+    CompiledPredicate compiled;
+    if (has_filter) {
       HAIL_ASSIGN_OR_RETURN(
-          matcher, CompiledPredicate::Compile(ctx->spec->annotation->filter,
-                                              ctx->spec->schema));
-      ctx->row_matcher = &matcher;
+          compiled, CompiledPredicate::Compile(ctx->spec->annotation->filter,
+                                               ctx->spec->schema));
     }
     for (size_t b = 0; b < split.blocks.size(); ++b) {
-      HAIL_RETURN_NOT_OK(
-          ReadOneBlock(split.block_indexes[b], &parser, ctx, &cost));
+      HAIL_RETURN_NOT_OK(ReadOneBlock(split.block_indexes[b],
+                                      has_filter ? &compiled : nullptr,
+                                      &parser, ctx, &cost));
     }
     return cost;
   }
 
  private:
-  Status ReadOneBlock(uint32_t block_index, RowParser* parser,
-                      ReadContext* ctx, TaskCost* cost) {
+  Status ReadOneBlock(uint32_t block_index, const CompiledPredicate* filter,
+                      RowParser* parser, ReadContext* ctx, TaskCost* cost) {
     const hdfs::BlockLocation& loc =
         ctx->plan->file_blocks[block_index];
     const size_t bspan =
@@ -124,23 +113,22 @@ class TextRecordReader : public RecordReader {
       }
     }
 
-    // Parse + hand every row to the map function (filtering happens in
-    // Bob's map code for stock Hadoop).
+    // Parse, filter and hand every qualifying row to the map function
+    // (stock Hadoop: Bob's map code string-splits the row and filters by
+    // hand, §4.1). Bad records reach the map function unfiltered.
     uint64_t records = 0;
     for (std::string_view row : SplitRows(content)) {
       if (row.empty()) continue;
       ++records;
       ParsedRow parsed = parser->Parse(row);
-      if (parsed.ok) {
-        if (InvokeMap(*ctx, HailRecord::FullRow(std::move(parsed.values)),
-                      /*already_filtered=*/false)) {
-          ++ctx->stats.records_qualifying;
-        }
-      } else {
+      if (!parsed.ok) {
         ++ctx->stats.bad_records;
-        InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)),
-                  /*already_filtered=*/false);
+        InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)));
+        continue;
       }
+      if (filter != nullptr && !filter->MatchesRow(parsed.values)) continue;
+      ++ctx->stats.records_qualifying;
+      InvokeMap(*ctx, HailRecord::FullRow(std::move(parsed.values)));
     }
     ctx->stats.records_seen += records;
 

@@ -1,6 +1,7 @@
 #include "hadooppp/trojan_block.h"
 #include "mapreduce/cached_block.h"
 #include "mapreduce/record_reader.h"
+#include "query/vectorized.h"
 
 namespace hail {
 namespace mapreduce {
@@ -139,8 +140,7 @@ class TrojanRecordReader : public RecordReader {
       HAIL_ASSIGN_OR_RETURN(std::vector<Value> row, rows.DecodeRowAt(&pos));
       if (filter != nullptr && !filter->MatchesRow(row)) continue;
       ++qualifying;
-      InvokeMap(*ctx, HailRecord::FullRow(std::move(row)),
-                /*already_filtered=*/true);
+      InvokeMap(*ctx, HailRecord::FullRow(std::move(row)));
     }
     ctx->stats.records_seen += end_row - first_row;
     ctx->stats.records_qualifying += qualifying;
