@@ -10,7 +10,8 @@
 /// A structural parse MAY survive a payload bit flip (the bytes are still
 /// a well-formed block); the end-to-end guarantee that NO flip is ever
 /// silently served comes from the datanode CRC path, asserted for every
-/// flip offset against stored checksums.
+/// flip offset against stored checksums, and for every bit of an upload
+/// packet's payload and chunk CRCs against the tail's packet check.
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,43 @@ TEST_P(CorruptionPropertyTest, EveryStoredBitFlipFailsCrcVerification) {
       dn.StoreBlock(id, bytes.substr(0, len), crcs);
       EXPECT_TRUE(dn.ReadBlockVerified(id, chunk).status().IsCorruption())
           << "truncation to " << len << " not caught";
+    }
+  }
+}
+
+TEST_P(CorruptionPropertyTest, EveryPacketBitFlipFailsVerification) {
+  // In flight, the tail datanode verifies every packet before it stores
+  // anything (upload_pipeline.cc): every single-bit flip of a payload
+  // byte or of a chunk CRC must fail VerifyPacket. Every packet but the
+  // last holds two chunks and a partial one, so a short last CRC is
+  // covered too.
+  const std::string block = SerializeHail(MakeBlock(GetParam(), true), 1);
+  for (const uint32_t chunk : {64u, 512u}) {
+    std::vector<hdfs::Packet> packets =
+        hdfs::MakePackets(7, block, chunk, 2 * chunk + 37);
+    ASSERT_GT(packets.size(), 1u);
+    for (hdfs::Packet& packet : packets) {
+      ASSERT_TRUE(packet.last_in_block || packet.data.size() % chunk != 0);
+      ASSERT_TRUE(hdfs::VerifyPacket(packet, chunk));
+      for (size_t i = 0; i < packet.data.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+          packet.data[i] = static_cast<char>(packet.data[i] ^ (1 << bit));
+          EXPECT_FALSE(hdfs::VerifyPacket(packet, chunk))
+              << "payload flip at byte " << i << " bit " << bit
+              << " of packet " << packet.seq << " not caught";
+          packet.data[i] = static_cast<char>(packet.data[i] ^ (1 << bit));
+        }
+      }
+      for (uint32_t& crc : packet.chunk_crcs) {
+        for (int bit = 0; bit < 32; ++bit) {
+          crc ^= 1u << bit;
+          EXPECT_FALSE(hdfs::VerifyPacket(packet, chunk))
+              << "CRC flip at bit " << bit << " of packet " << packet.seq
+              << " not caught";
+          crc ^= 1u << bit;
+        }
+      }
+      ASSERT_TRUE(hdfs::VerifyPacket(packet, chunk));
     }
   }
 }

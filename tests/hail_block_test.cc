@@ -3,7 +3,10 @@
 #include "hail/hail_block.h"
 #include "hadooppp/trojan_block.h"
 #include "layout/row_binary.h"
+#include "planner/block_stats.h"
 #include "schema/row_parser.h"
+#include "util/crc32c.h"
+#include "util/random.h"
 #include "workload/uservisits.h"
 
 namespace hail {
@@ -103,6 +106,117 @@ TEST(HailBlockTest, CorruptionDetected) {
       std::string_view(bytes).substr(0, bytes.size() - 16));
   if (view.ok()) {
     EXPECT_FALSE(view->OpenPax().ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sorted replicas and stats sidecars of shapes the upload goldens miss
+// ---------------------------------------------------------------------------
+
+/// A block whose columns take every minipage path of both formats:
+/// an int key drawn wide (FOR or plain), an int of ten values that v3
+/// stores as FOR in arrival order and as RLE once sorted by itself,
+/// all-distinct URLs (plain above partition 1 in v3, dictionary at 1), a
+/// small string pool with empty strings mixed in, an all-empty string
+/// column, a double in runs of eight, an int64 and a date; one row in
+/// eleven is also a bad record.
+PaxBlock MakePinBlock(uint32_t rows, BlockFormatOptions options) {
+  const Schema schema({{"k", FieldType::kInt32},
+                       {"flip", FieldType::kInt32},
+                       {"url", FieldType::kString},
+                       {"cat", FieldType::kString},
+                       {"blank", FieldType::kString},
+                       {"rev", FieldType::kDouble},
+                       {"big", FieldType::kInt64},
+                       {"day", FieldType::kDate}});
+  PaxBlock block(schema, options);
+  Random rng(rows * 31 + 7);
+  static const char* kCats[] = {"", "alpha", "beta", "gamma-long-value", ""};
+  double rev = 0.0;
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (r % 8 == 0) rev = static_cast<double>(rng.Uniform(1000)) / 8.0;
+    block.AppendRow(
+        {Value(static_cast<int32_t>(rng.UniformRange(-100000, 100000))),
+         Value(static_cast<int32_t>(rng.Uniform(10))),
+         Value("http://www.example-shop.com/item?id=" + std::to_string(r) +
+               "-" + rng.NextString(rng.Uniform(6))),
+         Value(std::string(kCats[rng.Uniform(5)])), Value(std::string()),
+         Value(rev), Value(static_cast<int64_t>(rng.NextU64() >> 20)),
+         Value(static_cast<int32_t>(rng.UniformRange(9000, 9400)))});
+    if (r % 11 == 5) block.AppendBadRecord("bad|row|" + std::to_string(r));
+  }
+  return block;
+}
+
+/// CRC32C over the sorted replica of every column and of -1 (bytes and
+/// index_bytes), then the stats sidecar.
+uint32_t ReplicaAndStatsDigest(const PaxBlock& block, uint32_t part) {
+  uint32_t crc = 0;
+  for (int c = -1; c < block.num_columns(); ++c) {
+    const SortedReplica replica = BuildSortedReplica(block, c, part);
+    crc = crc32c::Extend(crc, replica.bytes.data(), replica.bytes.size());
+    crc = crc32c::Extend(crc, &replica.index_bytes, sizeof(uint64_t));
+  }
+  const std::string stats = planner::BlockStats::Build(block).Serialize();
+  return crc32c::Extend(crc, stats.data(), stats.size());
+}
+
+TEST(SortedReplicaPinTest, ShapesOutsideTheGoldens) {
+  // The v3 shapes the digests below cover: "flip" is FOR in arrival
+  // order and RLE sorted by itself, and the URLs are a dictionary at
+  // partition 1 but fall back to plain at 64.
+  const auto encoding = [](uint32_t part, int sort_column, int column) {
+    BlockFormatOptions options;
+    options.varlen_partition_size = part;
+    options.enable_encoding = true;
+    const SortedReplica replica =
+        BuildSortedReplica(MakePinBlock(300, options), sort_column, part);
+    auto view = HailBlockView::Open(replica.bytes);
+    EXPECT_TRUE(view.ok());
+    auto pax = view->OpenPax();
+    EXPECT_TRUE(pax.ok());
+    return pax.ok() ? pax->column_encoding(column) : MiniPageEncoding::kPlain;
+  };
+  EXPECT_EQ(encoding(64, -1, 1), MiniPageEncoding::kFor);
+  EXPECT_EQ(encoding(64, 1, 1), MiniPageEncoding::kRle);
+  EXPECT_EQ(encoding(1, -1, 2), MiniPageEncoding::kDict);
+  EXPECT_EQ(encoding(64, -1, 2), MiniPageEncoding::kPlain);
+  EXPECT_EQ(encoding(64, 0, 2), MiniPageEncoding::kPlain);
+  EXPECT_EQ(encoding(64, -1, 3), MiniPageEncoding::kDict);
+
+  struct Case {
+    uint32_t rows;
+    bool only_bad;  // no good rows, bad records only
+  };
+  // 300 rows, one row, an empty block, a block of bad records only.
+  const Case cases[] = {{300, false}, {1, false}, {0, false}, {3, true}};
+  // One digest per case, format (v1, v3) and partition (1, 3, 64).
+  const uint32_t kPinned[4][2][3] = {
+      {{0xd33ed830u, 0xa2502900u, 0x00cde2b2u}, {0x6bbba619u, 0xde68e30bu, 0xe0628096u}},
+      {{0xc0d54b3bu, 0x4380d1abu, 0xb50bbb63u}, {0x34fd3ee7u, 0x52cc3cc8u, 0x7be1ad24u}},
+      {{0x1047b7ecu, 0x925b9c25u, 0xcefd8f40u}, {0x1bb7433au, 0x246633c5u, 0x65029f0au}},
+      {{0xd570616bu, 0x357f2884u, 0x407dc058u}, {0xf1c14b08u, 0x442b2d9fu, 0xd620c8edu}},
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    for (const bool encoded : {false, true}) {
+      const uint32_t parts[] = {1, 3, 64};
+      for (size_t p = 0; p < std::size(parts); ++p) {
+        BlockFormatOptions options;
+        options.varlen_partition_size = parts[p];
+        options.enable_encoding = encoded;
+        PaxBlock block = MakePinBlock(cases[i].only_bad ? 0 : cases[i].rows,
+                                      options);
+        if (cases[i].only_bad) {
+          for (uint32_t b = 0; b < cases[i].rows; ++b) {
+            block.AppendBadRecord(b == 1 ? "" : "only|bad");
+          }
+        }
+        EXPECT_EQ(ReplicaAndStatsDigest(block, parts[p]),
+                  kPinned[i][encoded][p])
+            << "case " << i << " encoded " << encoded << " partition "
+            << parts[p];
+      }
+    }
   }
 }
 
