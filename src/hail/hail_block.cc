@@ -7,17 +7,18 @@
 namespace hail {
 
 SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
-                                 uint32_t varlen_partition_size) {
+                                 uint32_t varlen_partition_size,
+                                 const BlockDictionaries* dictionaries) {
   SortedReplica out;
   if (sort_column < 0) {
-    out.bytes = BuildHailBlock(base, nullptr, -1);
+    out.bytes = BuildHailBlock(base, nullptr, -1, nullptr, dictionaries);
     return out;
   }
-  const PaxBlock sorted =
-      base.PermutedCopy(ArgSortColumn(base.column(sort_column)));
+  const ColumnVector& key = base.column(sort_column);
+  const std::vector<uint32_t> order = ArgSortColumn(key);
   const ClusteredIndex index =
-      ClusteredIndex::Build(sorted.column(sort_column), varlen_partition_size);
-  out.bytes = BuildHailBlock(sorted, &index, sort_column);
+      ClusteredIndex::Build(key.PermutedCopy(order), varlen_partition_size);
+  out.bytes = BuildHailBlock(base, &index, sort_column, &order, dictionaries);
   out.index_bytes = index.SerializedBytes();
   return out;
 }
@@ -40,20 +41,23 @@ SortCost BillSortedReplica(const sim::CostModel& cost, FieldType key_type,
 
 Status HailReplicaTransformer::BeginBlock(std::string_view block_bytes) {
   facts_.reset();
+  dictionaries_.clear();
   base_.reset();
   prepared_.clear();
   stats_bytes_.clear();
-  // The single decode this block will ever see: every replica below is a
-  // permutation of these columns.
+  // The single decode this block will ever see: every replica below
+  // writes these columns in its own row order.
   HAIL_ASSIGN_OR_RETURN(PaxBlock base, PaxBlock::Deserialize(block_bytes));
   base_.emplace(std::move(base));
+  dictionaries_ = base_->BuildDictionaries();
   facts_ = BlockFacts{base_->num_records(),
                       static_cast<uint64_t>(base_->schema().num_fields()),
                       base_->options().enable_encoding};
   if (params_.build_stats) {
     // Built from the shared arrival-order columns: replicas are row
     // permutations of these, so one sidecar describes them all.
-    stats_bytes_ = planner::BlockStats::Build(*base_).Serialize();
+    stats_bytes_ =
+        planner::BlockStats::Build(*base_, &dictionaries_).Serialize();
   }
   return Status::OK();
 }
@@ -75,8 +79,9 @@ HailReplicaTransformer::Prepare(int sort_column) {
           "replica was not prepared and PrepareReplicas freed the block");
     }
     PreparedReplica p;
-    p.replica =
-        BuildSortedReplica(*base_, sort_column, params_.varlen_partition_size);
+    p.replica = BuildSortedReplica(*base_, sort_column,
+                                   params_.varlen_partition_size,
+                                   &dictionaries_);
     // Each replica carries its own checksums: replicas differ physically,
     // so DN1's CRCs are useless to DN2 (§3.2).
     p.chunk_crcs =
@@ -94,6 +99,7 @@ Status HailReplicaTransformer::PrepareReplicas() {
   for (size_t i = 0; i < params_.sort_columns.size(); ++i) {
     HAIL_RETURN_NOT_OK(Prepare(SortColumn(i)).status());
   }
+  dictionaries_.clear();
   base_.reset();
   return Status::OK();
 }
@@ -133,9 +139,12 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
   }
 
   if (facts_->encoded) {
-    // Format v3: every replica serialises (and re-encodes) its own
-    // permutation of the columns — codes are never copied across a sort —
-    // so each datanode pays the sampling + code-emission pass.
+    // Format v3: every replica picks each minipage's encoding for its own
+    // row order and writes its own codes, so each datanode pays the
+    // sampling + code-emission pass. (This emulator runs the string
+    // dictionary pass once per block for all replicas; a datanode
+    // building only its own replica runs it itself, so the bill stays
+    // per replica.)
     out.cpu_seconds +=
         ctx.cost->EncodeValues(params_.logical_records * facts_->num_fields);
   }
@@ -155,8 +164,10 @@ Result<hdfs::ReplicaBlock> HailReplicaTransformer::BuildReplica(
   return out;
 }
 
-std::string BuildHailBlock(const PaxBlock& sorted_pax,
-                           const ClusteredIndex* index, int sort_column) {
+std::string BuildHailBlock(const PaxBlock& pax, const ClusteredIndex* index,
+                           int sort_column,
+                           const std::vector<uint32_t>* order,
+                           const BlockDictionaries* dictionaries) {
   ByteWriter w;
   w.PutU32(kHailBlockMagic);
   w.PutU8(1);  // version
@@ -170,7 +181,7 @@ std::string BuildHailBlock(const PaxBlock& sorted_pax,
   const uint64_t index_offset = w.size();
   w.PutBytes(index_bytes);
   const uint64_t pax_offset = w.size();
-  w.PutBytes(sorted_pax.Serialize());
+  w.PutBytes(pax.Serialize(order, dictionaries));
 
   std::string out = w.Take();
   const uint64_t index_len = index_bytes.size();

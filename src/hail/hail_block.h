@@ -29,12 +29,17 @@ inline constexpr uint32_t kHailBlockMagic = 0x4B4C4248;  // "HBLK"
 
 /// \brief Builds the serialised HAIL block for one replica.
 ///
-/// \param sorted_pax the block's records, already sorted by \p sort_column
-///        (or in arrival order when \p sort_column is -1).
+/// \param pax the block's records, sorted by \p sort_column in the order
+///        \p order gives (PaxBlock::Serialize), or already in that order
+///        when \p order is null.
 /// \param index clustered index over the sort column; null when unindexed.
 /// \param sort_column attribute the data is sorted by; -1 for none.
-std::string BuildHailBlock(const PaxBlock& sorted_pax,
-                           const ClusteredIndex* index, int sort_column);
+/// \param dictionaries pax's dictionary passes, shared by its replicas;
+///        null runs them here.
+std::string BuildHailBlock(const PaxBlock& pax, const ClusteredIndex* index,
+                           int sort_column,
+                           const std::vector<uint32_t>* order = nullptr,
+                           const BlockDictionaries* dictionaries = nullptr);
 
 /// \brief Assembles a version-2 HAIL block from pre-serialised sections.
 ///
@@ -56,12 +61,15 @@ struct SortedReplica {
 };
 
 /// \brief Sorts a replica the same way for upload, adaptive re-sort and
-/// repair: raw typed argsort of the key column, PermutedCopy of every
-/// column, sparse clustered index of \p varlen_partition_size values per
-/// partition. A negative \p sort_column keeps arrival order, unindexed.
+/// repair: raw typed argsort of the key column, a sorted copy of that
+/// column alone for the sparse clustered index of \p varlen_partition_size
+/// values per partition, and \p base serialised in key order with
+/// \p dictionaries (BuildDictionaries of \p base; null runs the pass
+/// here). A negative \p sort_column keeps arrival order, unindexed.
 /// Reads no cluster state.
-SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
-                                 uint32_t varlen_partition_size);
+SortedReplica BuildSortedReplica(
+    const PaxBlock& base, int sort_column, uint32_t varlen_partition_size,
+    const BlockDictionaries* dictionaries = nullptr);
 
 /// \brief Paper-scale cost of sorting and indexing one replica (§3.5).
 struct SortCost {
@@ -107,10 +115,12 @@ struct HailTransformParams {
 ///
 /// Split by what each step reads. BeginBlock decodes the PAX block
 /// exactly once (asserted by PaxBlock::deserialize_count() in tests),
-/// builds the stats sidecar and notes the few facts billing reads;
-/// PrepareReplicas derives every replica's bytes and chunk CRCs from those
-/// shared columns (BuildSortedReplica) and then frees the columns, so they
-/// die on the thread that built them. Neither reads cluster state, so the
+/// runs each v3 string column's dictionary pass once, builds the stats
+/// sidecar from those dictionaries and notes the few facts billing reads;
+/// PrepareReplicas writes every replica's bytes and chunk CRCs from those
+/// shared columns and dictionaries, each replica in its own row order
+/// (BuildSortedReplica), and then frees them, so they die on the thread
+/// that built them. Neither reads cluster state, so the
 /// HAIL client runs both on the worker pool. BuildReplica bills the
 /// building datanode and hands over a copy of the prepared bytes. Without
 /// PrepareReplicas it prepares each replica on first use from the decoded
@@ -154,6 +164,9 @@ class HailReplicaTransformer : public hdfs::ReplicaTransformer {
   /// Shared arrival-order columnar data, decoded once per block; freed by
   /// PrepareReplicas.
   std::optional<PaxBlock> base_;
+  /// base_'s dictionary passes, which view its strings: every replica
+  /// writes the same v3 dictionaries. Freed with base_.
+  BlockDictionaries dictionaries_;
   /// Serialized planner::BlockStats when params_.build_stats is set.
   std::string stats_bytes_;
   /// Prepared replicas by sort column (negative: arrival order).

@@ -11,9 +11,10 @@
 ///  - when a surviving replica already has the wanted layout, the repair
 ///    is a plain byte copy (source read + network + checksum + write);
 ///  - otherwise a surviving PAX replica is re-sorted to the wanted column
-///    through the same ArgSort/PermutedCopy/ClusteredIndex machinery the
-///    upload pipeline uses, so the repaired cluster answers clustered
-///    index scans exactly like the pre-fault one.
+///    through the upload pipeline's own BuildSortedReplica (key argsort,
+///    clustered index, block serialised in key order), so the repaired
+///    cluster answers clustered index scans exactly like the pre-fault
+///    one.
 ///
 /// A repair is an adaptive::PreparedReorg built by adaptive/reorg.h's
 /// byte copy or re-sort: PrepareRepair at assignment (read-only, decides

@@ -3,8 +3,8 @@
 ///
 /// A PAX block under construction holds one ColumnVector per attribute.
 /// Sorting a block (upload pipeline, §3.5) argsorts the key column and then
-/// applies the permutation to every ColumnVector ("we build a sort index to
-/// reorganize all other columns").
+/// writes every ColumnVector in that order ("we build a sort index to
+/// reorganize all other columns"; PaxBlock::Serialize).
 
 #pragma once
 
@@ -57,9 +57,8 @@ class ColumnVector {
   void ApplyPermutation(const std::vector<uint32_t>& perm);
 
   /// Non-destructive counterpart of ApplyPermutation: returns a column
-  /// with out[i] = this[perm[i]], leaving this column untouched. The
-  /// multi-replica upload path permutes one shared decoded block into
-  /// each replica's sort order without re-decoding it.
+  /// with out[i] = this[perm[i]], leaving this column untouched. A sorted
+  /// replica copies its key column this way for the clustered index.
   ColumnVector PermutedCopy(const std::vector<uint32_t>& perm) const;
 
   /// Total bytes this column occupies when serialised (values only).

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 namespace hail {
 
@@ -52,11 +53,61 @@ void WriteCodes(char* out, uint32_t n, uint8_t width, CodeOf code_of) {
   }
 }
 
+/// Row orders a minipage is written in: row i of the minipage is row
+/// rows(i) of the column.
+struct ArrivalRows {
+  static constexpr bool kArrival = true;
+  uint32_t operator()(uint32_t i) const { return i; }
+};
+struct OrderedRows {
+  static constexpr bool kArrival = false;
+  const uint32_t* order;
+  uint32_t operator()(uint32_t i) const { return order[i]; }
+};
+
+/// Writes \p n fixed-width values in row order: one copy in arrival
+/// order, a gather otherwise.
+template <typename T, typename Rows>
+void PutValues(ByteWriter& w, const std::vector<T>& vals, Rows rows,
+               uint32_t n) {
+  if constexpr (Rows::kArrival) {
+    w.PutBytes(std::string_view(reinterpret_cast<const char*>(vals.data()),
+                                uint64_t{n} * sizeof(T)));
+  } else {
+    char* out = w.Extend(uint64_t{n} * sizeof(T));
+    for (uint32_t i = 0; i < n; ++i) {
+      std::memcpy(out + uint64_t{i} * sizeof(T), &vals[rows(i)], sizeof(T));
+    }
+  }
+}
+
+/// Writes the RLE body (run count, run starts, run values) of \p n
+/// values, a run being a maximal stretch of rows where \p same holds
+/// between neighbours.
+template <typename T, typename Rows, typename Same>
+void WriteRuns(ByteWriter& w, const std::vector<T>& vals, Rows rows,
+               uint32_t n, uint32_t runs, Same same) {
+  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
+  w.PutU32(runs);
+  PadTo8(w);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i == 0 || !same(vals[rows(i)], vals[rows(i - 1)])) w.PutU32(i);
+  }
+  PadTo8(w);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i == 0 || !same(vals[rows(i)], vals[rows(i - 1)])) {
+      const T v = vals[rows(i)];
+      w.PutBytes(std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
+    }
+  }
+}
+
 /// Serialises one integer minipage (format v3), choosing the encoding by
 /// comparing estimated stored sizes: NONE beats an encoding on ties, FOR
 /// beats RLE (cheaper random access).
-template <typename T>
-void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
+template <typename T, typename Rows>
+void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals,
+                             Rows rows) {
   const uint32_t n = static_cast<uint32_t>(vals.size());
   if (n == 0) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
@@ -64,12 +115,15 @@ void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
     return;
   }
   // One sampling pass: min, max, run count.
-  T mn = vals[0], mx = vals[0];
+  T prev = vals[rows(0)];
+  T mn = prev, mx = prev;
   uint32_t runs = 1;
   for (uint32_t i = 1; i < n; ++i) {
-    mn = std::min(mn, vals[i]);
-    mx = std::max(mx, vals[i]);
-    runs += vals[i] != vals[i - 1] ? 1u : 0u;
+    const T v = vals[rows(i)];
+    mn = std::min(mn, v);
+    mx = std::max(mx, v);
+    runs += v != prev ? 1u : 0u;
+    prev = v;
   }
   const uint64_t range = static_cast<uint64_t>(static_cast<int64_t>(mx)) -
                          static_cast<uint64_t>(static_cast<int64_t>(mn));
@@ -83,8 +137,7 @@ void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
   if (plain_est <= for_est && plain_est <= rle_est) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
     PadTo8(w);
-    w.PutBytes(std::string_view(reinterpret_cast<const char*>(vals.data()),
-                                uint64_t{n} * sizeof(T)));
+    PutValues(w, vals, rows, n);
     return;
   }
   if (for_est <= rle_est) {
@@ -94,67 +147,46 @@ void WriteEncodedIntMiniPage(ByteWriter& w, const std::vector<T>& vals) {
     const uint64_t frame = static_cast<uint64_t>(static_cast<int64_t>(mn));
     w.PutU64(frame);
     WriteCodes(w.Extend(uint64_t{n} * for_width), n, for_width,
-               [&vals, frame](uint32_t i) {
-                 return static_cast<uint64_t>(static_cast<int64_t>(vals[i])) -
+               [&vals, rows, frame](uint32_t i) {
+                 return static_cast<uint64_t>(
+                            static_cast<int64_t>(vals[rows(i)])) -
                         frame;
                });
     return;
   }
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
-  w.PutU32(runs);
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || vals[i] != vals[i - 1]) w.PutU32(i);
-  }
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || vals[i] != vals[i - 1]) {
-      T v = vals[i];
-      w.PutBytes(std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
-    }
-  }
+  WriteRuns(w, vals, rows, n, runs, [](T a, T b) { return a == b; });
 }
 
 /// Doubles only get RLE, and run detection is *bitwise* so -0.0 / 0.0 and
 /// NaN payloads survive a round trip exactly (value equality would merge
 /// -0.0 into a 0.0 run and re-materialise the wrong bits).
-void WriteEncodedDoubleMiniPage(ByteWriter& w, const std::vector<double>& vals) {
+template <typename Rows>
+void WriteEncodedDoubleMiniPage(ByteWriter& w, const std::vector<double>& vals,
+                                Rows rows) {
   const uint32_t n = static_cast<uint32_t>(vals.size());
   auto same_bits = [](double a, double b) {
     return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
   };
   uint32_t runs = n > 0 ? 1 : 0;
   for (uint32_t i = 1; i < n; ++i) {
-    runs += same_bits(vals[i], vals[i - 1]) ? 0u : 1u;
+    runs += same_bits(vals[rows(i)], vals[rows(i - 1)]) ? 0u : 1u;
   }
   const uint64_t plain_est = 8 + uint64_t{n} * sizeof(double);
   const uint64_t rle_est = 16 + uint64_t{runs} * (4 + sizeof(double));
   if (n == 0 || plain_est <= rle_est) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
     PadTo8(w);
-    w.PutBytes(std::string_view(reinterpret_cast<const char*>(vals.data()),
-                                uint64_t{n} * sizeof(double)));
+    PutValues(w, vals, rows, n);
     return;
   }
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kRle));
-  w.PutU32(runs);
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || !same_bits(vals[i], vals[i - 1])) w.PutU32(i);
-  }
-  PadTo8(w);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i == 0 || !same_bits(vals[i], vals[i - 1])) {
-      double v = vals[i];
-      w.PutBytes(std::string_view(reinterpret_cast<const char*>(&v), sizeof(v)));
-    }
-  }
+  WriteRuns(w, vals, rows, n, runs, same_bits);
 }
 
 /// Writes the v1 sparse-offset varlen body (sans tag) — shared between the
 /// v1 string path and the v3 plain-string fallback.
+template <typename Rows>
 void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
-                     uint32_t n, uint32_t part) {
+                     Rows rows, uint32_t n, uint32_t part) {
   const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
   w.PutU32(num_offsets);
   uint64_t total = 0;
@@ -166,8 +198,9 @@ void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
   for (uint32_t r = 0; r < n; ++r) {
     if (r % part == 0) std::memcpy(out + 8ull * (r / part), &pos, sizeof(pos));
     // Extend zero-filled the NUL terminator.
-    std::memcpy(values + pos, strs[r].data(), strs[r].size());
-    pos += strs[r].size() + 1;
+    const std::string& s = strs[rows(r)];
+    std::memcpy(values + pos, s.data(), s.size());
+    pos += s.size() + 1;
   }
 }
 
@@ -178,57 +211,127 @@ uint64_t DictEstimate(uint64_t dict_size, uint64_t dict_bytes, uint32_t n) {
          uint64_t{n} * CodeWidthForRange(dict_size - 1);
 }
 
-/// String minipage (format v3): sorted-dictionary encoding when it stores
-/// fewer bytes than the plain sparse-offset layout, else plain.
-///
+/// String minipage (format v3): \p dict's entries and its codes in row
+/// order, or the plain sparse-offset layout when there is no dictionary.
+template <typename Rows>
+void WriteEncodedStringMiniPage(ByteWriter& w,
+                                const std::vector<std::string>& strs,
+                                const StringDictionary* dict, Rows rows,
+                                uint32_t n, uint32_t part) {
+  if (dict == nullptr) {
+    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
+    WriteVarlenBody(w, strs, rows, n, part);
+    return;
+  }
+  const uint32_t dict_size = static_cast<uint32_t>(dict->values.size());
+  const uint8_t width = CodeWidthForRange(dict_size - 1);
+  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kDict));
+  w.PutU8(width);
+  w.PutU32(dict_size);
+  w.PutU64(dict->value_bytes);
+  PadTo8(w);
+  char* offsets = w.Extend(4ull * dict_size + dict->value_bytes);
+  char* values = offsets + 4ull * dict_size;
+  uint32_t off = 0;
+  for (uint32_t c = 0; c < dict_size; ++c) {
+    const std::string_view s = dict->values[c];
+    std::memcpy(offsets + 4ull * c, &off, 4);
+    std::memcpy(values + off, s.data(), s.size());  // NUL from Extend
+    off += static_cast<uint32_t>(s.size()) + 1;
+  }
+  PadTo8(w);
+  const uint32_t* codes = dict->codes.data();
+  WriteCodes(w.Extend(uint64_t{n} * width), n, width,
+             [codes, rows](uint32_t r) { return codes[rows(r)]; });
+}
+
+/// Writes column \p col's minipage body in row order \p rows; \p dict is
+/// a v3 string column's dictionary (null: plain).
+template <typename Rows>
+void WriteMiniPage(ByteWriter& w, const ColumnVector& col, bool encoded,
+                   const StringDictionary* dict, Rows rows, uint32_t n,
+                   uint32_t part) {
+  switch (col.type()) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+      if (encoded) {
+        WriteEncodedIntMiniPage(w, col.i32(), rows);
+      } else {
+        PutValues(w, col.i32(), rows, n);
+      }
+      return;
+    case FieldType::kInt64:
+      if (encoded) {
+        WriteEncodedIntMiniPage(w, col.i64(), rows);
+      } else {
+        PutValues(w, col.i64(), rows, n);
+      }
+      return;
+    case FieldType::kDouble:
+      if (encoded) {
+        WriteEncodedDoubleMiniPage(w, col.f64(), rows);
+      } else {
+        PutValues(w, col.f64(), rows, n);
+      }
+      return;
+    case FieldType::kString:
+      if (encoded) {
+        WriteEncodedStringMiniPage(w, col.str(), dict, rows, n, part);
+      } else {
+        // Sparse offsets: one per partition of `part` values, relative
+        // to the start of the value bytes ("we only store every n-th
+        // offset", §3.5).
+        WriteVarlenBody(w, col.str(), rows, n, part);
+      }
+      return;
+  }
+}
+
+}  // namespace
+
 /// One pass over a flat open-addressing table of value ids finds the
 /// distinct values in first-seen order. The dictionary estimate never
 /// shrinks as values are added, so the pass stops once it reaches the
 /// plain size: a high-entropy column gives up early and nothing is
 /// sorted. Only a winning dictionary is sorted, so codes follow string
-/// order, and the codes are written in bulk from a rank per first-seen id.
-void WriteEncodedStringMiniPage(ByteWriter& w,
-                                const std::vector<std::string>& strs,
-                                uint32_t n, uint32_t part) {
-  const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
+/// order, and each row's first-seen id is then replaced by its rank.
+std::optional<StringDictionary> BuildStringDictionary(
+    const std::vector<std::string>& strs, uint32_t part) {
+  const uint32_t n = static_cast<uint32_t>(strs.size());
+  if (n == 0) return std::nullopt;
+  const uint32_t num_offsets = (n + part - 1) / part;
   uint64_t plain_values = 0;
-  for (uint32_t r = 0; r < n; ++r) plain_values += strs[r].size() + 1;
+  for (const std::string& s : strs) plain_values += s.size() + 1;
   const uint64_t plain_est = 1 + 4 + 8ull * num_offsets + 8 + plain_values;
 
   std::vector<std::string_view> distinct;  // first-seen order
-  std::vector<uint32_t> ids(n);            // row -> index into distinct
+  distinct.reserve(n);
+  std::vector<uint32_t> ids(n);  // row -> index into distinct
   uint64_t dict_bytes = 0;
-  bool dict_wins = n > 0;
-  if (dict_wins) {
-    distinct.reserve(n);
-    // Power-of-two table of at least 2n slots; 0 marks an empty slot,
-    // else the slot holds a distinct index + 1.
-    uint64_t capacity = 16;
-    while (capacity < 2ull * n) capacity *= 2;
-    const uint64_t mask = capacity - 1;
-    std::vector<uint32_t> slots(capacity, 0);
-    for (uint32_t r = 0; r < n && dict_wins; ++r) {
-      const std::string_view s = strs[r];
-      // The dictionary is sorted before it is written, so the hash
-      // affects speed only, never the bytes.
-      uint64_t slot = std::hash<std::string_view>{}(s) & mask;
-      while (slots[slot] != 0 && distinct[slots[slot] - 1] != s) {
-        slot = (slot + 1) & mask;
-      }
-      if (slots[slot] == 0) {
-        distinct.push_back(s);
-        slots[slot] = static_cast<uint32_t>(distinct.size());
-        dict_bytes += s.size() + 1;
-        dict_wins = dict_bytes <= std::numeric_limits<uint32_t>::max() &&
-                    DictEstimate(distinct.size(), dict_bytes, n) < plain_est;
-      }
-      ids[r] = slots[slot] - 1;
+  // Power-of-two table of at least 2n slots; 0 marks an empty slot, else
+  // the slot holds a distinct index + 1.
+  uint64_t capacity = 16;
+  while (capacity < 2ull * n) capacity *= 2;
+  const uint64_t mask = capacity - 1;
+  std::vector<uint32_t> slots(capacity, 0);
+  for (uint32_t r = 0; r < n; ++r) {
+    const std::string_view s = strs[r];
+    // The dictionary is sorted before it is written, so the hash affects
+    // speed only, never the bytes.
+    uint64_t slot = std::hash<std::string_view>{}(s) & mask;
+    while (slots[slot] != 0 && distinct[slots[slot] - 1] != s) {
+      slot = (slot + 1) & mask;
     }
-  }
-  if (!dict_wins) {
-    w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    WriteVarlenBody(w, strs, n, part);
-    return;
+    if (slots[slot] == 0) {
+      distinct.push_back(s);
+      slots[slot] = static_cast<uint32_t>(distinct.size());
+      dict_bytes += s.size() + 1;
+      if (dict_bytes > std::numeric_limits<uint32_t>::max() ||
+          DictEstimate(distinct.size(), dict_bytes, n) >= plain_est) {
+        return std::nullopt;
+      }
+    }
+    ids[r] = slots[slot] - 1;
   }
 
   const uint32_t dict_size = static_cast<uint32_t>(distinct.size());
@@ -237,30 +340,18 @@ void WriteEncodedStringMiniPage(ByteWriter& w,
   std::sort(sorted.begin(), sorted.end(), [&distinct](uint32_t a, uint32_t b) {
     return distinct[a] < distinct[b];
   });
+  StringDictionary dict;
+  dict.values.reserve(dict_size);
   std::vector<uint32_t> code_of(dict_size);  // first-seen id -> code
-  for (uint32_t c = 0; c < dict_size; ++c) code_of[sorted[c]] = c;
-
-  const uint8_t width = CodeWidthForRange(dict_size - 1);
-  w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kDict));
-  w.PutU8(width);
-  w.PutU32(dict_size);
-  w.PutU64(dict_bytes);
-  PadTo8(w);
-  char* offsets = w.Extend(4ull * dict_size + dict_bytes);
-  char* values = offsets + 4ull * dict_size;
-  uint32_t off = 0;
   for (uint32_t c = 0; c < dict_size; ++c) {
-    const std::string_view s = distinct[sorted[c]];
-    std::memcpy(offsets + 4ull * c, &off, 4);
-    std::memcpy(values + off, s.data(), s.size());  // NUL from Extend
-    off += static_cast<uint32_t>(s.size()) + 1;
+    dict.values.push_back(distinct[sorted[c]]);
+    code_of[sorted[c]] = c;
   }
-  PadTo8(w);
-  WriteCodes(w.Extend(uint64_t{n} * width), n, width,
-             [&ids, &code_of](uint32_t r) { return code_of[ids[r]]; });
+  dict.value_bytes = dict_bytes;
+  for (uint32_t& id : ids) id = code_of[id];
+  dict.codes = std::move(ids);
+  return dict;
 }
-
-}  // namespace
 
 PaxBlock::PaxBlock(Schema schema, BlockFormatOptions options)
     : schema_(std::move(schema)), options_(options) {
@@ -299,15 +390,6 @@ std::vector<uint32_t> PaxBlock::SortByColumn(int key_column) {
   return perm;
 }
 
-PaxBlock PaxBlock::PermutedCopy(const std::vector<uint32_t>& perm) const {
-  PaxBlock out(schema_, options_);
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    out.columns_[i] = columns_[i].PermutedCopy(perm);
-  }
-  out.bad_records_ = bad_records_;
-  return out;
-}
-
 uint64_t PaxBlock::PayloadBytes() const {
   uint64_t bytes = 0;
   for (const ColumnVector& col : columns_) {
@@ -335,10 +417,25 @@ uint64_t PaxBlock::VarlenPayloadBytes() const {
   return bytes;
 }
 
-std::string PaxBlock::Serialize() const {
+BlockDictionaries PaxBlock::BuildDictionaries() const {
+  BlockDictionaries out(columns_.size());
+  if (!options_.enable_encoding) return out;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (columns_[i].type() == FieldType::kString) {
+      out[i] = BuildStringDictionary(columns_[i].str(),
+                                     options_.varlen_partition_size);
+    }
+  }
+  return out;
+}
+
+std::string PaxBlock::Serialize(const std::vector<uint32_t>* order,
+                                const BlockDictionaries* dictionaries) const {
   ByteWriter w;
   const uint32_t n = num_records();
   const int ncols = num_columns();
+  assert(order == nullptr || order->size() == n);
+  assert(dictionaries == nullptr || dictionaries->size() == columns_.size());
 
   w.PutU32(kPaxMagic);
   // Layout kind: plain PAX (v1) or encoded minipages (v3). The header and
@@ -364,6 +461,7 @@ std::string PaxBlock::Serialize() const {
   std::vector<uint64_t> col_bytes(static_cast<size_t>(ncols));
 
   const uint32_t part = options_.varlen_partition_size;
+  const bool encoded = options_.enable_encoding;
   for (int i = 0; i < ncols; ++i) {
     const ColumnVector& col = columns_[static_cast<size_t>(i)];
     // Align each minipage to 8 bytes so typed batch accessors read aligned
@@ -372,47 +470,19 @@ std::string PaxBlock::Serialize() const {
     // byte accounting is unchanged.
     while (w.size() % 8 != 0) w.PutU8(0);
     col_offsets[static_cast<size_t>(i)] = w.size();
-    if (options_.enable_encoding) {
-      switch (col.type()) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          WriteEncodedIntMiniPage(w, col.i32());
-          break;
-        case FieldType::kInt64:
-          WriteEncodedIntMiniPage(w, col.i64());
-          break;
-        case FieldType::kDouble:
-          WriteEncodedDoubleMiniPage(w, col.f64());
-          break;
-        case FieldType::kString:
-          WriteEncodedStringMiniPage(w, col.str(), n, part);
-          break;
-      }
+    std::optional<StringDictionary> own;
+    const StringDictionary* dict = nullptr;
+    if (encoded && col.type() == FieldType::kString) {
+      if (dictionaries == nullptr) own = BuildStringDictionary(col.str(), part);
+      const std::optional<StringDictionary>& pass =
+          dictionaries != nullptr ? (*dictionaries)[static_cast<size_t>(i)]
+                                  : own;
+      if (pass.has_value()) dict = &*pass;
+    }
+    if (order != nullptr) {
+      WriteMiniPage(w, col, encoded, dict, OrderedRows{order->data()}, n, part);
     } else {
-      switch (col.type()) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.i32().data()),
-              col.i32().size() * sizeof(int32_t)));
-          break;
-        case FieldType::kInt64:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.i64().data()),
-              col.i64().size() * sizeof(int64_t)));
-          break;
-        case FieldType::kDouble:
-          w.PutBytes(std::string_view(
-              reinterpret_cast<const char*>(col.f64().data()),
-              col.f64().size() * sizeof(double)));
-          break;
-        case FieldType::kString:
-          // Sparse offsets: one per partition of `part` values, relative
-          // to the start of the value bytes ("we only store every n-th
-          // offset", §3.5).
-          WriteVarlenBody(w, col.str(), n, part);
-          break;
-      }
+      WriteMiniPage(w, col, encoded, dict, ArrivalRows{}, n, part);
     }
     col_bytes[static_cast<size_t>(i)] =
         w.size() - col_offsets[static_cast<size_t>(i)];
@@ -452,10 +522,9 @@ Result<PaxBlock> PaxBlock::Deserialize(std::string_view data) {
   HAIL_ASSIGN_OR_RETURN(PaxBlockView view, PaxBlockView::Open(data));
   BlockFormatOptions options;
   options.varlen_partition_size = view.varlen_partition_size();
-  // Carrying the flag means a deserialize → permute → serialize round trip
-  // (the replica transformer, adaptive re-sorts) re-encodes the reordered
-  // columns from scratch instead of losing the format — codes are never
-  // copied across a permutation.
+  // Carrying the flag means a replica serialised from the decoded block
+  // in its own row order (the replica transformer, adaptive re-sorts,
+  // repairs) is v3 too, its minipages chosen and encoded for that order.
   options.enable_encoding = view.encoded_format();
   PaxBlock block(view.schema(), options);
   const uint32_t n = view.num_records();

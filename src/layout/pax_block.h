@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -49,10 +50,34 @@ struct BlockFormatOptions {
   /// Write format v3: Serialize() picks NONE / dictionary / RLE /
   /// frame-of-reference per minipage by comparing encoded sizes. Off by
   /// default, so existing v1 bytes (and every golden digest over them)
-  /// are unchanged. Deserialize() preserves the flag, so re-sorted
-  /// replica copies re-encode rather than carrying stale codes.
+  /// are unchanged. Deserialize() preserves the flag, so a replica
+  /// written from a decoded block in its own row order is v3 as well.
   bool enable_encoding = false;
 };
+
+/// \brief The dictionary pass of a format-v3 string minipage.
+///
+/// A v3 dictionary is sorted and distinct, so it depends only on the set
+/// of a column's values, never on their row order: every replica of a
+/// block writes the same dictionary, each with the codes of its own row
+/// order. Entries view the column's strings, which must outlive it.
+struct StringDictionary {
+  /// Sorted, distinct values.
+  std::vector<std::string_view> values;
+  /// Bytes of the NUL-terminated entries.
+  uint64_t value_bytes = 0;
+  /// codes[r] is row r's index into values, in the column's row order.
+  std::vector<uint32_t> codes;
+};
+
+/// Entry c is column c's dictionary pass when the block is v3 and
+/// column c is a string column the dictionary encodes, else empty.
+using BlockDictionaries = std::vector<std::optional<StringDictionary>>;
+
+/// Dictionary pass of a v3 string minipage of \p partition_size values
+/// per sparse offset; empty when the plain layout stores no more bytes.
+std::optional<StringDictionary> BuildStringDictionary(
+    const std::vector<std::string>& strs, uint32_t partition_size);
 
 /// \brief Mutable, in-memory PAX block (one column vector per attribute).
 class PaxBlock {
@@ -83,18 +108,23 @@ class PaxBlock {
   /// permutation that was applied (new[i] = old[perm[i]]).
   std::vector<uint32_t> SortByColumn(int key_column);
 
-  /// Non-destructive reorder: returns a block whose row i is this block's
-  /// row perm[i] (bad records carried over unchanged). The HAIL replica
-  /// transformer decodes a block once and derives every replica's sort
-  /// order from the shared columns via this.
-  PaxBlock PermutedCopy(const std::vector<uint32_t>& perm) const;
-
   /// Direct access to the typed columns for bulk ingest paths
   /// (ColumnarAppender); callers must keep all columns at equal length.
   std::vector<ColumnVector>& mutable_columns() { return columns_; }
 
-  /// Serialises header + minipages + bad section.
-  std::string Serialize() const;
+  /// The dictionary pass of every column (see BlockDictionaries). It
+  /// views this block's strings.
+  BlockDictionaries BuildDictionaries() const;
+
+  /// Serialises header + minipages + bad section. Row i of the written
+  /// block is row (*order)[i] of this one, or row i when \p order is
+  /// null; bad records keep their order. A v3 block's string minipages
+  /// are written from \p dictionaries (BuildDictionaries of this block)
+  /// when given, else from a dictionary pass run here: the bytes are the
+  /// same. So a block's replicas, each in its own sort order, share one
+  /// dictionary pass and copy no column.
+  std::string Serialize(const std::vector<uint32_t>* order = nullptr,
+                        const BlockDictionaries* dictionaries = nullptr) const;
 
   /// Parses a serialised block back into mutable columns.
   static Result<PaxBlock> Deserialize(std::string_view data);

@@ -80,6 +80,36 @@ void Summarize(std::vector<T> sorted, uint32_t buckets, ColumnStats* out) {
   }
 }
 
+/// Summarize's result for a dictionary-encoded string column, from its
+/// sorted distinct entries and how many rows hold each: the value at
+/// sorted position p is the entry whose run of rows covers p.
+void SummarizeDictionary(const StringDictionary& dict, uint32_t buckets,
+                         ColumnStats* out) {
+  const size_t n = dict.codes.size();
+  out->valid = n > 0;
+  out->num_values = n;
+  if (n == 0) return;
+  std::vector<uint64_t> rows(dict.values.size(), 0);
+  for (const uint32_t code : dict.codes) ++rows[code];
+  out->min_value = MakeValue(dict.values.front());
+  out->max_value = MakeValue(dict.values.back());
+  out->distinct = dict.values.size();
+  out->bucket_bounds.reserve(buckets);
+  size_t code = 0;
+  uint64_t end = rows[0];  // one past the last sorted position of `code`
+  for (uint32_t b = 0; b < buckets; ++b) {
+    const size_t idx = ((static_cast<size_t>(b) + 1) * n) / buckets;
+    const size_t pos = idx == 0 ? 0 : idx - 1;
+    while (pos >= end) end += rows[++code];
+    out->bucket_bounds.push_back(MakeValue(dict.values[code]));
+  }
+  uint64_t bytes = 0;
+  for (size_t c = 0; c < rows.size(); ++c) {
+    bytes += rows[c] * dict.values[c].size();
+  }
+  out->value_bytes = bytes;
+}
+
 /// Fraction of values strictly below / at-or-below \p v according to the
 /// equi-depth histogram: each bucket carries 1/k of the rows and is upper-
 /// bounded by its stored bound, so counting bounds gives the CDF at bucket
@@ -98,6 +128,7 @@ double FractionAtMost(const ColumnStats& s, const Value& v, bool inclusive) {
 }  // namespace
 
 BlockStats BlockStats::Build(const PaxBlock& block,
+                             const BlockDictionaries* dictionaries,
                              uint32_t histogram_buckets) {
   BlockStats stats;
   stats.num_records = block.num_records();
@@ -122,6 +153,12 @@ BlockStats BlockStats::Build(const PaxBlock& block,
         out.value_bytes = col.f64().size() * 8;
         break;
       case FieldType::kString: {
+        if (dictionaries != nullptr &&
+            (*dictionaries)[static_cast<size_t>(c)].has_value()) {
+          SummarizeDictionary(*(*dictionaries)[static_cast<size_t>(c)],
+                              histogram_buckets, &out);
+          break;
+        }
         Summarize(std::vector<std::string_view>(col.str().begin(),
                                                 col.str().end()),
                   histogram_buckets, &out);

@@ -67,8 +67,12 @@ struct BlockStats {
   std::vector<ColumnStats> columns;
 
   /// Builds stats from decoded columns. Deterministic and independent of
-  /// row order, so every replica of a block yields identical stats.
+  /// row order, so every replica of a block yields identical stats. A
+  /// string column with a dictionary in \p dictionaries (BuildDictionaries
+  /// of \p block) is summarised from its sorted entries and their row
+  /// counts; every other column is sorted. The result is the same.
   static BlockStats Build(const PaxBlock& block,
+                          const BlockDictionaries* dictionaries = nullptr,
                           uint32_t histogram_buckets = kDefaultHistogramBuckets);
 
   std::string Serialize() const;

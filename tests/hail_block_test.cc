@@ -220,6 +220,35 @@ TEST(SortedReplicaPinTest, ShapesOutsideTheGoldens) {
   }
 }
 
+TEST(SortedReplicaPinTest, SharedDictionariesChangeNoByte) {
+  // The upload runs each string column's dictionary pass once per block
+  // and hands it to every replica and to the stats sidecar: replicas and
+  // sidecars must equal the ones built without it, for every histogram
+  // size, including more buckets than rows.
+  for (const uint32_t rows : {300u, 1u, 0u}) {
+    for (const uint32_t part : {1u, 3u, 64u}) {
+      BlockFormatOptions options;
+      options.varlen_partition_size = part;
+      options.enable_encoding = true;
+      const PaxBlock block = MakePinBlock(rows, options);
+      const BlockDictionaries dictionaries = block.BuildDictionaries();
+      for (int c = -1; c < block.num_columns(); ++c) {
+        EXPECT_EQ(BuildSortedReplica(block, c, part, &dictionaries).bytes,
+                  BuildSortedReplica(block, c, part).bytes)
+            << rows << " rows, partition " << part << ", column " << c;
+      }
+      for (const uint32_t buckets : {1u, 7u, 16u, 1000u}) {
+        EXPECT_EQ(
+            planner::BlockStats::Build(block, &dictionaries, buckets)
+                .Serialize(),
+            planner::BlockStats::Build(block, nullptr, buckets).Serialize())
+            << rows << " rows, partition " << part << ", " << buckets
+            << " buckets";
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Trojan block (Hadoop++ physical format)
 // ---------------------------------------------------------------------------

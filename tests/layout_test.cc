@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "layout/column_vector.h"
 #include "layout/pax_block.h"
@@ -261,20 +262,22 @@ TEST(PaxBlockEncodedTest, RoundTripAndEncodingChoice) {
   }
 }
 
-TEST(PaxBlockEncodedTest, PermutedCopyReencodes) {
+TEST(PaxBlockEncodedTest, OrderedSerializeReencodes) {
   BlockFormatOptions options;
   options.enable_encoding = true;
   const Schema schema = EncodableSchema();
   PaxBlock block =
       BuildPaxBlockFromText(schema, MakeEncodableText(300, 12), options);
-  // Deserialize -> permute -> serialize is the replica-transformer path:
-  // the re-sorted copy must re-encode the reordered columns from scratch,
-  // never reuse codes minted for the pre-sort order.
+  // Deserialize -> serialize in key order is the replica-transformer
+  // path: the sorted replica picks and encodes each minipage for its own
+  // row order, never reusing codes minted for the arrival order, and
+  // writes the block's shared string dictionaries with its rows' codes.
   auto base = PaxBlock::Deserialize(block.Serialize());
   ASSERT_TRUE(base.ok());
   const std::vector<uint32_t> perm = ArgSortColumn(base->column(0));
-  const PaxBlock sorted = base->PermutedCopy(perm);
-  const std::string sorted_bytes = sorted.Serialize();
+  const BlockDictionaries dictionaries = base->BuildDictionaries();
+  const std::string sorted_bytes = base->Serialize(&perm, &dictionaries);
+  EXPECT_EQ(sorted_bytes, base->Serialize(&perm));
   auto view = PaxBlockView::Open(sorted_bytes);
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(view->encoded_format());
@@ -292,6 +295,10 @@ TEST(PaxBlockEncodedTest, PermutedCopyReencodes) {
     EXPECT_DOUBLE_EQ(view->GetFixedValue(3, r)->as_double(),
                      block.GetRow(perm[r])[3].as_double());
   }
+  // The same bytes as sorting a copy of every column and serialising it.
+  PaxBlock sorted = *base;
+  sorted.SortByColumn(0);
+  EXPECT_EQ(sorted_bytes, sorted.Serialize());
 }
 
 TEST(PaxBlockEncodedTest, PlainSpansRefuseEncodedColumns) {
@@ -429,21 +436,33 @@ void WriteForMiniPage(ByteWriter& w, const std::vector<T>& vals,
 
 }  // namespace reference
 
-/// Serialises \p col as the only column of a block and returns its stored
-/// minipage: with no bad records the minipage is the block's tail.
-std::string StoredMiniPage(const ColumnVector& col, bool encoded,
-                           uint32_t part, MiniPageEncoding* encoding) {
+/// A block whose only column is \p col.
+PaxBlock SingleColumnBlock(const ColumnVector& col, bool encoded,
+                           uint32_t part) {
   BlockFormatOptions options;
   options.enable_encoding = encoded;
   options.varlen_partition_size = part;
   PaxBlock block(Schema({{"c", col.type()}}), options);
   block.mutable_columns()[0] = col;
-  const std::string bytes = block.Serialize();
+  return block;
+}
+
+/// The stored minipage of a serialised single-column block: with no bad
+/// records the minipage is the block's tail.
+std::string MiniPageOf(const std::string& bytes, MiniPageEncoding* encoding) {
   auto view = PaxBlockView::Open(bytes);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
   if (!view.ok()) return "";
   *encoding = view->column_encoding(0);
   return bytes.substr(bytes.size() - view->column_bytes(0));
+}
+
+/// Serialises \p col as the only column of a block and returns its stored
+/// minipage.
+std::string StoredMiniPage(const ColumnVector& col, bool encoded,
+                           uint32_t part, MiniPageEncoding* encoding) {
+  return MiniPageOf(SingleColumnBlock(col, encoded, part).Serialize(),
+                    encoding);
 }
 
 ColumnVector StringColumn(const std::vector<std::string>& values) {
@@ -538,7 +557,29 @@ TEST(MiniPageEncoderTest, RandomStringColumnsMatchReference) {
     for (uint32_t r = 0; r < n; ++r) {
       values.push_back(pool[rng.Uniform(pool_size)]);
     }
-    ExpectStringMiniPagesMatch(values, 1 + static_cast<uint32_t>(rng.Uniform(80)));
+    const uint32_t part = 1 + static_cast<uint32_t>(rng.Uniform(80));
+    ExpectStringMiniPagesMatch(values, part);
+
+    // Two random row orders written through one shared dictionary pass
+    // match the reference over the reordered values.
+    const PaxBlock block =
+        SingleColumnBlock(StringColumn(values), /*encoded=*/true, part);
+    const BlockDictionaries dictionaries = block.BuildDictionaries();
+    for (int k = 0; k < 2; ++k) {
+      std::vector<uint32_t> order(n);
+      std::iota(order.begin(), order.end(), 0u);
+      for (uint32_t i = n; i > 1; --i) {
+        std::swap(order[i - 1], order[rng.Uniform(i)]);
+      }
+      std::vector<std::string> reordered;
+      for (const uint32_t row : order) reordered.push_back(values[row]);
+      ByteWriter expected;
+      reference::WriteEncodedStringMiniPage(expected, reordered, n, part);
+      MiniPageEncoding encoding = MiniPageEncoding::kPlain;
+      EXPECT_EQ(MiniPageOf(block.Serialize(&order, &dictionaries), &encoding),
+                expected.buffer())
+          << n << " rows, order " << k;
+    }
   }
 }
 

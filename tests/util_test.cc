@@ -103,6 +103,36 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   EXPECT_EQ(whole, partial);
 }
 
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  // Extend runs the SSE4.2 instruction where the CPU has it (then
+  // KnownVectors above checks that path); it must equal the table path
+  // at every length, whatever the start address's alignment.
+  Random rng(3720);
+  std::string data(1024 + 8, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const char* p = data.data() + offset;
+      ASSERT_EQ(crc32c::Extend(0, p, len), crc32c::ExtendTable(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chained calls from a nonzero CRC, split at every point of a stretch
+  // that covers both 8-byte steps and single-byte tails.
+  const uint32_t init = 0x9e3779b9u;
+  const size_t total = 301;
+  const uint32_t whole = crc32c::ExtendTable(init, data.data() + 3, total);
+  for (size_t split = 0; split <= total; ++split) {
+    const char* p = data.data() + 3;
+    const uint32_t hw = crc32c::Extend(crc32c::Extend(init, p, split),
+                                       p + split, total - split);
+    const uint32_t table = crc32c::ExtendTable(
+        crc32c::ExtendTable(init, p, split), p + split, total - split);
+    EXPECT_EQ(hw, whole) << "split " << split;
+    EXPECT_EQ(table, whole) << "split " << split;
+  }
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlip) {
   std::string data(1024, 'x');
   const uint32_t clean = crc32c::Value(data.data(), data.size());
