@@ -287,8 +287,9 @@ void WriteMiniPage(ByteWriter& w, const ColumnVector& col, bool encoded,
   }
 }
 
-}  // namespace
-
+/// Dictionary pass of a v3 string minipage of \p part values per sparse
+/// offset; empty when the plain layout stores no more bytes.
+///
 /// One pass over a flat open-addressing table of value ids finds the
 /// distinct values in first-seen order. The dictionary estimate never
 /// shrinks as values are added, so the pass stops once it reaches the
@@ -352,6 +353,8 @@ std::optional<StringDictionary> BuildStringDictionary(
   dict.codes = std::move(ids);
   return dict;
 }
+
+}  // namespace
 
 PaxBlock::PaxBlock(Schema schema, BlockFormatOptions options)
     : schema_(std::move(schema)), options_(options) {

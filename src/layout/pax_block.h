@@ -71,13 +71,9 @@ struct StringDictionary {
 };
 
 /// Entry c is column c's dictionary pass when the block is v3 and
-/// column c is a string column the dictionary encodes, else empty.
+/// column c is a string column the dictionary encodes (it stores fewer
+/// bytes than the plain layout), else empty.
 using BlockDictionaries = std::vector<std::optional<StringDictionary>>;
-
-/// Dictionary pass of a v3 string minipage of \p partition_size values
-/// per sparse offset; empty when the plain layout stores no more bytes.
-std::optional<StringDictionary> BuildStringDictionary(
-    const std::vector<std::string>& strs, uint32_t partition_size);
 
 /// \brief Mutable, in-memory PAX block (one column vector per attribute).
 class PaxBlock {
