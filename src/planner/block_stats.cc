@@ -1,6 +1,7 @@
 #include "planner/block_stats.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/io.h"
 
@@ -130,6 +131,11 @@ double FractionAtMost(const ColumnStats& s, const Value& v, bool inclusive) {
 BlockStats BlockStats::Build(const PaxBlock& block,
                              const BlockDictionaries* dictionaries,
                              uint32_t histogram_buckets) {
+  BlockDictionaries own;
+  if (dictionaries == nullptr) {
+    own = block.BuildDictionaries();
+    dictionaries = &own;
+  }
   BlockStats stats;
   stats.num_records = block.num_records();
   stats.num_bad_records = static_cast<uint32_t>(block.bad_records().size());
@@ -153,10 +159,10 @@ BlockStats BlockStats::Build(const PaxBlock& block,
         out.value_bytes = col.f64().size() * 8;
         break;
       case FieldType::kString: {
-        if (dictionaries != nullptr &&
-            (*dictionaries)[static_cast<size_t>(c)].has_value()) {
-          SummarizeDictionary(*(*dictionaries)[static_cast<size_t>(c)],
-                              histogram_buckets, &out);
+        const std::optional<StringDictionary>& dict =
+            (*dictionaries)[static_cast<size_t>(c)];
+        if (dict.has_value()) {
+          SummarizeDictionary(*dict, histogram_buckets, &out);
           break;
         }
         Summarize(std::vector<std::string_view>(col.str().begin(),

@@ -68,9 +68,11 @@ struct BlockStats {
 
   /// Builds stats from decoded columns. Deterministic and independent of
   /// row order, so every replica of a block yields identical stats. A
-  /// string column with a dictionary in \p dictionaries (BuildDictionaries
-  /// of \p block) is summarised from its sorted entries and their row
-  /// counts; every other column is sorted. The result is the same.
+  /// string column the block's dictionary pass encodes (\p dictionaries,
+  /// BuildDictionaries of \p block; null runs that pass here) is
+  /// summarised from its sorted entries and their row counts; every
+  /// other column (all of a v1 block's, and v3 strings stored plain) is
+  /// sorted. The result is the same.
   static BlockStats Build(const PaxBlock& block,
                           const BlockDictionaries* dictionaries = nullptr,
                           uint32_t histogram_buckets = kDefaultHistogramBuckets);

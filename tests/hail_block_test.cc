@@ -222,9 +222,12 @@ TEST(SortedReplicaPinTest, ShapesOutsideTheGoldens) {
 
 TEST(SortedReplicaPinTest, SharedDictionariesChangeNoByte) {
   // The upload runs each string column's dictionary pass once per block
-  // and hands it to every replica and to the stats sidecar: replicas and
-  // sidecars must equal the ones built without it, for every histogram
-  // size, including more buckets than rows.
+  // and hands it to every replica and to the stats sidecar: replicas
+  // must equal the ones built without it. A v3 block's sidecar, with the
+  // pass handed in or run by Build, summarises its dictionary columns
+  // from the dictionaries; it must equal the sidecar of the same rows in
+  // a v1 block, where every column is sorted, for every histogram size,
+  // including more buckets than rows.
   for (const uint32_t rows : {300u, 1u, 0u}) {
     for (const uint32_t part : {1u, 3u, 64u}) {
       BlockFormatOptions options;
@@ -237,11 +240,19 @@ TEST(SortedReplicaPinTest, SharedDictionariesChangeNoByte) {
                   BuildSortedReplica(block, c, part).bytes)
             << rows << " rows, partition " << part << ", column " << c;
       }
+      options.enable_encoding = false;
+      const PaxBlock plain = MakePinBlock(rows, options);
       for (const uint32_t buckets : {1u, 7u, 16u, 1000u}) {
+        const std::string sorted =
+            planner::BlockStats::Build(plain, nullptr, buckets).Serialize();
+        EXPECT_EQ(planner::BlockStats::Build(block, &dictionaries, buckets)
+                      .Serialize(),
+                  sorted)
+            << rows << " rows, partition " << part << ", " << buckets
+            << " buckets";
         EXPECT_EQ(
-            planner::BlockStats::Build(block, &dictionaries, buckets)
-                .Serialize(),
-            planner::BlockStats::Build(block, nullptr, buckets).Serialize())
+            planner::BlockStats::Build(block, nullptr, buckets).Serialize(),
+            sorted)
             << rows << " rows, partition " << part << ", " << buckets
             << " buckets";
       }
