@@ -139,13 +139,7 @@ Result<UploadReport> UploadTextFile(MiniDfs* dfs, int client_node,
                                     const std::string& dfs_path,
                                     std::string_view text,
                                     sim::SimTime start_time) {
-  std::vector<ClientCursor> cursors{
-      ClientCursor{client_node, dfs_path, text, 0, start_time, 0.0, 0, 0, 0}};
-  while (!cursors[0].done()) {
-    HAIL_ASSIGN_OR_RETURN(bool more, UploadNextBlock(dfs, &cursors[0]));
-    if (!more) break;
-  }
-  return MakeReport(cursors, start_time);
+  return ParallelUploadText(dfs, {{client_node, dfs_path, text}}, start_time);
 }
 
 Result<UploadReport> ParallelUploadText(

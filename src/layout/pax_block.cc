@@ -530,107 +530,10 @@ Result<PaxBlock> PaxBlock::Deserialize(std::string_view data) {
   // repairs) is v3 too, its minipages chosen and encoded for that order.
   options.enable_encoding = view.encoded_format();
   PaxBlock block(view.schema(), options);
-  const uint32_t n = view.num_records();
-  // Bulk per-column decode: fixed-size minipages are one memcpy each,
-  // string minipages one sequential pass — no per-row Value round trip.
-  // Encoded minipages expand runs / codes / dictionary references.
+  // Bulk per-column decode, no per-row Value round trip.
   for (int c = 0; c < view.num_columns(); ++c) {
-    ColumnVector& col = block.columns_[static_cast<size_t>(c)];
-    switch (view.column_encoding(c)) {
-      case MiniPageEncoding::kPlain:
-        break;
-      case MiniPageEncoding::kFor: {
-        HAIL_ASSIGN_OR_RETURN(ForSpan span, view.ForSpanOf(c));
-        if (col.type() == FieldType::kInt64) {
-          std::vector<int64_t>& out = col.mutable_i64();
-          out.reserve(n);
-          for (uint32_t r = 0; r < n; ++r) out.push_back(span.Value(r));
-        } else {
-          std::vector<int32_t>& out = col.mutable_i32();
-          out.reserve(n);
-          for (uint32_t r = 0; r < n; ++r) {
-            out.push_back(static_cast<int32_t>(span.Value(r)));
-          }
-        }
-        continue;
-      }
-      case MiniPageEncoding::kRle:
-        switch (col.type()) {
-          case FieldType::kInt32:
-          case FieldType::kDate: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> span, view.RleInt32Span(c));
-            std::vector<int32_t>& out = col.mutable_i32();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-          case FieldType::kInt64: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> span, view.RleInt64Span(c));
-            std::vector<int64_t>& out = col.mutable_i64();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-          default: {
-            HAIL_ASSIGN_OR_RETURN(RleSpan<double> span, view.RleDoubleSpan(c));
-            std::vector<double>& out = col.mutable_f64();
-            out.resize(n);
-            for (uint32_t j = 0; j < span.num_runs(); ++j) {
-              std::fill(out.begin() + span.run_start(j),
-                        out.begin() + span.run_end(j), span.run_value(j));
-            }
-            break;
-          }
-        }
-        continue;
-      case MiniPageEncoding::kDict: {
-        HAIL_ASSIGN_OR_RETURN(DictSpan span, view.DictSpanOf(c));
-        std::vector<std::string>& out = col.mutable_str();
-        out.reserve(n);
-        for (uint32_t r = 0; r < n; ++r) out.emplace_back(span.Value(r));
-        continue;
-      }
-    }
-    switch (col.type()) {
-      case FieldType::kInt32:
-      case FieldType::kDate: {
-        HAIL_ASSIGN_OR_RETURN(ColumnSpan<int32_t> span, view.Int32Span(c));
-        std::vector<int32_t>& out = col.mutable_i32();
-        out.resize(n);
-        if (n > 0) std::memcpy(out.data(), span.raw_bytes(), n * sizeof(int32_t));
-        break;
-      }
-      case FieldType::kInt64: {
-        HAIL_ASSIGN_OR_RETURN(ColumnSpan<int64_t> span, view.Int64Span(c));
-        std::vector<int64_t>& out = col.mutable_i64();
-        out.resize(n);
-        if (n > 0) std::memcpy(out.data(), span.raw_bytes(), n * sizeof(int64_t));
-        break;
-      }
-      case FieldType::kDouble: {
-        HAIL_ASSIGN_OR_RETURN(ColumnSpan<double> span, view.DoubleSpan(c));
-        std::vector<double>& out = col.mutable_f64();
-        out.resize(n);
-        if (n > 0) std::memcpy(out.data(), span.raw_bytes(), n * sizeof(double));
-        break;
-      }
-      case FieldType::kString: {
-        HAIL_ASSIGN_OR_RETURN(VarlenCursor cursor, view.OpenVarlenCursor(c));
-        std::vector<std::string>& out = col.mutable_str();
-        out.reserve(n);
-        for (uint32_t r = 0; r < n; ++r) {
-          HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
-          out.emplace_back(s);
-        }
-        break;
-      }
-    }
+    HAIL_ASSIGN_OR_RETURN(ColumnReader reader, view.OpenColumn(c));
+    HAIL_RETURN_NOT_OK(reader.AppendTo(&block.columns_[static_cast<size_t>(c)]));
   }
   HAIL_ASSIGN_OR_RETURN(BadRecordCursor bad, view.OpenBadRecords());
   while (!bad.Done()) {
@@ -674,6 +577,11 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
     ColumnInfo& ci = view.cols_[i];
     HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
     ci.type = static_cast<FieldType>(type_byte);
+    // The directory repeats the schema's types; a reader decodes by the
+    // directory's, so the two must agree (and the type is a known one).
+    if (ci.type != view.schema_.field(static_cast<int>(i)).type) {
+      return Status::Corruption("column type does not match schema");
+    }
     HAIL_ASSIGN_OR_RETURN(ci.minipage_offset, r.GetU64());
     HAIL_ASSIGN_OR_RETURN(ci.minipage_bytes, r.GetU64());
     // Overflow-safe form of offset + bytes > size: a crafted directory
@@ -1077,94 +985,164 @@ Result<std::string_view> BadRecordCursor::Next() {
   return reader_.GetLengthPrefixed();
 }
 
+Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
+  if (column < 0 || column >= num_columns()) {
+    return Status::InvalidArgument("column " + std::to_string(column) +
+                                   " outside the block's " +
+                                   std::to_string(num_columns()) + " columns");
+  }
+  using Kind = ColumnReader::Kind;
+  ColumnReader reader;
+  reader.type_ = cols_[static_cast<size_t>(column)].type;
+  reader.num_records_ = num_records_;
+  const bool i64 = reader.type_ == FieldType::kInt64;
+  const bool f64 = reader.type_ == FieldType::kDouble;
+  // Open() checked every encoding against its column's type.
+  switch (column_encoding(column)) {
+    case MiniPageEncoding::kPlain: {
+      if (reader.type_ == FieldType::kString) {
+        reader.kind_ = Kind::kVarlen;
+        HAIL_ASSIGN_OR_RETURN(reader.varlen_, OpenVarlenCursor(column));
+      } else if (i64) {
+        reader.kind_ = Kind::kInt64;
+        HAIL_ASSIGN_OR_RETURN(reader.i64_, Int64Span(column));
+      } else if (f64) {
+        reader.kind_ = Kind::kDouble;
+        HAIL_ASSIGN_OR_RETURN(reader.f64_, DoubleSpan(column));
+      } else {
+        reader.kind_ = Kind::kInt32;
+        HAIL_ASSIGN_OR_RETURN(reader.i32_, Int32Span(column));
+      }
+      return reader;
+    }
+    case MiniPageEncoding::kFor: {
+      reader.kind_ = i64 ? Kind::kForInt64 : Kind::kForInt32;
+      HAIL_ASSIGN_OR_RETURN(reader.for_, ForSpanOf(column));
+      return reader;
+    }
+    case MiniPageEncoding::kRle: {
+      if (i64) {
+        reader.kind_ = Kind::kRleInt64;
+        HAIL_ASSIGN_OR_RETURN(reader.rle_i64_, RleInt64Span(column));
+      } else if (f64) {
+        reader.kind_ = Kind::kRleDouble;
+        HAIL_ASSIGN_OR_RETURN(reader.rle_f64_, RleDoubleSpan(column));
+      } else {
+        reader.kind_ = Kind::kRleInt32;
+        HAIL_ASSIGN_OR_RETURN(reader.rle_i32_, RleInt32Span(column));
+      }
+      return reader;
+    }
+    case MiniPageEncoding::kDict: {
+      reader.kind_ = Kind::kDict;
+      HAIL_ASSIGN_OR_RETURN(reader.dict_, DictSpanOf(column));
+      return reader;
+    }
+  }
+  return Status::Corruption("unknown minipage encoding");
+}
+
+namespace {
+
+template <typename T>
+void AppendValues(const ColumnSpan<T>& span, std::vector<T>* out) {
+  const size_t old = out->size();
+  out->resize(old + span.size());
+  if (!span.empty()) {
+    std::memcpy(out->data() + old, span.raw_bytes(), span.size() * sizeof(T));
+  }
+}
+
+template <typename T>
+void AppendRuns(const RleSpan<T>& span, std::vector<T>* out) {
+  const size_t old = out->size();
+  out->resize(old + span.num_records());
+  for (uint32_t j = 0; j < span.num_runs(); ++j) {
+    std::fill(out->begin() + old + span.run_start(j),
+              out->begin() + old + span.run_end(j), span.run_value(j));
+  }
+}
+
+template <typename T, typename ValueAt>
+void AppendEach(uint32_t n, std::vector<T>* out, ValueAt value_at) {
+  out->reserve(out->size() + n);
+  for (uint32_t r = 0; r < n; ++r) out->emplace_back(value_at(r));
+}
+
+}  // namespace
+
+Status ColumnReader::AppendTo(ColumnVector* out) const {
+  if (out->type() != type_) {
+    return Status::InvalidArgument("AppendTo a column of another type");
+  }
+  const uint32_t n = num_records_;
+  switch (kind_) {
+    case Kind::kInt32:
+      AppendValues(i32_, &out->mutable_i32());
+      break;
+    case Kind::kInt64:
+      AppendValues(i64_, &out->mutable_i64());
+      break;
+    case Kind::kDouble:
+      AppendValues(f64_, &out->mutable_f64());
+      break;
+    case Kind::kForInt32:
+      AppendEach(n, &out->mutable_i32(), [span = for_](uint32_t r) {
+        return static_cast<int32_t>(span.Value(r));
+      });
+      break;
+    case Kind::kForInt64:
+      AppendEach(n, &out->mutable_i64(),
+                 [span = for_](uint32_t r) { return span.Value(r); });
+      break;
+    case Kind::kRleInt32:
+      AppendRuns(rle_i32_, &out->mutable_i32());
+      break;
+    case Kind::kRleInt64:
+      AppendRuns(rle_i64_, &out->mutable_i64());
+      break;
+    case Kind::kRleDouble:
+      AppendRuns(rle_f64_, &out->mutable_f64());
+      break;
+    case Kind::kDict:
+      AppendEach(n, &out->mutable_str(),
+                 [span = dict_](uint32_t r) { return span.Value(r); });
+      break;
+    case Kind::kVarlen: {
+      VarlenCursor cursor = varlen_;
+      std::vector<std::string>& strs = out->mutable_str();
+      strs.reserve(strs.size() + n);
+      for (uint32_t r = 0; r < n; ++r) {
+        HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
+        strs.emplace_back(s);
+      }
+      break;
+    }
+  }
+  return Status::OK();
+}
+
 Result<Value> PaxBlockView::GetFixedValue(int column, uint32_t row) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (row >= num_records_) return Status::OutOfRange("row out of range");
-  if (ci.type == FieldType::kString) {
+  HAIL_ASSIGN_OR_RETURN(ColumnReader reader, OpenColumn(column));
+  if (reader.type() == FieldType::kString) {
     return Status::InvalidArgument("GetFixedValue on string column");
   }
-  switch (ci.encoding) {
-    case MiniPageEncoding::kPlain:
-      break;
-    case MiniPageEncoding::kFor: {
-      const ForSpan span(data_.data() + ci.codes_pos, num_records_,
-                         ci.code_width, ci.frame);
-      const int64_t v = span.Value(row);
-      return ci.type == FieldType::kInt64
-                 ? Value(v)
-                 : Value(static_cast<int32_t>(v));
-    }
-    case MiniPageEncoding::kRle:
-      switch (ci.type) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          return Value(RleSpan<int32_t>(data_.data() + ci.run_starts_pos,
-                                        data_.data() + ci.run_values_pos,
-                                        ci.num_runs, num_records_)
-                           .Value(row));
-        case FieldType::kInt64:
-          return Value(RleSpan<int64_t>(data_.data() + ci.run_starts_pos,
-                                        data_.data() + ci.run_values_pos,
-                                        ci.num_runs, num_records_)
-                           .Value(row));
-        default:
-          return Value(RleSpan<double>(data_.data() + ci.run_starts_pos,
-                                       data_.data() + ci.run_values_pos,
-                                       ci.num_runs, num_records_)
-                           .Value(row));
-      }
-    case MiniPageEncoding::kDict:
-      return Status::Corruption("dictionary encoding on fixed-size column");
-  }
-  const char* base = data_.data() + ci.values_pos;
-  switch (ci.type) {
-    case FieldType::kInt32:
-    case FieldType::kDate: {
-      int32_t v;
-      std::memcpy(&v, base + row * sizeof(int32_t), sizeof(v));
-      return Value(v);
-    }
-    case FieldType::kInt64: {
-      int64_t v;
-      std::memcpy(&v, base + row * sizeof(int64_t), sizeof(v));
-      return Value(v);
-    }
-    case FieldType::kDouble: {
-      double v;
-      std::memcpy(&v, base + row * sizeof(double), sizeof(v));
-      return Value(v);
-    }
-    case FieldType::kString:
-      return Status::InvalidArgument("GetFixedValue on string column");
-  }
-  return Status::Corruption("unknown column type");
+  return reader.Get(row);
 }
 
 Result<std::string_view> PaxBlockView::GetString(int column,
                                                  uint32_t row) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding == MiniPageEncoding::kDict) {
-    // Dictionary access is O(1): one code load, one offset lookup — the
-    // partition scan below only exists for plain varlen minipages.
-    if (row >= num_records_) return Status::OutOfRange("row out of range");
-    HAIL_ASSIGN_OR_RETURN(DictSpan span, DictSpanOf(column));
-    return span.Value(row);
-  }
   // §3.5: "we scan the partition floor(rowID / n) entirely from disk...
   // then, in main memory we post-filter the partition". A throwaway
-  // cursor performs exactly that — one partition-offset seek plus a
-  // forward scan — so the varlen decode exists in one place.
-  HAIL_ASSIGN_OR_RETURN(VarlenCursor cursor, OpenVarlenCursor(column));
-  return cursor.Get(row);
+  // reader performs exactly that: one partition-offset seek plus a
+  // forward scan.
+  HAIL_ASSIGN_OR_RETURN(ColumnReader reader, OpenColumn(column));
+  return reader.GetString(row);
 }
 
 Result<Value> PaxBlockView::GetAnyValue(int column, uint32_t row) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.type == FieldType::kString) {
-    HAIL_ASSIGN_OR_RETURN(std::string_view s, GetString(column, row));
-    return Value(std::string(s));
-  }
-  return GetFixedValue(column, row);
+  HAIL_ASSIGN_OR_RETURN(ColumnReader reader, OpenColumn(column));
+  return reader.Get(row);
 }
 
 Result<std::vector<Value>> PaxBlockView::GetRow(uint32_t row) const {

@@ -12,7 +12,8 @@
 ///   - PaxBlock: mutable in-memory columns (build, sort, reorganise);
 ///   - PaxBlockView: zero-copy reader over the serialised bytes that tracks
 ///     which byte ranges were touched, so the simulator can bill exactly
-///     the I/O a column scan performs.
+///     the I/O a column scan performs. Its ColumnReader is the one decoder
+///     of a minipage's values, whatever the encoding.
 
 #pragma once
 
@@ -233,6 +234,120 @@ class VarlenCursor {
   uint64_t partition_seeks_ = 0;
 };
 
+/// \brief Reader over one column's minipage, of any encoding and type.
+///
+/// The one decoder of a minipage's values: tuple reconstruction (the HAIL
+/// RecordReader, §4.3), the view's row accessors and
+/// PaxBlock::Deserialize all read through it, so no other module knows
+/// the minipage formats. PaxBlockView::OpenColumn picks the column's
+/// encoding x type span once. Get() costs amortised O(1) for ascending
+/// rows: an RLE column remembers its run and steps to the next one, a
+/// plain string column keeps a VarlenCursor. Any other row re-seeks by
+/// binary search over the run starts, or by the sparse partition offset.
+/// The block's buffer must outlive the reader.
+class ColumnReader {
+ public:
+  ColumnReader() = default;
+
+  FieldType type() const { return type_; }
+
+  /// Value of \p row; OutOfRange past the block's last row.
+  Result<Value> Get(uint32_t row);
+  /// String value of \p row, viewing the block's buffer; InvalidArgument
+  /// on a fixed-size column.
+  Result<std::string_view> GetString(uint32_t row);
+
+  /// Appends every value to \p out, whose type must be type(): one memcpy
+  /// for a plain fixed-size minipage, one fill per RLE run, one pass for
+  /// the others.
+  Status AppendTo(ColumnVector* out) const;
+
+ private:
+  friend class PaxBlockView;
+
+  /// Encoding x type, resolved once by OpenColumn.
+  enum class Kind : uint8_t {
+    kInt32,  // kInt32 and kDate
+    kInt64,
+    kDouble,
+    kVarlen,
+    kForInt32,
+    kForInt64,
+    kRleInt32,
+    kRleInt64,
+    kRleDouble,
+    kDict,
+  };
+
+  /// Value of \p row (< num_records) in an RLE column: the run of the
+  /// last row read or the next one for ascending rows, else a binary
+  /// search, never a walk over the runs in between.
+  template <typename T>
+  T RunValue(const RleSpan<T>& span, uint32_t row) {
+    if (row < span.run_start(run_) || row >= span.run_end(run_)) {
+      // row >= run_end(run_) means run_ is not the last run.
+      run_ = row >= span.run_end(run_) && row < span.run_end(run_ + 1)
+                 ? run_ + 1
+                 : span.RunContaining(row);
+    }
+    return span.run_value(run_);
+  }
+
+  Kind kind_ = Kind::kInt32;
+  FieldType type_ = FieldType::kInt32;
+  uint32_t num_records_ = 0;
+  uint32_t run_ = 0;  // RLE: run of the last row read
+  ColumnSpan<int32_t> i32_;
+  ColumnSpan<int64_t> i64_;
+  ColumnSpan<double> f64_;
+  VarlenCursor varlen_;
+  ForSpan for_;
+  RleSpan<int32_t> rle_i32_;
+  RleSpan<int64_t> rle_i64_;
+  RleSpan<double> rle_f64_;
+  DictSpan dict_;
+};
+
+// Inline: tuple reconstruction calls these once per value.
+inline Result<Value> ColumnReader::Get(uint32_t row) {
+  if (row >= num_records_) return Status::OutOfRange("row out of range");
+  switch (kind_) {
+    case Kind::kInt32:
+      return Value(i32_[row]);
+    case Kind::kInt64:
+      return Value(i64_[row]);
+    case Kind::kDouble:
+      return Value(f64_[row]);
+    case Kind::kForInt32:
+      return Value(static_cast<int32_t>(for_.Value(row)));
+    case Kind::kForInt64:
+      return Value(for_.Value(row));
+    case Kind::kRleInt32:
+      return Value(RunValue(rle_i32_, row));
+    case Kind::kRleInt64:
+      return Value(RunValue(rle_i64_, row));
+    case Kind::kRleDouble:
+      return Value(RunValue(rle_f64_, row));
+    case Kind::kVarlen:
+    case Kind::kDict: {
+      HAIL_ASSIGN_OR_RETURN(std::string_view s, GetString(row));
+      return Value(std::string(s));
+    }
+  }
+  return Status::Corruption("unknown column kind");
+}
+
+inline Result<std::string_view> ColumnReader::GetString(uint32_t row) {
+  if (kind_ != Kind::kVarlen && kind_ != Kind::kDict) {
+    return Status::InvalidArgument("GetString on fixed-size column");
+  }
+  if (row >= num_records_) return Status::OutOfRange("row out of range");
+  // A dictionary row is one code load and one offset lookup; a plain
+  // string row is the §3.5 partition scan, done by the cursor.
+  if (kind_ == Kind::kDict) return dict_.Value(row);
+  return varlen_.Get(row);
+}
+
 /// \brief Sequential reader over the bad-record section.
 ///
 /// GetBadRecord(i) re-skips records 0..i-1 on every call — O(i) each,
@@ -334,7 +449,13 @@ class PaxBlockView {
   /// Sequential reader over the bad-record section (O(n) total).
   Result<BadRecordCursor> OpenBadRecords() const;
 
+  /// Reader over column \p column's minipage, whatever its encoding;
+  /// InvalidArgument when the block has no such column.
+  Result<ColumnReader> OpenColumn(int column) const;
+
   // -- Row-at-a-time accessors (parse/reconstruct boundary, tests) --
+  // Each opens a throwaway ColumnReader; a column outside the block is
+  // InvalidArgument.
 
   /// Reads one fixed-size value.
   Result<Value> GetFixedValue(int column, uint32_t row) const;

@@ -60,138 +60,6 @@ Result<std::shared_ptr<const CachedHailBlock>> OpenCachedHailBlock(
       });
 }
 
-/// \brief One projected column's typed batch accessor, opened once per
-/// block so tuple reconstruction never goes through the per-value
-/// GetAnyValue dispatch (and string columns decode sequentially instead of
-/// re-scanning their partition per access).
-struct ProjectedColumn {
-  FieldType type = FieldType::kInt32;
-  MiniPageEncoding enc = MiniPageEncoding::kPlain;
-  ColumnSpan<int32_t> i32;
-  ColumnSpan<int64_t> i64;
-  ColumnSpan<double> f64;
-  VarlenCursor varlen;
-  // Encoded minipages (format v3): qualifying rows decode here, one value
-  // at a time — the scan itself ran on the encoded form.
-  ForSpan forspan;
-  RleSpan<int32_t> rle_i32;
-  RleSpan<int64_t> rle_i64;
-  RleSpan<double> rle_f64;
-  DictSpan dict;
-  uint32_t rle_run = 0;  // sequential run cursor (selections are ascending)
-};
-
-Result<ProjectedColumn> OpenProjectedColumn(const PaxBlockView& pax,
-                                            int column) {
-  if (column < 0 || column >= pax.num_columns()) {
-    return Status::InvalidArgument("projection references attribute @" +
-                                   std::to_string(column + 1) +
-                                   " outside the block");
-  }
-  ProjectedColumn out;
-  out.type = pax.schema().field(column).type;
-  out.enc = pax.column_encoding(column);
-  switch (out.enc) {
-    case MiniPageEncoding::kFor: {
-      HAIL_ASSIGN_OR_RETURN(out.forspan, pax.ForSpanOf(column));
-      return out;
-    }
-    case MiniPageEncoding::kRle: {
-      switch (out.type) {
-        case FieldType::kInt32:
-        case FieldType::kDate: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_i32, pax.RleInt32Span(column));
-          break;
-        }
-        case FieldType::kInt64: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_i64, pax.RleInt64Span(column));
-          break;
-        }
-        default: {
-          HAIL_ASSIGN_OR_RETURN(out.rle_f64, pax.RleDoubleSpan(column));
-          break;
-        }
-      }
-      return out;
-    }
-    case MiniPageEncoding::kDict: {
-      HAIL_ASSIGN_OR_RETURN(out.dict, pax.DictSpanOf(column));
-      return out;
-    }
-    case MiniPageEncoding::kPlain:
-      break;
-  }
-  switch (out.type) {
-    case FieldType::kInt32:
-    case FieldType::kDate: {
-      HAIL_ASSIGN_OR_RETURN(out.i32, pax.Int32Span(column));
-      break;
-    }
-    case FieldType::kInt64: {
-      HAIL_ASSIGN_OR_RETURN(out.i64, pax.Int64Span(column));
-      break;
-    }
-    case FieldType::kDouble: {
-      HAIL_ASSIGN_OR_RETURN(out.f64, pax.DoubleSpan(column));
-      break;
-    }
-    case FieldType::kString: {
-      HAIL_ASSIGN_OR_RETURN(out.varlen, pax.OpenVarlenCursor(column));
-      break;
-    }
-  }
-  return out;
-}
-
-/// Run-cursor access: ascending rows advance the remembered run index in
-/// amortised O(1); a backward jump (new block range) re-seeks via the
-/// branchless binary search.
-template <typename T>
-T RleAt(const RleSpan<T>& span, uint32_t* run, uint32_t row) {
-  if (row < span.run_start(*run)) *run = span.RunContaining(row);
-  while (span.run_end(*run) <= row) ++*run;
-  return span.run_value(*run);
-}
-
-Result<Value> ReadProjectedValue(ProjectedColumn* col, uint32_t row) {
-  switch (col->enc) {
-    case MiniPageEncoding::kFor: {
-      const int64_t v = col->forspan.Value(row);
-      return col->type == FieldType::kInt64
-                 ? Value(v)
-                 : Value(static_cast<int32_t>(v));
-    }
-    case MiniPageEncoding::kRle:
-      switch (col->type) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          return Value(RleAt(col->rle_i32, &col->rle_run, row));
-        case FieldType::kInt64:
-          return Value(RleAt(col->rle_i64, &col->rle_run, row));
-        default:
-          return Value(RleAt(col->rle_f64, &col->rle_run, row));
-      }
-    case MiniPageEncoding::kDict:
-      return Value(std::string(col->dict.Value(row)));
-    case MiniPageEncoding::kPlain:
-      break;
-  }
-  switch (col->type) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-      return Value(col->i32[row]);
-    case FieldType::kInt64:
-      return Value(col->i64[row]);
-    case FieldType::kDouble:
-      return Value(col->f64[row]);
-    case FieldType::kString: {
-      HAIL_ASSIGN_OR_RETURN(std::string_view s, col->varlen.Get(row));
-      return Value(std::string(s));
-    }
-  }
-  return Status::Corruption("unknown column type");
-}
-
 /// \brief HAIL RecordReader (§4.3): index scan + vectorized post-filter +
 /// PAX->row tuple reconstruction; falls back to a full scan of a PAX
 /// replica when no suitable index is alive.
@@ -405,16 +273,15 @@ class HailRecordReader : public RecordReader {
                                                    : 0);
 
     // Tuple reconstruction of the projected attributes (§4.3), only for
-    // qualifying rows: typed spans for fixed columns, one sequential
-    // varlen cursor per projected string column (selection vectors are
-    // ascending, so each string partition is decoded at most once).
+    // qualifying rows: one ColumnReader per projected column, plain or
+    // encoded. Selection vectors are ascending, so each string partition
+    // is decoded at most once and each RLE run found once.
     if (qualifying > 0) {
-      std::vector<ProjectedColumn> accessors;
-      accessors.reserve(proj.size());
+      std::vector<ColumnReader> readers;
+      readers.reserve(proj.size());
       for (int colm : proj) {
-        HAIL_ASSIGN_OR_RETURN(ProjectedColumn accessor,
-                              OpenProjectedColumn(pax, colm));
-        accessors.push_back(std::move(accessor));
+        HAIL_ASSIGN_OR_RETURN(ColumnReader reader, pax.OpenColumn(colm));
+        readers.push_back(reader);
       }
       for (uint64_t i = 0; i < qualifying; ++i) {
         const uint32_t r = use_selection
@@ -422,8 +289,8 @@ class HailRecordReader : public RecordReader {
                                : range.begin + static_cast<uint32_t>(i);
         std::vector<Value> values;
         values.reserve(proj.size());
-        for (ProjectedColumn& accessor : accessors) {
-          HAIL_ASSIGN_OR_RETURN(Value v, ReadProjectedValue(&accessor, r));
+        for (ColumnReader& reader : readers) {
+          HAIL_ASSIGN_OR_RETURN(Value v, reader.Get(r));
           values.push_back(std::move(v));
         }
         InvokeMap(*ctx, HailRecord::Projected(proj, std::move(values)));

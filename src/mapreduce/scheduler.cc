@@ -393,6 +393,9 @@ struct SessionEngine {
   }
 
   void AdmitJob(int j);
+  /// Admits job j and, when it starts, schedules ActivateJob at its
+  /// eligible_at (a deferred submission or a released dependent).
+  void AdmitAndActivate(int j);
   /// Admission control: true when the job was shed (already failed).
   bool ShedIfOverloaded(int j);
   void ActivateJob(int j);
@@ -483,36 +486,34 @@ void SessionEngine::AdmitJob(int j) {
     // Plan cache: a repeat submission of the same query at an unchanged
     // directory generation re-uses the cached plan and skips both the
     // computation and its billed planning CPU.
+    planner::PlanCache* cache = options->plan_cache;
     bool cache_hit = false;
-    if (options->plan_cache != nullptr) {
-      const std::string key = planner::PlanCache::KeyFor(sub.spec);
-      const uint64_t generation = dfs->namenode().directory_generation();
-      const uint64_t inval_before =
-          options->plan_cache->stats().invalidations;
-      const JobPlan* cached = options->plan_cache->Lookup(key, generation);
+    std::string key;
+    uint64_t generation = 0;
+    if (cache != nullptr) {
+      key = planner::PlanCache::KeyFor(sub.spec);
+      generation = dfs->namenode().directory_generation();
+      const uint64_t inval_before = cache->stats().invalidations;
+      const JobPlan* cached = cache->Lookup(key, generation);
       result.plan_cache_invalidations +=
-          options->plan_cache->stats().invalidations - inval_before;
+          cache->stats().invalidations - inval_before;
       if (cached != nullptr) {
         job.plan = *cached;
         cache_hit = true;
         ++result.plan_cache_hits;
-      } else {
-        Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
-        if (!plan.ok()) {
-          FailJob(j, plan.status());
-          return;
-        }
-        job.plan = std::move(*plan);
-        options->plan_cache->Insert(key, generation, job.plan);
-        ++result.plan_cache_misses;
       }
-    } else {
+    }
+    if (!cache_hit) {
       Result<JobPlan> plan = ComputeJobPlan(dfs, sub.spec);
       if (!plan.ok()) {
         FailJob(j, plan.status());
         return;
       }
       job.plan = std::move(*plan);
+      if (cache != nullptr) {
+        cache->Insert(key, generation, job.plan);
+        ++result.plan_cache_misses;
+      }
     }
     if (job.plan.planned) ++result.jobs_planned;
     if (job.plan.splits.empty()) {
@@ -740,13 +741,15 @@ void SessionEngine::AdmitDependents(int j) {
     const int id = job.id;
     const sim::SimTime when =
         std::max(events.Now(), job.submitted->submit_time);
-    events.ScheduleAt(when, [this, id] {
-      AdmitJob(id);
-      JobExec& dep = jobs[static_cast<size_t>(id)];
-      if (dep.phase == JobExec::Phase::kStarting) {
-        events.ScheduleAt(dep.eligible_at, [this, id] { ActivateJob(id); });
-      }
-    });
+    events.ScheduleAt(when, [this, id] { AdmitAndActivate(id); });
+  }
+}
+
+void SessionEngine::AdmitAndActivate(int j) {
+  AdmitJob(j);
+  const JobExec& job = jobs[static_cast<size_t>(j)];
+  if (job.phase == JobExec::Phase::kStarting) {
+    events.ScheduleAt(job.eligible_at, [this, j] { ActivateJob(j); });
   }
 }
 
@@ -1902,14 +1905,8 @@ Result<SessionResult> ClusterSession::Run() {
       }
     } else if (job.phase == JobExec::Phase::kWaiting &&
                job.submitted->depends_on < 0) {
-      eng.events.ScheduleAt(job.submitted->submit_time, [&eng, id] {
-        eng.AdmitJob(id);
-        JobExec& deferred = eng.jobs[static_cast<size_t>(id)];
-        if (deferred.phase == JobExec::Phase::kStarting) {
-          eng.events.ScheduleAt(deferred.eligible_at,
-                                [&eng, id] { eng.ActivateJob(id); });
-        }
-      });
+      eng.events.ScheduleAt(job.submitted->submit_time,
+                            [&eng, id] { eng.AdmitAndActivate(id); });
     }
   }
 

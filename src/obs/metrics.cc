@@ -47,12 +47,6 @@ std::vector<uint64_t> Histogram::Counts() const {
   return out;
 }
 
-uint64_t Histogram::TotalCount() const {
-  uint64_t sum = 0;
-  for (const auto& b : buckets_) sum += b->Value();
-  return sum;
-}
-
 void Histogram::Reset() {
   for (auto& b : buckets_) b->Reset();
 }

@@ -91,7 +91,6 @@ class Histogram {
   void Observe(double v);
   const std::vector<double>& bounds() const { return bounds_; }
   std::vector<uint64_t> Counts() const;
-  uint64_t TotalCount() const;
   void Reset();
 
  private:

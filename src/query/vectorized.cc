@@ -552,44 +552,31 @@ Status CompiledPredicate::FilterBlock(const PaxBlockView& view, RowRange range,
     sel->FillRange(range.begin, range.end);
     return Status::OK();
   }
-  // Cheap terms first — typed span loads and integer code kernels
-  // (dictionary strings included) narrow the candidate set before any
-  // plain varlen value is decoded. Order within each phase is the term
-  // order, so the conjunction's result set is identical either way.
-  bool dense = true;
-  for (const CompiledTerm& term : terms_) {
-    if (!IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(term.kind == Kind::kString
-                           ? ApplyStringTerm(view, term, range, dense, sel)
-                           : ApplyFixedTerm(view, term, range, dense, sel));
-    dense = false;
-    if (sel->empty()) return Status::OK();
-  }
-  for (const CompiledTerm& term : terms_) {
-    if (IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(ApplyStringTerm(view, term, range, dense, sel));
-    dense = false;
-    if (sel->empty()) return Status::OK();
-  }
-  return Status::OK();
+  return ApplyTerms(view, range, /*dense=*/true, sel);
 }
 
 Status CompiledPredicate::RefineCandidates(const PaxBlockView& view,
                                            SelectionVector* sel) const {
   if (terms_.empty() || sel->empty()) return Status::OK();
-  // The dense flag is always false: the selection is the candidate set.
-  for (const CompiledTerm& term : terms_) {
-    if (!IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(
-        term.kind == Kind::kString
-            ? ApplyStringTerm(view, term, RowRange{}, false, sel)
-            : ApplyFixedTerm(view, term, RowRange{}, false, sel));
-    if (sel->empty()) return Status::OK();
-  }
-  for (const CompiledTerm& term : terms_) {
-    if (IsCheapTerm(view, term)) continue;
-    HAIL_RETURN_NOT_OK(ApplyStringTerm(view, term, RowRange{}, false, sel));
-    if (sel->empty()) return Status::OK();
+  // The selection is the candidate set, so no term runs dense.
+  return ApplyTerms(view, RowRange{}, /*dense=*/false, sel);
+}
+
+Status CompiledPredicate::ApplyTerms(const PaxBlockView& view, RowRange range,
+                                     bool dense, SelectionVector* sel) const {
+  // Cheap terms first — typed span loads and integer code kernels
+  // (dictionary strings included) narrow the candidate set before any
+  // plain varlen value is decoded. Order within each phase is the term
+  // order, so the conjunction's result set is identical either way.
+  for (const bool cheap : {true, false}) {
+    for (const CompiledTerm& term : terms_) {
+      if (IsCheapTerm(view, term) != cheap) continue;
+      HAIL_RETURN_NOT_OK(term.kind == Kind::kString
+                             ? ApplyStringTerm(view, term, range, dense, sel)
+                             : ApplyFixedTerm(view, term, range, dense, sel));
+      dense = false;
+      if (sel->empty()) return Status::OK();
+    }
   }
   return Status::OK();
 }

@@ -127,6 +127,12 @@ class CompiledPredicate {
   /// varlen strings pay a sequential decode and go last.
   bool IsCheapTerm(const PaxBlockView& view, const CompiledTerm& term) const;
 
+  /// Applies every term to \p sel, cheap terms first, then plain varlen
+  /// strings. The first term fills \p sel from \p range when \p dense,
+  /// else every term narrows the rows already in \p sel.
+  Status ApplyTerms(const PaxBlockView& view, RowRange range, bool dense,
+                    SelectionVector* sel) const;
+
   Status ApplyFixedTerm(const PaxBlockView& view, const CompiledTerm& term,
                         RowRange range, bool dense,
                         SelectionVector* sel) const;

@@ -108,11 +108,6 @@ class CostModel {
                  c_.stats_build_us_per_value);
   }
 
-  /// Cost-based planning of \p blocks blocks during the split phase.
-  double PlanBlocks(uint64_t blocks) const {
-    return CpuUs(static_cast<double>(blocks) * c_.planner_block_plan_us);
-  }
-
   // ---- disk ----
 
   /// One random seek.
@@ -147,27 +142,6 @@ class CostModel {
 
   NodeProfile p_;
   CostConstants c_;
-};
-
-/// \brief Maps real (scaled-down) quantities to logical (paper-scale) ones.
-///
-/// A scale factor of 1000 means each block carries 1/1000 of its logical
-/// payload as real records; cost accounting multiplies real sizes back up.
-class ScaleModel {
- public:
-  explicit ScaleModel(double factor = 1.0) : factor_(factor) {}
-
-  double factor() const { return factor_; }
-
-  uint64_t LogicalBytes(uint64_t real_bytes) const {
-    return static_cast<uint64_t>(static_cast<double>(real_bytes) * factor_);
-  }
-  uint64_t LogicalRecords(uint64_t real_records) const {
-    return static_cast<uint64_t>(static_cast<double>(real_records) * factor_);
-  }
-
- private:
-  double factor_;
 };
 
 }  // namespace sim

@@ -46,28 +46,22 @@ uint64_t Testbed::RowsPerNode(double avg_row_bytes) const {
 
 void Testbed::LoadUserVisits() {
   schema_ = UserVisitsSchema();
-  texts_.clear();
-  const int copies = config_.share_text_across_nodes ? 1 : config_.num_nodes;
-  for (int i = 0; i < copies; ++i) {
-    UserVisitsConfig uv;
-    uv.rows = RowsPerNode(UserVisitsAvgRowBytes());
-    uv.seed = config_.seed + static_cast<uint64_t>(i) * 977;
-    uv.scale_factor = scale_factor();
-    uv.time_ordered = config_.time_ordered_uservisits;
-    texts_.push_back(GenerateUserVisitsText(uv));
-  }
+  text_.reset();
+  UserVisitsConfig uv;
+  uv.rows = RowsPerNode(UserVisitsAvgRowBytes());
+  uv.seed = config_.seed;
+  uv.scale_factor = scale_factor();
+  uv.time_ordered = config_.time_ordered_uservisits;
+  text_ = GenerateUserVisitsText(uv);
 }
 
 void Testbed::LoadSynthetic() {
   schema_ = SyntheticSchema();
-  texts_.clear();
-  const int copies = config_.share_text_across_nodes ? 1 : config_.num_nodes;
-  for (int i = 0; i < copies; ++i) {
-    SyntheticConfig syn;
-    syn.rows = RowsPerNode(SyntheticAvgRowBytes());
-    syn.seed = config_.seed + static_cast<uint64_t>(i) * 977;
-    texts_.push_back(GenerateSyntheticText(syn));
-  }
+  text_.reset();
+  SyntheticConfig syn;
+  syn.rows = RowsPerNode(SyntheticAvgRowBytes());
+  syn.seed = config_.seed;
+  text_ = GenerateSyntheticText(syn);
 }
 
 std::vector<hdfs::ParallelUploadSpec> Testbed::MakeSpecs(
@@ -75,27 +69,23 @@ std::vector<hdfs::ParallelUploadSpec> Testbed::MakeSpecs(
   std::vector<hdfs::ParallelUploadSpec> specs;
   specs.reserve(static_cast<size_t>(config_.num_nodes));
   for (int i = 0; i < config_.num_nodes; ++i) {
-    const std::string& text =
-        texts_[config_.share_text_across_nodes
-                   ? 0
-                   : static_cast<size_t>(i)];
     // Each node writes its own part file under the dataset directory
     // (queries read the whole directory), like a distributed generator.
     char part[32];
     std::snprintf(part, sizeof(part), "/part-%05d", i);
-    specs.push_back(hdfs::ParallelUploadSpec{i, path + part, text});
+    specs.push_back(hdfs::ParallelUploadSpec{i, path + part, *text_});
   }
   return specs;
 }
 
 Result<hdfs::UploadReport> Testbed::UploadHadoop(const std::string& dfs_path) {
-  if (texts_.empty()) return Status::FailedPrecondition("no dataset loaded");
+  if (!text_) return Status::FailedPrecondition("no dataset loaded");
   return hdfs::ParallelUploadText(dfs_.get(), MakeSpecs(dfs_path));
 }
 
 Result<HailUploadReport> Testbed::UploadHail(const std::string& dfs_path,
                                              std::vector<int> sort_columns) {
-  if (texts_.empty()) return Status::FailedPrecondition("no dataset loaded");
+  if (!text_) return Status::FailedPrecondition("no dataset loaded");
   HailUploadConfig config;
   config.schema = schema_;
   config.sort_columns = std::move(sort_columns);
@@ -105,7 +95,7 @@ Result<HailUploadReport> Testbed::UploadHail(const std::string& dfs_path,
 
 Result<hadooppp::HadoopPPUploadReport> Testbed::UploadHadoopPP(
     const std::string& dfs_path, int index_column) {
-  if (texts_.empty()) return Status::FailedPrecondition("no dataset loaded");
+  if (!text_) return Status::FailedPrecondition("no dataset loaded");
   hadooppp::HadoopPPUploadConfig config;
   config.schema = schema_;
   config.index_column = index_column;
@@ -113,8 +103,7 @@ Result<hadooppp::HadoopPPUploadReport> Testbed::UploadHadoopPP(
 }
 
 void Testbed::FreeSourceTexts() {
-  texts_.clear();
-  texts_.shrink_to_fit();
+  text_.reset();
 }
 
 std::string DumpResult(const mapreduce::JobResult& r) {

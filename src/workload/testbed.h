@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,6 @@ struct TestbedConfig {
   uint32_t blocks_per_node = 320;
   double hardware_variance = 0.0;
   uint64_t seed = 42;
-  /// One generated text shared by all nodes (memory saver); set false to
-  /// give each node distinct rows.
-  bool share_text_across_nodes = true;
   /// Serialise PAX blocks as format v3 (encoded minipages) cluster-wide.
   /// Off by default so golden byte streams are unchanged.
   bool encode_blocks = false;
@@ -96,7 +94,9 @@ class Testbed {
   std::unique_ptr<sim::SimCluster> cluster_;
   std::unique_ptr<hdfs::MiniDfs> dfs_;
   Schema schema_;
-  std::vector<std::string> texts_;  // size 1 when shared
+  /// The generated source text. Every node uploads this one text, to its
+  /// own part file: one copy in memory instead of one per node.
+  std::optional<std::string> text_;
 };
 
 /// Exact textual dump of every simulated number in a JobResult — doubles

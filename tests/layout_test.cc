@@ -177,6 +177,24 @@ TEST(PaxBlockViewTest, FixedValueRandomAccess) {
   EXPECT_TRUE(view->GetFixedValue(1, 0).status().IsInvalidArgument());
 }
 
+TEST(PaxBlockViewTest, ColumnOutsideTheBlockIsInvalidArgument) {
+  for (const bool encoded : {false, true}) {
+    BlockFormatOptions options;
+    options.enable_encoding = encoded;
+    const PaxBlock block =
+        BuildPaxBlockFromText(MixedSchema(), MakeText(16, 5), options);
+    const std::string bytes = block.Serialize();
+    auto view = PaxBlockView::Open(bytes);
+    ASSERT_TRUE(view.ok());
+    for (const int column : {-1, view->num_columns()}) {
+      EXPECT_TRUE(view->OpenColumn(column).status().IsInvalidArgument());
+      EXPECT_TRUE(view->GetFixedValue(column, 0).status().IsInvalidArgument());
+      EXPECT_TRUE(view->GetString(column, 0).status().IsInvalidArgument());
+      EXPECT_TRUE(view->GetAnyValue(column, 0).status().IsInvalidArgument());
+    }
+  }
+}
+
 TEST(PaxBlockViewTest, CorruptionDetected) {
   const Schema schema = MixedSchema();
   PaxBlock block = BuildPaxBlockFromText(schema, MakeText(10, 6));

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "hail/hail_block.h"
 #include "hail/hail_client.h"
@@ -118,26 +119,172 @@ TEST_P(LayoutPropertyTest, IndexScanEqualsNaiveFilter) {
   EXPECT_EQ(got, expected) << "seed " << GetParam() << " col " << col;
 }
 
-/// Serialise/deserialise is identity for random blocks.
-TEST_P(LayoutPropertyTest, PaxRoundTripIsIdentity) {
-  Random rng(GetParam() * 31 + 7);
-  const Schema schema = RandomSchema(&rng);
-  PaxBlock block(schema, BlockFormatOptions{1 + static_cast<uint32_t>(
-                                                rng.Uniform(32))});
-  const int rows = static_cast<int>(rng.Uniform(300));
+/// Rows for the round-trip property: the columns of \p schema hold random
+/// values, except that the last two are run-shaped (a value repeats for a
+/// random stretch) and low-cardinality (drawn from a pool of 1-4 values),
+/// so that format v3 writes FOR, RLE and dictionary minipages.
+std::vector<std::vector<Value>> RoundTripRows(const Schema& schema, int rows,
+                                              Random* rng) {
+  const int ncols = schema.num_fields();
+  const int runs_col = ncols - 2;
+  const int pool_col = ncols - 1;
+  std::vector<Value> pool;
+  const int pool_size = 1 + static_cast<int>(rng->Uniform(4));
+  for (int i = 0; i < pool_size; ++i) {
+    pool.push_back(RandomValue(rng, schema.field(pool_col).type));
+  }
+  std::vector<std::vector<Value>> out;
   for (int r = 0; r < rows; ++r) {
     std::vector<Value> row;
-    for (int c = 0; c < schema.num_fields(); ++c) {
-      row.push_back(RandomValue(&rng, schema.field(c).type));
+    for (int c = 0; c < ncols; ++c) {
+      const FieldType type = schema.field(c).type;
+      if (c == runs_col && r > 0 && rng->Uniform(8) != 0) {
+        row.push_back(out.back()[static_cast<size_t>(c)]);
+      } else if (c == pool_col) {
+        row.push_back(pool[rng->Uniform(pool.size())]);
+      } else {
+        row.push_back(RandomValue(rng, type));
+      }
     }
-    block.AppendRow(row);
+    out.push_back(std::move(row));
   }
-  auto back = PaxBlock::Deserialize(block.Serialize());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->num_records(), block.num_records());
-  for (uint32_t r = 0; r < block.num_records(); ++r) {
-    ASSERT_EQ(back->GetRow(r), block.GetRow(r));
+  return out;
+}
+
+/// The blocks of one round-trip seed: a random schema plus the
+/// run-shaped and the low-cardinality column, one varlen partition size,
+/// and blocks of 0, 1 and up to 300 rows.
+struct RoundTripCase {
+  Schema schema;
+  uint32_t partition = 1;
+  std::vector<std::vector<std::vector<Value>>> blocks;
+};
+
+RoundTripCase MakeRoundTripCase(uint64_t seed) {
+  Random rng(seed * 31 + 7);
+  std::vector<Field> fields = RandomSchema(&rng).fields();
+  for (const char* name : {"runs", "pool"}) {
+    fields.push_back(Field{name, RandomSchema(&rng).field(0).type});
   }
+  RoundTripCase out;
+  out.schema = Schema(std::move(fields));
+  out.partition = 1 + static_cast<uint32_t>(rng.Uniform(32));
+  const int rows = static_cast<int>(rng.Uniform(300));
+  for (const int n : {0, 1, rows}) {
+    out.blocks.push_back(RoundTripRows(out.schema, n, &rng));
+  }
+  return out;
+}
+
+PaxBlock BuildBlock(const RoundTripCase& tc, size_t i, bool encoded) {
+  PaxBlock block(tc.schema, BlockFormatOptions{tc.partition, encoded});
+  for (const std::vector<Value>& row : tc.blocks[i]) block.AppendRow(row);
+  return block;
+}
+
+/// Reads column \p c of \p view with a fresh ColumnReader, row by row in
+/// \p order, and compares every value with \p col.
+void ExpectReaderMatches(const PaxBlockView& view, int c,
+                         const ColumnVector& col,
+                         const std::vector<uint32_t>& order,
+                         const char* access) {
+  auto reader = view.OpenColumn(c);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (uint32_t r : order) {
+    auto v = reader->Get(r);
+    ASSERT_TRUE(v.ok()) << access << " row " << r << ": "
+                        << v.status().ToString();
+    ASSERT_EQ(*v, col.GetValue(r)) << access << " column " << c << " row "
+                                   << r << " encoding "
+                                   << MiniPageEncodingName(
+                                          view.column_encoding(c));
+    if (col.type() == FieldType::kString) {
+      auto s = reader->GetString(r);
+      ASSERT_TRUE(s.ok());
+      ASSERT_EQ(*s, col.str()[r]);
+    }
+  }
+}
+
+/// Serialise/deserialise is identity for random blocks of 0, 1 and up to
+/// 300 rows, written as v1 and as v3, and ColumnReader reads every
+/// column back: in bulk (AppendTo) and row by row in dense ascending,
+/// sparse ascending, backward and far-first-row order.
+TEST_P(LayoutPropertyTest, PaxRoundTripIsIdentity) {
+  const RoundTripCase tc = MakeRoundTripCase(GetParam());
+  Random rng(GetParam() * 131 + 5);  // access orders
+  for (size_t i = 0; i < tc.blocks.size(); ++i) {
+    for (const bool encoded : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "rows " << tc.blocks[i].size() << " encoded " << encoded
+                   << " partition " << tc.partition);
+      const PaxBlock block = BuildBlock(tc, i, encoded);
+      const std::string bytes = block.Serialize();
+      auto back = PaxBlock::Deserialize(bytes);
+      ASSERT_TRUE(back.ok());
+      ASSERT_EQ(back->num_records(), block.num_records());
+      for (uint32_t r = 0; r < block.num_records(); ++r) {
+        ASSERT_EQ(back->GetRow(r), block.GetRow(r));
+      }
+
+      auto view = PaxBlockView::Open(bytes);
+      ASSERT_TRUE(view.ok());
+      ASSERT_EQ(view->encoded_format(), encoded);
+      const uint32_t n = block.num_records();
+      std::vector<uint32_t> dense(n);
+      for (uint32_t r = 0; r < n; ++r) dense[r] = r;
+      std::vector<uint32_t> sparse;
+      for (uint32_t r = 0; r < n;
+           r += 1 + static_cast<uint32_t>(rng.Uniform(9))) {
+        sparse.push_back(r);
+      }
+      const std::vector<uint32_t> backward(dense.rbegin(), dense.rend());
+      std::vector<uint32_t> far_first;
+      if (n > 0) far_first.push_back(n - 1);
+      for (int k = 0; k < 20 && n > 0; ++k) {
+        far_first.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+      }
+      for (int c = 0; c < block.num_columns(); ++c) {
+        const ColumnVector& col = block.column(c);
+        ExpectReaderMatches(*view, c, col, dense, "dense");
+        ExpectReaderMatches(*view, c, col, sparse, "sparse");
+        ExpectReaderMatches(*view, c, col, backward, "backward");
+        ExpectReaderMatches(*view, c, col, far_first, "far-first");
+        auto reader = view->OpenColumn(c);
+        ASSERT_TRUE(reader.ok());
+        EXPECT_TRUE(reader->Get(n).status().IsOutOfRange());
+        // AppendTo appends: a second call lands after the first.
+        ColumnVector out(col.type());
+        ASSERT_TRUE(reader->AppendTo(&out).ok());
+        ASSERT_TRUE(reader->AppendTo(&out).ok());
+        ASSERT_EQ(out.size(), 2 * col.size());
+        for (uint32_t r = 0; r < n; ++r) {
+          ASSERT_EQ(out.GetValue(r), col.GetValue(r)) << "column " << c;
+          ASSERT_EQ(out.GetValue(n + r), col.GetValue(r)) << "column " << c;
+        }
+      }
+    }
+  }
+}
+
+/// The round-trip blocks above exercise every v3 encoding across the
+/// seeds.
+TEST(LayoutPropertyCoverageTest, RoundTripBlocksUseEveryEncoding) {
+  std::set<MiniPageEncoding> seen;
+  for (uint64_t seed = 1; seed < 13; ++seed) {
+    const RoundTripCase tc = MakeRoundTripCase(seed);
+    for (size_t i = 0; i < tc.blocks.size(); ++i) {
+      const std::string bytes = BuildBlock(tc, i, true).Serialize();
+      auto view = PaxBlockView::Open(bytes);
+      ASSERT_TRUE(view.ok());
+      for (int c = 0; c < view->num_columns(); ++c) {
+        seen.insert(view->column_encoding(c));
+      }
+    }
+  }
+  EXPECT_TRUE(seen.count(MiniPageEncoding::kFor));
+  EXPECT_TRUE(seen.count(MiniPageEncoding::kRle));
+  EXPECT_TRUE(seen.count(MiniPageEncoding::kDict));
 }
 
 /// Row-aligned cutting loses nothing for random row lengths.

@@ -200,12 +200,6 @@ TEST(CostModelTest, CpuFactorSpeedsUpCpuWork) {
                    fast_cost.DiskTransfer(1 << 20));
 }
 
-TEST(ScaleModelTest, MapsRealToLogical) {
-  ScaleModel scale(1024.0);
-  EXPECT_EQ(scale.LogicalBytes(64 * 1024), 64ull * 1024 * 1024);
-  EXPECT_EQ(scale.LogicalRecords(100), 102400u);
-}
-
 TEST(ClusterTest, BuildsNodesWithProfiles) {
   ClusterConfig cc;
   cc.num_nodes = 4;
