@@ -6,6 +6,7 @@
 #include "index/key_search.h"
 #include "index/trojan_index.h"
 #include "index/unclustered_index.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace hail {
@@ -312,6 +313,103 @@ TEST(UnclusteredIndexTest, SerializedBytesMatchesAllTypes) {
     for (double v : {3.25, -1.5, 0.0}) col.Append(Value(v));
     const UnclusteredIndex index = UnclusteredIndex::Build(col);
     EXPECT_EQ(index.Serialize().size(), index.SerializedBytes());
+  }
+}
+
+/// \p n keys of \p type from \p seed, with duplicates (and, for strings,
+/// empty keys), ascending when \p sorted.
+ColumnVector PinKeys(FieldType type, uint32_t n, uint64_t seed, bool sorted) {
+  Random rng(seed);
+  ColumnVector col(type);
+  for (uint32_t i = 0; i < n; ++i) {
+    switch (type) {
+      case FieldType::kInt32:
+        col.AppendInt32(static_cast<int32_t>(rng.UniformRange(-500, 500)));
+        break;
+      case FieldType::kDate:
+        col.AppendInt32(static_cast<int32_t>(rng.UniformRange(14000, 14400)));
+        break;
+      case FieldType::kInt64:
+        col.AppendInt64(rng.UniformRange(-(int64_t{1} << 50), int64_t{1} << 50));
+        break;
+      case FieldType::kDouble:
+        col.AppendDouble(static_cast<double>(rng.UniformRange(-4000, 4000)) /
+                         8.0);
+        break;
+      case FieldType::kString:
+        col.AppendString(rng.NextString(rng.Uniform(7)));
+        break;
+    }
+  }
+  if (sorted) col.ApplyPermutation(ArgSortColumn(col));
+  return col;
+}
+
+/// The serialised bytes of all three index formats over every key type,
+/// including empty and one-key indexes, pinned as CRC32C constants: a
+/// change to the key codec must pass them unedited. Each decoder must
+/// also give back an index that serialises to the same bytes.
+TEST(IndexPinTest, SerializedBytesOfEveryKeyType) {
+  const FieldType kTypes[] = {FieldType::kInt32, FieldType::kDate,
+                              FieldType::kInt64, FieldType::kDouble,
+                              FieldType::kString};
+  const uint32_t kRows[] = {0, 1, 200};
+  // [index: clustered, trojan, unclustered][key type][rows]
+  const uint32_t kPinned[3][5][3] = {
+      {
+          {0x129b8d3cu, 0x8b564e97u, 0xa4c56e27u},
+          {0xd1d36ca8u, 0x81d851bcu, 0xfd0b257du},
+          {0x2249b559u, 0xf813d823u, 0x967bd92au},
+          {0x733ffdf6u, 0xed885ee6u, 0xf706cfcdu},
+          {0x43edc593u, 0xb4584151u, 0xfdd25821u},
+      },
+      {
+          {0xa9289593u, 0x66a3a9e0u, 0x77f8636fu},
+          {0x9d016227u, 0x48a6e03bu, 0xb1742bafu},
+          {0xa422e87eu, 0x5dddf3b8u, 0x6f37a805u},
+          {0xb33c6e49u, 0x5d7ee87au, 0x4f227ecfu},
+          {0xbe3613a4u, 0x4a78a98fu, 0xd166311fu},
+      },
+      {
+          {0xd2e49582u, 0xee579f53u, 0x0ef5e054u},
+          {0x32a12b32u, 0x028c104au, 0x3bb0e72au},
+          {0xeaf5fa2eu, 0x133d5212u, 0xf4c3a0a1u},
+          {0xa2c64adau, 0xcce055b9u, 0xe138e081u},
+          {0x9ad72576u, 0xe6547d7du, 0x7698f1ddu},
+      },
+  };
+  const auto crc = [](const std::string& bytes) {
+    return crc32c::Extend(0, bytes.data(), bytes.size());
+  };
+  for (size_t t = 0; t < std::size(kTypes); ++t) {
+    for (size_t s = 0; s < std::size(kRows); ++s) {
+      const uint32_t n = kRows[s];
+      SCOPED_TRACE(testing::Message() << "key type " << t << " rows " << n);
+      const ColumnVector sorted = PinKeys(kTypes[t], n, 31 + t, true);
+      const ColumnVector unsorted = PinKeys(kTypes[t], n, 31 + t, false);
+
+      const std::string clustered = ClusteredIndex::Build(sorted, 16).Serialize();
+      EXPECT_EQ(crc(clustered), kPinned[0][t][s]);
+      auto clustered_back = ClusteredIndex::Deserialize(clustered);
+      ASSERT_TRUE(clustered_back.ok());
+      EXPECT_EQ(clustered_back->Serialize(), clustered);
+
+      std::vector<uint64_t> offsets(n);
+      for (uint32_t r = 0; r < n; ++r) offsets[r] = 11ull * r;
+      const std::string trojan =
+          TrojanIndex::Build(sorted, offsets, 11ull * n, 8).Serialize();
+      EXPECT_EQ(crc(trojan), kPinned[1][t][s]);
+      auto trojan_back = TrojanIndex::Deserialize(trojan);
+      ASSERT_TRUE(trojan_back.ok());
+      EXPECT_EQ(trojan_back->Serialize(), trojan);
+
+      const std::string unclustered =
+          UnclusteredIndex::Build(unsorted).Serialize();
+      EXPECT_EQ(crc(unclustered), kPinned[2][t][s]);
+      auto unclustered_back = UnclusteredIndex::Deserialize(unclustered);
+      ASSERT_TRUE(unclustered_back.ok());
+      EXPECT_EQ(unclustered_back->Serialize(), unclustered);
+    }
   }
 }
 

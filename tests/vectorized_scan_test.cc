@@ -284,6 +284,160 @@ TEST(VectorizedScanTest, EncodedScanMatchesPlainAndRowAtATime) {
   }
 }
 
+/// RowAtATimeFilter over the rows of \p candidates only.
+std::vector<uint32_t> RowAtATimeRefine(const PaxBlockView& view,
+                                       const Predicate& pred,
+                                       const std::vector<uint32_t>& candidates) {
+  std::vector<uint32_t> out;
+  for (uint32_t r : candidates) {
+    if (!RowAtATimeFilter(view, pred, RowRange{r, r + 1}).empty()) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+/// The unclustered-index read path: RefineCandidates narrows an ascending
+/// candidate set, so every term runs sparse from the first one. Over v1
+/// blocks, v3 blocks in arrival order and v3 blocks sorted on k (whose k
+/// minipage is then RLE), every kernel runs on every kind of minipage.
+TEST(VectorizedScanTest, RefineCandidatesMatchesRowAtATime) {
+  const Schema schema = AllTypesSchema();
+  Random rng(4242);
+  for (const uint32_t partition : {3u, 16u}) {
+    for (const int rows : {0, 1, 7, 250, 1000}) {
+      for (const double bad_fraction : {0.0, 0.15}) {
+        const std::string text =
+            MakeEncodableText(rows, rng.NextU64(), bad_fraction);
+        for (const int shape : {0, 1, 2}) {  // v1, v3, v3 sorted on k
+          BlockFormatOptions options;
+          options.varlen_partition_size = partition;
+          options.enable_encoding = shape != 0;
+          PaxBlock block = BuildPaxBlockFromText(schema, text, options);
+          if (shape == 2) block.SortByColumn(0);
+          const std::string bytes = block.Serialize();
+          auto view = PaxBlockView::Open(bytes);
+          ASSERT_TRUE(view.ok());
+          const uint32_t n = view->num_records();
+
+          std::vector<std::vector<uint32_t>> candidate_sets;
+          candidate_sets.push_back({});
+          if (n > 0) {
+            candidate_sets.push_back(
+                {static_cast<uint32_t>(rng.Uniform(n))});
+          }
+          std::vector<uint32_t> every(n);
+          for (uint32_t r = 0; r < n; ++r) every[r] = r;
+          candidate_sets.push_back(every);
+          for (const uint64_t keep_one_in : {2u, 9u, 50u}) {
+            std::vector<uint32_t> subset;
+            for (uint32_t r = 0; r < n; ++r) {
+              if (rng.Uniform(keep_one_in) == 0) subset.push_back(r);
+            }
+            candidate_sets.push_back(std::move(subset));
+          }
+
+          for (int trial = 0; trial < 6; ++trial) {
+            const Predicate pred = MakePredicate(schema, &rng);
+            auto compiled = CompiledPredicate::Compile(pred, schema);
+            ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+            for (const std::vector<uint32_t>& candidates : candidate_sets) {
+              SelectionVector sel;
+              sel.mutable_rows() = candidates;
+              ASSERT_TRUE(compiled->RefineCandidates(*view, &sel).ok());
+              EXPECT_EQ(sel.rows(), RowAtATimeRefine(*view, pred, candidates))
+                  << "filter=" << pred.ToString(schema) << " shape=" << shape
+                  << " partition=" << partition << " rows=" << rows
+                  << " bad=" << bad_fraction
+                  << " candidates=" << candidates.size();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A compiled predicate run on a block that does not hold what it was
+/// compiled for is InvalidArgument, whatever the minipage's encoding: a
+/// term on a column the block lacks, and a term compiled for another
+/// storage type than the block's column, stored plain or FOR-encoded.
+TEST(VectorizedScanTest, MismatchedBlocksAreInvalidArgument) {
+  const Schema schema = AllTypesSchema();
+  const std::string text = MakeEncodableText(1000, 99, 0.0);
+  BlockFormatOptions plain_opts;
+  BlockFormatOptions enc_opts;
+  enc_opts.enable_encoding = true;
+  // k (column 0) is plain int32 in the v1 block and FOR-encoded in the v3
+  // block (EncodedScanMatchesPlainAndRowAtATime checks the encoding).
+  const std::string plain_bytes =
+      BuildPaxBlockFromText(schema, text, plain_opts).Serialize();
+  const std::string enc_bytes =
+      BuildPaxBlockFromText(schema, text, enc_opts).Serialize();
+  auto plain = PaxBlockView::Open(plain_bytes);
+  auto enc = PaxBlockView::Open(enc_bytes);
+  ASSERT_TRUE(plain.ok() && enc.ok());
+
+  // Compiles "@<column+1> > literal" against \p compile_schema, runs it
+  // on \p view through FilterBlock and through RefineCandidates with
+  // every row as a candidate, and expects \p want from both.
+  const auto check = [](const Schema& compile_schema, int column,
+                        const Value& literal, const PaxBlockView& view,
+                        StatusCode want, const std::string& what) {
+    PredicateTerm term;
+    term.column = column;
+    term.op = CompareOp::kGt;
+    term.literal = literal;
+    auto compiled =
+        CompiledPredicate::Compile(Predicate({term}), compile_schema);
+    ASSERT_TRUE(compiled.ok()) << what;
+    SelectionVector sel;
+    const Status filter =
+        compiled->FilterBlock(view, RowRange{0, view.num_records()}, &sel);
+    EXPECT_EQ(filter.code(), want) << what << ": " << filter.ToString();
+    sel.FillRange(0, view.num_records());
+    const Status refine = compiled->RefineCandidates(view, &sel);
+    EXPECT_EQ(refine.code(), want) << what << ": " << refine.ToString();
+  };
+  const auto block_name = [&](const PaxBlockView* view) {
+    return std::string(view == &*plain ? "plain" : "FOR");
+  };
+
+  // A seventh column the six-column blocks lack.
+  std::vector<Field> fields;
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    fields.push_back(schema.field(c));
+  }
+  std::vector<Field> wide_fields = fields;
+  wide_fields.push_back({"extra", FieldType::kInt32});
+  for (const PaxBlockView* view : {&*plain, &*enc}) {
+    check(Schema(wide_fields), 6, Value(int32_t{5}), *view,
+          StatusCode::kInvalidArgument,
+          "missing column, " + block_name(view) + " block");
+  }
+
+  // k compiled as a double or an int64 column; the blocks store int32.
+  for (const FieldType type : {FieldType::kDouble, FieldType::kInt64}) {
+    std::vector<Field> mistyped = fields;
+    mistyped[0].type = type;
+    const Value literal = type == FieldType::kDouble ? Value(120.0)
+                                                     : Value(int64_t{120});
+    for (const PaxBlockView* view : {&*plain, &*enc}) {
+      check(Schema(mistyped), 0, literal, *view, StatusCode::kInvalidArgument,
+            std::string(FieldTypeName(type)) + " term on " + block_name(view) +
+                " int32 column");
+    }
+  }
+
+  // int32 and date share storage: a date term reads an int32 column.
+  std::vector<Field> as_date = fields;
+  as_date[0].type = FieldType::kDate;
+  for (const PaxBlockView* view : {&*plain, &*enc}) {
+    check(Schema(as_date), 0, Value(int32_t{120}), *view, StatusCode::kOk,
+          "date term on " + block_name(view) + " int32 column");
+  }
+}
+
 TEST(VectorizedScanTest, ReconstructionMatchesGetRow) {
   const Schema schema = AllTypesSchema();
   Random rng(7);
