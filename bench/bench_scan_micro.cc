@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "layout/pax_block.h"
@@ -147,33 +148,43 @@ ScanResult VectorizedScan(const PaxBlockView& view, const Predicate& pred) {
       return result;
     }
     uint64_t digest = 0;
-    auto i32 = view.Int32Span(0);
-    auto url = view.OpenVarlenCursor(1);
-    auto f64 = view.DoubleSpan(2);
-    auto date = view.Int32Span(3);
-    auto i64 = view.Int64Span(4);
-    auto tag = view.OpenVarlenCursor(5);
+    std::vector<ColumnReader> readers;
+    for (int c = 0; c < view.num_columns(); ++c) {
+      auto reader = view.OpenColumn(c);
+      if (!reader.ok()) return result;
+      readers.push_back(*reader);
+    }
     for (uint32_t r : sel.rows()) {
       std::vector<Value> values;
-      values.reserve(6);
-      values.emplace_back((*i32)[r]);
-      digest = DigestValue(digest, values.back());
-      values.emplace_back(std::string(*url->Get(r)));
-      digest = DigestValue(digest, values.back());
-      values.emplace_back((*f64)[r]);
-      digest = DigestValue(digest, values.back());
-      values.emplace_back((*date)[r]);
-      digest = DigestValue(digest, values.back());
-      values.emplace_back((*i64)[r]);
-      digest = DigestValue(digest, values.back());
-      values.emplace_back(std::string(*tag->Get(r)));
-      digest = DigestValue(digest, values.back());
+      values.reserve(readers.size());
+      for (ColumnReader& reader : readers) {
+        auto v = reader.Get(r);
+        if (!v.ok()) return result;
+        values.push_back(std::move(*v));
+        digest = DigestValue(digest, values.back());
+      }
     }
     result.qualifying = sel.size();
     result.digest = digest;
     result.best_ms = std::min(result.best_ms, MsSince(start));
   }
   return result;
+}
+
+/// A copy of the VarlenCursor that plain string column \p column's
+/// reader holds (invalid for any other column).
+VarlenCursor CursorOf(const PaxBlockView& view, int column) {
+  VarlenCursor cursor;
+  auto reader = view.OpenColumn(column);
+  if (reader.ok()) {
+    reader->Visit([&cursor](const auto& span) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(span)>,
+                                   VarlenCursor>) {
+        cursor = span;
+      }
+    });
+  }
+  return cursor;
 }
 
 /// Filtered scan over a UserVisits-shaped block: compiled filter on the
@@ -276,15 +287,15 @@ int main(int argc, char** argv) {
     scan_len = len;
   }
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    auto cursor = view.OpenVarlenCursor(1);
+    VarlenCursor cursor = CursorOf(view, 1);
     auto start = std::chrono::steady_clock::now();
     uint64_t len = 0;
     for (uint32_t r = 0; r < view.num_records(); ++r) {
-      len += cursor->Get(r)->size();
+      len += cursor.Get(r)->size();
     }
     cursor_ms = std::min(cursor_ms, MsSince(start));
     cursor_len = len;
-    cursor_steps = cursor->decode_steps();
+    cursor_steps = cursor.decode_steps();
   }
   if (scan_len != cursor_len) {
     std::fprintf(stderr, "MISMATCH: string byte totals differ\n");

@@ -803,103 +803,6 @@ Status PaxBlockView::ResolveEncodedColumn(ColumnInfo* ci) {
   return Status::Corruption("unknown minipage encoding");
 }
 
-namespace {
-
-template <typename T>
-Result<ColumnSpan<T>> MakeFixedSpan(std::string_view data, uint64_t values_pos,
-                                    MiniPageEncoding enc, uint32_t num_records,
-                                    bool type_matches) {
-  if (!type_matches) {
-    return Status::InvalidArgument("typed span does not match column type");
-  }
-  if (enc != MiniPageEncoding::kPlain) {
-    return Status::FailedPrecondition(
-        "minipage is encoded; use the encoded spans");
-  }
-  return ColumnSpan<T>(data.data() + values_pos, num_records);
-}
-
-}  // namespace
-
-Result<ColumnSpan<int32_t>> PaxBlockView::Int32Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeFixedSpan<int32_t>(
-      data_, ci.values_pos, ci.encoding, num_records_,
-      ci.type == FieldType::kInt32 || ci.type == FieldType::kDate);
-}
-
-Result<ColumnSpan<int64_t>> PaxBlockView::Int64Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeFixedSpan<int64_t>(data_, ci.values_pos, ci.encoding,
-                                num_records_, ci.type == FieldType::kInt64);
-}
-
-Result<ColumnSpan<double>> PaxBlockView::DoubleSpan(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeFixedSpan<double>(data_, ci.values_pos, ci.encoding,
-                               num_records_, ci.type == FieldType::kDouble);
-}
-
-Result<ForSpan> PaxBlockView::ForSpanOf(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding != MiniPageEncoding::kFor) {
-    return Status::FailedPrecondition("column is not FOR-encoded");
-  }
-  return ForSpan(data_.data() + ci.codes_pos, num_records_, ci.code_width,
-                 ci.frame);
-}
-
-namespace {
-
-template <typename T>
-Result<RleSpan<T>> MakeRleSpan(std::string_view data, uint64_t starts_pos,
-                               uint64_t values_pos, uint32_t num_runs,
-                               MiniPageEncoding enc, uint32_t num_records,
-                               bool type_matches) {
-  if (!type_matches) {
-    return Status::InvalidArgument("typed span does not match column type");
-  }
-  if (enc != MiniPageEncoding::kRle) {
-    return Status::FailedPrecondition("column is not RLE-encoded");
-  }
-  return RleSpan<T>(data.data() + starts_pos, data.data() + values_pos,
-                    num_runs, num_records);
-}
-
-}  // namespace
-
-Result<RleSpan<int32_t>> PaxBlockView::RleInt32Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<int32_t>(
-      data_, ci.run_starts_pos, ci.run_values_pos, ci.num_runs, ci.encoding,
-      num_records_, ci.type == FieldType::kInt32 || ci.type == FieldType::kDate);
-}
-
-Result<RleSpan<int64_t>> PaxBlockView::RleInt64Span(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<int64_t>(data_, ci.run_starts_pos, ci.run_values_pos,
-                              ci.num_runs, ci.encoding, num_records_,
-                              ci.type == FieldType::kInt64);
-}
-
-Result<RleSpan<double>> PaxBlockView::RleDoubleSpan(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  return MakeRleSpan<double>(data_, ci.run_starts_pos, ci.run_values_pos,
-                             ci.num_runs, ci.encoding, num_records_,
-                             ci.type == FieldType::kDouble);
-}
-
-Result<DictSpan> PaxBlockView::DictSpanOf(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.encoding != MiniPageEncoding::kDict) {
-    return Status::FailedPrecondition("column is not dictionary-encoded");
-  }
-  return DictSpan(data_.data() + ci.codes_pos, ci.code_width, num_records_,
-                  data_.data() + ci.dict_offsets_pos,
-                  data_.data() + ci.dict_values_pos, ci.dict_values_bytes,
-                  ci.dict_size);
-}
-
 int PaxBlockView::num_encoded_columns() const {
   int count = 0;
   for (const ColumnInfo& ci : cols_) {
@@ -912,26 +815,6 @@ uint64_t PaxBlockView::stored_payload_bytes() const {
   uint64_t bytes = data_.size() - bad_section_offset_;
   for (int i = 0; i < num_columns(); ++i) bytes += column_value_bytes(i);
   return bytes;
-}
-
-Result<VarlenCursor> PaxBlockView::OpenVarlenCursor(int column) const {
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  if (ci.type != FieldType::kString) {
-    return Status::InvalidArgument("OpenVarlenCursor on fixed-size column");
-  }
-  if (ci.encoding != MiniPageEncoding::kPlain) {
-    return Status::FailedPrecondition(
-        "string minipage is dictionary-encoded; use DictSpanOf");
-  }
-  VarlenCursor cursor;
-  cursor.values_ = data_.data() + ci.values_pos;
-  cursor.end_ = cursor.values_ + ci.values_bytes;
-  cursor.offsets_ = data_.data() + ci.offsets_pos;
-  cursor.num_offsets_ = ci.num_offsets;
-  cursor.partition_size_ = varlen_partition_;
-  cursor.num_records_ = num_records_;
-  cursor.cursor_ = cursor.values_;
-  return cursor;
 }
 
 Result<std::string_view> VarlenCursor::Get(uint32_t row) {
@@ -991,53 +874,63 @@ Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
                                    " outside the block's " +
                                    std::to_string(num_columns()) + " columns");
   }
-  using Kind = ColumnReader::Kind;
+  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
   ColumnReader reader;
-  reader.type_ = cols_[static_cast<size_t>(column)].type;
+  reader.type_ = ci.type;
+  reader.encoding_ = ci.encoding;
   reader.num_records_ = num_records_;
-  const bool i64 = reader.type_ == FieldType::kInt64;
-  const bool f64 = reader.type_ == FieldType::kDouble;
-  // Open() checked every encoding against its column's type.
-  switch (column_encoding(column)) {
-    case MiniPageEncoding::kPlain: {
-      if (reader.type_ == FieldType::kString) {
-        reader.kind_ = Kind::kVarlen;
-        HAIL_ASSIGN_OR_RETURN(reader.varlen_, OpenVarlenCursor(column));
-      } else if (i64) {
-        reader.kind_ = Kind::kInt64;
-        HAIL_ASSIGN_OR_RETURN(reader.i64_, Int64Span(column));
-      } else if (f64) {
-        reader.kind_ = Kind::kDouble;
-        HAIL_ASSIGN_OR_RETURN(reader.f64_, DoubleSpan(column));
-      } else {
-        reader.kind_ = Kind::kInt32;
-        HAIL_ASSIGN_OR_RETURN(reader.i32_, Int32Span(column));
+  const char* base = data_.data();
+  const uint32_t n = num_records_;
+  // Open() checked every encoding against its column's type and every
+  // section against the buffer.
+  switch (ci.encoding) {
+    case MiniPageEncoding::kPlain:
+      switch (ci.type) {
+        case FieldType::kInt32:
+        case FieldType::kDate:
+          reader.span_ = ColumnSpan<int32_t>(base + ci.values_pos, n);
+          break;
+        case FieldType::kInt64:
+          reader.span_ = ColumnSpan<int64_t>(base + ci.values_pos, n);
+          break;
+        case FieldType::kDouble:
+          reader.span_ = ColumnSpan<double>(base + ci.values_pos, n);
+          break;
+        case FieldType::kString: {
+          VarlenCursor cursor;
+          cursor.values_ = base + ci.values_pos;
+          cursor.end_ = cursor.values_ + ci.values_bytes;
+          cursor.offsets_ = base + ci.offsets_pos;
+          cursor.num_offsets_ = ci.num_offsets;
+          cursor.partition_size_ = varlen_partition_;
+          cursor.num_records_ = n;
+          cursor.cursor_ = cursor.values_;
+          reader.span_ = cursor;
+          break;
+        }
       }
       return reader;
-    }
-    case MiniPageEncoding::kFor: {
-      reader.kind_ = i64 ? Kind::kForInt64 : Kind::kForInt32;
-      HAIL_ASSIGN_OR_RETURN(reader.for_, ForSpanOf(column));
+    case MiniPageEncoding::kFor:
+      reader.span_ = ForSpan(base + ci.codes_pos, n, ci.code_width, ci.frame);
       return reader;
-    }
     case MiniPageEncoding::kRle: {
-      if (i64) {
-        reader.kind_ = Kind::kRleInt64;
-        HAIL_ASSIGN_OR_RETURN(reader.rle_i64_, RleInt64Span(column));
-      } else if (f64) {
-        reader.kind_ = Kind::kRleDouble;
-        HAIL_ASSIGN_OR_RETURN(reader.rle_f64_, RleDoubleSpan(column));
+      const char* starts = base + ci.run_starts_pos;
+      const char* values = base + ci.run_values_pos;
+      if (ci.type == FieldType::kInt64) {
+        reader.span_ = RleSpan<int64_t>(starts, values, ci.num_runs, n);
+      } else if (ci.type == FieldType::kDouble) {
+        reader.span_ = RleSpan<double>(starts, values, ci.num_runs, n);
       } else {
-        reader.kind_ = Kind::kRleInt32;
-        HAIL_ASSIGN_OR_RETURN(reader.rle_i32_, RleInt32Span(column));
+        reader.span_ = RleSpan<int32_t>(starts, values, ci.num_runs, n);
       }
       return reader;
     }
-    case MiniPageEncoding::kDict: {
-      reader.kind_ = Kind::kDict;
-      HAIL_ASSIGN_OR_RETURN(reader.dict_, DictSpanOf(column));
+    case MiniPageEncoding::kDict:
+      reader.span_ = DictSpan(base + ci.codes_pos, ci.code_width, n,
+                              base + ci.dict_offsets_pos,
+                              base + ci.dict_values_pos, ci.dict_values_bytes,
+                              ci.dict_size);
       return reader;
-    }
   }
   return Status::Corruption("unknown minipage encoding");
 }
@@ -1076,50 +969,45 @@ Status ColumnReader::AppendTo(ColumnVector* out) const {
     return Status::InvalidArgument("AppendTo a column of another type");
   }
   const uint32_t n = num_records_;
-  switch (kind_) {
-    case Kind::kInt32:
-      AppendValues(i32_, &out->mutable_i32());
-      break;
-    case Kind::kInt64:
-      AppendValues(i64_, &out->mutable_i64());
-      break;
-    case Kind::kDouble:
-      AppendValues(f64_, &out->mutable_f64());
-      break;
-    case Kind::kForInt32:
-      AppendEach(n, &out->mutable_i32(), [span = for_](uint32_t r) {
-        return static_cast<int32_t>(span.Value(r));
-      });
-      break;
-    case Kind::kForInt64:
-      AppendEach(n, &out->mutable_i64(),
-                 [span = for_](uint32_t r) { return span.Value(r); });
-      break;
-    case Kind::kRleInt32:
-      AppendRuns(rle_i32_, &out->mutable_i32());
-      break;
-    case Kind::kRleInt64:
-      AppendRuns(rle_i64_, &out->mutable_i64());
-      break;
-    case Kind::kRleDouble:
-      AppendRuns(rle_f64_, &out->mutable_f64());
-      break;
-    case Kind::kDict:
-      AppendEach(n, &out->mutable_str(),
-                 [span = dict_](uint32_t r) { return span.Value(r); });
-      break;
-    case Kind::kVarlen: {
-      VarlenCursor cursor = varlen_;
-      std::vector<std::string>& strs = out->mutable_str();
-      strs.reserve(strs.size() + n);
-      for (uint32_t r = 0; r < n; ++r) {
-        HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
-        strs.emplace_back(s);
-      }
-      break;
-    }
-  }
-  return Status::OK();
+  return std::visit(
+      [out, n](const auto& span) -> Status {
+        using S = std::decay_t<decltype(span)>;
+        if constexpr (std::is_same_v<S, ColumnSpan<int32_t>>) {
+          AppendValues(span, &out->mutable_i32());
+        } else if constexpr (std::is_same_v<S, ColumnSpan<int64_t>>) {
+          AppendValues(span, &out->mutable_i64());
+        } else if constexpr (std::is_same_v<S, ColumnSpan<double>>) {
+          AppendValues(span, &out->mutable_f64());
+        } else if constexpr (std::is_same_v<S, ForSpan>) {
+          if (out->type() == FieldType::kInt64) {
+            AppendEach(n, &out->mutable_i64(),
+                       [span](uint32_t r) { return span.Value(r); });
+          } else {
+            AppendEach(n, &out->mutable_i32(), [span](uint32_t r) {
+              return static_cast<int32_t>(span.Value(r));
+            });
+          }
+        } else if constexpr (std::is_same_v<S, RleSpan<int32_t>>) {
+          AppendRuns(span, &out->mutable_i32());
+        } else if constexpr (std::is_same_v<S, RleSpan<int64_t>>) {
+          AppendRuns(span, &out->mutable_i64());
+        } else if constexpr (std::is_same_v<S, RleSpan<double>>) {
+          AppendRuns(span, &out->mutable_f64());
+        } else if constexpr (std::is_same_v<S, DictSpan>) {
+          AppendEach(n, &out->mutable_str(),
+                     [span](uint32_t r) { return span.Value(r); });
+        } else {
+          VarlenCursor cursor = span;
+          std::vector<std::string>& strs = out->mutable_str();
+          strs.reserve(strs.size() + n);
+          for (uint32_t r = 0; r < n; ++r) {
+            HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
+            strs.emplace_back(s);
+          }
+        }
+        return Status::OK();
+      },
+      span_);
 }
 
 Result<Value> PaxBlockView::GetFixedValue(int column, uint32_t row) const {

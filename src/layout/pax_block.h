@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "layout/column_vector.h"
@@ -236,20 +237,27 @@ class VarlenCursor {
 
 /// \brief Reader over one column's minipage, of any encoding and type.
 ///
-/// The one decoder of a minipage's values: tuple reconstruction (the HAIL
-/// RecordReader, §4.3), the view's row accessors and
-/// PaxBlock::Deserialize all read through it, so no other module knows
-/// the minipage formats. PaxBlockView::OpenColumn picks the column's
-/// encoding x type span once. Get() costs amortised O(1) for ascending
-/// rows: an RLE column remembers its run and steps to the next one, a
-/// plain string column keeps a VarlenCursor. Any other row re-seeks by
-/// binary search over the run starts, or by the sparse partition offset.
-/// The block's buffer must outlive the reader.
+/// The one reader of a minipage: the filter kernels (query/vectorized),
+/// tuple reconstruction (the HAIL RecordReader, §4.3), the view's row
+/// accessors and PaxBlock::Deserialize all read through it, so no other
+/// module knows the minipage formats. PaxBlockView::OpenColumn builds the
+/// column's one span from its directory entry: a ColumnSpan (int32 and
+/// date share ColumnSpan<int32_t>) or a VarlenCursor for a plain
+/// minipage, a ForSpan, an RleSpan or a DictSpan for an encoded one.
+/// Visit hands that span to a kernel. Get() costs amortised O(1) for
+/// ascending rows: an RLE column remembers its run and steps to the next
+/// one, a plain string column keeps its VarlenCursor. Any other row
+/// re-seeks by binary search over the run starts, or by the sparse
+/// partition offset. The block's buffer must outlive the reader.
 class ColumnReader {
  public:
   ColumnReader() = default;
 
   FieldType type() const { return type_; }
+  /// Physical encoding of the minipage (kPlain for v1 blocks).
+  MiniPageEncoding encoding() const { return encoding_; }
+  /// True when the minipage is stored FOR, RLE or dictionary encoded.
+  bool encoded() const { return encoding_ != MiniPageEncoding::kPlain; }
 
   /// Value of \p row; OutOfRange past the block's last row.
   Result<Value> Get(uint32_t row);
@@ -262,28 +270,31 @@ class ColumnReader {
   /// the others.
   Status AppendTo(ColumnVector* out) const;
 
+  /// Calls \p f with the minipage's span, by reference (a VarlenCursor
+  /// advances as \p f reads it), and returns what \p f returns.
+  template <typename F>
+  decltype(auto) Visit(F&& f) {
+    return std::visit(std::forward<F>(f), span_);
+  }
+
  private:
   friend class PaxBlockView;
 
-  /// Encoding x type, resolved once by OpenColumn.
-  enum class Kind : uint8_t {
-    kInt32,  // kInt32 and kDate
-    kInt64,
-    kDouble,
-    kVarlen,
-    kForInt32,
-    kForInt64,
-    kRleInt32,
-    kRleInt64,
-    kRleDouble,
-    kDict,
-  };
+  using Span = std::variant<ColumnSpan<int32_t>, ColumnSpan<int64_t>,
+                            ColumnSpan<double>, VarlenCursor, ForSpan,
+                            RleSpan<int32_t>, RleSpan<int64_t>,
+                            RleSpan<double>, DictSpan>;
+
+  template <typename T>
+  T ValueAt(const ColumnSpan<T>& span, uint32_t row) {
+    return span[row];
+  }
 
   /// Value of \p row (< num_records) in an RLE column: the run of the
   /// last row read or the next one for ascending rows, else a binary
   /// search, never a walk over the runs in between.
   template <typename T>
-  T RunValue(const RleSpan<T>& span, uint32_t row) {
+  T ValueAt(const RleSpan<T>& span, uint32_t row) {
     if (row < span.run_start(run_) || row >= span.run_end(run_)) {
       // row >= run_end(run_) means run_ is not the last run.
       run_ = row >= span.run_end(run_) && row < span.run_end(run_ + 1)
@@ -293,59 +304,46 @@ class ColumnReader {
     return span.run_value(run_);
   }
 
-  Kind kind_ = Kind::kInt32;
   FieldType type_ = FieldType::kInt32;
+  MiniPageEncoding encoding_ = MiniPageEncoding::kPlain;
   uint32_t num_records_ = 0;
   uint32_t run_ = 0;  // RLE: run of the last row read
-  ColumnSpan<int32_t> i32_;
-  ColumnSpan<int64_t> i64_;
-  ColumnSpan<double> f64_;
-  VarlenCursor varlen_;
-  ForSpan for_;
-  RleSpan<int32_t> rle_i32_;
-  RleSpan<int64_t> rle_i64_;
-  RleSpan<double> rle_f64_;
-  DictSpan dict_;
+  Span span_;
 };
 
 // Inline: tuple reconstruction calls these once per value.
 inline Result<Value> ColumnReader::Get(uint32_t row) {
   if (row >= num_records_) return Status::OutOfRange("row out of range");
-  switch (kind_) {
-    case Kind::kInt32:
-      return Value(i32_[row]);
-    case Kind::kInt64:
-      return Value(i64_[row]);
-    case Kind::kDouble:
-      return Value(f64_[row]);
-    case Kind::kForInt32:
-      return Value(static_cast<int32_t>(for_.Value(row)));
-    case Kind::kForInt64:
-      return Value(for_.Value(row));
-    case Kind::kRleInt32:
-      return Value(RunValue(rle_i32_, row));
-    case Kind::kRleInt64:
-      return Value(RunValue(rle_i64_, row));
-    case Kind::kRleDouble:
-      return Value(RunValue(rle_f64_, row));
-    case Kind::kVarlen:
-    case Kind::kDict: {
-      HAIL_ASSIGN_OR_RETURN(std::string_view s, GetString(row));
-      return Value(std::string(s));
-    }
-  }
-  return Status::Corruption("unknown column kind");
+  return std::visit(
+      [this, row](auto& span) -> Result<Value> {
+        using S = std::decay_t<decltype(span)>;
+        if constexpr (std::is_same_v<S, VarlenCursor>) {
+          HAIL_ASSIGN_OR_RETURN(std::string_view s, span.Get(row));
+          return Value(std::string(s));
+        } else if constexpr (std::is_same_v<S, DictSpan>) {
+          return Value(std::string(span.Value(row)));
+        } else if constexpr (std::is_same_v<S, ForSpan>) {
+          return type_ == FieldType::kInt64
+                     ? Value(span.Value(row))
+                     : Value(static_cast<int32_t>(span.Value(row)));
+        } else {
+          return Value(ValueAt(span, row));
+        }
+      },
+      span_);
 }
 
 inline Result<std::string_view> ColumnReader::GetString(uint32_t row) {
-  if (kind_ != Kind::kVarlen && kind_ != Kind::kDict) {
+  if (type_ != FieldType::kString) {
     return Status::InvalidArgument("GetString on fixed-size column");
   }
   if (row >= num_records_) return Status::OutOfRange("row out of range");
   // A dictionary row is one code load and one offset lookup; a plain
   // string row is the §3.5 partition scan, done by the cursor.
-  if (kind_ == Kind::kDict) return dict_.Value(row);
-  return varlen_.Get(row);
+  if (const DictSpan* dict = std::get_if<DictSpan>(&span_)) {
+    return dict->Value(row);
+  }
+  return std::get_if<VarlenCursor>(&span_)->Get(row);
 }
 
 /// \brief Sequential reader over the bad-record section.
@@ -392,7 +390,8 @@ class PaxBlockView {
 
   /// Total serialised size of the block.
   uint64_t total_bytes() const { return data_.size(); }
-  /// Bytes of column \p i's minipage (values + offset list).
+  /// Bytes of column \p i's minipage (values + offset list). Unchecked:
+  /// callers loop over [0, num_columns()).
   uint64_t column_bytes(int i) const {
     return cols_[static_cast<size_t>(i)].minipage_bytes;
   }
@@ -402,6 +401,7 @@ class PaxBlockView {
   /// not be scaled up (DESIGN.md §2). For an *encoded* minipage this is
   /// the stored (compressed) extent — codes, runs, dictionary — so the
   /// datanode transfer terms automatically bill compressed bytes.
+  /// Unchecked: callers loop over [0, num_columns()).
   uint64_t column_value_bytes(int i) const {
     const ColumnInfo& ci = cols_[static_cast<size_t>(i)];
     return ci.type == FieldType::kString && ci.encoding == MiniPageEncoding::kPlain
@@ -411,10 +411,6 @@ class PaxBlockView {
 
   /// True when the block was serialised as format v3 (encoded minipages).
   bool encoded_format() const { return layout_kind_ == kPaxLayoutEncoded; }
-  /// Physical encoding of column \p i's minipage (kPlain for v1 blocks).
-  MiniPageEncoding column_encoding(int i) const {
-    return cols_[static_cast<size_t>(i)].encoding;
-  }
   /// Number of columns stored under a non-plain encoding.
   int num_encoded_columns() const;
   /// Stored payload bytes: sum of column_value_bytes over all columns plus
@@ -423,34 +419,12 @@ class PaxBlockView {
   /// uncompressed logical payload).
   uint64_t stored_payload_bytes() const;
 
-  // -- Batch accessors (the vectorized scan engine's read path) --
-
-  /// Zero-copy typed view over a fixed-size minipage. Type must match:
-  /// Int32Span serves kInt32 and kDate columns. Plain-encoded minipages
-  /// only; encoded columns are served by the spans below
-  /// (FailedPrecondition otherwise — callers dispatch on
-  /// column_encoding()).
-  Result<ColumnSpan<int32_t>> Int32Span(int column) const;
-  Result<ColumnSpan<int64_t>> Int64Span(int column) const;
-  Result<ColumnSpan<double>> DoubleSpan(int column) const;
-
-  /// Zero-copy views over encoded minipages (format v3). Each requires
-  /// the matching encoding/type pair.
-  Result<ForSpan> ForSpanOf(int column) const;
-  Result<RleSpan<int32_t>> RleInt32Span(int column) const;
-  Result<RleSpan<int64_t>> RleInt64Span(int column) const;
-  Result<RleSpan<double>> RleDoubleSpan(int column) const;
-  Result<DictSpan> DictSpanOf(int column) const;
-
-  /// Sequential decoder for a string column (O(n) full-column access).
-  /// Plain varlen minipages only; dictionary columns use DictSpanOf.
-  Result<VarlenCursor> OpenVarlenCursor(int column) const;
-
   /// Sequential reader over the bad-record section (O(n) total).
   Result<BadRecordCursor> OpenBadRecords() const;
 
-  /// Reader over column \p column's minipage, whatever its encoding;
-  /// InvalidArgument when the block has no such column.
+  /// Reader over column \p column's minipage, whatever its encoding; the
+  /// only way to read a minipage's values. InvalidArgument when the block
+  /// has no such column.
   Result<ColumnReader> OpenColumn(int column) const;
 
   // -- Row-at-a-time accessors (parse/reconstruct boundary, tests) --

@@ -276,11 +276,13 @@ class HailRecordReader : public RecordReader {
     // qualifying rows: one ColumnReader per projected column, plain or
     // encoded. Selection vectors are ascending, so each string partition
     // is decoded at most once and each RLE run found once.
+    uint64_t encoded_projected = 0;  // of the readers opened here
     if (qualifying > 0) {
       std::vector<ColumnReader> readers;
       readers.reserve(proj.size());
       for (int colm : proj) {
         HAIL_ASSIGN_OR_RETURN(ColumnReader reader, pax.OpenColumn(colm));
+        encoded_projected += reader.encoded() ? 1 : 0;
         readers.push_back(reader);
       }
       for (uint64_t i = 0; i < qualifying; ++i) {
@@ -358,13 +360,7 @@ class HailRecordReader : public RecordReader {
     cost->ledger.Bill(obs::CostBucket::kCpu, billed.cpu_s);
     // Scan-on-compressed (format v3): the filter ran on the encoded form,
     // so only qualifying rows pay the per-value decode, once per encoded
-    // projected column. Zero for v1/v2 blocks (every column reads kPlain).
-    uint64_t encoded_projected = 0;
-    for (int colm : proj) {
-      if (pax.column_encoding(colm) != MiniPageEncoding::kPlain) {
-        ++encoded_projected;
-      }
-    }
+    // projected column. Zero for v1/v2 blocks and when no row qualifies.
     if (encoded_projected > 0) {
       const double decode_s =
           node_cost.DecodeValues(read.qualifying * encoded_projected);

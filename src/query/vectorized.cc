@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "index/key_search.h"
 
@@ -32,7 +33,7 @@ void WithComparator(CompareOp op, L lit, F run) {
 
 /// Tight dense loop over the span appending qualifying rows. T is the
 /// storage type, L the comparison type (int64_t or double) chosen by the
-/// compiled kind.
+/// compiled term.
 template <typename T, typename L>
 void DenseFilter(const ColumnSpan<T>& col, CompareOp op, L lit,
                  uint32_t begin, uint32_t end, std::vector<uint32_t>* out) {
@@ -211,13 +212,14 @@ Result<CompiledPredicate::CompiledTerm> CompiledPredicate::CompileTerm(
   CompiledTerm t;
   t.column = column;
   t.op = op;
+  t.column_type = column_type;
   if (column_type == FieldType::kString) {
     if (!literal.is_string()) {
       return Status::InvalidArgument(
           "numeric literal against string column @" +
           std::to_string(column + 1));
     }
-    t.kind = Kind::kString;
+    t.comparison = Comparison::kString;
     t.lit_s = literal.as_string();
     return t;
   }
@@ -225,24 +227,11 @@ Result<CompiledPredicate::CompiledTerm> CompiledPredicate::CompileTerm(
     return Status::InvalidArgument("string literal against numeric column @" +
                                    std::to_string(column + 1));
   }
-  const bool integral_literal = key_search::IsIntegral(literal);
-  switch (column_type) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-      t.kind = integral_literal ? Kind::kI32VsI64 : Kind::kI32VsF64;
-      break;
-    case FieldType::kInt64:
-      t.kind = integral_literal ? Kind::kI64VsI64 : Kind::kI64VsF64;
-      break;
-    case FieldType::kDouble:
-      t.kind = Kind::kF64;
-      break;
-    case FieldType::kString:
-      break;  // unreachable
-  }
-  if (t.kind == Kind::kI32VsI64 || t.kind == Kind::kI64VsI64) {
+  if (column_type != FieldType::kDouble && key_search::IsIntegral(literal)) {
+    t.comparison = Comparison::kIntegral;
     t.lit_i = key_search::AsInt64(literal);
   } else {
+    t.comparison = Comparison::kDouble;
     t.lit_d = literal.AsNumeric();
   }
   return t;
@@ -280,102 +269,62 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Predicate& pred,
   return out;
 }
 
-Status CompiledPredicate::ApplyForTerm(const PaxBlockView& view,
-                                       const CompiledTerm& term,
-                                       RowRange range, bool dense,
-                                       SelectionVector* sel) const {
-  HAIL_ASSIGN_OR_RETURN(ForSpan span, view.ForSpanOf(term.column));
+namespace {
+
+// -- One kernel per span type -------------------------------------------------
+// Each narrows `sel`: from `range` when `dense`, else in place. L is the
+// comparison type (int64_t or double) the compiled term chose.
+
+template <typename T, typename L>
+void FilterSpan(const ColumnSpan<T>& col, CompareOp op, L lit, RowRange range,
+                bool dense, SelectionVector* sel) {
   std::vector<uint32_t>& rows = sel->mutable_rows();
-  const bool integral =
-      term.kind == Kind::kI32VsI64 || term.kind == Kind::kI64VsI64;
-  if (integral) {
+  dense ? DenseFilter<T, L>(col, op, lit, range.begin, range.end, &rows)
+        : SparseFilter<T, L>(col, op, lit, &rows);
+}
+
+template <typename T, typename L>
+void FilterSpan(const RleSpan<T>& col, CompareOp op, L lit, RowRange range,
+                bool dense, SelectionVector* sel) {
+  std::vector<uint32_t>& rows = sel->mutable_rows();
+  dense ? DenseRleFilter<T, L>(col, op, lit, range.begin, range.end, &rows)
+        : SparseRleFilter<T, L>(col, op, lit, &rows);
+}
+
+template <typename L>
+void FilterSpan(const ForSpan& span, CompareOp op, L lit, RowRange range,
+                bool dense, SelectionVector* sel) {
+  if constexpr (std::is_same_v<L, int64_t>) {
     // Rewrite the literal into code space once; the kernel then compares
     // raw unsigned codes against it — no per-row frame addition at all.
     int64_t kernel_lit = 0;
     const LiteralFold fold = FoldCodeLiteral(
-        term.op, static_cast<__int128>(term.lit_i) - span.frame(),
+        op, static_cast<__int128>(lit) - span.frame(),
         MaxCodeForWidth(span.code_width()), &kernel_lit);
     if (fold != LiteralFold::kKernel) {
       ApplyFold(fold, range, dense, sel);
-      return Status::OK();
+      return;
     }
     RunCodeFilter<int64_t>(
-        span.codes(), span.code_width(), term.op, kernel_lit,
-        [](auto c) { return static_cast<int64_t>(c); }, range, dense, &rows);
-    return Status::OK();
+        span.codes(), span.code_width(), op, kernel_lit,
+        [](auto c) { return static_cast<int64_t>(c); }, range, dense,
+        &sel->mutable_rows());
+  } else {
+    // Double literal: compare frame + code widened to double, the same
+    // widening the plain kernel applies to the decoded value.
+    const int64_t frame = span.frame();
+    RunCodeFilter<double>(
+        span.codes(), span.code_width(), op, lit,
+        [frame](auto c) {
+          return static_cast<double>(static_cast<int64_t>(
+              static_cast<uint64_t>(frame) + static_cast<uint64_t>(c)));
+        },
+        range, dense, &sel->mutable_rows());
   }
-  // Double literal: compare frame + code widened to double, the same
-  // widening the plain kernel applies to the decoded value.
-  const int64_t frame = span.frame();
-  RunCodeFilter<double>(
-      span.codes(), span.code_width(), term.op, term.lit_d,
-      [frame](auto c) {
-        return static_cast<double>(static_cast<int64_t>(
-            static_cast<uint64_t>(frame) + static_cast<uint64_t>(c)));
-      },
-      range, dense, &rows);
-  return Status::OK();
 }
 
-Status CompiledPredicate::ApplyRleTerm(const PaxBlockView& view,
-                                       const CompiledTerm& term,
-                                       RowRange range, bool dense,
-                                       SelectionVector* sel) const {
-  std::vector<uint32_t>& rows = sel->mutable_rows();
-  switch (term.kind) {
-    case Kind::kI32VsI64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> col,
-                            view.RleInt32Span(term.column));
-      dense ? DenseRleFilter<int32_t, int64_t>(col, term.op, term.lit_i,
-                                               range.begin, range.end, &rows)
-            : SparseRleFilter<int32_t, int64_t>(col, term.op, term.lit_i,
-                                                &rows);
-      break;
-    }
-    case Kind::kI32VsF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int32_t> col,
-                            view.RleInt32Span(term.column));
-      dense ? DenseRleFilter<int32_t, double>(col, term.op, term.lit_d,
-                                              range.begin, range.end, &rows)
-            : SparseRleFilter<int32_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kI64VsI64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> col,
-                            view.RleInt64Span(term.column));
-      dense ? DenseRleFilter<int64_t, int64_t>(col, term.op, term.lit_i,
-                                               range.begin, range.end, &rows)
-            : SparseRleFilter<int64_t, int64_t>(col, term.op, term.lit_i,
-                                                &rows);
-      break;
-    }
-    case Kind::kI64VsF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<int64_t> col,
-                            view.RleInt64Span(term.column));
-      dense ? DenseRleFilter<int64_t, double>(col, term.op, term.lit_d,
-                                              range.begin, range.end, &rows)
-            : SparseRleFilter<int64_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kF64: {
-      HAIL_ASSIGN_OR_RETURN(RleSpan<double> col,
-                            view.RleDoubleSpan(term.column));
-      dense ? DenseRleFilter<double, double>(col, term.op, term.lit_d,
-                                             range.begin, range.end, &rows)
-            : SparseRleFilter<double, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kString:
-      return Status::InvalidArgument("string term in RLE kernel");
-  }
-  return Status::OK();
-}
-
-Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
-                                        const CompiledTerm& term,
-                                        RowRange range, bool dense,
-                                        SelectionVector* sel) const {
-  HAIL_ASSIGN_OR_RETURN(DictSpan span, view.DictSpanOf(term.column));
+Status FilterSpan(const DictSpan& span, CompareOp op, const std::string& lit,
+                  RowRange range, bool dense, SelectionVector* sel) {
   // Rewrite the string literal into code space once per block. The
   // dictionary is sorted and distinct, so code order IS string order:
   // every comparison maps to a bound over the codes.
@@ -383,16 +332,15 @@ Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
   LiteralFold fold = LiteralFold::kKernel;
   CompareOp code_op = CompareOp::kEq;
   int64_t code_lit = 0;
-  switch (term.op) {
+  switch (op) {
     case CompareOp::kEq:
     case CompareOp::kNe: {
-      const uint32_t lb = span.LowerBound(term.lit_s);
-      const bool present = lb < dict_size && span.DictEntry(lb) == term.lit_s;
+      const uint32_t lb = span.LowerBound(lit);
+      const bool present = lb < dict_size && span.DictEntry(lb) == lit;
       if (!present) {
-        fold = term.op == CompareOp::kEq ? LiteralFold::kNone
-                                         : LiteralFold::kAll;
+        fold = op == CompareOp::kEq ? LiteralFold::kNone : LiteralFold::kAll;
       } else {
-        code_op = term.op;
+        code_op = op;
         code_lit = lb;
       }
       break;
@@ -400,9 +348,8 @@ Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
     case CompareOp::kLt:
     case CompareOp::kLe: {
       // v < lit  ⇔ code < LowerBound(lit);  v <= lit ⇔ code < UpperBound.
-      const uint32_t bound = term.op == CompareOp::kLt
-                                 ? span.LowerBound(term.lit_s)
-                                 : span.UpperBound(term.lit_s);
+      const uint32_t bound = op == CompareOp::kLt ? span.LowerBound(lit)
+                                                  : span.UpperBound(lit);
       if (bound == 0) {
         fold = LiteralFold::kNone;
       } else if (bound == dict_size) {
@@ -416,9 +363,8 @@ Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
     case CompareOp::kGt:
     case CompareOp::kGe: {
       // v > lit  ⇔ code >= UpperBound(lit);  v >= lit ⇔ code >= LowerBound.
-      const uint32_t bound = term.op == CompareOp::kGt
-                                 ? span.UpperBound(term.lit_s)
-                                 : span.LowerBound(term.lit_s);
+      const uint32_t bound = op == CompareOp::kGt ? span.UpperBound(lit)
+                                                  : span.LowerBound(lit);
       if (bound == dict_size) {
         fold = LiteralFold::kNone;
       } else if (bound == 0) {
@@ -443,88 +389,13 @@ Status CompiledPredicate::ApplyDictTerm(const PaxBlockView& view,
   return Status::OK();
 }
 
-bool CompiledPredicate::IsCheapTerm(const PaxBlockView& view,
-                                    const CompiledTerm& term) const {
-  return term.kind != Kind::kString ||
-         view.column_encoding(term.column) == MiniPageEncoding::kDict;
-}
-
-Status CompiledPredicate::ApplyFixedTerm(const PaxBlockView& view,
-                                         const CompiledTerm& term,
-                                         RowRange range, bool dense,
-                                         SelectionVector* sel) const {
-  switch (view.column_encoding(term.column)) {
-    case MiniPageEncoding::kPlain:
-      break;
-    case MiniPageEncoding::kFor:
-      return ApplyForTerm(view, term, range, dense, sel);
-    case MiniPageEncoding::kRle:
-      return ApplyRleTerm(view, term, range, dense, sel);
-    case MiniPageEncoding::kDict:
-      return Status::InvalidArgument("fixed term on dictionary column");
-  }
-  std::vector<uint32_t>& rows = sel->mutable_rows();
-  switch (term.kind) {
-    case Kind::kI32VsI64: {
-      HAIL_ASSIGN_OR_RETURN(ColumnSpan<int32_t> col,
-                            view.Int32Span(term.column));
-      dense ? DenseFilter<int32_t, int64_t>(col, term.op, term.lit_i,
-                                            range.begin, range.end, &rows)
-            : SparseFilter<int32_t, int64_t>(col, term.op, term.lit_i, &rows);
-      break;
-    }
-    case Kind::kI32VsF64: {
-      HAIL_ASSIGN_OR_RETURN(ColumnSpan<int32_t> col,
-                            view.Int32Span(term.column));
-      dense ? DenseFilter<int32_t, double>(col, term.op, term.lit_d,
-                                           range.begin, range.end, &rows)
-            : SparseFilter<int32_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kI64VsI64: {
-      HAIL_ASSIGN_OR_RETURN(ColumnSpan<int64_t> col,
-                            view.Int64Span(term.column));
-      dense ? DenseFilter<int64_t, int64_t>(col, term.op, term.lit_i,
-                                            range.begin, range.end, &rows)
-            : SparseFilter<int64_t, int64_t>(col, term.op, term.lit_i, &rows);
-      break;
-    }
-    case Kind::kI64VsF64: {
-      HAIL_ASSIGN_OR_RETURN(ColumnSpan<int64_t> col,
-                            view.Int64Span(term.column));
-      dense ? DenseFilter<int64_t, double>(col, term.op, term.lit_d,
-                                           range.begin, range.end, &rows)
-            : SparseFilter<int64_t, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kF64: {
-      HAIL_ASSIGN_OR_RETURN(ColumnSpan<double> col,
-                            view.DoubleSpan(term.column));
-      dense ? DenseFilter<double, double>(col, term.op, term.lit_d,
-                                          range.begin, range.end, &rows)
-            : SparseFilter<double, double>(col, term.op, term.lit_d, &rows);
-      break;
-    }
-    case Kind::kString:
-      return Status::InvalidArgument("string term in fixed kernel");
-  }
-  return Status::OK();
-}
-
-Status CompiledPredicate::ApplyStringTerm(const PaxBlockView& view,
-                                          const CompiledTerm& term,
-                                          RowRange range, bool dense,
-                                          SelectionVector* sel) const {
-  if (view.column_encoding(term.column) == MiniPageEncoding::kDict) {
-    return ApplyDictTerm(view, term, range, dense, sel);
-  }
-  HAIL_ASSIGN_OR_RETURN(VarlenCursor cursor,
-                        view.OpenVarlenCursor(term.column));
+Status FilterSpan(VarlenCursor& cursor, CompareOp op, const std::string& lit,
+                  RowRange range, bool dense, SelectionVector* sel) {
   std::vector<uint32_t>& rows = sel->mutable_rows();
   if (dense) {
     for (uint32_t r = range.begin; r < range.end; ++r) {
       HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
-      if (OpMatchesCompare(ThreeWayCompareStrings(s, term.lit_s), term.op)) {
+      if (OpMatchesCompare(ThreeWayCompareStrings(s, lit), op)) {
         rows.push_back(r);
       }
     }
@@ -535,13 +406,18 @@ Status CompiledPredicate::ApplyStringTerm(const PaxBlockView& view,
     // Selection vectors are ascending, so the cursor decodes each
     // candidate partition in one forward pass.
     HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
-    if (OpMatchesCompare(ThreeWayCompareStrings(s, term.lit_s), term.op)) {
-      rows[w++] = r;
-    }
+    if (OpMatchesCompare(ThreeWayCompareStrings(s, lit), op)) rows[w++] = r;
   }
   rows.resize(w);
   return Status::OK();
 }
+
+/// The type a column of \p type stores its values as.
+FieldType StorageType(FieldType type) {
+  return type == FieldType::kDate ? FieldType::kInt32 : type;
+}
+
+}  // namespace
 
 Status CompiledPredicate::FilterBlock(const PaxBlockView& view, RowRange range,
                                       SelectionVector* sel) const {
@@ -564,21 +440,56 @@ Status CompiledPredicate::RefineCandidates(const PaxBlockView& view,
 
 Status CompiledPredicate::ApplyTerms(const PaxBlockView& view, RowRange range,
                                      bool dense, SelectionVector* sel) const {
+  std::vector<ColumnReader> readers;
+  readers.reserve(terms_.size());
+  for (const CompiledTerm& term : terms_) {
+    HAIL_ASSIGN_OR_RETURN(ColumnReader reader, view.OpenColumn(term.column));
+    if (StorageType(reader.type()) != StorageType(term.column_type)) {
+      return Status::InvalidArgument(
+          "term on @" + std::to_string(term.column + 1) + " compiled for a " +
+          std::string(FieldTypeName(term.column_type)) +
+          " column; the block stores " +
+          std::string(FieldTypeName(reader.type())));
+    }
+    readers.push_back(reader);
+  }
   // Cheap terms first — typed span loads and integer code kernels
   // (dictionary strings included) narrow the candidate set before any
   // plain varlen value is decoded. Order within each phase is the term
   // order, so the conjunction's result set is identical either way.
   for (const bool cheap : {true, false}) {
-    for (const CompiledTerm& term : terms_) {
-      if (IsCheapTerm(view, term) != cheap) continue;
-      HAIL_RETURN_NOT_OK(term.kind == Kind::kString
-                             ? ApplyStringTerm(view, term, range, dense, sel)
-                             : ApplyFixedTerm(view, term, range, dense, sel));
+    for (size_t t = 0; t < terms_.size(); ++t) {
+      ColumnReader& reader = readers[t];
+      if ((reader.type() != FieldType::kString || reader.encoded()) != cheap) {
+        continue;
+      }
+      HAIL_RETURN_NOT_OK(ApplyTerm(terms_[t], &reader, range, dense, sel));
       dense = false;
       if (sel->empty()) return Status::OK();
     }
   }
   return Status::OK();
+}
+
+Status CompiledPredicate::ApplyTerm(const CompiledTerm& term,
+                                    ColumnReader* reader, RowRange range,
+                                    bool dense, SelectionVector* sel) {
+  // ApplyTerms checked the column's storage, so a string term meets a
+  // VarlenCursor or a DictSpan and a numeric term one of the others.
+  return reader->Visit([&](auto& span) -> Status {
+    using S = std::decay_t<decltype(span)>;
+    if constexpr (std::is_same_v<S, VarlenCursor> ||
+                  std::is_same_v<S, DictSpan>) {
+      return FilterSpan(span, term.op, term.lit_s, range, dense, sel);
+    } else {
+      if (term.comparison == Comparison::kIntegral) {
+        FilterSpan(span, term.op, term.lit_i, range, dense, sel);
+      } else {
+        FilterSpan(span, term.op, term.lit_d, range, dense, sel);
+      }
+      return Status::OK();
+    }
+  });
 }
 
 bool CompiledPredicate::MatchesRow(const std::vector<Value>& row) const {
@@ -589,15 +500,14 @@ bool CompiledPredicate::MatchesRow(const std::vector<Value>& row) const {
     }
     const Value& v = row[static_cast<size_t>(term.column)];
     bool match = false;
-    switch (term.kind) {
-      case Kind::kString: {
+    switch (term.comparison) {
+      case Comparison::kString: {
         if (!v.is_string()) return false;
         match = OpMatchesCompare(ThreeWayCompareStrings(v.as_string(), term.lit_s),
                                term.op);
         break;
       }
-      case Kind::kI32VsI64:
-      case Kind::kI64VsI64: {
+      case Comparison::kIntegral: {
         if (v.is_string()) return false;
         if (key_search::IsIntegral(v)) {
           const int64_t w = key_search::AsInt64(v);
@@ -612,9 +522,7 @@ bool CompiledPredicate::MatchesRow(const std::vector<Value>& row) const {
         }
         break;
       }
-      case Kind::kI32VsF64:
-      case Kind::kI64VsF64:
-      case Kind::kF64: {
+      case Comparison::kDouble: {
         if (v.is_string()) return false;
         const double w = v.AsNumeric();
         match = OpMatchesCompare(

@@ -23,6 +23,14 @@
 /// evaluate the predicate once per run, short-circuiting whole runs into
 /// the selection vector. Only qualifying rows are ever decoded, at tuple
 /// reconstruction.
+///
+/// This layer never reads a block's bytes itself: each term opens its
+/// column once per block through PaxBlockView::OpenColumn, whose
+/// ColumnReader (layout/pax_block.h) resolves the minipage into one span
+/// (ColumnSpan, VarlenCursor, ForSpan, RleSpan or DictSpan), and the
+/// kernel is picked by that span's type. A term on a column the block
+/// lacks, or compiled for a column whose storage differs from the
+/// block's (int32 and date share storage), is InvalidArgument.
 
 #pragma once
 
@@ -97,21 +105,19 @@ class CompiledPredicate {
   bool MatchesRow(const std::vector<Value>& row) const;
 
  private:
-  /// How a term's column/literal pair compares, resolved once per block
-  /// instead of once per row.
-  enum class Kind : uint8_t {
-    kI32VsI64,  // int32/date column, integral literal (int64 compare)
-    kI32VsF64,  // int32/date column, double literal (double compare)
-    kI64VsI64,
-    kI64VsF64,
-    kF64,       // double column, any numeric literal
-    kString,
-  };
+  /// How a term compares, resolved at compile time: as int64 (an integral
+  /// literal against an integer or date column), as double (any literal
+  /// against a double column, a double literal against any numeric
+  /// column) or as strings.
+  enum class Comparison : uint8_t { kIntegral, kDouble, kString };
 
   struct CompiledTerm {
     int column = -1;
     CompareOp op = CompareOp::kEq;
-    Kind kind = Kind::kI32VsI64;
+    Comparison comparison = Comparison::kIntegral;
+    /// The column type the term was compiled for; a block whose column
+    /// stores another type is InvalidArgument.
+    FieldType column_type = FieldType::kInt32;
     int64_t lit_i = 0;   // integral-compare literal
     double lit_d = 0.0;  // double-compare literal
     std::string lit_s;   // string literal
@@ -121,32 +127,18 @@ class CompiledPredicate {
                                           const Value& literal,
                                           FieldType column_type);
 
-  /// True when the term can run in the cheap first phase: fixed-size
-  /// columns (any encoding) and dictionary-encoded strings, whose compare
-  /// is an integer code kernel after the literal rewrite. Only plain
-  /// varlen strings pay a sequential decode and go last.
-  bool IsCheapTerm(const PaxBlockView& view, const CompiledTerm& term) const;
-
-  /// Applies every term to \p sel, cheap terms first, then plain varlen
-  /// strings. The first term fills \p sel from \p range when \p dense,
-  /// else every term narrows the rows already in \p sel.
+  /// Opens every term's column of \p view once, then applies the terms to
+  /// \p sel: fixed-size columns (any encoding) and dictionary strings
+  /// first, whose compare is a typed load or an integer code kernel, then
+  /// plain varlen strings, which pay a sequential decode. The first term
+  /// fills \p sel from \p range when \p dense, else every term narrows the
+  /// rows already in \p sel.
   Status ApplyTerms(const PaxBlockView& view, RowRange range, bool dense,
                     SelectionVector* sel) const;
 
-  Status ApplyFixedTerm(const PaxBlockView& view, const CompiledTerm& term,
-                        RowRange range, bool dense,
-                        SelectionVector* sel) const;
-  Status ApplyStringTerm(const PaxBlockView& view, const CompiledTerm& term,
-                         RowRange range, bool dense,
-                         SelectionVector* sel) const;
-
-  // Scan-on-compressed kernels (format v3 minipages).
-  Status ApplyForTerm(const PaxBlockView& view, const CompiledTerm& term,
-                      RowRange range, bool dense, SelectionVector* sel) const;
-  Status ApplyRleTerm(const PaxBlockView& view, const CompiledTerm& term,
-                      RowRange range, bool dense, SelectionVector* sel) const;
-  Status ApplyDictTerm(const PaxBlockView& view, const CompiledTerm& term,
-                       RowRange range, bool dense, SelectionVector* sel) const;
+  /// Runs \p term's kernel on the span \p reader holds.
+  static Status ApplyTerm(const CompiledTerm& term, ColumnReader* reader,
+                          RowRange range, bool dense, SelectionVector* sel);
 
   std::vector<CompiledTerm> terms_;
 };

@@ -175,7 +175,10 @@ TEST(SortedReplicaPinTest, ShapesOutsideTheGoldens) {
     EXPECT_TRUE(view.ok());
     auto pax = view->OpenPax();
     EXPECT_TRUE(pax.ok());
-    return pax.ok() ? pax->column_encoding(column) : MiniPageEncoding::kPlain;
+    if (!pax.ok()) return MiniPageEncoding::kPlain;
+    auto reader = pax->OpenColumn(column);
+    EXPECT_TRUE(reader.ok());
+    return reader.ok() ? reader->encoding() : MiniPageEncoding::kPlain;
   };
   EXPECT_EQ(encoding(64, -1, 1), MiniPageEncoding::kFor);
   EXPECT_EQ(encoding(64, 1, 1), MiniPageEncoding::kRle);

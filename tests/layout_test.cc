@@ -253,10 +253,10 @@ TEST(PaxBlockEncodedTest, RoundTripAndEncodingChoice) {
   auto view = PaxBlockView::Open(bytes);
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(view->encoded_format());
-  EXPECT_EQ(view->column_encoding(0), MiniPageEncoding::kFor);
-  EXPECT_EQ(view->column_encoding(1), MiniPageEncoding::kDict);
-  EXPECT_EQ(view->column_encoding(2), MiniPageEncoding::kRle);
-  EXPECT_EQ(view->column_encoding(3), MiniPageEncoding::kPlain);
+  EXPECT_EQ(view->OpenColumn(0)->encoding(), MiniPageEncoding::kFor);
+  EXPECT_EQ(view->OpenColumn(1)->encoding(), MiniPageEncoding::kDict);
+  EXPECT_EQ(view->OpenColumn(2)->encoding(), MiniPageEncoding::kRle);
+  EXPECT_EQ(view->OpenColumn(3)->encoding(), MiniPageEncoding::kPlain);
   EXPECT_EQ(view->num_encoded_columns(), 3);
   // Stored (compressed) extent beats the uncompressed payload.
   EXPECT_LT(view->stored_payload_bytes(), block.PayloadBytes());
@@ -317,25 +317,6 @@ TEST(PaxBlockEncodedTest, OrderedSerializeReencodes) {
   PaxBlock sorted = *base;
   sorted.SortByColumn(0);
   EXPECT_EQ(sorted_bytes, sorted.Serialize());
-}
-
-TEST(PaxBlockEncodedTest, PlainSpansRefuseEncodedColumns) {
-  BlockFormatOptions options;
-  options.enable_encoding = true;
-  const Schema schema = EncodableSchema();
-  PaxBlock block =
-      BuildPaxBlockFromText(schema, MakeEncodableText(200, 13), options);
-  const std::string bytes = block.Serialize();
-  auto view = PaxBlockView::Open(bytes);
-  ASSERT_TRUE(view.ok());
-  // ColumnSpan's 8-byte-aligned zero-copy contract only holds for plain
-  // minipages; encoded columns must be served by the encoded spans.
-  EXPECT_TRUE(view->Int32Span(0).status().IsFailedPrecondition());
-  EXPECT_TRUE(view->ForSpanOf(0).ok());
-  EXPECT_TRUE(view->OpenVarlenCursor(1).status().IsFailedPrecondition());
-  EXPECT_TRUE(view->DictSpanOf(1).ok());
-  EXPECT_TRUE(view->RleInt32Span(2).ok());
-  EXPECT_TRUE(view->DoubleSpan(3).ok());  // plain column: normal span
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +452,7 @@ std::string MiniPageOf(const std::string& bytes, MiniPageEncoding* encoding) {
   auto view = PaxBlockView::Open(bytes);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
   if (!view.ok()) return "";
-  *encoding = view->column_encoding(0);
+  *encoding = view->OpenColumn(0)->encoding();
   return bytes.substr(bytes.size() - view->column_bytes(0));
 }
 

@@ -196,8 +196,7 @@ void ExpectReaderMatches(const PaxBlockView& view, int c,
                         << v.status().ToString();
     ASSERT_EQ(*v, col.GetValue(r)) << access << " column " << c << " row "
                                    << r << " encoding "
-                                   << MiniPageEncodingName(
-                                          view.column_encoding(c));
+                                   << MiniPageEncodingName(reader->encoding());
     if (col.type() == FieldType::kString) {
       auto s = reader->GetString(r);
       ASSERT_TRUE(s.ok());
@@ -278,7 +277,7 @@ TEST(LayoutPropertyCoverageTest, RoundTripBlocksUseEveryEncoding) {
       auto view = PaxBlockView::Open(bytes);
       ASSERT_TRUE(view.ok());
       for (int c = 0; c < view->num_columns(); ++c) {
-        seen.insert(view->column_encoding(c));
+        seen.insert(view->OpenColumn(c)->encoding());
       }
     }
   }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "layout/pax_block.h"
@@ -231,11 +232,11 @@ TEST(VectorizedScanTest, EncodedScanMatchesPlainAndRowAtATime) {
         if (rows >= 250) {
           // The generator must actually exercise every encoding, or this
           // property test silently degrades to plain-vs-plain.
-          EXPECT_EQ(enc->column_encoding(0), MiniPageEncoding::kFor);
-          EXPECT_EQ(enc->column_encoding(1), MiniPageEncoding::kDict);
-          EXPECT_EQ(enc->column_encoding(2), MiniPageEncoding::kRle);
-          EXPECT_EQ(enc->column_encoding(4), MiniPageEncoding::kRle);
-          EXPECT_EQ(enc->column_encoding(5), MiniPageEncoding::kDict);
+          EXPECT_EQ(enc->OpenColumn(0)->encoding(), MiniPageEncoding::kFor);
+          EXPECT_EQ(enc->OpenColumn(1)->encoding(), MiniPageEncoding::kDict);
+          EXPECT_EQ(enc->OpenColumn(2)->encoding(), MiniPageEncoding::kRle);
+          EXPECT_EQ(enc->OpenColumn(4)->encoding(), MiniPageEncoding::kRle);
+          EXPECT_EQ(enc->OpenColumn(5)->encoding(), MiniPageEncoding::kDict);
         }
 
         for (int trial = 0; trial < 10; ++trial) {
@@ -438,43 +439,22 @@ TEST(VectorizedScanTest, MismatchedBlocksAreInvalidArgument) {
   }
 }
 
-TEST(VectorizedScanTest, ReconstructionMatchesGetRow) {
-  const Schema schema = AllTypesSchema();
-  Random rng(7);
-  BlockFormatOptions options;
-  options.varlen_partition_size = 8;
-  PaxBlock block =
-      BuildPaxBlockFromText(schema, MakeText(500, 99, 0.1), options);
-  const std::string bytes = block.Serialize();
-  auto view = PaxBlockView::Open(bytes);
-  ASSERT_TRUE(view.ok());
-
-  // A selection vector (every third row) reconstructed through the typed
-  // batch accessors must equal the row-at-a-time GetRow values.
-  auto i32 = view->Int32Span(0);
-  auto f64 = view->DoubleSpan(2);
-  auto date = view->Int32Span(3);
-  auto i64 = view->Int64Span(4);
-  auto url = view->OpenVarlenCursor(1);
-  auto tag = view->OpenVarlenCursor(5);
-  ASSERT_TRUE(i32.ok() && f64.ok() && date.ok() && i64.ok() && url.ok() &&
-              tag.ok());
-  for (uint32_t r = 0; r < view->num_records(); r += 3) {
-    auto expected = view->GetRow(r);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ((*i32)[r], (*expected)[0].as_int32());
-    EXPECT_EQ(std::string(*url->Get(r)), (*expected)[1].as_string());
-    EXPECT_EQ((*f64)[r], (*expected)[2].as_double());
-    EXPECT_EQ((*date)[r], (*expected)[3].as_int32());
-    EXPECT_EQ((*i64)[r], (*expected)[4].as_int64());
-    EXPECT_EQ(std::string(*tag->Get(r)), (*expected)[5].as_string());
+/// A copy of the VarlenCursor that plain string column \p column's
+/// reader holds (invalid for any other column).
+VarlenCursor CursorOf(const PaxBlockView& view, int column) {
+  VarlenCursor cursor;
+  auto reader = view.OpenColumn(column);
+  EXPECT_TRUE(reader.ok());
+  if (reader.ok()) {
+    reader->Visit([&cursor](const auto& span) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(span)>,
+                                   VarlenCursor>) {
+        cursor = span;
+      }
+    });
   }
-
-  // Type-mismatched span requests are rejected.
-  EXPECT_TRUE(view->Int32Span(1).status().IsInvalidArgument());
-  EXPECT_TRUE(view->Int64Span(0).status().IsInvalidArgument());
-  EXPECT_TRUE(view->DoubleSpan(4).status().IsInvalidArgument());
-  EXPECT_TRUE(view->OpenVarlenCursor(0).status().IsInvalidArgument());
+  EXPECT_TRUE(cursor.valid());
+  return cursor;
 }
 
 TEST(VectorizedScanTest, VarlenCursorSequentialIsLinear) {
@@ -488,34 +468,34 @@ TEST(VectorizedScanTest, VarlenCursorSequentialIsLinear) {
   ASSERT_TRUE(view.ok());
   const uint32_t n = view->num_records();
 
-  auto cursor = view->OpenVarlenCursor(1);
-  ASSERT_TRUE(cursor.ok());
+  VarlenCursor cursor = CursorOf(*view, 1);
+  ASSERT_TRUE(cursor.valid());
   for (uint32_t r = 0; r < n; ++r) {
-    auto s = cursor->Get(r);
+    auto s = cursor.Get(r);
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(*s, *view->GetString(1, r)) << "row " << r;
   }
   // A full sequential pass decodes each value exactly once — O(n), unlike
   // GetString's O(n * partition) re-scans — and never re-seeks.
-  EXPECT_EQ(cursor->decode_steps(), n);
-  EXPECT_EQ(cursor->partition_seeks(), 0u);
+  EXPECT_EQ(cursor.decode_steps(), n);
+  EXPECT_EQ(cursor.partition_seeks(), 0u);
 
   // Ascending sparse access stays bounded by one partition per hit.
-  auto sparse = view->OpenVarlenCursor(1);
-  ASSERT_TRUE(sparse.ok());
+  VarlenCursor sparse = CursorOf(*view, 1);
+  ASSERT_TRUE(sparse.valid());
   uint32_t hits = 0;
   for (uint32_t r = 5; r < n; r += 97) {
-    ASSERT_TRUE(sparse->Get(r).ok());
+    ASSERT_TRUE(sparse.Get(r).ok());
     ++hits;
   }
-  EXPECT_LE(sparse->decode_steps(),
+  EXPECT_LE(sparse.decode_steps(),
             static_cast<uint64_t>(hits) * options.varlen_partition_size);
 
   // Backward access re-seeks via the sparse offsets and still agrees.
-  auto backward = view->OpenVarlenCursor(1);
-  ASSERT_TRUE(backward.ok());
+  VarlenCursor backward = CursorOf(*view, 1);
+  ASSERT_TRUE(backward.valid());
   for (uint32_t r = n; r-- > 0;) {
-    ASSERT_EQ(std::string(*backward->Get(r)), *view->GetString(1, r));
+    ASSERT_EQ(std::string(*backward.Get(r)), *view->GetString(1, r));
   }
 }
 
