@@ -11,6 +11,51 @@ namespace {
 constexpr uint32_t kClusteredIndexMagic = 0x58444948;  // "HIDX"
 }  // namespace
 
+void PutIndexKey(ByteWriter& w, const ColumnVector& keys, size_t i) {
+  switch (keys.type()) {
+    case FieldType::kInt32:
+    case FieldType::kDate:
+      w.PutI32(keys.i32()[i]);
+      return;
+    case FieldType::kInt64:
+      w.PutI64(keys.i64()[i]);
+      return;
+    case FieldType::kDouble:
+      w.PutF64(keys.f64()[i]);
+      return;
+    case FieldType::kString:
+      w.PutLengthPrefixed(keys.str()[i]);
+      return;
+  }
+}
+
+Status GetIndexKey(ByteReader& r, ColumnVector* keys) {
+  switch (keys->type()) {
+    case FieldType::kInt32:
+    case FieldType::kDate: {
+      HAIL_ASSIGN_OR_RETURN(int32_t v, r.GetI32());
+      keys->AppendInt32(v);
+      return Status::OK();
+    }
+    case FieldType::kInt64: {
+      HAIL_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
+      keys->AppendInt64(v);
+      return Status::OK();
+    }
+    case FieldType::kDouble: {
+      HAIL_ASSIGN_OR_RETURN(double v, r.GetF64());
+      keys->AppendDouble(v);
+      return Status::OK();
+    }
+    case FieldType::kString: {
+      HAIL_ASSIGN_OR_RETURN(std::string_view s, r.GetLengthPrefixed());
+      keys->AppendString(s);
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("index names an unknown key type");
+}
+
 ClusteredIndex ClusteredIndex::Build(const ColumnVector& sorted_keys,
                                      uint32_t partition_size) {
   assert(partition_size > 0);
@@ -50,21 +95,8 @@ std::string ClusteredIndex::Serialize() const {
   w.PutU32(partition_size_);
   w.PutU32(num_records_);
   w.PutU32(num_partitions());
-  const uint32_t n = num_partitions();
-  switch (key_type()) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-      for (uint32_t i = 0; i < n; ++i) w.PutI32(first_keys_.i32()[i]);
-      break;
-    case FieldType::kInt64:
-      for (uint32_t i = 0; i < n; ++i) w.PutI64(first_keys_.i64()[i]);
-      break;
-    case FieldType::kDouble:
-      for (uint32_t i = 0; i < n; ++i) w.PutF64(first_keys_.f64()[i]);
-      break;
-    case FieldType::kString:
-      for (uint32_t i = 0; i < n; ++i) w.PutLengthPrefixed(first_keys_.str()[i]);
-      break;
+  for (uint32_t i = 0; i < num_partitions(); ++i) {
+    PutIndexKey(w, first_keys_, i);
   }
   return w.Take();
 }
@@ -98,29 +130,7 @@ Result<ClusteredIndex> ClusteredIndex::Deserialize(std::string_view data) {
         "clustered index partition count does not match its records");
   }
   for (uint32_t i = 0; i < n; ++i) {
-    switch (type) {
-      case FieldType::kInt32:
-      case FieldType::kDate: {
-        HAIL_ASSIGN_OR_RETURN(int32_t v, r.GetI32());
-        index.first_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kInt64: {
-        HAIL_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-        index.first_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kDouble: {
-        HAIL_ASSIGN_OR_RETURN(double v, r.GetF64());
-        index.first_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kString: {
-        HAIL_ASSIGN_OR_RETURN(std::string_view s, r.GetLengthPrefixed());
-        index.first_keys_.Append(Value(std::string(s)));
-        break;
-      }
-    }
+    HAIL_RETURN_NOT_OK(GetIndexKey(r, &index.first_keys_));
   }
   if (!r.exhausted()) {
     return Status::Corruption("trailing bytes after clustered index");

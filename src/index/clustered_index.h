@@ -51,6 +51,15 @@ inline size_t MinSerializedKeyBytes(FieldType type) {
   return 0;
 }
 
+/// Writes key \p i of \p keys as all three index formats store a key: a
+/// fixed-size key in its storage width, a string with a u32 length
+/// prefix.
+void PutIndexKey(ByteWriter& w, const ColumnVector& keys, size_t i);
+
+/// Reads one key written by PutIndexKey and appends it to \p keys, whose
+/// type says how the key is stored.
+Status GetIndexKey(ByteReader& r, ColumnVector* keys);
+
 /// Paper-scale bytes of a sparse index root: one (key, pointer) entry per
 /// `records_per_entry` logical records (+1 for the trailing partial
 /// partition). HAIL's clustered root uses 4-byte pointers at 1024

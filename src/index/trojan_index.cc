@@ -57,21 +57,7 @@ std::string TrojanIndex::Serialize() const {
   w.PutU64(data_bytes_);
   w.PutU32(num_entries());
   for (uint32_t i = 0; i < num_entries(); ++i) {
-    switch (entry_keys_.type()) {
-      case FieldType::kInt32:
-      case FieldType::kDate:
-        w.PutI32(entry_keys_.i32()[i]);
-        break;
-      case FieldType::kInt64:
-        w.PutI64(entry_keys_.i64()[i]);
-        break;
-      case FieldType::kDouble:
-        w.PutF64(entry_keys_.f64()[i]);
-        break;
-      case FieldType::kString:
-        w.PutLengthPrefixed(entry_keys_.str()[i]);
-        break;
-    }
+    PutIndexKey(w, entry_keys_, i);
     w.PutU64(entry_offsets_[i]);
   }
   return w.Take();
@@ -106,29 +92,7 @@ Result<TrojanIndex> TrojanIndex::Deserialize(std::string_view data) {
   }
   index.entry_offsets_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    switch (type) {
-      case FieldType::kInt32:
-      case FieldType::kDate: {
-        HAIL_ASSIGN_OR_RETURN(int32_t v, r.GetI32());
-        index.entry_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kInt64: {
-        HAIL_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-        index.entry_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kDouble: {
-        HAIL_ASSIGN_OR_RETURN(double v, r.GetF64());
-        index.entry_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kString: {
-        HAIL_ASSIGN_OR_RETURN(std::string_view s, r.GetLengthPrefixed());
-        index.entry_keys_.Append(Value(std::string(s)));
-        break;
-      }
-    }
+    HAIL_RETURN_NOT_OK(GetIndexKey(r, &index.entry_keys_));
     HAIL_ASSIGN_OR_RETURN(uint64_t off, r.GetU64());
     index.entry_offsets_.push_back(off);
   }

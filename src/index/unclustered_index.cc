@@ -43,21 +43,7 @@ std::string UnclusteredIndex::Serialize() const {
   w.PutU8(static_cast<uint8_t>(sorted_keys_.type()));
   w.PutU32(num_records_);
   for (uint32_t i = 0; i < num_records_; ++i) {
-    switch (sorted_keys_.type()) {
-      case FieldType::kInt32:
-      case FieldType::kDate:
-        w.PutI32(sorted_keys_.i32()[i]);
-        break;
-      case FieldType::kInt64:
-        w.PutI64(sorted_keys_.i64()[i]);
-        break;
-      case FieldType::kDouble:
-        w.PutF64(sorted_keys_.f64()[i]);
-        break;
-      case FieldType::kString:
-        w.PutLengthPrefixed(sorted_keys_.str()[i]);
-        break;
-    }
+    PutIndexKey(w, sorted_keys_, i);
     w.PutU32(row_ids_[i]);
   }
   return w.Take();
@@ -85,29 +71,7 @@ Result<UnclusteredIndex> UnclusteredIndex::Deserialize(std::string_view data) {
   }
   index.row_ids_.reserve(index.num_records_);
   for (uint32_t i = 0; i < index.num_records_; ++i) {
-    switch (type) {
-      case FieldType::kInt32:
-      case FieldType::kDate: {
-        HAIL_ASSIGN_OR_RETURN(int32_t v, r.GetI32());
-        index.sorted_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kInt64: {
-        HAIL_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-        index.sorted_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kDouble: {
-        HAIL_ASSIGN_OR_RETURN(double v, r.GetF64());
-        index.sorted_keys_.Append(Value(v));
-        break;
-      }
-      case FieldType::kString: {
-        HAIL_ASSIGN_OR_RETURN(std::string_view s, r.GetLengthPrefixed());
-        index.sorted_keys_.Append(Value(std::string(s)));
-        break;
-      }
-    }
+    HAIL_RETURN_NOT_OK(GetIndexKey(r, &index.sorted_keys_));
     HAIL_ASSIGN_OR_RETURN(uint32_t row, r.GetU32());
     index.row_ids_.push_back(row);
   }
