@@ -875,7 +875,10 @@ Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
                                    std::to_string(num_columns()) + " columns");
   }
   const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  ColumnReader reader;
+  // Filled in place: the filter opens a column per term and block, and
+  // copying the reader on the way out would cost more than filling it.
+  Result<ColumnReader> out = ColumnReader();
+  ColumnReader& reader = *out;
   reader.type_ = ci.type;
   reader.encoding_ = ci.encoding;
   reader.num_records_ = num_records_;
@@ -909,10 +912,10 @@ Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
           break;
         }
       }
-      return reader;
+      break;
     case MiniPageEncoding::kFor:
       reader.span_ = ForSpan(base + ci.codes_pos, n, ci.code_width, ci.frame);
-      return reader;
+      break;
     case MiniPageEncoding::kRle: {
       const char* starts = base + ci.run_starts_pos;
       const char* values = base + ci.run_values_pos;
@@ -923,16 +926,16 @@ Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
       } else {
         reader.span_ = RleSpan<int32_t>(starts, values, ci.num_runs, n);
       }
-      return reader;
+      break;
     }
     case MiniPageEncoding::kDict:
       reader.span_ = DictSpan(base + ci.codes_pos, ci.code_width, n,
                               base + ci.dict_offsets_pos,
                               base + ci.dict_values_pos, ci.dict_values_bytes,
                               ci.dict_size);
-      return reader;
+      break;
   }
-  return Status::Corruption("unknown minipage encoding");
+  return out;
 }
 
 namespace {

@@ -12,7 +12,7 @@
 ///   - PaxBlock: mutable in-memory columns (build, sort, reorganise);
 ///   - PaxBlockView: zero-copy reader over the serialised bytes that tracks
 ///     which byte ranges were touched, so the simulator can bill exactly
-///     the I/O a column scan performs. Its ColumnReader is the one decoder
+///     the I/O a column scan performs. Its ColumnReader is the one reader
 ///     of a minipage's values, whatever the encoding.
 
 #pragma once

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "index/key_search.h"
 
@@ -273,10 +274,13 @@ namespace {
 
 // -- One kernel per span type -------------------------------------------------
 // Each narrows `sel`: from `range` when `dense`, else in place. L is the
-// comparison type (int64_t or double) the compiled term chose.
+// comparison type (int64_t or double) the compiled term chose. Fixed-size
+// spans are taken by value: the reader's copy lives on the heap, where a
+// push_back into the selection vector could alias it, so the loops would
+// reload the span's pointers after every qualifying row.
 
 template <typename T, typename L>
-void FilterSpan(const ColumnSpan<T>& col, CompareOp op, L lit, RowRange range,
+void FilterSpan(ColumnSpan<T> col, CompareOp op, L lit, RowRange range,
                 bool dense, SelectionVector* sel) {
   std::vector<uint32_t>& rows = sel->mutable_rows();
   dense ? DenseFilter<T, L>(col, op, lit, range.begin, range.end, &rows)
@@ -284,7 +288,7 @@ void FilterSpan(const ColumnSpan<T>& col, CompareOp op, L lit, RowRange range,
 }
 
 template <typename T, typename L>
-void FilterSpan(const RleSpan<T>& col, CompareOp op, L lit, RowRange range,
+void FilterSpan(RleSpan<T> col, CompareOp op, L lit, RowRange range,
                 bool dense, SelectionVector* sel) {
   std::vector<uint32_t>& rows = sel->mutable_rows();
   dense ? DenseRleFilter<T, L>(col, op, lit, range.begin, range.end, &rows)
@@ -440,33 +444,35 @@ Status CompiledPredicate::RefineCandidates(const PaxBlockView& view,
 
 Status CompiledPredicate::ApplyTerms(const PaxBlockView& view, RowRange range,
                                      bool dense, SelectionVector* sel) const {
-  std::vector<ColumnReader> readers;
-  readers.reserve(terms_.size());
-  for (const CompiledTerm& term : terms_) {
-    HAIL_ASSIGN_OR_RETURN(ColumnReader reader, view.OpenColumn(term.column));
-    if (StorageType(reader.type()) != StorageType(term.column_type)) {
-      return Status::InvalidArgument(
-          "term on @" + std::to_string(term.column + 1) + " compiled for a " +
-          std::string(FieldTypeName(term.column_type)) +
-          " column; the block stores " +
-          std::string(FieldTypeName(reader.type())));
-    }
-    readers.push_back(reader);
-  }
   // Cheap terms first — typed span loads and integer code kernels
   // (dictionary strings included) narrow the candidate set before any
   // plain varlen value is decoded. Order within each phase is the term
   // order, so the conjunction's result set is identical either way.
-  for (const bool cheap : {true, false}) {
-    for (size_t t = 0; t < terms_.size(); ++t) {
-      ColumnReader& reader = readers[t];
-      if ((reader.type() != FieldType::kString || reader.encoded()) != cheap) {
-        continue;
-      }
-      HAIL_RETURN_NOT_OK(ApplyTerm(terms_[t], &reader, range, dense, sel));
-      dense = false;
-      if (sel->empty()) return Status::OK();
+  // Every term's column is opened and checked, also once no row is left.
+  std::vector<std::pair<const CompiledTerm*, ColumnReader>> plain_strings;
+  for (const CompiledTerm& term : terms_) {
+    // Used in place: copying the reader would cost more than filtering
+    // the few rows of a short index range.
+    Result<ColumnReader> reader = view.OpenColumn(term.column);
+    HAIL_RETURN_NOT_OK(reader.status());
+    if (StorageType(reader->type()) != StorageType(term.column_type)) {
+      return Status::InvalidArgument(
+          "term on @" + std::to_string(term.column + 1) + " compiled for a " +
+          std::string(FieldTypeName(term.column_type)) +
+          " column; the block stores " +
+          std::string(FieldTypeName(reader->type())));
     }
+    if (reader->type() == FieldType::kString && !reader->encoded()) {
+      plain_strings.emplace_back(&term, *reader);
+    } else if (dense || !sel->empty()) {
+      HAIL_RETURN_NOT_OK(ApplyTerm(term, &*reader, range, dense, sel));
+      dense = false;
+    }
+  }
+  for (auto& [term, reader] : plain_strings) {
+    if (!dense && sel->empty()) break;
+    HAIL_RETURN_NOT_OK(ApplyTerm(*term, &reader, range, dense, sel));
+    dense = false;
   }
   return Status::OK();
 }

@@ -127,7 +127,7 @@ class CompiledPredicate {
                                           const Value& literal,
                                           FieldType column_type);
 
-  /// Opens every term's column of \p view once, then applies the terms to
+  /// Opens each term's column of \p view once and applies the terms to
   /// \p sel: fixed-size columns (any encoding) and dictionary strings
   /// first, whose compare is a typed load or an integer code kernel, then
   /// plain varlen strings, which pay a sequential decode. The first term
