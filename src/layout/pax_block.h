@@ -251,7 +251,9 @@ class VarlenCursor {
 /// partition offset. The block's buffer must outlive the reader.
 class ColumnReader {
  public:
-  ColumnReader() = default;
+  // Not `= default`: value-initialising a reader, as OpenColumn does,
+  // would then zero all of it before the span is written.
+  ColumnReader() {}
 
   FieldType type() const { return type_; }
   /// Physical encoding of the minipage (kPlain for v1 blocks).
