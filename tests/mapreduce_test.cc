@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 #include "mapreduce/job_runner.h"
+#include "schema/row_parser.h"
 #include "workload/testbed.h"
 
 namespace hail {
@@ -380,6 +383,127 @@ TEST(MapFunctionTest, BadRecordsReachMapWithFlag) {
   ASSERT_EQ(r->output_rows.size(), 2u);
   EXPECT_EQ(Sorted(r->output_rows)[0], "BAD:garbage,row,two");
   EXPECT_EQ(Sorted(r->output_rows)[1], "BAD:garbage-row-one");
+}
+
+// ---------------------------------------------------------------------------
+// Query resolution: hand-built filters the annotation parser never yields
+// ---------------------------------------------------------------------------
+
+constexpr System kAllSystems[] = {System::kHail, System::kHadoop,
+                                  System::kHadoopPP};
+
+/// 3 nodes x 2 blocks of UserVisits (1143 rows).
+TestbedConfig TinyConfig() {
+  TestbedConfig config;
+  config.num_nodes = 3;
+  config.blocks_per_node = 2;
+  return config;
+}
+
+/// A fresh TinyConfig testbed with UserVisits uploaded to /data for
+/// \p system: HAIL replicas sorted on visitDate, sourceIP and adRevenue,
+/// Hadoop++ indexed on adRevenue.
+std::unique_ptr<Testbed> LoadedBed(System system) {
+  auto bed = std::make_unique<Testbed>(TinyConfig());
+  bed->LoadUserVisits();
+  Status uploaded;
+  switch (system) {
+    case System::kHadoop:
+      uploaded = bed->UploadHadoop("/data").status();
+      break;
+    case System::kHadoopPP:
+      uploaded = bed->UploadHadoopPP("/data", workload::kAdRevenue).status();
+      break;
+    case System::kHail:
+      uploaded = bed->UploadHail("/data", {workload::kVisitDate,
+                                           workload::kSourceIP,
+                                           workload::kAdRevenue})
+                     .status();
+      break;
+  }
+  EXPECT_TRUE(uploaded.ok()) << uploaded.ToString();
+  return bed;
+}
+
+JobSpec HandBuiltJob(System system, Schema schema,
+                     std::optional<QueryAnnotation> annotation) {
+  JobSpec spec;
+  spec.name = "hand-built";
+  spec.input_file = "/data";
+  spec.schema = std::move(schema);
+  spec.system = system;
+  spec.annotation = std::move(annotation);
+  spec.collect_output = true;
+  return spec;
+}
+
+Result<JobResult> RunOnFreshBed(const JobSpec& spec,
+                                const RunOptions& options = {}) {
+  std::unique_ptr<Testbed> bed = LoadedBed(spec.system);
+  JobRunner runner(&bed->dfs());
+  return runner.Run(spec, options);
+}
+
+/// A filter of one hand-built term.
+QueryAnnotation OneTermFilter(int column, CompareOp op, Value literal) {
+  PredicateTerm term;
+  term.column = column;
+  term.op = op;
+  term.literal = std::move(literal);
+  QueryAnnotation annotation;
+  annotation.filter = Predicate({std::move(term)});
+  return annotation;
+}
+
+/// Rows of every node's UserVisits text that \p filter matches, parsed and
+/// evaluated row at a time (RowParser + Predicate::Matches).
+uint64_t ReferenceCount(const Predicate& filter) {
+  const TestbedConfig cfg = TinyConfig();
+  workload::UserVisitsConfig uv;
+  uv.rows = static_cast<uint64_t>(
+      static_cast<double>(cfg.blocks_per_node) *
+      static_cast<double>(cfg.real_block_bytes) /
+      workload::UserVisitsAvgRowBytes());
+  uv.seed = cfg.seed;
+  uv.scale_factor = static_cast<double>(cfg.logical_block_bytes) /
+                    static_cast<double>(cfg.real_block_bytes);
+  const std::string text = workload::GenerateUserVisitsText(uv);
+  const RowParser parser(workload::UserVisitsSchema());
+  uint64_t matches = 0;
+  for (std::string_view row : SplitRows(text)) {
+    const ParsedRow parsed = parser.Parse(row);
+    if (parsed.ok && filter.Matches(parsed.values)) ++matches;
+  }
+  return matches * static_cast<uint64_t>(cfg.num_nodes);
+}
+
+TEST(QueryResolutionTest, FilterOutsideTheSchemaIsInvalidArgument) {
+  // @13 of the 9-field schema: the parser rejects it, a hand-built
+  // annotation does not.
+  const QueryAnnotation annotation =
+      OneTermFilter(12, CompareOp::kGt, Value(int32_t{1}));
+  for (System system : kAllSystems) {
+    auto r = RunOnFreshBed(
+        HandBuiltJob(system, workload::UserVisitsSchema(), annotation));
+    EXPECT_TRUE(r.status().IsInvalidArgument())
+        << SystemName(system) << ": " << r.status().ToString();
+  }
+}
+
+TEST(QueryResolutionTest, WidenedLiteralMatchesTheRowReference) {
+  // An int32 literal on the double adRevenue column: the compiled filter
+  // widens it, as Predicate::Matches does.
+  const QueryAnnotation annotation =
+      OneTermFilter(workload::kAdRevenue, CompareOp::kGt, Value(int32_t{500}));
+  const uint64_t want = ReferenceCount(annotation.filter);
+  ASSERT_GT(want, 0u);
+  for (System system : kAllSystems) {
+    auto r = RunOnFreshBed(
+        HandBuiltJob(system, workload::UserVisitsSchema(), annotation));
+    ASSERT_TRUE(r.ok()) << SystemName(system) << ": " << r.status().ToString();
+    EXPECT_EQ(r->output_count, want) << SystemName(system);
+    EXPECT_EQ(r->records_qualifying, want) << SystemName(system);
+  }
 }
 
 }  // namespace
