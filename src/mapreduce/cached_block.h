@@ -2,12 +2,12 @@
 /// \brief Shared plumbing for readers' once-per-block-version artifacts.
 ///
 /// The HAIL and trojan readers cache the same shape of state in the
-/// cluster BlockCache: a parsed layout view plus a lazily deserialised
-/// index. This header holds the common protocol — mutex-guarded lazy
-/// Index() memoisation (decode once, count once, cache the error too),
-/// and the open-or-retrieve helper with the dead-node straggler bypass
-/// (a dead node's replicas must never be cacheable) — so the two readers
-/// only contribute their view/index types.
+/// cluster BlockCache: a parsed layout view plus lazily deserialised
+/// indexes. This header holds the common protocol — DecodeOnce (decode
+/// once, count once, cache the error too), and the open-or-retrieve
+/// helper with the dead-node straggler bypass (a dead node's replicas
+/// must never be cacheable) — so the two readers only contribute their
+/// view/index types.
 
 #pragma once
 
@@ -22,6 +22,34 @@
 namespace hail {
 namespace mapreduce {
 
+/// \brief An index decoded on its first use by any task: thread-safe,
+/// decoded and counted once, its error cached too.
+template <typename T>
+class DecodeOnce {
+ public:
+  /// Runs \p decode (a `Result<T>()` callable) on the first call only,
+  /// ticking \p cache's decode counter; every call returns its outcome.
+  template <typename DecodeFn>
+  Result<const T*> Get(hdfs::BlockCache* cache, const DecodeFn& decode) const {
+    std::call_once(once_, [&] {
+      cache->NoteIndexDecode();
+      Result<T> decoded = decode();
+      if (decoded.ok()) {
+        value_.emplace(std::move(*decoded));
+      } else {
+        status_ = decoded.status();
+      }
+    });
+    HAIL_RETURN_NOT_OK(status_);
+    return &*value_;
+  }
+
+ private:
+  mutable std::once_flag once_;
+  mutable Status status_;
+  mutable std::optional<T> value_;
+};
+
 /// \brief Cached artifact base: a layout view + its lazily decoded index.
 ///
 /// \tparam ViewT layout view with `Result<IndexT> ReadIndex() const`.
@@ -29,29 +57,14 @@ template <typename ViewT, typename IndexT>
 struct CachedIndexedBlock : hdfs::BlockArtifact {
   ViewT view;
 
-  /// Deserialises the index on first use; thread-safe, error-caching.
-  /// \p cache only receives the decode-counter tick.
+  /// Deserialises the index on first use. \p cache only receives the
+  /// decode-counter tick.
   Result<const IndexT*> Index(hdfs::BlockCache* cache) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!index_ready_) {
-      index_ready_ = true;
-      cache->NoteIndexDecode();
-      Result<IndexT> decoded = view.ReadIndex();
-      if (decoded.ok()) {
-        index_.emplace(std::move(*decoded));
-      } else {
-        index_status_ = decoded.status();
-      }
-    }
-    HAIL_RETURN_NOT_OK(index_status_);
-    return &*index_;
+    return index_.Get(cache, [this] { return view.ReadIndex(); });
   }
 
  private:
-  mutable std::mutex mu_;
-  mutable bool index_ready_ = false;
-  mutable Status index_status_;
-  mutable std::optional<IndexT> index_;
+  DecodeOnce<IndexT> index_;
 };
 
 /// Opens (or retrieves) the decoded block state for one replica.

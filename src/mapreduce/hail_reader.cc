@@ -18,32 +18,20 @@ namespace {
 struct CachedHailBlock : CachedIndexedBlock<HailBlockView, ClusteredIndex> {
   PaxBlockView pax;
 
-  /// Lazily deserialises the adaptive unclustered index (same protocol as
-  /// the clustered Index(): decode once, count once, cache the error too).
-  /// An index that does not cover exactly this block's rows is Corruption:
-  /// its row ids become the read's selection vector.
+  /// Lazily deserialises the adaptive unclustered index, like the
+  /// clustered Index(). An index that does not cover exactly this block's
+  /// rows is Corruption: its row ids become the read's selection vector.
   Result<const UnclusteredIndex*> Unclustered(hdfs::BlockCache* cache) const {
-    std::lock_guard<std::mutex> lock(uc_mu_);
-    if (!uc_ready_) {
-      uc_ready_ = true;
-      cache->NoteIndexDecode();
-      Result<UnclusteredIndex> decoded = view.ReadUnclusteredIndex();
-      if (decoded.ok()) {
-        uc_status_ = decoded->CheckRowsOf(pax.num_records());
-      } else {
-        uc_status_ = decoded.status();
-      }
-      if (uc_status_.ok()) uc_.emplace(std::move(*decoded));
-    }
-    HAIL_RETURN_NOT_OK(uc_status_);
-    return &*uc_;
+    return unclustered_.Get(cache, [this]() -> Result<UnclusteredIndex> {
+      HAIL_ASSIGN_OR_RETURN(UnclusteredIndex index,
+                            view.ReadUnclusteredIndex());
+      HAIL_RETURN_NOT_OK(index.CheckRowsOf(pax.num_records()));
+      return index;
+    });
   }
 
  private:
-  mutable std::mutex uc_mu_;
-  mutable bool uc_ready_ = false;
-  mutable Status uc_status_;
-  mutable std::optional<UnclusteredIndex> uc_;
+  DecodeOnce<UnclusteredIndex> unclustered_;
 };
 
 /// Opens (or retrieves) the decoded block state for one replica.
@@ -68,29 +56,15 @@ Result<std::shared_ptr<const CachedHailBlock>> OpenCachedHailBlock(
 /// over zero-copy minipage spans) -> selection vector -> tuple
 /// reconstruction only for qualifying rows.
 class HailRecordReader : public RecordReader {
- public:
-  Result<TaskCost> ReadSplit(const InputSplit& split,
-                             ReadContext* ctx) override {
-    TaskCost cost;
-    // Columns the task touches: filter columns + projection (all when no
-    // projection was annotated, §4.3), and the key range on the index
-    // column — the same for every block of the split.
-    const std::optional<QueryAnnotation>& annotation = ctx->spec->annotation;
-    const planner::QueryShape shape = planner::ResolveShape(
-        annotation.has_value() ? &*annotation : nullptr,
-        ctx->spec->schema.num_fields(), ctx->plan->index_column);
-    for (size_t b = 0; b < split.blocks.size(); ++b) {
-      HAIL_RETURN_NOT_OK(
-          ReadOneBlock(split.block_indexes[b], shape, ctx, &cost));
-    }
-    return cost;
-  }
-
  private:
-  Status ReadOneBlock(uint32_t block_index, const planner::QueryShape& shape,
-                      ReadContext* ctx, TaskCost* cost) {
+  Status ReadBlock(uint32_t block_index, ReadContext* ctx,
+                   TaskCost* cost) override {
     const hdfs::BlockLocation& loc = ctx->plan->file_blocks[block_index];
     const int index_column = ctx->plan->index_column;
+    // Columns the task touches: filter columns + projection (all when no
+    // projection was annotated, §4.3), and the key range on the index
+    // column, resolved once in the job's plan.
+    const planner::QueryShape& shape = ctx->plan->shape;
 
     // Per-block access decision from the cost-based planner (empty vector
     // when the job was not planned). kSkipZoneMap is binding: the stats
@@ -246,22 +220,19 @@ class HailRecordReader : public RecordReader {
     }
 
     // ---- functional: batched column filter -> selection vector ----
-    const Predicate* filter = ctx->spec->annotation.has_value()
-                                  ? &ctx->spec->annotation->filter
-                                  : nullptr;
-    const bool has_filter = filter != nullptr && !filter->empty();
+    // The plan's filter was compiled against the job's schema: a block
+    // that stores a filter column as another type is InvalidArgument.
+    const CompiledPredicate& filter = ctx->plan->filter;
     const uint32_t clamped_end = std::min(range.end, pax.num_records());
-    if (has_filter) {
-      HAIL_ASSIGN_OR_RETURN(CompiledPredicate compiled,
-                            CompiledPredicate::Compile(*filter, pax.schema()));
+    if (!filter.empty()) {
       if (uc_scan) {
         // Every term is conservatively re-applied to the candidate rows —
         // including the key-range terms the index already satisfied
         // (redundant but O(candidates), and it keeps the probe correct if
         // an index ever returns a superset).
-        HAIL_RETURN_NOT_OK(compiled.RefineCandidates(pax, &selection));
+        HAIL_RETURN_NOT_OK(filter.RefineCandidates(pax, &selection));
       } else {
-        HAIL_RETURN_NOT_OK(compiled.FilterBlock(pax, range, &selection));
+        HAIL_RETURN_NOT_OK(filter.FilterBlock(pax, range, &selection));
         use_selection = true;
       }
     }

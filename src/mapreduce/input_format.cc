@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "planner/access_planner.h"
-
 namespace hail {
 namespace mapreduce {
 
@@ -75,9 +73,18 @@ Result<JobPlan> ComputeJobPlan(hdfs::MiniDfs* dfs, const JobSpec& spec) {
   JobPlan plan;
   HAIL_ASSIGN_OR_RETURN(plan.file_blocks,
                         dfs->namenode().GetFileBlocks(spec.input_file));
-  if (spec.annotation.has_value()) {
-    plan.index_column = spec.annotation->preferred_index_column();
+  // The query is resolved here, once per job (§4.3: the job client reads
+  // the annotation, the record readers only execute it), so a filter that
+  // does not compile fails the job at admission.
+  const QueryAnnotation* annotation =
+      spec.annotation.has_value() ? &*spec.annotation : nullptr;
+  if (annotation != nullptr) {
+    plan.index_column = annotation->preferred_index_column();
+    HAIL_ASSIGN_OR_RETURN(plan.filter, CompiledPredicate::Compile(
+                                           annotation->filter, spec.schema));
   }
+  plan.shape = planner::ResolveShape(annotation, spec.schema.num_fields(),
+                                     plan.index_column);
 
   const bool index_scan =
       plan.index_column >= 0 && spec.system != System::kHadoop;
@@ -87,9 +94,9 @@ Result<JobPlan> ComputeJobPlan(hdfs::MiniDfs* dfs, const JobSpec& spec) {
   // prune. The per-block planning CPU is recorded separately so a
   // plan-cache hit does not re-pay it.
   if (spec.use_planner && spec.system == System::kHail &&
-      spec.annotation.has_value() && spec.annotation->has_filter()) {
+      annotation != nullptr && annotation->has_filter()) {
     planner::FilePlan fp =
-        planner::PlanAccessPaths(*dfs, spec.schema, *spec.annotation,
+        planner::PlanAccessPaths(*dfs, spec.schema, *annotation,
                                  plan.index_column, plan.file_blocks);
     plan.planned = true;
     plan.decisions = std::move(fp.decisions);

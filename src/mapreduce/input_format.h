@@ -14,7 +14,8 @@
 
 #include "hdfs/dfs_client.h"
 #include "mapreduce/job.h"
-#include "planner/access_path.h"
+#include "planner/access_planner.h"
+#include "query/vectorized.h"
 
 namespace hail {
 namespace mapreduce {
@@ -32,7 +33,8 @@ struct InputSplit {
   uint64_t logical_bytes = 0;
 };
 
-/// \brief Splits plus everything a reader needs about the file.
+/// \brief Splits plus everything a reader needs about the file and the
+/// job's query.
 struct JobPlan {
   std::vector<InputSplit> splits;
   /// All blocks of the input file in order (readers chase row tails across
@@ -43,6 +45,12 @@ struct JobPlan {
   double split_phase_seconds = 0.0;
   /// Index column the job will use, -1 for full scans.
   int index_column = -1;
+  /// The job's query, resolved against spec.schema: projected and filter
+  /// columns, and the filter's key range on index_column.
+  planner::QueryShape shape;
+  /// The job's filter, compiled against spec.schema (empty: every row
+  /// qualifies). Readers on pool threads share it read-only.
+  CompiledPredicate filter;
 
   // -- cost-based planning (spec.use_planner; see planner/access_planner.h)
   /// True when the access-path planner ran for this job.
@@ -62,9 +70,10 @@ struct JobPlan {
   uint64_t planner_fresh_stats_blocks = 0;
 };
 
-/// Computes the plan for a job: default splitting for full scans and for
-/// kHadoop/kHadoopPP; HailSplitting for kHail jobs with
-/// spec.hail_splitting and an index-serviceable filter.
+/// Computes the plan for a job: resolves its query once (InvalidArgument
+/// when the filter does not compile against spec.schema), then default
+/// splitting for full scans and for kHadoop/kHadoopPP; HailSplitting for
+/// kHail jobs with spec.hail_splitting and an index-serviceable filter.
 Result<JobPlan> ComputeJobPlan(hdfs::MiniDfs* dfs, const JobSpec& spec);
 
 }  // namespace mapreduce

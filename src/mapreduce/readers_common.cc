@@ -1,37 +1,35 @@
 #include "mapreduce/record_reader.h"
 
-#include "schema/row_parser.h"
-
 namespace hail {
 namespace mapreduce {
 
 namespace {
 
-/// Default map function: emit projected attributes as a delimited row
-/// (used when the job does not install its own map). Matches what the
-/// equivalence tests compare across systems.
-void DefaultMap(const JobSpec& spec, const HailRecord& record,
-                MapOutput* out) {
+/// Default map function: emit the projected attributes (all when none
+/// was annotated) as a delimited row (used when the job does not install
+/// its own map). Matches what the equivalence tests compare across systems.
+void DefaultMap(const JobSpec& spec, const std::vector<int>& proj,
+                const HailRecord& record, MapOutput* out) {
   if (record.bad()) return;  // default behaviour: ignore bad records
-  const std::vector<int>* proj = nullptr;
-  std::vector<int> all;
-  if (spec.annotation.has_value() && !spec.annotation->projection.empty()) {
-    proj = &spec.annotation->projection;
-  } else {
-    all.resize(static_cast<size_t>(spec.schema.num_fields()));
-    for (int i = 0; i < spec.schema.num_fields(); ++i) all[static_cast<size_t>(i)] = i;
-    proj = &all;
-  }
   std::string row;
-  for (size_t i = 0; i < proj->size(); ++i) {
+  for (size_t i = 0; i < proj.size(); ++i) {
     if (i > 0) row += spec.schema.delimiter();
-    const int attr = (*proj)[i];
+    const int attr = proj[i];
     row += record.Get(attr + 1).ToText(spec.schema.field(attr).type);
   }
   out->Emit(std::move(row));
 }
 
 }  // namespace
+
+Result<TaskCost> RecordReader::ReadSplit(const InputSplit& split,
+                                         ReadContext* ctx) {
+  TaskCost cost;
+  for (uint32_t block_index : split.block_indexes) {
+    HAIL_RETURN_NOT_OK(ReadBlock(block_index, ctx, &cost));
+  }
+  return cost;
+}
 
 void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
                      uint64_t logical_bytes, int dn, TaskCost* cost) {
@@ -103,7 +101,7 @@ void InvokeMap(const ReadContext& ctx, const HailRecord& record) {
   if (spec.map) {
     spec.map(record, ctx.out);
   } else {
-    DefaultMap(spec, record, ctx.out);
+    DefaultMap(spec, ctx.plan->shape.proj, record, ctx.out);
   }
 }
 

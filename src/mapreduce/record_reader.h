@@ -3,9 +3,10 @@
 ///
 /// A record reader consumes one input split: it reads (part of) each
 /// block from the first readable replica of the planner's replica order
-/// (planner::OrderReplicas), produces HailRecords for the map function,
-/// and returns the I/O + CPU cost the task incurred. The three concrete
-/// readers mirror the paper's systems:
+/// (planner::OrderReplicas), executes the query the job plan resolved
+/// (its compiled filter and query shape), produces HailRecords for the map
+/// function, and returns the I/O + CPU cost the task incurred. The three
+/// concrete readers mirror the paper's systems:
 ///  - TextRecordReader: stock Hadoop full scan over text blocks, with
 ///    LineRecordReader boundary semantics;
 ///  - HailRecordReader: index scan over HAIL blocks with post-filtering
@@ -116,12 +117,19 @@ struct ReadContext {
   obs::TraceBuffer* trace = nullptr;
 };
 
-/// \brief Abstract reader: one call per map task.
+/// \brief Abstract reader: one ReadSplit call per map task.
 class RecordReader {
  public:
   virtual ~RecordReader() = default;
-  virtual Result<TaskCost> ReadSplit(const InputSplit& split,
-                                     ReadContext* ctx) = 0;
+
+  /// Reads the split's blocks in order, summing their billed cost.
+  Result<TaskCost> ReadSplit(const InputSplit& split, ReadContext* ctx);
+
+ private:
+  /// Reads ctx->plan->file_blocks[block_index], executing the plan's
+  /// query, and adds the read's billed cost to \p cost.
+  virtual Status ReadBlock(uint32_t block_index, ReadContext* ctx,
+                           TaskCost* cost) = 0;
 };
 
 /// Creates the reader matching the job's system.
@@ -145,8 +153,8 @@ Result<size_t> ReadReplicaWithFailover(
 void BillCorruptRead(ReadContext* ctx, uint64_t block_id,
                      uint64_t logical_bytes, int dn, TaskCost* cost);
 
-/// Invokes the job's map function (or the default projector) on a record
-/// the reader already filtered.
+/// Invokes the job's map function (or the default projector, which emits
+/// the plan's projected columns) on a record the reader already filtered.
 void InvokeMap(const ReadContext& ctx, const HailRecord& record);
 
 }  // namespace mapreduce

@@ -1,5 +1,4 @@
 #include "mapreduce/record_reader.h"
-#include "query/vectorized.h"
 #include "schema/row_parser.h"
 
 namespace hail {
@@ -23,33 +22,9 @@ std::vector<planner::ReplicaCandidate> ReplicaOrder(
 /// partial first line (the previous block's reader finishes it) and reads
 /// past its block's end to complete its own last line.
 class TextRecordReader : public RecordReader {
- public:
-  Result<TaskCost> ReadSplit(const InputSplit& split,
-                             ReadContext* ctx) override {
-    TaskCost cost;
-    RowParser parser(ctx->spec->schema);
-    // Compile the annotation filter once per split (it depends only on
-    // the job spec); a filter that cannot be compiled against the schema
-    // fails the split, same as the HAIL reader.
-    const bool has_filter = ctx->spec->annotation.has_value() &&
-                            ctx->spec->annotation->has_filter();
-    CompiledPredicate compiled;
-    if (has_filter) {
-      HAIL_ASSIGN_OR_RETURN(
-          compiled, CompiledPredicate::Compile(ctx->spec->annotation->filter,
-                                               ctx->spec->schema));
-    }
-    for (size_t b = 0; b < split.blocks.size(); ++b) {
-      HAIL_RETURN_NOT_OK(ReadOneBlock(split.block_indexes[b],
-                                      has_filter ? &compiled : nullptr,
-                                      &parser, ctx, &cost));
-    }
-    return cost;
-  }
-
  private:
-  Status ReadOneBlock(uint32_t block_index, const CompiledPredicate* filter,
-                      RowParser* parser, ReadContext* ctx, TaskCost* cost) {
+  Status ReadBlock(uint32_t block_index, ReadContext* ctx,
+                   TaskCost* cost) override {
     const hdfs::BlockLocation& loc =
         ctx->plan->file_blocks[block_index];
     const size_t bspan =
@@ -116,17 +91,18 @@ class TextRecordReader : public RecordReader {
     // Parse, filter and hand every qualifying row to the map function
     // (stock Hadoop: Bob's map code string-splits the row and filters by
     // hand, §4.1). Bad records reach the map function unfiltered.
+    const RowParser parser(ctx->spec->schema);
     uint64_t records = 0;
     for (std::string_view row : SplitRows(content)) {
       if (row.empty()) continue;
       ++records;
-      ParsedRow parsed = parser->Parse(row);
+      ParsedRow parsed = parser.Parse(row);
       if (!parsed.ok) {
         ++ctx->stats.bad_records;
         InvokeMap(*ctx, HailRecord::BadRecord(std::string(row)));
         continue;
       }
-      if (filter != nullptr && !filter->MatchesRow(parsed.values)) continue;
+      if (!ctx->plan->filter.MatchesRow(parsed.values)) continue;
       ++ctx->stats.records_qualifying;
       InvokeMap(*ctx, HailRecord::FullRow(std::move(parsed.values)));
     }

@@ -1,7 +1,6 @@
 #include "hadooppp/trojan_block.h"
 #include "mapreduce/cached_block.h"
 #include "mapreduce/record_reader.h"
-#include "query/vectorized.h"
 
 namespace hail {
 namespace mapreduce {
@@ -38,34 +37,9 @@ Result<std::shared_ptr<const CachedTrojanBlock>> OpenCachedTrojanBlock(
 /// range of *full rows* — reading any attribute drags the whole row, the
 /// structural disadvantage vs HAIL's PAX minipages.
 class TrojanRecordReader : public RecordReader {
- public:
-  Result<TaskCost> ReadSplit(const InputSplit& split,
-                             ReadContext* ctx) override {
-    TaskCost cost;
-    // Compile the annotation filter once per split (it depends only on
-    // the job spec); a filter that cannot be compiled against the schema
-    // fails the split, same as the HAIL reader.
-    const Predicate* filter = ctx->spec->annotation.has_value()
-                                  ? &ctx->spec->annotation->filter
-                                  : nullptr;
-    CompiledPredicate compiled;
-    const bool has_filter = filter != nullptr && !filter->empty();
-    if (has_filter) {
-      HAIL_ASSIGN_OR_RETURN(compiled,
-                            CompiledPredicate::Compile(*filter,
-                                                       ctx->spec->schema));
-    }
-    for (size_t b = 0; b < split.blocks.size(); ++b) {
-      HAIL_RETURN_NOT_OK(ReadOneBlock(split.block_indexes[b],
-                                      has_filter ? &compiled : nullptr, ctx,
-                                      &cost));
-    }
-    return cost;
-  }
-
  private:
-  Status ReadOneBlock(uint32_t block_index, const CompiledPredicate* filter,
-                      ReadContext* ctx, TaskCost* cost) {
+  Status ReadBlock(uint32_t block_index, ReadContext* ctx,
+                   TaskCost* cost) override {
     const hdfs::BlockLocation& loc = ctx->plan->file_blocks[block_index];
     const size_t bspan =
         ctx->trace != nullptr
@@ -104,10 +78,8 @@ class TrojanRecordReader : public RecordReader {
     uint64_t range_start_offset = 0;
     bool index_scan = false;
     if (index_column >= 0 && view.has_index() &&
-        view.sort_column() == index_column &&
-        ctx->spec->annotation.has_value()) {
-      const auto key_range =
-          ctx->spec->annotation->filter.KeyRangeFor(index_column);
+        view.sort_column() == index_column) {
+      const std::optional<KeyRange>& key_range = ctx->plan->shape.index_range;
       if (key_range.has_value()) {
         HAIL_ASSIGN_OR_RETURN(const TrojanIndex* index,
                               cached->Index(&ctx->dfs->block_cache()));
@@ -138,7 +110,7 @@ class TrojanRecordReader : public RecordReader {
     uint64_t pos = rows.data_start() + range_start_offset;
     for (uint32_t r = first_row; r < end_row; ++r) {
       HAIL_ASSIGN_OR_RETURN(std::vector<Value> row, rows.DecodeRowAt(&pos));
-      if (filter != nullptr && !filter->MatchesRow(row)) continue;
+      if (!ctx->plan->filter.MatchesRow(row)) continue;
       ++qualifying;
       InvokeMap(*ctx, HailRecord::FullRow(std::move(row)));
     }

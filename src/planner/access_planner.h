@@ -4,9 +4,11 @@
 ///
 /// Readers execute, they do not decide: every reader walks the replica
 /// order of `OrderReplicas` (HAIL §4.3 getHostsWithIndex, then the
-/// adaptive unclustered holders, then the plain holders, local first) and
-/// bills what it read with `CostBlockRead`. `PlanAccessPaths` asks the
-/// same two functions, fed from stats instead of an opened block.
+/// adaptive unclustered holders, then the plain holders, local first).
+/// The HAIL reader bills what it read with `CostBlockRead`, and
+/// `PlanAccessPaths` asks the same two functions, fed from stats instead
+/// of an opened block; the text and Hadoop++ readers bill their own
+/// terms.
 ///
 /// For every block of a job's input the planner consults the namenode's
 /// stats sidecar (planner/block_stats.h) and the replica directory, then

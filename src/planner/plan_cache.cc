@@ -1,5 +1,7 @@
 #include "planner/plan_cache.h"
 
+#include <bit>
+
 namespace hail {
 namespace planner {
 
@@ -10,8 +12,22 @@ std::string PlanCache::KeyFor(const mapreduce::JobSpec& spec) {
   key += spec.hail_splitting ? "S" : "s";
   key += spec.use_planner ? "P" : "p";
   key += '\x1f';
+  // The plan's filter is compiled against the declared column types.
+  key += spec.schema.ToString();
+  key += '\x1f';
   if (spec.annotation.has_value()) {
-    key += spec.annotation->filter.ToString(spec.schema);
+    const Predicate& filter = spec.annotation->filter;
+    key += filter.ToString(spec.schema);
+    key += '\x1f';
+    // ToString rounds a double to six digits, and the plan carries the
+    // compiled literals: the key names each double literal's bits.
+    for (const PredicateTerm& t : filter.terms()) {
+      for (const Value* v : {&t.literal, &t.literal_hi}) {
+        if (!v->is_double()) continue;
+        key += std::to_string(std::bit_cast<uint64_t>(v->as_double()));
+        key += ',';
+      }
+    }
     key += '\x1f';
     for (int c : spec.annotation->projection) {
       key += std::to_string(c);

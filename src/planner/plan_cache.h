@@ -4,7 +4,7 @@
 /// Recomputing splits + per-block access decisions for every submission
 /// of the same query is pure waste in a steady-state session: the plan
 /// only changes when the replica directory does. The cache keys on
-/// everything that feeds ComputeJobPlan — input file, annotation,
+/// everything that feeds ComputeJobPlan — input file, schema, annotation,
 /// system, splitting and planning flags — plus the namenode's
 /// directory generation. Any directory mutation (replica registered or
 /// revoked, node death/revive, file create/delete, stats arrival) bumps
@@ -13,7 +13,7 @@
 ///
 /// A cache hit skips both the plan computation and its billed planning
 /// CPU (JobPlan::planner_seconds) — the admission path adds that cost
-/// only on misses.
+/// only on misses — and reuses the plan's compiled filter.
 
 #pragma once
 
@@ -44,9 +44,9 @@ class PlanCache {
   /// and deterministic; steady-state sessions hold far fewer plans).
   explicit PlanCache(size_t max_entries = 64) : max_entries_(max_entries) {}
 
-  /// Builds the lookup key for a job spec (annotation rendered against
-  /// the spec's schema; map function and output options excluded — they
-  /// do not affect the plan).
+  /// Builds the lookup key for a job spec (the schema, and the annotation
+  /// rendered against it with every double literal exact; map function
+  /// and output options excluded — they do not affect the plan).
   static std::string KeyFor(const mapreduce::JobSpec& spec);
 
   /// Returns the cached plan when present and computed at \p generation;

@@ -107,7 +107,11 @@ std::string Predicate::ToString(const Schema& schema) const {
     if (i > 0) out += " and ";
     const PredicateTerm& t = terms_[i];
     out += "@" + std::to_string(t.column + 1);
-    const FieldType type = schema.field(t.column).type;
+    // A column outside the schema (its job fails in ComputeJobPlan) has no
+    // declared type: its literals render as the types they hold.
+    const FieldType type = t.column >= 0 && t.column < schema.num_fields()
+                               ? schema.field(t.column).type
+                               : FieldType::kInt32;
     switch (t.op) {
       case CompareOp::kEq:
         out += " = " + t.literal.ToText(type);

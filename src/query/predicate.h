@@ -101,6 +101,7 @@ class Predicate {
   /// range-compatible terms on it. nullopt if no term references it.
   std::optional<KeyRange> KeyRangeFor(int column) const;
 
+  /// Renders the filter as annotation text, literals typed by \p schema.
   std::string ToString(const Schema& schema) const;
 
  private:

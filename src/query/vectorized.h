@@ -5,10 +5,12 @@
 /// std::vector<Value> per record, one type-dispatched CompareValues per
 /// predicate term, one O(partition) varlen re-scan per string access —
 /// burns the I/O savings HAIL's index scans buy (paper §4.3). This layer
-/// lowers a Predicate once per block into per-column typed kernels that
-/// evaluate column-at-a-time over zero-copy minipage spans, producing a
-/// selection vector of qualifying row ids. Tuple reconstruction then runs
-/// only for those rows.
+/// lowers a Predicate once per job, in its plan (mapreduce::ComputeJobPlan),
+/// into per-column typed kernels that evaluate column-at-a-time over
+/// zero-copy minipage spans, producing a selection vector of qualifying
+/// row ids. Tuple reconstruction then runs only for those rows. A
+/// compiled predicate holds no mutable state: the tasks of a job share it
+/// across pool threads.
 ///
 /// Semantics are exactly those of PredicateTerm::Matches /
 /// Predicate::Matches (numeric widening included); the property tests in

@@ -5,24 +5,22 @@
 namespace hail {
 
 std::string Value::ToText(FieldType type) const {
+  // Each value renders as what it holds; \p type only marks an int32 as a
+  // date. A value that does not hold its type's storage (a widened literal,
+  // a column declared wider than the block stores it) renders as its own
+  // type instead of failing.
   char buf[32];
-  switch (type) {
-    case FieldType::kInt32:
-      std::snprintf(buf, sizeof(buf), "%d", as_int32());
-      return buf;
-    case FieldType::kInt64:
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(as_int64()));
-      return buf;
-    case FieldType::kDouble:
-      std::snprintf(buf, sizeof(buf), "%.6g", as_double());
-      return buf;
-    case FieldType::kString:
-      return as_string();
-    case FieldType::kDate:
-      return DaysToDateString(as_int32());
+  if (is_string()) return as_string();
+  if (is_int32()) {
+    if (type == FieldType::kDate) return DaysToDateString(as_int32());
+    std::snprintf(buf, sizeof(buf), "%d", as_int32());
+  } else if (is_int64()) {
+    std::snprintf(buf, sizeof(buf), "%lld",
+                  static_cast<long long>(as_int64()));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", as_double());
   }
-  return {};
+  return buf;
 }
 
 bool Value::operator<(const Value& other) const {

@@ -42,7 +42,8 @@ class Value {
     return as_double();
   }
 
-  /// Renders the value as it would appear in a text row.
+  /// Renders the value as it would appear in a text row of a \p type
+  /// column; a value of another type renders as its own type.
   std::string ToText(FieldType type) const;
 
   bool operator==(const Value& other) const { return v_ == other.v_; }

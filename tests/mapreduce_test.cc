@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "mapreduce/job_runner.h"
+#include "planner/plan_cache.h"
 #include "schema/row_parser.h"
 #include "workload/testbed.h"
 
@@ -504,6 +505,97 @@ TEST(QueryResolutionTest, WidenedLiteralMatchesTheRowReference) {
     EXPECT_EQ(r->output_count, want) << SystemName(system);
     EXPECT_EQ(r->records_qualifying, want) << SystemName(system);
   }
+}
+
+TEST(QueryResolutionTest, PlanCacheSessionFailsOnlyTheFilterOutsideTheSchema) {
+  // The plan-cache key renders the filter before the plan is computed.
+  const QueryAnnotation outside =
+      OneTermFilter(12, CompareOp::kGt, Value(int32_t{1}));
+  EXPECT_EQ(outside.filter.ToString(workload::UserVisitsSchema()),
+            "@13 > 1");
+  for (System system : kAllSystems) {
+    std::unique_ptr<Testbed> bed = LoadedBed(system);
+    auto valid =
+        workload::MakeQueryJob(bed->schema(), "/data", system,
+                               workload::BobQueries()[0],
+                               /*hail_splitting=*/false, /*collect=*/true);
+    ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+    planner::PlanCache cache;
+    SessionOptions options;
+    options.plan_cache = &cache;
+    ClusterSession session(&bed->dfs(), options);
+    session.Submit(
+        HandBuiltJob(system, workload::UserVisitsSchema(), outside));
+    session.Submit(*valid);
+    auto sr = session.Run();
+    ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+    EXPECT_TRUE(sr->jobs[0].status().IsInvalidArgument())
+        << SystemName(system) << ": " << sr->jobs[0].status().ToString();
+    ASSERT_TRUE(sr->jobs[1].ok())
+        << SystemName(system) << ": " << sr->jobs[1].status().ToString();
+    EXPECT_GT(sr->jobs[1]->output_count, 0u) << SystemName(system);
+  }
+}
+
+TEST(QueryResolutionTest, ProfileRendersAWidenedLiteral) {
+  const QueryAnnotation annotation =
+      OneTermFilter(workload::kAdRevenue, CompareOp::kGt, Value(int32_t{500}));
+  const uint64_t want = ReferenceCount(annotation.filter);
+  RunOptions options;
+  options.profile = true;
+  for (System system : kAllSystems) {
+    auto r = RunOnFreshBed(
+        HandBuiltJob(system, workload::UserVisitsSchema(), annotation),
+        options);
+    ASSERT_TRUE(r.ok()) << SystemName(system) << ": " << r.status().ToString();
+    EXPECT_EQ(r->output_count, want) << SystemName(system);
+    ASSERT_TRUE(r->profile.has_value());
+    EXPECT_EQ(r->profile->annotation, "@4 > 500") << SystemName(system);
+  }
+}
+
+/// UserVisits with duration declared INT64; every upload stores INT32.
+Schema WideDurationSchema() {
+  const Schema stored = workload::UserVisitsSchema();
+  std::vector<Field> fields = stored.fields();
+  fields[workload::kDuration].type = FieldType::kInt64;
+  return Schema(std::move(fields), stored.delimiter());
+}
+
+TEST(QueryResolutionTest, UnannotatedJobOverAWiderDeclaredColumnAgrees) {
+  // The default map renders each value as what it holds: HAIL and
+  // Hadoop++ hand it the stored INT32, Hadoop parses the declared INT64.
+  std::vector<std::string> rows[3];
+  for (size_t i = 0; i < 3; ++i) {
+    auto r = RunOnFreshBed(
+        HandBuiltJob(kAllSystems[i], WideDurationSchema(), std::nullopt));
+    ASSERT_TRUE(r.ok()) << SystemName(kAllSystems[i]) << ": "
+                        << r.status().ToString();
+    rows[i] = Sorted(r->output_rows);
+  }
+  EXPECT_EQ(rows[1].size(), ReferenceCount(Predicate()));
+  EXPECT_EQ(rows[0], rows[1]) << "HAIL diverges from Hadoop";
+  EXPECT_EQ(rows[2], rows[1]) << "Hadoop++ diverges from Hadoop";
+}
+
+TEST(QueryResolutionTest, FilterOnAWiderDeclaredColumnFailsOnHail) {
+  // The plan compiles @9 for the declared INT64; a HAIL block storing it
+  // as INT32 fails the filter's storage check. Hadoop parses the text
+  // with the declared types and Hadoop++ compares decoded row values, so
+  // both still answer.
+  auto annotation = ParseAnnotation(WideDurationSchema(), "@9 > 50", "{@1}");
+  ASSERT_TRUE(annotation.ok()) << annotation.status().ToString();
+  auto hail = RunOnFreshBed(
+      HandBuiltJob(System::kHail, WideDurationSchema(), *annotation));
+  EXPECT_TRUE(hail.status().IsInvalidArgument()) << hail.status().ToString();
+  auto hadoop = RunOnFreshBed(
+      HandBuiltJob(System::kHadoop, WideDurationSchema(), *annotation));
+  auto hpp = RunOnFreshBed(
+      HandBuiltJob(System::kHadoopPP, WideDurationSchema(), *annotation));
+  ASSERT_TRUE(hadoop.ok()) << hadoop.status().ToString();
+  ASSERT_TRUE(hpp.ok()) << hpp.status().ToString();
+  EXPECT_GT(hadoop->output_count, 0u);
+  EXPECT_EQ(Sorted(hpp->output_rows), Sorted(hadoop->output_rows));
 }
 
 }  // namespace

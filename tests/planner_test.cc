@@ -283,6 +283,44 @@ TEST(PlanCacheTest, RepeatSubmissionsHitUntilTheDirectoryMutates) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
+/// A HAIL job on /uv with \p filter parsed against \p schema.
+JobSpec FilterJob(const Schema& schema, const std::string& filter) {
+  JobSpec spec;
+  spec.input_file = "/uv";
+  spec.schema = schema;
+  spec.system = System::kHail;
+  auto annotation = ParseAnnotation(schema, filter, "");
+  EXPECT_TRUE(annotation.ok()) << annotation.status().ToString();
+  spec.annotation = *annotation;
+  return spec;
+}
+
+TEST(PlanCacheTest, KeyNamesTheDeclaredColumnTypes) {
+  // The plan's filter is compiled against the declared types, so the
+  // same file and filter text under another type is another plan.
+  const Schema narrow = workload::UserVisitsSchema();
+  std::vector<Field> fields = narrow.fields();
+  fields[workload::kDuration].type = FieldType::kInt64;
+  const Schema wide(std::move(fields), narrow.delimiter());
+  const JobSpec a = FilterJob(narrow, "@9 > 50");
+  const JobSpec b = FilterJob(wide, "@9 > 50");
+  EXPECT_EQ(a.annotation->filter.ToString(a.schema),
+            b.annotation->filter.ToString(b.schema));
+  EXPECT_NE(planner::PlanCache::KeyFor(a), planner::PlanCache::KeyFor(b));
+}
+
+TEST(PlanCacheTest, KeyNamesDoubleLiteralsExactly) {
+  // Both literals render as "1" to six digits, but compile apart.
+  const Schema schema = workload::UserVisitsSchema();
+  const JobSpec a = FilterJob(schema, "@4 > 1");
+  const JobSpec b = FilterJob(schema, "@4 > 1.0000001");
+  EXPECT_EQ(a.annotation->filter.ToString(schema),
+            b.annotation->filter.ToString(schema));
+  EXPECT_NE(planner::PlanCache::KeyFor(a), planner::PlanCache::KeyFor(b));
+  EXPECT_EQ(planner::PlanCache::KeyFor(a),
+            planner::PlanCache::KeyFor(FilterJob(schema, "@4 > 1.0")));
+}
+
 TEST(PlanCacheTest, StatsBackfillRidesTheMaintenanceQueue) {
   TestbedConfig config = SmallConfig();
   config.build_stats = false;  // upload predates the planner
