@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <type_traits>
 
 #include "layout/column_vector.h"
 #include "layout/pax_block.h"
 #include "layout/row_binary.h"
 #include "schema/row_parser.h"
+#include "util/io.h"
 #include "util/random.h"
 
 namespace hail {
@@ -211,6 +215,112 @@ TEST(PaxBlockViewTest, EmptyBlock) {
   auto view = PaxBlockView::Open(bytes);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->num_records(), 0u);
+}
+
+TEST(PaxBlockViewTest, PlainStringValuesMustFitTheirMinipage) {
+  // Column 0's value-byte count is raised by column 1's minipage size: its
+  // values then run on into column 1's minipage, still inside the buffer.
+  // v1 and v3 alike keep a string minipage's values inside its own
+  // directory extent.
+  const Schema schema({{"a", FieldType::kString}, {"b", FieldType::kString}});
+  for (const bool encoded : {false, true}) {
+    BlockFormatOptions options;
+    options.enable_encoding = encoded;
+    const PaxBlock block =
+        BuildPaxBlockFromText(schema, "a,d\nbb,ee\nccc,fff\n", options);
+    ASSERT_EQ(block.num_records(), 3u);
+    std::string bytes = block.Serialize();
+    // Directory: after the magic, the layout kind, the schema text and
+    // four u32 counts, a (u8 type, u64 offset, u64 bytes) entry per column.
+    ByteReader r(bytes);
+    ASSERT_TRUE(r.SeekTo(4 + 1).ok());
+    ASSERT_TRUE(r.GetLengthPrefixed().ok());
+    ASSERT_TRUE(r.SeekTo(r.position() + 16).ok());
+    uint64_t offset[2];
+    uint64_t size[2];
+    for (int c = 0; c < 2; ++c) {
+      ASSERT_TRUE(r.GetU8().ok());
+      offset[c] = *r.GetU64();
+      size[c] = *r.GetU64();
+    }
+    // The plain string body: [v3 tag] u32 offset count, u64 offsets, u64
+    // value-byte count, values.
+    const size_t body = offset[0] + (encoded ? 1 : 0);
+    uint32_t num_offsets;
+    std::memcpy(&num_offsets, bytes.data() + body, 4);
+    const size_t count_pos = body + 4 + 8ull * num_offsets;
+    uint64_t value_bytes;
+    std::memcpy(&value_bytes, bytes.data() + count_pos, 8);
+    ASSERT_EQ(value_bytes, 9u);
+    {
+      auto view = PaxBlockView::Open(bytes);
+      ASSERT_TRUE(view.ok());
+      ASSERT_EQ(view->OpenColumn(0)->encoding(), MiniPageEncoding::kPlain);
+      EXPECT_EQ(view->column_value_bytes(0), 9u);
+    }
+    value_bytes += size[1];
+    std::memcpy(bytes.data() + count_pos, &value_bytes, 8);
+    ASSERT_LE(count_pos + 8 + value_bytes, bytes.size());
+    EXPECT_TRUE(PaxBlockView::Open(bytes).status().IsCorruption())
+        << (encoded ? "v3" : "v1");
+  }
+}
+
+TEST(PaxBlockViewTest, ReadersShareNoState) {
+  // One cached view serves every reader of a block at once, so each
+  // OpenColumn reader keeps its own cursor position and RLE run, and a
+  // copy of a view reads without the original.
+  BlockFormatOptions options;
+  options.enable_encoding = true;
+  options.varlen_partition_size = 8;
+  const Schema schema({{"url", FieldType::kString}, {"run", FieldType::kInt32}});
+  Random rng(31);
+  std::string text;
+  for (int i = 0; i < 100; ++i) {
+    text += rng.NextString(6 + rng.Uniform(10)) + "," + std::to_string(i / 20) +
+            "\n";
+  }
+  const PaxBlock block = BuildPaxBlockFromText(schema, text, options);
+  const uint32_t n = block.num_records();
+  ASSERT_EQ(n, 100u);
+  const std::string bytes = block.Serialize();
+  auto opened = PaxBlockView::Open(bytes);
+  ASSERT_TRUE(opened.ok());
+  std::optional<PaxBlockView> original = std::move(*opened);
+  ASSERT_EQ(original->OpenColumn(0)->encoding(), MiniPageEncoding::kPlain);
+  ASSERT_EQ(original->OpenColumn(1)->encoding(), MiniPageEncoding::kRle);
+
+  for (int c = 0; c < 2; ++c) {
+    auto first = original->OpenColumn(c);
+    ASSERT_TRUE(first.ok());
+    for (uint32_t r = 0; r < n; ++r) {
+      ASSERT_EQ(*first->Get(r), block.GetRow(r)[static_cast<size_t>(c)]);
+    }
+    auto second = original->OpenColumn(c);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(*second->Get(0), block.GetRow(0)[static_cast<size_t>(c)]);
+    if (c != 0) continue;
+    // The second cursor starts at row 0: one value decoded, no seek.
+    second->Visit([](auto& span) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(span)>,
+                                   VarlenCursor>) {
+        EXPECT_EQ(span.decode_steps(), 1u);
+        EXPECT_EQ(span.partition_seeks(), 0u);
+      } else {
+        ADD_FAILURE() << "column 0 is not a plain string span";
+      }
+    });
+  }
+
+  const PaxBlockView copy = *original;
+  original.reset();
+  for (int c = 0; c < copy.num_columns(); ++c) {
+    auto reader = copy.OpenColumn(c);
+    ASSERT_TRUE(reader.ok());
+    for (uint32_t r = 0; r < n; ++r) {
+      EXPECT_EQ(*reader->Get(r), block.GetRow(r)[static_cast<size_t>(c)]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

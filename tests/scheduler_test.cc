@@ -1481,6 +1481,55 @@ TEST(BackgroundPathTest, RewriteNodeDiesMidBuild) {
   EXPECT_GT(r.manager_pending, 0u);
 }
 
+/// An eviction of one of a block's three baseline replicas: PrepareReorg
+/// accepts it, since the replica exists, and CommitReorg refuses it, since
+/// dropping it would leave 2 < 3 alive copies. The rewrite runs its slot
+/// and fails at commit; the replica stays.
+TEST(BackgroundPathTest, EvictionBelowTheReplicationFactorFailsAtCommit) {
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSerial, ExecutionMode::kParallel}) {
+    Testbed bed(SmallConfig(7));
+    bed.LoadUserVisits();
+    ASSERT_TRUE(bed.UploadHail("/d", {workload::kVisitDate,
+                                      workload::kSourceIP,
+                                      workload::kAdRevenue})
+                    .ok());
+    auto blocks = bed.dfs().namenode().GetFileBlocks("/d");
+    ASSERT_TRUE(blocks.ok());
+    ASSERT_FALSE(blocks->empty());
+    ASSERT_EQ(blocks->front().datanodes.size(), 3u);
+    adaptive::MaintenanceTask evict;
+    evict.block_id = blocks->front().block_id;
+    evict.datanode = blocks->front().datanodes.front();
+    evict.kind = adaptive::MaintenanceTask::Kind::kEvictReplica;
+    adaptive::AdaptiveManager manager(&bed.dfs(), bed.schema(), "/d");
+    manager.ReturnUnfinished({evict});
+
+    obs::Tracer tracer;
+    SessionOptions opt;
+    opt.execution = mode;
+    opt.adaptive = &manager;
+    opt.tracer = &tracer;
+    ClusterSession session(&bed.dfs(), opt);
+    session.Submit(QueryJob(bed, "/d", workload::BobQueries()[0]));
+    auto sr = session.Run();
+    ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+    ASSERT_TRUE(sr->jobs[0].ok()) << sr->jobs[0].status().ToString();
+    EXPECT_EQ(sr->maintenance_failed, 1u);
+    EXPECT_EQ(sr->maintenance_completed, 0u);
+    EXPECT_EQ(sr->replicas_evicted, 0u);
+    EXPECT_TRUE(bed.dfs()
+                    .namenode()
+                    .GetReplicaInfo(evict.block_id, evict.datanode)
+                    .ok());
+    size_t reorgs = 0;
+    for (const obs::TraceSpan& span : tracer.spans()) {
+      reorgs += span.name == "reorg" ? 1 : 0;
+    }
+    EXPECT_EQ(reorgs, 1u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Retry/backoff policy: 4 attempts, 10 s doubling to 60 s
 // ---------------------------------------------------------------------------
