@@ -574,31 +574,23 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
   }
   view.cols_.resize(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
-    ColumnInfo& ci = view.cols_[i];
+    Column& col = view.cols_[i];
     HAIL_ASSIGN_OR_RETURN(uint8_t type_byte, r.GetU8());
-    ci.type = static_cast<FieldType>(type_byte);
+    const auto type = static_cast<FieldType>(type_byte);
     // The directory repeats the schema's types; a reader decodes by the
     // directory's, so the two must agree (and the type is a known one).
-    if (ci.type != view.schema_.field(static_cast<int>(i)).type) {
+    if (type != view.schema_.field(static_cast<int>(i)).type) {
       return Status::Corruption("column type does not match schema");
     }
-    HAIL_ASSIGN_OR_RETURN(ci.minipage_offset, r.GetU64());
-    HAIL_ASSIGN_OR_RETURN(ci.minipage_bytes, r.GetU64());
+    HAIL_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
+    HAIL_ASSIGN_OR_RETURN(col.minipage_bytes, r.GetU64());
     // Overflow-safe form of offset + bytes > size: a crafted directory
     // must not wrap past the bulk-decode memcpy bounds.
-    if (ci.minipage_bytes > data.size() ||
-        ci.minipage_offset > data.size() - ci.minipage_bytes) {
+    if (col.minipage_bytes > data.size() ||
+        offset > data.size() - col.minipage_bytes) {
       return Status::Corruption("minipage out of bounds");
     }
-    // v1 fixed minipages are bare value arrays sized directly from the
-    // directory; v3 minipages carry per-encoding headers and are checked
-    // section by section in ResolveEncodedColumn below.
-    if (kind == kPaxLayoutPlain && IsFixedSize(ci.type) &&
-        ci.minipage_bytes < static_cast<uint64_t>(view.num_records_) *
-                                FieldTypeWidth(ci.type)) {
-      return Status::Corruption("fixed minipage truncated");
-    }
-    if (kind == kPaxLayoutPlain) ci.values_pos = ci.minipage_offset;
+    HAIL_RETURN_NOT_OK(view.ResolveColumn(type, offset, &col));
   }
   HAIL_ASSIGN_OR_RETURN(view.bad_section_offset_, r.GetU64());
   if (view.bad_section_offset_ > data.size()) {
@@ -618,163 +610,174 @@ Result<PaxBlockView> PaxBlockView::Open(std::string_view data) {
   if (tail.remaining() != 0) {
     return Status::Corruption("trailing bytes after bad-record section");
   }
-
-  if (kind == kPaxLayoutEncoded) {
-    for (uint32_t i = 0; i < ncols; ++i) {
-      HAIL_RETURN_NOT_OK(view.ResolveEncodedColumn(&view.cols_[i]));
-    }
-    return view;
-  }
-
-  // Resolve varlen internals (v1).
-  for (uint32_t i = 0; i < ncols; ++i) {
-    ColumnInfo& ci = view.cols_[i];
-    if (ci.type != FieldType::kString) continue;
-    ByteReader vr(data);
-    HAIL_RETURN_NOT_OK(vr.SeekTo(ci.minipage_offset));
-    HAIL_ASSIGN_OR_RETURN(ci.num_offsets, vr.GetU32());
-    ci.offsets_pos = vr.position();
-    HAIL_RETURN_NOT_OK(vr.SeekTo(ci.offsets_pos + 8ull * ci.num_offsets));
-    HAIL_ASSIGN_OR_RETURN(ci.values_bytes, vr.GetU64());
-    ci.values_pos = vr.position();  // <= data.size() by construction
-    if (ci.values_bytes > data.size() - ci.values_pos) {
-      return Status::Corruption("varlen values out of bounds");
-    }
-  }
   return view;
 }
 
-/// Parses and validates one format-v3 minipage. Every section's extent is
-/// checked against the directory-declared minipage bounds (themselves
-/// bounds-checked against the buffer above), and every structural
+/// Parses and validates the minipage at [offset, offset + minipage_bytes)
+/// (inside the buffer, as Open checked) into the column's reader. A v1
+/// minipage is the plain layout with no tag; a v3 minipage starts with
+/// its encoding's tag, and its plain layout is v1's. Every section's
+/// extent is checked against the minipage's, and every structural
 /// invariant the zero-copy spans rely on is verified here ONCE — RLE run
 /// starts strictly increasing from 0, dictionary entries NUL-terminated,
 /// sorted and distinct, every code inside the dictionary — so that no
 /// truncation parses as a shorter-valid block and no bit flip can push a
 /// span load out of bounds.
-Status PaxBlockView::ResolveEncodedColumn(ColumnInfo* ci) {
-  const uint64_t extent_end = ci->minipage_offset + ci->minipage_bytes;
+Status PaxBlockView::ResolveColumn(FieldType type, uint64_t offset,
+                                   Column* column) {
+  const uint64_t extent_end = offset + column->minipage_bytes;
   auto within = [&](uint64_t pos, uint64_t bytes) {
-    return pos >= ci->minipage_offset && pos <= extent_end &&
-           bytes <= extent_end - pos;
+    return pos >= offset && pos <= extent_end && bytes <= extent_end - pos;
   };
   const uint32_t n = num_records_;
+  const char* base = data_.data();
+  ColumnReader& reader = column->reader;
+  reader.type_ = type;
+  reader.num_records_ = n;
+  column->value_bytes = column->minipage_bytes;
   ByteReader r(data_);
-  HAIL_RETURN_NOT_OK(r.SeekTo(ci->minipage_offset));
-  if (ci->minipage_bytes == 0) {
-    return Status::Corruption("encoded minipage has no tag");
+  HAIL_RETURN_NOT_OK(r.SeekTo(offset));
+  if (encoded_format()) {
+    if (column->minipage_bytes == 0) {
+      return Status::Corruption("encoded minipage has no tag");
+    }
+    HAIL_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
+    if (tag > static_cast<uint8_t>(MiniPageEncoding::kFor)) {
+      return Status::Corruption("unknown minipage encoding");
+    }
+    reader.encoding_ = static_cast<MiniPageEncoding>(tag);
   }
-  HAIL_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  if (tag > static_cast<uint8_t>(MiniPageEncoding::kFor)) {
-    return Status::Corruption("unknown minipage encoding");
-  }
-  ci->encoding = static_cast<MiniPageEncoding>(tag);
-  switch (ci->encoding) {
+  switch (reader.encoding_) {
     case MiniPageEncoding::kPlain: {
-      if (ci->type == FieldType::kString) {
-        HAIL_ASSIGN_OR_RETURN(ci->num_offsets, r.GetU32());
-        ci->offsets_pos = r.position();
-        HAIL_RETURN_NOT_OK(r.SeekTo(ci->offsets_pos + 8ull * ci->num_offsets));
-        HAIL_ASSIGN_OR_RETURN(ci->values_bytes, r.GetU64());
-        ci->values_pos = r.position();
-        if (!within(ci->values_pos, ci->values_bytes)) {
+      if (type == FieldType::kString) {
+        // Sparse offsets, then the value bytes (§3.5).
+        VarlenCursor cursor;
+        HAIL_ASSIGN_OR_RETURN(cursor.num_offsets_, r.GetU32());
+        const uint64_t offsets_pos = r.position();
+        HAIL_RETURN_NOT_OK(r.SeekTo(offsets_pos + 8ull * cursor.num_offsets_));
+        HAIL_ASSIGN_OR_RETURN(column->value_bytes, r.GetU64());
+        if (!within(r.position(), column->value_bytes)) {
           return Status::Corruption("varlen values out of bounds");
         }
+        cursor.values_ = base + r.position();
+        cursor.end_ = cursor.values_ + column->value_bytes;
+        cursor.offsets_ = base + offsets_pos;
+        cursor.partition_size_ = varlen_partition_;
+        cursor.num_records_ = n;
+        cursor.cursor_ = cursor.values_;
+        reader.span_ = cursor;
         return Status::OK();
       }
-      ci->values_pos = Align8(r.position());
-      if (!within(ci->values_pos, uint64_t{n} * FieldTypeWidth(ci->type))) {
+      // A v3 array follows its tag at the next 8-byte boundary; a v1
+      // array starts the minipage.
+      const uint64_t pos = encoded_format() ? Align8(r.position()) : offset;
+      if (!within(pos, uint64_t{n} * FieldTypeWidth(type))) {
         return Status::Corruption("fixed minipage truncated");
+      }
+      if (type == FieldType::kInt64) {
+        reader.span_ = ColumnSpan<int64_t>(base + pos, n);
+      } else if (type == FieldType::kDouble) {
+        reader.span_ = ColumnSpan<double>(base + pos, n);
+      } else {
+        reader.span_ = ColumnSpan<int32_t>(base + pos, n);
       }
       return Status::OK();
     }
     case MiniPageEncoding::kFor: {
-      if (ci->type == FieldType::kDouble || ci->type == FieldType::kString) {
+      if (type == FieldType::kDouble || type == FieldType::kString) {
         return Status::Corruption("FOR encoding on non-integer column");
       }
-      HAIL_ASSIGN_OR_RETURN(ci->code_width, r.GetU8());
-      if (ci->code_width != 1 && ci->code_width != 2 && ci->code_width != 4) {
+      HAIL_ASSIGN_OR_RETURN(uint8_t code_width, r.GetU8());
+      if (code_width != 1 && code_width != 2 && code_width != 4) {
         return Status::Corruption("bad FOR code width");
       }
-      if (ci->code_width >= FieldTypeWidth(ci->type)) {
+      if (code_width >= FieldTypeWidth(type)) {
         return Status::Corruption("FOR code width not narrower than type");
       }
       HAIL_RETURN_NOT_OK(r.SeekTo(Align8(r.position())));
       HAIL_ASSIGN_OR_RETURN(uint64_t frame_bits, r.GetU64());
-      ci->frame = static_cast<int64_t>(frame_bits);
-      ci->codes_pos = r.position();
-      if (!within(ci->codes_pos, uint64_t{n} * ci->code_width)) {
+      if (!within(r.position(), uint64_t{n} * code_width)) {
         return Status::Corruption("FOR codes out of bounds");
       }
+      reader.span_ = ForSpan(base + r.position(), n, code_width,
+                             static_cast<int64_t>(frame_bits));
       return Status::OK();
     }
     case MiniPageEncoding::kRle: {
-      if (ci->type == FieldType::kString) {
+      if (type == FieldType::kString) {
         return Status::Corruption("RLE encoding on string column");
       }
-      HAIL_ASSIGN_OR_RETURN(ci->num_runs, r.GetU32());
-      if (n == 0 ? ci->num_runs != 0 : (ci->num_runs == 0 || ci->num_runs > n)) {
+      HAIL_ASSIGN_OR_RETURN(uint32_t num_runs, r.GetU32());
+      if (n == 0 ? num_runs != 0 : (num_runs == 0 || num_runs > n)) {
         return Status::Corruption("bad RLE run count");
       }
-      ci->run_starts_pos = Align8(r.position());
-      if (!within(ci->run_starts_pos, 4ull * ci->num_runs)) {
+      const uint64_t starts_pos = Align8(r.position());
+      if (!within(starts_pos, 4ull * num_runs)) {
         return Status::Corruption("RLE run starts out of bounds");
       }
-      ci->run_values_pos = Align8(ci->run_starts_pos + 4ull * ci->num_runs);
-      if (!within(ci->run_values_pos,
-                  uint64_t{ci->num_runs} * FieldTypeWidth(ci->type))) {
+      const uint64_t values_pos = Align8(starts_pos + 4ull * num_runs);
+      if (!within(values_pos, uint64_t{num_runs} * FieldTypeWidth(type))) {
         return Status::Corruption("RLE run values out of bounds");
       }
+      const char* starts = base + starts_pos;
       uint32_t prev = 0;
-      for (uint32_t j = 0; j < ci->num_runs; ++j) {
+      for (uint32_t j = 0; j < num_runs; ++j) {
         uint32_t start;
-        std::memcpy(&start, data_.data() + ci->run_starts_pos + 4ull * j, 4);
+        std::memcpy(&start, starts + 4ull * j, 4);
         if (j == 0 ? start != 0 : start <= prev) {
           return Status::Corruption("RLE run starts not strictly increasing");
         }
         if (start >= n) return Status::Corruption("RLE run start out of range");
         prev = start;
       }
+      const char* values = base + values_pos;
+      if (type == FieldType::kInt64) {
+        reader.span_ = RleSpan<int64_t>(starts, values, num_runs, n);
+      } else if (type == FieldType::kDouble) {
+        reader.span_ = RleSpan<double>(starts, values, num_runs, n);
+      } else {
+        reader.span_ = RleSpan<int32_t>(starts, values, num_runs, n);
+      }
       return Status::OK();
     }
     case MiniPageEncoding::kDict: {
-      if (ci->type != FieldType::kString) {
+      if (type != FieldType::kString) {
         return Status::Corruption("dictionary encoding on fixed-size column");
       }
-      HAIL_ASSIGN_OR_RETURN(ci->code_width, r.GetU8());
-      if (ci->code_width != 1 && ci->code_width != 2 && ci->code_width != 4) {
+      HAIL_ASSIGN_OR_RETURN(uint8_t code_width, r.GetU8());
+      if (code_width != 1 && code_width != 2 && code_width != 4) {
         return Status::Corruption("bad dictionary code width");
       }
-      HAIL_ASSIGN_OR_RETURN(ci->dict_size, r.GetU32());
-      HAIL_ASSIGN_OR_RETURN(ci->dict_values_bytes, r.GetU64());
-      if (n == 0 || ci->dict_size == 0 || ci->dict_size > n ||
-          ci->dict_values_bytes < ci->dict_size) {
+      HAIL_ASSIGN_OR_RETURN(uint32_t dict_size, r.GetU32());
+      HAIL_ASSIGN_OR_RETURN(uint64_t dict_bytes, r.GetU64());
+      if (n == 0 || dict_size == 0 || dict_size > n || dict_bytes < dict_size) {
         return Status::Corruption("bad dictionary shape");
       }
-      ci->dict_offsets_pos = Align8(r.position());
-      if (!within(ci->dict_offsets_pos, 4ull * ci->dict_size)) {
+      const uint64_t offsets_pos = Align8(r.position());
+      if (!within(offsets_pos, 4ull * dict_size)) {
         return Status::Corruption("dictionary offsets out of bounds");
       }
-      ci->dict_values_pos = ci->dict_offsets_pos + 4ull * ci->dict_size;
-      if (!within(ci->dict_values_pos, ci->dict_values_bytes)) {
+      const uint64_t values_pos = offsets_pos + 4ull * dict_size;
+      if (!within(values_pos, dict_bytes)) {
         return Status::Corruption("dictionary values out of bounds");
       }
-      ci->codes_pos = Align8(ci->dict_values_pos + ci->dict_values_bytes);
-      if (!within(ci->codes_pos, uint64_t{n} * ci->code_width)) {
+      const uint64_t codes_pos = Align8(values_pos + dict_bytes);
+      if (!within(codes_pos, uint64_t{n} * code_width)) {
         return Status::Corruption("dictionary codes out of bounds");
       }
-      const char* dict_vals = data_.data() + ci->dict_values_pos;
-      if (dict_vals[ci->dict_values_bytes - 1] != '\0') {
+      const char* offsets = base + offsets_pos;
+      const char* dict_vals = base + values_pos;
+      if (dict_vals[dict_bytes - 1] != '\0') {
         return Status::Corruption("dictionary not NUL-terminated");
       }
       uint32_t prev_off = 0;
-      for (uint32_t j = 0; j < ci->dict_size; ++j) {
+      for (uint32_t j = 0; j < dict_size; ++j) {
         uint32_t off;
-        std::memcpy(&off, data_.data() + ci->dict_offsets_pos + 4ull * j, 4);
+        std::memcpy(&off, offsets + 4ull * j, 4);
         if (j == 0 ? off != 0 : off <= prev_off) {
           return Status::Corruption("dictionary offsets not increasing");
         }
-        if (off >= ci->dict_values_bytes) {
+        if (off >= dict_bytes) {
           return Status::Corruption("dictionary offset out of bounds");
         }
         if (j > 0 && dict_vals[off - 1] != '\0') {
@@ -784,16 +787,16 @@ Status PaxBlockView::ResolveEncodedColumn(ColumnInfo* ci) {
       }
       // The scan engine's predicate rewrite binary-searches the entries,
       // so order (and distinctness) is a structural invariant, not a hint.
-      DictSpan span(data_.data() + ci->codes_pos, ci->code_width, n,
-                    data_.data() + ci->dict_offsets_pos, dict_vals,
-                    ci->dict_values_bytes, ci->dict_size);
-      for (uint32_t j = 1; j < ci->dict_size; ++j) {
+      const DictSpan& span = reader.span_.emplace<DictSpan>(
+          base + codes_pos, code_width, n, offsets, dict_vals, dict_bytes,
+          dict_size);
+      for (uint32_t j = 1; j < dict_size; ++j) {
         if (!(span.DictEntry(j - 1) < span.DictEntry(j))) {
           return Status::Corruption("dictionary entries not sorted");
         }
       }
       for (uint32_t row = 0; row < n; ++row) {
-        if (span.Code(row) >= ci->dict_size) {
+        if (span.Code(row) >= dict_size) {
           return Status::Corruption("dictionary code out of range");
         }
       }
@@ -805,9 +808,7 @@ Status PaxBlockView::ResolveEncodedColumn(ColumnInfo* ci) {
 
 int PaxBlockView::num_encoded_columns() const {
   int count = 0;
-  for (const ColumnInfo& ci : cols_) {
-    count += ci.encoding != MiniPageEncoding::kPlain ? 1 : 0;
-  }
+  for (const Column& col : cols_) count += col.reader.encoded() ? 1 : 0;
   return count;
 }
 
@@ -874,68 +875,7 @@ Result<ColumnReader> PaxBlockView::OpenColumn(int column) const {
                                    " outside the block's " +
                                    std::to_string(num_columns()) + " columns");
   }
-  const ColumnInfo& ci = cols_[static_cast<size_t>(column)];
-  // Filled in place: the filter opens a column per term and block, and
-  // copying the reader on the way out would cost more than filling it.
-  Result<ColumnReader> out = ColumnReader();
-  ColumnReader& reader = *out;
-  reader.type_ = ci.type;
-  reader.encoding_ = ci.encoding;
-  reader.num_records_ = num_records_;
-  const char* base = data_.data();
-  const uint32_t n = num_records_;
-  // Open() checked every encoding against its column's type and every
-  // section against the buffer.
-  switch (ci.encoding) {
-    case MiniPageEncoding::kPlain:
-      switch (ci.type) {
-        case FieldType::kInt32:
-        case FieldType::kDate:
-          reader.span_ = ColumnSpan<int32_t>(base + ci.values_pos, n);
-          break;
-        case FieldType::kInt64:
-          reader.span_ = ColumnSpan<int64_t>(base + ci.values_pos, n);
-          break;
-        case FieldType::kDouble:
-          reader.span_ = ColumnSpan<double>(base + ci.values_pos, n);
-          break;
-        case FieldType::kString: {
-          VarlenCursor cursor;
-          cursor.values_ = base + ci.values_pos;
-          cursor.end_ = cursor.values_ + ci.values_bytes;
-          cursor.offsets_ = base + ci.offsets_pos;
-          cursor.num_offsets_ = ci.num_offsets;
-          cursor.partition_size_ = varlen_partition_;
-          cursor.num_records_ = n;
-          cursor.cursor_ = cursor.values_;
-          reader.span_ = cursor;
-          break;
-        }
-      }
-      break;
-    case MiniPageEncoding::kFor:
-      reader.span_ = ForSpan(base + ci.codes_pos, n, ci.code_width, ci.frame);
-      break;
-    case MiniPageEncoding::kRle: {
-      const char* starts = base + ci.run_starts_pos;
-      const char* values = base + ci.run_values_pos;
-      if (ci.type == FieldType::kInt64) {
-        reader.span_ = RleSpan<int64_t>(starts, values, ci.num_runs, n);
-      } else if (ci.type == FieldType::kDouble) {
-        reader.span_ = RleSpan<double>(starts, values, ci.num_runs, n);
-      } else {
-        reader.span_ = RleSpan<int32_t>(starts, values, ci.num_runs, n);
-      }
-      break;
-    }
-    case MiniPageEncoding::kDict:
-      reader.span_ = DictSpan(base + ci.codes_pos, ci.code_width, n,
-                              base + ci.dict_offsets_pos,
-                              base + ci.dict_values_pos, ci.dict_values_bytes,
-                              ci.dict_size);
-      break;
-  }
-  return out;
+  return cols_[static_cast<size_t>(column)].reader;
 }
 
 namespace {

@@ -240,21 +240,19 @@ class VarlenCursor {
 /// The one reader of a minipage: the filter kernels (query/vectorized),
 /// tuple reconstruction (the HAIL RecordReader, §4.3), the view's row
 /// accessors and PaxBlock::Deserialize all read through it, so no other
-/// module knows the minipage formats. PaxBlockView::OpenColumn builds the
-/// column's one span from its directory entry: a ColumnSpan (int32 and
+/// module knows the minipage formats. PaxBlockView::Open resolves each
+/// column once into a reader over its one span: a ColumnSpan (int32 and
 /// date share ColumnSpan<int32_t>) or a VarlenCursor for a plain
 /// minipage, a ForSpan, an RleSpan or a DictSpan for an encoded one.
-/// Visit hands that span to a kernel. Get() costs amortised O(1) for
-/// ascending rows: an RLE column remembers its run and steps to the next
-/// one, a plain string column keeps its VarlenCursor. Any other row
-/// re-seeks by binary search over the run starts, or by the sparse
-/// partition offset. The block's buffer must outlive the reader.
+/// OpenColumn hands out a copy, so each caller has its own cursor
+/// position and RLE run, and a view is never written after Open. Visit
+/// hands the span to a kernel. Get() costs amortised O(1) for ascending
+/// rows: an RLE column remembers its run and steps to the next one, a
+/// plain string column keeps its VarlenCursor. Any other row re-seeks by
+/// binary search over the run starts, or by the sparse partition offset.
+/// The block's buffer must outlive the reader; the view need not.
 class ColumnReader {
  public:
-  // Not `= default`: value-initialising a reader, as OpenColumn does,
-  // would then zero all of it before the span is written.
-  ColumnReader() {}
-
   FieldType type() const { return type_; }
   /// Physical encoding of the minipage (kPlain for v1 blocks).
   MiniPageEncoding encoding() const { return encoding_; }
@@ -405,10 +403,7 @@ class PaxBlockView {
   /// datanode transfer terms automatically bill compressed bytes.
   /// Unchecked: callers loop over [0, num_columns()).
   uint64_t column_value_bytes(int i) const {
-    const ColumnInfo& ci = cols_[static_cast<size_t>(i)];
-    return ci.type == FieldType::kString && ci.encoding == MiniPageEncoding::kPlain
-               ? ci.values_bytes
-               : ci.minipage_bytes;
+    return cols_[static_cast<size_t>(i)].value_bytes;
   }
 
   /// True when the block was serialised as format v3 (encoded minipages).
@@ -425,8 +420,9 @@ class PaxBlockView {
   Result<BadRecordCursor> OpenBadRecords() const;
 
   /// Reader over column \p column's minipage, whatever its encoding; the
-  /// only way to read a minipage's values. InvalidArgument when the block
-  /// has no such column.
+  /// only way to read a minipage's values. A copy of the reader Open
+  /// resolved, positioned at row 0. InvalidArgument when the block has no
+  /// such column.
   Result<ColumnReader> OpenColumn(int column) const;
 
   // -- Row-at-a-time accessors (parse/reconstruct boundary, tests) --
@@ -447,32 +443,14 @@ class PaxBlockView {
   Result<std::string_view> GetBadRecord(uint32_t i) const;
 
  private:
-  struct ColumnInfo {
-    FieldType type;
-    MiniPageEncoding encoding = MiniPageEncoding::kPlain;
-    uint64_t minipage_offset = 0;  // absolute in data_
+  /// One column as Open resolved it.
+  struct Column {
     uint64_t minipage_bytes = 0;
-    // Plain minipages: absolute position of the raw value array (equal to
-    // minipage_offset in v1; past the tag byte + pad in v3).
-    uint64_t values_pos = 0;
-    // For plain varlen columns:
-    uint64_t offsets_pos = 0;      // absolute position of offset array
-    uint32_t num_offsets = 0;
-    uint64_t values_bytes = 0;
-    // For encoded minipages (format v3):
-    uint8_t code_width = 0;        // FOR/DICT code bytes (1/2/4)
-    int64_t frame = 0;             // FOR frame (column minimum)
-    uint64_t codes_pos = 0;        // FOR/DICT per-row code array
-    uint32_t num_runs = 0;         // RLE
-    uint64_t run_starts_pos = 0;   // RLE u32 start-row array
-    uint64_t run_values_pos = 0;   // RLE value array
-    uint32_t dict_size = 0;        // DICT entry count
-    uint64_t dict_offsets_pos = 0; // DICT u32 entry offsets
-    uint64_t dict_values_pos = 0;  // DICT NUL-terminated entries
-    uint64_t dict_values_bytes = 0;
+    uint64_t value_bytes = 0;  // column_value_bytes
+    ColumnReader reader;       // OpenColumn hands out copies
   };
 
-  Status ResolveEncodedColumn(ColumnInfo* ci);
+  Status ResolveColumn(FieldType type, uint64_t offset, Column* column);
 
   std::string_view data_;
   Schema schema_;
@@ -481,7 +459,7 @@ class PaxBlockView {
   uint32_t num_bad_records_ = 0;
   uint32_t varlen_partition_ = kDefaultVarlenPartition;
   uint64_t bad_section_offset_ = 0;
-  std::vector<ColumnInfo> cols_;
+  std::vector<Column> cols_;
 };
 
 /// \brief Parses text rows into a PAX block (the HAIL client's conversion
