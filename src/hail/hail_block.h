@@ -180,8 +180,6 @@ class HailBlockView {
 
   bool has_index() const { return index_bytes_ > 0; }
   int sort_column() const { return sort_column_; }
-  /// Bytes of the Index Metadata header (everything before the index).
-  uint64_t header_bytes() const { return index_offset_; }
   uint64_t index_bytes() const { return index_bytes_; }
   uint64_t pax_bytes() const { return pax_bytes_; }
   uint64_t total_bytes() const { return data_.size(); }

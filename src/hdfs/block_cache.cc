@@ -111,15 +111,6 @@ void BlockCache::InvalidateDatanode(int datanode) {
   }
 }
 
-void BlockCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    invalidated_entries_->Add(shard.map.size());
-    shard.map.clear();
-    shard.fifo.clear();
-  }
-}
-
 BlockCacheStats BlockCache::stats() const {
   BlockCacheStats out;
   out.verify_hits = verify_hits_->Value();

@@ -103,9 +103,6 @@ class BlockCache {
   /// Drops every entry of one datanode (node kill / revive).
   void InvalidateDatanode(int datanode);
 
-  /// Drops everything.
-  void Clear();
-
   /// Counter hook for readers' lazy index decodes (the artifact owns the
   /// decode; the cache owns the counter so tests have one place to look).
   void NoteIndexDecode() { index_decodes_->Inc(); }

@@ -204,7 +204,6 @@ class Namenode {
   bool FileExists(const std::string& file) const {
     return files_.count(file) > 0;
   }
-  uint64_t next_block_id() const { return next_block_id_; }
   int num_datanodes() const { return num_datanodes_; }
 
  private:

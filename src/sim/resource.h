@@ -54,7 +54,6 @@ class Resource {
     free_at_[best] = end;
     busy_time_ += duration;
     ++jobs_;
-    last_end_ = std::max(last_end_, end);
     return Interval{start, end};
   }
 
@@ -70,7 +69,6 @@ class Resource {
     std::fill(free_at_.begin(), free_at_.end(), 0.0);
     busy_time_ = 0.0;
     jobs_ = 0;
-    last_end_ = 0.0;
   }
 
   const std::string& name() const { return name_; }
@@ -79,8 +77,6 @@ class Resource {
   double busy_time() const { return busy_time_; }
   /// Number of Schedule() calls.
   uint64_t jobs() const { return jobs_; }
-  /// Time the last booked work finishes.
-  SimTime last_end() const { return last_end_; }
   /// busy_time / (capacity * horizon); 0 if horizon is 0.
   double Utilization(SimTime horizon) const {
     if (horizon <= 0.0) return 0.0;
@@ -92,7 +88,6 @@ class Resource {
   std::vector<SimTime> free_at_;
   double busy_time_ = 0.0;
   uint64_t jobs_ = 0;
-  SimTime last_end_ = 0.0;
 };
 
 }  // namespace sim

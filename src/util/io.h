@@ -46,11 +46,6 @@ class ByteWriter {
   /// Current size; also used to note offsets while writing headers.
   size_t size() const { return out_.size(); }
 
-  /// Patches a previously written u32 at \p offset (for back-filled sizes).
-  void PatchU32(size_t offset, uint32_t v) {
-    std::memcpy(out_.data() + offset, &v, sizeof(v));
-  }
-
   std::string& buffer() { return out_; }
   const std::string& buffer() const { return out_; }
   std::string Take() { return std::move(out_); }

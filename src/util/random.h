@@ -49,9 +49,6 @@ class Random {
   /// Random lowercase ASCII string of the given length.
   std::string NextString(size_t length);
 
-  /// Forks an independent stream (for per-node / per-block generators).
-  Random Fork() { return Random(NextU64()); }
-
  private:
   uint64_t state_;
 };

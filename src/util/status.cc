@@ -25,8 +25,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "IOError";
     case StatusCode::kCorruption:
       return "Corruption";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
     case StatusCode::kFailedPrecondition:

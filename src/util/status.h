@@ -23,7 +23,6 @@ enum class StatusCode : int {
   kAlreadyExists = 3,
   kIOError = 4,
   kCorruption = 5,
-  kNotImplemented = 6,
   kOutOfRange = 7,
   kFailedPrecondition = 8,
   kUnknown = 9,
@@ -69,9 +68,6 @@ class Status {
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
   }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
-  }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
@@ -102,7 +98,6 @@ class Status {
   bool IsAlreadyExists() const { return code() == StatusCode::kAlreadyExists; }
   bool IsIOError() const { return code() == StatusCode::kIOError; }
   bool IsCorruption() const { return code() == StatusCode::kCorruption; }
-  bool IsNotImplemented() const { return code() == StatusCode::kNotImplemented; }
   bool IsOutOfRange() const { return code() == StatusCode::kOutOfRange; }
   bool IsFailedPrecondition() const {
     return code() == StatusCode::kFailedPrecondition;

@@ -24,16 +24,6 @@ std::vector<std::string_view> SplitString(std::string_view input, char delimiter
   return parts;
 }
 
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view separator) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += separator;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view TrimWhitespace(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
@@ -46,14 +36,6 @@ std::string_view TrimWhitespace(std::string_view s) {
     --end;
   }
   return s.substr(begin, end - begin);
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
 Result<int64_t> ParseInt64(std::string_view s) {
