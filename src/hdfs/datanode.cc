@@ -7,7 +7,7 @@ namespace hdfs {
 
 void Datanode::NoteMutation(uint64_t block_id) {
   ++generations_[block_id];
-  if (cache_ != nullptr) cache_->InvalidateBlock(id_, block_id);
+  cache_->InvalidateBlock(id_, block_id);
 }
 
 void Datanode::AppendPacket(const Packet& packet) {
@@ -57,13 +57,9 @@ Result<std::string_view> Datanode::ReadBlockVerified(
   }
   HAIL_ASSIGN_OR_RETURN(std::string_view data,
                         store_.Get(BlockFileName(block_id)));
-  if (cache_ != nullptr) {
-    HAIL_RETURN_NOT_OK(cache_->VerifyOnce(
-        id_, block_id, block_generation(block_id), data.size(),
-        [&] { return VerifyAgainstMeta(block_id, data, chunk_bytes); }));
-    return data;
-  }
-  HAIL_RETURN_NOT_OK(VerifyAgainstMeta(block_id, data, chunk_bytes));
+  HAIL_RETURN_NOT_OK(cache_->VerifyOnce(
+      id_, block_id, block_generation(block_id), data.size(),
+      [&] { return VerifyAgainstMeta(block_id, data, chunk_bytes); }));
   return data;
 }
 

@@ -28,20 +28,19 @@
 namespace hail {
 namespace hdfs {
 
-/// \brief One datanode: an id, a local store, and its simulated machine.
+/// \brief One datanode: an id, a local store, its simulated machine and
+/// the cluster's shared read cache, whose entries for a replica it drops
+/// on every mutation of that replica.
 class Datanode {
  public:
-  Datanode(int id, sim::SimNode* sim_node) : id_(id), sim_(sim_node) {}
+  Datanode(int id, sim::SimNode* sim_node, BlockCache* cache)
+      : id_(id), sim_(sim_node), cache_(cache) {}
 
   int id() const { return id_; }
   sim::SimNode& sim() { return *sim_; }
   const sim::SimNode& sim() const { return *sim_; }
   LocalStore& store() { return store_; }
   const LocalStore& store() const { return store_; }
-
-  /// Wires the shared read cache (done by MiniDfs at construction). The
-  /// datanode invalidates its entries on every replica mutation.
-  void AttachCache(BlockCache* cache) { cache_ = cache; }
 
   /// Streaming flush of one packet (stock HDFS write path): appends the
   /// chunk data to blk_<id> and the checksums to blk_<id>.meta.
@@ -65,7 +64,7 @@ class Datanode {
   /// Reads a replica and verifies every chunk checksum against the meta
   /// file ("these checksums are reused by HDFS whenever data is sent",
   /// §3.2). Returns a view into the store. Verification is memoised per
-  /// block generation in the attached BlockCache (the simulated CRC cost
+  /// block generation in the cluster's BlockCache (the simulated CRC cost
   /// is still billed per task by the readers — the cache only removes the
   /// repeated *real* work). Reads against a dead node return Unavailable
   /// (retryable on another replica); CRC mismatches return Corruption.
@@ -89,14 +88,14 @@ class Datanode {
   /// any cached state describing the previous bytes.
   void NoteMutation(uint64_t block_id);
 
-  /// Parses the meta file and verifies all chunk CRCs (the uncached path).
+  /// Parses the meta file and verifies all chunk CRCs (on a cache miss).
   Status VerifyAgainstMeta(uint64_t block_id, std::string_view data,
                            uint32_t chunk_bytes) const;
 
   int id_;
   sim::SimNode* sim_;
   LocalStore store_;
-  BlockCache* cache_ = nullptr;
+  BlockCache* cache_;
   std::unordered_map<uint64_t, uint64_t> generations_;
 };
 

@@ -5,19 +5,28 @@
 namespace hail {
 namespace hdfs {
 
+namespace {
+
+/// One datanode per simulated node, each sharing \p cache.
+std::vector<std::unique_ptr<Datanode>> MakeDatanodes(sim::SimCluster* cluster,
+                                                     BlockCache* cache) {
+  std::vector<std::unique_ptr<Datanode>> out;
+  out.reserve(static_cast<size_t>(cluster->num_nodes()));
+  for (int i = 0; i < cluster->num_nodes(); ++i) {
+    out.push_back(std::make_unique<Datanode>(i, &cluster->node(i), cache));
+  }
+  return out;
+}
+
+}  // namespace
+
 MiniDfs::MiniDfs(sim::SimCluster* cluster, DfsConfig config)
     : cluster_(cluster),
       config_(config),
       namenode_(cluster->num_nodes()),
       block_cache_(/*max_entries_per_shard=*/4096, &metrics_),
-      pipeline_(cluster, &namenode_, {}, config) {
-  datanodes_.reserve(static_cast<size_t>(cluster->num_nodes()));
-  for (int i = 0; i < cluster->num_nodes(); ++i) {
-    datanodes_.push_back(std::make_unique<Datanode>(i, &cluster->node(i)));
-    datanodes_.back()->AttachCache(&block_cache_);
-  }
-  pipeline_ = UploadPipeline(cluster, &namenode_, datanode_ptrs(), config);
-}
+      datanodes_(MakeDatanodes(cluster, &block_cache_)),
+      pipeline_(cluster, &namenode_, datanode_ptrs(), config) {}
 
 std::vector<Datanode*> MiniDfs::datanode_ptrs() {
   std::vector<Datanode*> ptrs;

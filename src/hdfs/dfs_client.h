@@ -96,7 +96,7 @@ class MiniDfs {
   mutable obs::MetricsRegistry metrics_;  // before block_cache_: it
                                           // registers counters here
   mutable BlockCache block_cache_;
-  std::vector<std::unique_ptr<Datanode>> datanodes_;
+  std::vector<std::unique_ptr<Datanode>> datanodes_;  // before pipeline_
   UploadPipeline pipeline_;
 };
 
