@@ -27,10 +27,11 @@
 /// reconstruction.
 ///
 /// This layer never reads a block's bytes itself: each term opens its
-/// column once per block through PaxBlockView::OpenColumn, whose
-/// ColumnReader (layout/pax_block.h) resolves the minipage into one span
-/// (ColumnSpan, VarlenCursor, ForSpan, RleSpan or DictSpan), and the
-/// kernel is picked by that span's type. A term on a column the block
+/// column once per block through PaxBlockView::OpenColumn, which hands
+/// out a copy of the ColumnReader (layout/pax_block.h) that
+/// PaxBlockView::Open resolved over the minipage's one span (ColumnSpan,
+/// VarlenCursor, ForSpan, RleSpan or DictSpan), and the kernel is picked
+/// by that span's type. A term on a column the block
 /// lacks, or compiled for a column whose storage differs from the
 /// block's (int32 and date share storage), is InvalidArgument.
 
