@@ -264,6 +264,261 @@ TEST(SortedReplicaPinTest, SharedDictionariesChangeNoByte) {
 }
 
 // ---------------------------------------------------------------------------
+// Dictionaries a decoded v3 block received, and replicas sorted by code
+// ---------------------------------------------------------------------------
+
+/// \p got and \p want give the same columns a dictionary, with the same
+/// entries, value bytes and codes.
+void ExpectSameDictionaries(const BlockDictionaries& got,
+                            const BlockDictionaries& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(got[c].has_value(), want[c].has_value()) << "column " << c;
+    if (!want[c].has_value()) continue;
+    EXPECT_EQ(got[c]->values, want[c]->values) << "column " << c;
+    EXPECT_EQ(got[c]->value_bytes, want[c]->value_bytes) << "column " << c;
+    EXPECT_EQ(got[c]->codes, want[c]->codes) << "column " << c;
+  }
+}
+
+/// k: narrow range, tag: four values (a dictionary), run: long runs,
+/// rev: random doubles.
+PaxBlock EncodableBlock(int rows, uint64_t seed, uint32_t part) {
+  const Schema schema({{"k", FieldType::kInt32},
+                       {"tag", FieldType::kString},
+                       {"run", FieldType::kInt32},
+                       {"rev", FieldType::kDouble}});
+  Random rng(seed);
+  static const char* kTags[] = {"de", "fr", "jp", "us"};
+  std::string text;
+  for (int i = 0; i < rows; ++i) {
+    text += std::to_string(rng.UniformRange(100, 300)) + "," +
+            kTags[rng.Uniform(4)] + "," + std::to_string(i / 50) + "," +
+            std::to_string(static_cast<double>(rng.Uniform(100000)) / 100.0) +
+            "\n";
+  }
+  BlockFormatOptions options;
+  options.varlen_partition_size = part;
+  options.enable_encoding = true;
+  return BuildPaxBlockFromText(schema, text, options);
+}
+
+PaxBlock UserVisitsBlock(int rows, uint64_t seed, uint32_t part) {
+  workload::UserVisitsConfig cfg;
+  cfg.rows = static_cast<uint64_t>(rows);
+  cfg.seed = seed;
+  BlockFormatOptions options;
+  options.varlen_partition_size = part;
+  options.enable_encoding = true;
+  return BuildPaxBlockFromText(workload::UserVisitsSchema(),
+                               workload::GenerateUserVisitsText(cfg), options);
+}
+
+/// The values of string column \p c, in row order.
+std::vector<std::string> StringValues(const PaxBlock& block, int c) {
+  std::vector<std::string> out;
+  for (uint32_t r = 0; r < block.num_records(); ++r) {
+    out.push_back(block.column(c).GetValue(r).as_string());
+  }
+  return out;
+}
+
+/// A v3 dictionary with entries \p entries (sorted, distinct, viewing
+/// strings that outlive it) and each row of \p values coded by its entry.
+StringDictionary DictionaryOver(const std::vector<std::string>& entries,
+                                const std::vector<std::string>& values) {
+  StringDictionary dict;
+  for (const std::string& e : entries) {
+    dict.values.push_back(e);
+    dict.value_bytes += e.size() + 1;
+  }
+  for (const std::string& v : values) {
+    dict.codes.push_back(static_cast<uint32_t>(
+        std::lower_bound(entries.begin(), entries.end(), v) -
+        entries.begin()));
+  }
+  return dict;
+}
+
+/// Every sorted replica (and the arrival-order one) of \p decoded, built
+/// from its BuildDictionaries as the upload does, equals the replica of
+/// \p canonical, which holds the same rows.
+void ExpectSameReplicas(const PaxBlock& decoded, const PaxBlock& canonical,
+                        uint32_t part) {
+  const BlockDictionaries got = decoded.BuildDictionaries();
+  const BlockDictionaries want = canonical.BuildDictionaries();
+  for (int c = -1; c < decoded.num_columns(); ++c) {
+    EXPECT_EQ(BuildSortedReplica(decoded, c, part, &got).bytes,
+              BuildSortedReplica(canonical, c, part, &want).bytes)
+        << "sort column " << c;
+  }
+}
+
+TEST(ReceivedDictionaryTest, RoundTripGivesThePassesDictionaries) {
+  for (const uint32_t part : {1u, 64u}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      for (const PaxBlock& block :
+           {UserVisitsBlock(300, seed, part), EncodableBlock(400, seed, part),
+            UserVisitsBlock(1, seed, part)}) {
+        auto decoded = PaxBlock::Deserialize(block.Serialize());
+        ASSERT_TRUE(decoded.ok());
+        SCOPED_TRACE(testing::Message() << "partition " << part << " seed "
+                                        << seed << " rows "
+                                        << block.num_records());
+        ExpectSameDictionaries(decoded->BuildDictionaries(),
+                               block.BuildDictionaries());
+      }
+    }
+  }
+}
+
+TEST(ReceivedDictionaryTest, UnusedEntryRunsThePass) {
+  for (const uint32_t part : {1u, 64u}) {
+    const PaxBlock block = UserVisitsBlock(300, 5, part);
+    const BlockDictionaries canonical = block.BuildDictionaries();
+    // countryCode is a dictionary of ten values at every partition size;
+    // the doctored one has an eleventh, sorted in, that no row uses.
+    const int c = workload::kCountryCode;
+    ASSERT_TRUE(canonical[c].has_value());
+    std::vector<std::string> entries(canonical[c]->values.begin(),
+                                     canonical[c]->values.end());
+    ASSERT_FALSE(std::binary_search(entries.begin(), entries.end(), "NLD"));
+    entries.insert(std::lower_bound(entries.begin(), entries.end(), "NLD"),
+                   "NLD");
+    BlockDictionaries doctored = canonical;
+    doctored[c] = DictionaryOver(entries, StringValues(block, c));
+    const std::string bytes = block.Serialize(nullptr, &doctored);
+    ASSERT_NE(bytes, block.Serialize());
+
+    auto decoded = PaxBlock::Deserialize(bytes);
+    ASSERT_TRUE(decoded.ok());
+    SCOPED_TRACE(testing::Message() << "partition " << part);
+    ExpectSameDictionaries(decoded->BuildDictionaries(), canonical);
+    ExpectSameReplicas(*decoded, block, part);
+  }
+}
+
+TEST(ReceivedDictionaryTest, DictionaryLargerThanPlainIsNotKept) {
+  // destURL is all distinct, so the pass gives up and stores it plain;
+  // the doctored block stores it as a dictionary of every value anyway.
+  const uint32_t part = 64;
+  const PaxBlock block = UserVisitsBlock(300, 6, part);
+  const BlockDictionaries canonical = block.BuildDictionaries();
+  const int c = workload::kDestURL;
+  ASSERT_FALSE(canonical[c].has_value());
+  const std::vector<std::string> values = StringValues(block, c);
+  std::vector<std::string> entries = values;
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  BlockDictionaries doctored = canonical;
+  doctored[c] = DictionaryOver(entries, values);
+  const std::string bytes = block.Serialize(nullptr, &doctored);
+  auto stored = PaxBlockView::Open(bytes);
+  ASSERT_TRUE(stored.ok());
+  ASSERT_EQ(stored->OpenColumn(c)->encoding(), MiniPageEncoding::kDict);
+
+  auto decoded = PaxBlock::Deserialize(bytes);
+  ASSERT_TRUE(decoded.ok());
+  const BlockDictionaries got = decoded->BuildDictionaries();
+  EXPECT_FALSE(got[c].has_value());
+  ExpectSameDictionaries(got, canonical);
+  ExpectSameReplicas(*decoded, block, part);
+  const SortedReplica replica =
+      BuildSortedReplica(*decoded, workload::kVisitDate, part, &got);
+  auto view = HailBlockView::Open(replica.bytes);
+  ASSERT_TRUE(view.ok());
+  auto pax = view->OpenPax();
+  ASSERT_TRUE(pax.ok());
+  EXPECT_EQ(pax->OpenColumn(c)->encoding(), MiniPageEncoding::kPlain);
+}
+
+TEST(ReceivedDictionaryTest, ReorderedOrAppendedRowsGetTheirOwnCodes) {
+  for (const uint32_t part : {1u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "partition " << part);
+    const PaxBlock block = UserVisitsBlock(300, 7, part);
+    const std::string bytes = block.Serialize();
+
+    auto sorted = PaxBlock::Deserialize(bytes);
+    ASSERT_TRUE(sorted.ok());
+    sorted->SortByColumn(workload::kAdRevenue);
+    PaxBlock want_sorted = block;
+    want_sorted.SortByColumn(workload::kAdRevenue);
+    ExpectSameDictionaries(sorted->BuildDictionaries(),
+                           want_sorted.BuildDictionaries());
+
+    auto appended = PaxBlock::Deserialize(bytes);
+    ASSERT_TRUE(appended.ok());
+    PaxBlock want_appended = block;
+    for (const uint32_t r : {17u, 0u}) {
+      appended->AppendRow(block.GetRow(r));
+      want_appended.AppendRow(block.GetRow(r));
+    }
+    ExpectSameDictionaries(appended->BuildDictionaries(),
+                           want_appended.BuildDictionaries());
+
+    // Reversing every column through mutable_columns() reorders rows too.
+    auto reversed = PaxBlock::Deserialize(bytes);
+    ASSERT_TRUE(reversed.ok());
+    std::vector<uint32_t> reverse(block.num_records());
+    for (uint32_t r = 0; r < block.num_records(); ++r) {
+      reverse[r] = block.num_records() - 1 - r;
+    }
+    for (ColumnVector& col : reversed->mutable_columns()) {
+      col.ApplyPermutation(reverse);
+    }
+    PaxBlock want_reversed = block;
+    for (ColumnVector& col : want_reversed.mutable_columns()) {
+      col.ApplyPermutation(reverse);
+    }
+    ExpectSameDictionaries(reversed->BuildDictionaries(),
+                           want_reversed.BuildDictionaries());
+  }
+}
+
+TEST(SortedReplicaTest, StringKeysSortLikeArgSortColumn) {
+  // Keys from a small alphabet with a byte >= 0x80 and empty strings, so
+  // keys repeat and sort as unsigned bytes; "id" tells rows with equal
+  // keys apart, so the sort must be stable.
+  const Schema schema({{"key", FieldType::kString},
+                       {"id", FieldType::kInt32},
+                       {"other", FieldType::kString}});
+  static const char kAlphabet[] = {'a', 'b', 'Z', '\x7f', '\x80', '\xe9',
+                                   '\xff'};
+  Random rng(424242);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::string> pool(1 + rng.Uniform(trial < 30 ? 12 : 400));
+    for (std::string& s : pool) {
+      for (uint64_t i = rng.Uniform(5); i > 0; --i) {
+        s += kAlphabet[rng.Uniform(std::size(kAlphabet))];
+      }
+    }
+    const uint32_t rows = static_cast<uint32_t>(rng.Uniform(300));
+    for (const bool encoded : {false, true}) {
+      for (const uint32_t part : {1u, 64u}) {
+        PaxBlock block(schema, BlockFormatOptions{part, encoded});
+        for (uint32_t r = 0; r < rows; ++r) {
+          block.AppendRow({Value(pool[rng.Uniform(pool.size())]),
+                           Value(static_cast<int32_t>(r)),
+                           Value(pool[rng.Uniform(pool.size())])});
+        }
+        const BlockDictionaries dictionaries = block.BuildDictionaries();
+        for (const int key : {0, 2}) {
+          const SortedReplica replica =
+              BuildSortedReplica(block, key, part, &dictionaries);
+          auto view = HailBlockView::Open(replica.bytes);
+          ASSERT_TRUE(view.ok());
+          PaxBlock sorted = block;
+          sorted.SortByColumn(key);
+          EXPECT_EQ(view->pax_section(), sorted.Serialize())
+              << "trial " << trial << " encoded " << encoded << " partition "
+              << part << " key " << key;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Trojan block (Hadoop++ physical format)
 // ---------------------------------------------------------------------------
 

@@ -118,6 +118,19 @@ TEST(PaxBlockTest, BadRecordsGoToBadSection) {
   EXPECT_EQ(*view->GetBadRecord(1), "2,cc");
 }
 
+TEST(PaxBlockTest, BadRowLeavesNoStringBytes) {
+  // "2,cc" appends "cc" to the string column before its missing field
+  // makes it a bad record; the rollback must drop those bytes too, or the
+  // next row would read "ccdd".
+  const PaxBlock block =
+      BuildPaxBlockFromText(MixedSchema(), "1,aa,2.0\n2,cc\n3,dd,4.5\n");
+  ASSERT_EQ(block.num_records(), 2u);
+  const ColumnVector& col = block.column(1);
+  EXPECT_EQ(col.GetValue(0).as_string(), "aa");
+  EXPECT_EQ(col.GetValue(1).as_string(), "dd");
+  EXPECT_EQ(col.SerializedValueBytes(), 6u);  // "aa\0dd\0"
+}
+
 TEST(PaxBlockTest, SortByColumnSortsAllColumns) {
   const Schema schema = MixedSchema();
   PaxBlock block = BuildPaxBlockFromText(schema, MakeText(500, 3));
