@@ -125,7 +125,9 @@ Result<PreparedReorg> PrepareCopy(const hdfs::MiniDfs& dfs, uint64_t block_id,
 
 /// Installs the re-sort build on `out`: `base` sorted on `column` through
 /// BuildSortedReplica (a negative column keeps arrival order, unindexed),
-/// then checksummed; the output's index_bytes is the new clustered
+/// which takes its dictionaries from `base.BuildDictionaries()`, so a
+/// decoded v3 replica's own canonical dictionaries are reused, then
+/// checksummed; the output's index_bytes is the new clustered
 /// index's size, 0 when unindexed. Adaptive re-sorts and repairs that
 /// re-create a lost layout build through it; each bills its own sum.
 void SetResortBuild(const hdfs::MiniDfs& dfs, PaxBlock base, int column,

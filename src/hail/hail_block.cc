@@ -6,16 +6,39 @@
 
 namespace hail {
 
+namespace {
+
+/// Stable counting sort of a dictionary column's rows by code. Codes are
+/// ranks in string order, so this is ArgSortColumn's permutation.
+std::vector<uint32_t> SortByCode(const StringDictionary& dict) {
+  std::vector<uint32_t> next(dict.values.size() + 1, 0);  // first slot
+  for (const uint32_t code : dict.codes) ++next[code + 1];
+  for (size_t c = 1; c < next.size(); ++c) next[c] += next[c - 1];
+  std::vector<uint32_t> order(dict.codes.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[next[dict.codes[r]]++] = r;
+  return order;
+}
+
+}  // namespace
+
 SortedReplica BuildSortedReplica(const PaxBlock& base, int sort_column,
                                  uint32_t varlen_partition_size,
                                  const BlockDictionaries* dictionaries) {
+  BlockDictionaries own;
+  if (dictionaries == nullptr) {
+    own = base.BuildDictionaries();
+    dictionaries = &own;
+  }
   SortedReplica out;
   if (sort_column < 0) {
     out.bytes = BuildHailBlock(base, nullptr, -1, nullptr, dictionaries);
     return out;
   }
   const ColumnVector& key = base.column(sort_column);
-  const std::vector<uint32_t> order = ArgSortColumn(key);
+  const std::optional<StringDictionary>& key_dict =
+      (*dictionaries)[static_cast<size_t>(sort_column)];
+  const std::vector<uint32_t> order =
+      key_dict.has_value() ? SortByCode(*key_dict) : ArgSortColumn(key);
   const ClusteredIndex index =
       ClusteredIndex::Build(key.PermutedCopy(order), varlen_partition_size);
   out.bytes = BuildHailBlock(base, &index, sort_column, &order, dictionaries);

@@ -61,12 +61,13 @@ struct SortedReplica {
 };
 
 /// \brief Sorts a replica the same way for upload, adaptive re-sort and
-/// repair: raw typed argsort of the key column, a sorted copy of that
+/// repair: the key column's row order (a counting sort of its codes when
+/// it has a dictionary, else a raw typed argsort), a sorted copy of that
 /// column alone for the sparse clustered index of \p varlen_partition_size
 /// values per partition, and \p base serialised in key order with
-/// \p dictionaries (BuildDictionaries of \p base; null runs the pass
-/// here). A negative \p sort_column keeps arrival order, unindexed.
-/// Reads no cluster state.
+/// \p dictionaries (BuildDictionaries of \p base; null runs
+/// BuildDictionaries here). A negative \p sort_column keeps arrival
+/// order, unindexed. Reads no cluster state.
 SortedReplica BuildSortedReplica(
     const PaxBlock& base, int sort_column, uint32_t varlen_partition_size,
     const BlockDictionaries* dictionaries = nullptr);
@@ -115,12 +116,15 @@ struct HailTransformParams {
 ///
 /// Split by what each step reads. BeginBlock decodes the PAX block
 /// exactly once (asserted by PaxBlock::deserialize_count() in tests),
-/// runs each v3 string column's dictionary pass once, builds the stats
-/// sidecar from those dictionaries and notes the few facts billing reads;
-/// PrepareReplicas writes every replica's bytes and chunk CRCs from those
-/// shared columns and dictionaries, each replica in its own row order
-/// (BuildSortedReplica), and then frees them, so they die on the thread
-/// that built them. Neither reads cluster state, so the
+/// takes each v3 string column's dictionary from it once
+/// (PaxBlock::BuildDictionaries: the dictionary the block arrived with
+/// when it is the one the pass would pick, else the pass), builds the
+/// stats sidecar from those dictionaries and notes the few facts billing
+/// reads; PrepareReplicas writes every replica's bytes and chunk CRCs
+/// from those shared columns and dictionaries, each replica in its own
+/// row order (BuildSortedReplica; a string key with a dictionary sorts
+/// by code), and then frees them, so they die on the thread that built
+/// them. Neither reads cluster state, so the
 /// HAIL client runs both on the worker pool. BuildReplica bills the
 /// building datanode and hands over a copy of the prepared bytes. Without
 /// PrepareReplicas it prepares each replica on first use from the decoded
@@ -164,8 +168,8 @@ class HailReplicaTransformer : public hdfs::ReplicaTransformer {
   /// Shared arrival-order columnar data, decoded once per block; freed by
   /// PrepareReplicas.
   std::optional<PaxBlock> base_;
-  /// base_'s dictionary passes, which view its strings: every replica
-  /// writes the same v3 dictionaries. Freed with base_.
+  /// base_'s dictionaries, which view its strings: every replica writes
+  /// the same v3 dictionaries. Freed with base_.
   BlockDictionaries dictionaries_;
   /// Serialized planner::BlockStats when params_.build_stats is set.
   std::string stats_bytes_;

@@ -24,7 +24,7 @@ void PutIndexKey(ByteWriter& w, const ColumnVector& keys, size_t i) {
       w.PutF64(keys.f64()[i]);
       return;
     case FieldType::kString:
-      w.PutLengthPrefixed(keys.str()[i]);
+      w.PutLengthPrefixed(keys.str(i));
       return;
   }
 }

@@ -80,6 +80,23 @@ inline size_t UpperBoundRaw(const std::vector<T>& keys, L v) {
          ((n == 1 && !(v < static_cast<L>(base[0]))) ? 1 : 0);
 }
 
+/// First row of the sorted string column \p keys where \p below is false.
+template <typename Below>
+inline size_t StringPartitionPoint(const ColumnVector& keys, Below below) {
+  size_t lo = 0;
+  size_t n = keys.size();
+  while (n > 0) {
+    const size_t half = n / 2;
+    if (below(keys.str(lo + half))) {
+      lo += half + 1;
+      n -= half + 1;
+    } else {
+      n = half;
+    }
+  }
+  return lo;
+}
+
 /// First index whose key is >= v. Numeric widening matches
 /// query/predicate.cc's CompareValues: int-vs-int compares as int64,
 /// anything involving a double compares as double.
@@ -95,9 +112,9 @@ inline size_t LowerBoundIndex(const ColumnVector& keys, const Value& v) {
     case FieldType::kDouble:
       return LowerBoundRaw<double, double>(keys.f64(), v.AsNumeric());
     case FieldType::kString: {
-      const std::vector<std::string>& s = keys.str();
-      return static_cast<size_t>(
-          std::lower_bound(s.begin(), s.end(), v.as_string()) - s.begin());
+      const std::string_view s = v.as_string();
+      return StringPartitionPoint(
+          keys, [s](std::string_view key) { return key < s; });
     }
   }
   return 0;
@@ -116,9 +133,9 @@ inline size_t UpperBoundIndex(const ColumnVector& keys, const Value& v) {
     case FieldType::kDouble:
       return UpperBoundRaw<double, double>(keys.f64(), v.AsNumeric());
     case FieldType::kString: {
-      const std::vector<std::string>& s = keys.str();
-      return static_cast<size_t>(
-          std::upper_bound(s.begin(), s.end(), v.as_string()) - s.begin());
+      const std::string_view s = v.as_string();
+      return StringPartitionPoint(
+          keys, [s](std::string_view key) { return !(s < key); });
     }
   }
   return 0;

@@ -12,11 +12,8 @@ constexpr uint32_t kUnclusteredMagic = 0x43554948;  // "HIUC"
 UnclusteredIndex UnclusteredIndex::Build(const ColumnVector& keys) {
   UnclusteredIndex index(keys.type());
   index.num_records_ = static_cast<uint32_t>(keys.size());
-  const std::vector<uint32_t> perm = ArgSortColumn(keys);
-  index.row_ids_ = perm;
-  for (uint32_t src : perm) {
-    index.sorted_keys_.Append(keys.GetValue(src));
-  }
+  index.row_ids_ = ArgSortColumn(keys);
+  index.sorted_keys_ = keys.PermutedCopy(index.row_ids_);
   return index;
 }
 

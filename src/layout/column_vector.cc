@@ -16,7 +16,7 @@ size_t ColumnVector::size() const {
     case FieldType::kDouble:
       return f64_.size();
     case FieldType::kString:
-      return str_.size();
+      return ends_.size();
   }
   return 0;
 }
@@ -34,7 +34,7 @@ void ColumnVector::Append(const Value& v) {
       f64_.push_back(v.as_double());
       break;
     case FieldType::kString:
-      str_.push_back(v.as_string());
+      AppendString(v.as_string());
       break;
   }
 }
@@ -49,7 +49,7 @@ Value ColumnVector::GetValue(size_t row) const {
     case FieldType::kDouble:
       return Value(f64_[row]);
     case FieldType::kString:
-      return Value(str_[row]);
+      return Value(std::string(str(row)));
   }
   return Value();
 }
@@ -67,38 +67,10 @@ void ColumnVector::Truncate(size_t n) {
       if (n < f64_.size()) f64_.resize(n);
       break;
     case FieldType::kString:
-      if (n < str_.size()) str_.resize(n);
-      break;
-  }
-}
-
-namespace {
-template <typename T>
-void Permute(std::vector<T>* data, const std::vector<uint32_t>& perm) {
-  std::vector<T> out;
-  out.reserve(data->size());
-  for (uint32_t src : perm) {
-    out.push_back(std::move((*data)[src]));
-  }
-  *data = std::move(out);
-}
-}  // namespace
-
-void ColumnVector::ApplyPermutation(const std::vector<uint32_t>& perm) {
-  assert(perm.size() == size());
-  switch (type_) {
-    case FieldType::kInt32:
-    case FieldType::kDate:
-      Permute(&i32_, perm);
-      break;
-    case FieldType::kInt64:
-      Permute(&i64_, perm);
-      break;
-    case FieldType::kDouble:
-      Permute(&f64_, perm);
-      break;
-    case FieldType::kString:
-      Permute(&str_, perm);
+      if (n < ends_.size()) {
+        ends_.resize(n);
+        bytes_.resize(n == 0 ? 0 : ends_.back());
+      }
       break;
   }
 }
@@ -113,6 +85,11 @@ std::vector<T> PermutedVector(const std::vector<T>& data,
   return out;
 }
 }  // namespace
+
+void ColumnVector::ApplyPermutation(const std::vector<uint32_t>& perm) {
+  assert(perm.size() == size());
+  *this = PermutedCopy(perm);
+}
 
 ColumnVector ColumnVector::PermutedCopy(
     const std::vector<uint32_t>& perm) const {
@@ -130,7 +107,8 @@ ColumnVector ColumnVector::PermutedCopy(
       out.f64_ = PermutedVector(f64_, perm);
       break;
     case FieldType::kString:
-      out.str_ = PermutedVector(str_, perm);
+      out.Reserve(perm.size(), bytes_.size());
+      for (uint32_t src : perm) out.AppendString(str(src));
       break;
   }
   return out;
@@ -145,29 +123,27 @@ uint64_t ColumnVector::SerializedValueBytes() const {
       return i64_.size() * sizeof(int64_t);
     case FieldType::kDouble:
       return f64_.size() * sizeof(double);
-    case FieldType::kString: {
-      uint64_t bytes = 0;
-      for (const std::string& s : str_) bytes += s.size() + 1;  // NUL
-      return bytes;
-    }
+    case FieldType::kString:
+      return bytes_.size() + ends_.size();  // one NUL per value
   }
   return 0;
 }
 
-void ColumnVector::Reserve(size_t n) {
+void ColumnVector::Reserve(size_t n, uint64_t string_bytes) {
   switch (type_) {
     case FieldType::kInt32:
     case FieldType::kDate:
-      i32_.reserve(n);
+      i32_.reserve(i32_.size() + n);
       break;
     case FieldType::kInt64:
-      i64_.reserve(n);
+      i64_.reserve(i64_.size() + n);
       break;
     case FieldType::kDouble:
-      f64_.reserve(n);
+      f64_.reserve(f64_.size() + n);
       break;
     case FieldType::kString:
-      str_.reserve(n);
+      ends_.reserve(ends_.size() + n);
+      bytes_.reserve(bytes_.size() + string_bytes);
       break;
   }
 }
@@ -175,32 +151,24 @@ void ColumnVector::Reserve(size_t n) {
 std::vector<uint32_t> ArgSortColumn(const ColumnVector& column) {
   std::vector<uint32_t> perm(column.size());
   std::iota(perm.begin(), perm.end(), 0u);
+  const auto sort_by = [&perm](const auto& v) {
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&v](uint32_t a, uint32_t b) { return v(a) < v(b); });
+  };
   switch (column.type()) {
     case FieldType::kInt32:
-    case FieldType::kDate: {
-      const auto& v = column.i32();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
+    case FieldType::kDate:
+      sort_by([&v = column.i32()](uint32_t i) { return v[i]; });
       break;
-    }
-    case FieldType::kInt64: {
-      const auto& v = column.i64();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
+    case FieldType::kInt64:
+      sort_by([&v = column.i64()](uint32_t i) { return v[i]; });
       break;
-    }
-    case FieldType::kDouble: {
-      const auto& v = column.f64();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
+    case FieldType::kDouble:
+      sort_by([&v = column.f64()](uint32_t i) { return v[i]; });
       break;
-    }
-    case FieldType::kString: {
-      const auto& v = column.str();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
+    case FieldType::kString:
+      sort_by([&column](uint32_t i) { return column.str(i); });
       break;
-    }
   }
   return perm;
 }

@@ -182,15 +182,20 @@ void WriteEncodedDoubleMiniPage(ByteWriter& w, const std::vector<double>& vals,
   WriteRuns(w, vals, rows, n, runs, same_bits);
 }
 
+/// Sparse offsets of a varlen minipage of \p n values, one per partition
+/// of \p part values.
+uint32_t NumVarlenOffsets(uint32_t n, uint32_t part) {
+  return n == 0 ? 0 : (n + part - 1) / part;
+}
+
 /// Writes the v1 sparse-offset varlen body (sans tag) — shared between the
 /// v1 string path and the v3 plain-string fallback.
 template <typename Rows>
-void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
-                     Rows rows, uint32_t n, uint32_t part) {
-  const uint32_t num_offsets = n == 0 ? 0 : (n + part - 1) / part;
+void WriteVarlenBody(ByteWriter& w, const ColumnVector& col, Rows rows,
+                     uint32_t n, uint32_t part) {
+  const uint32_t num_offsets = NumVarlenOffsets(n, part);
   w.PutU32(num_offsets);
-  uint64_t total = 0;
-  for (uint32_t r = 0; r < n; ++r) total += strs[r].size() + 1;
+  const uint64_t total = col.SerializedValueBytes();
   char* out = w.Extend(8ull * num_offsets + 8 + total);
   char* values = out + 8ull * num_offsets + 8;
   std::memcpy(values - 8, &total, sizeof(total));  // total value bytes
@@ -198,10 +203,19 @@ void WriteVarlenBody(ByteWriter& w, const std::vector<std::string>& strs,
   for (uint32_t r = 0; r < n; ++r) {
     if (r % part == 0) std::memcpy(out + 8ull * (r / part), &pos, sizeof(pos));
     // Extend zero-filled the NUL terminator.
-    const std::string& s = strs[rows(r)];
+    const std::string_view s = col.str(rows(r));
     std::memcpy(values + pos, s.data(), s.size());
     pos += s.size() + 1;
   }
+}
+
+/// Stored size of string column \p col as a plain v3 minipage of \p part
+/// values per sparse offset: tag, offset count, offsets, byte count and
+/// the NUL-terminated values.
+uint64_t PlainEstimate(const ColumnVector& col, uint32_t part) {
+  const uint32_t n = static_cast<uint32_t>(col.size());
+  return 1 + 4 + 8ull * NumVarlenOffsets(n, part) + 8 +
+         col.SerializedValueBytes();
 }
 
 /// Stored size of a dictionary minipage of \p dict_size >= 1 entries:
@@ -214,13 +228,12 @@ uint64_t DictEstimate(uint64_t dict_size, uint64_t dict_bytes, uint32_t n) {
 /// String minipage (format v3): \p dict's entries and its codes in row
 /// order, or the plain sparse-offset layout when there is no dictionary.
 template <typename Rows>
-void WriteEncodedStringMiniPage(ByteWriter& w,
-                                const std::vector<std::string>& strs,
+void WriteEncodedStringMiniPage(ByteWriter& w, const ColumnVector& col,
                                 const StringDictionary* dict, Rows rows,
                                 uint32_t n, uint32_t part) {
   if (dict == nullptr) {
     w.PutU8(static_cast<uint8_t>(MiniPageEncoding::kPlain));
-    WriteVarlenBody(w, strs, rows, n, part);
+    WriteVarlenBody(w, col, rows, n, part);
     return;
   }
   const uint32_t dict_size = static_cast<uint32_t>(dict->values.size());
@@ -276,12 +289,12 @@ void WriteMiniPage(ByteWriter& w, const ColumnVector& col, bool encoded,
       return;
     case FieldType::kString:
       if (encoded) {
-        WriteEncodedStringMiniPage(w, col.str(), dict, rows, n, part);
+        WriteEncodedStringMiniPage(w, col, dict, rows, n, part);
       } else {
         // Sparse offsets: one per partition of `part` values, relative
         // to the start of the value bytes ("we only store every n-th
         // offset", §3.5).
-        WriteVarlenBody(w, col.str(), rows, n, part);
+        WriteVarlenBody(w, col, rows, n, part);
       }
       return;
   }
@@ -296,14 +309,11 @@ void WriteMiniPage(ByteWriter& w, const ColumnVector& col, bool encoded,
 /// plain size: a high-entropy column gives up early and nothing is
 /// sorted. Only a winning dictionary is sorted, so codes follow string
 /// order, and each row's first-seen id is then replaced by its rank.
-std::optional<StringDictionary> BuildStringDictionary(
-    const std::vector<std::string>& strs, uint32_t part) {
-  const uint32_t n = static_cast<uint32_t>(strs.size());
+std::optional<StringDictionary> BuildStringDictionary(const ColumnVector& col,
+                                                      uint32_t part) {
+  const uint32_t n = static_cast<uint32_t>(col.size());
   if (n == 0) return std::nullopt;
-  const uint32_t num_offsets = (n + part - 1) / part;
-  uint64_t plain_values = 0;
-  for (const std::string& s : strs) plain_values += s.size() + 1;
-  const uint64_t plain_est = 1 + 4 + 8ull * num_offsets + 8 + plain_values;
+  const uint64_t plain_est = PlainEstimate(col, part);
 
   std::vector<std::string_view> distinct;  // first-seen order
   distinct.reserve(n);
@@ -316,7 +326,7 @@ std::optional<StringDictionary> BuildStringDictionary(
   const uint64_t mask = capacity - 1;
   std::vector<uint32_t> slots(capacity, 0);
   for (uint32_t r = 0; r < n; ++r) {
-    const std::string_view s = strs[r];
+    const std::string_view s = col.str(r);
     // The dictionary is sorted before it is written, so the hash affects
     // speed only, never the bytes.
     uint64_t slot = std::hash<std::string_view>{}(s) & mask;
@@ -354,6 +364,43 @@ std::optional<StringDictionary> BuildStringDictionary(
   return dict;
 }
 
+/// The dictionary a v3 minipage stored for \p col (\p dict_size entries,
+/// row r coded \p codes[r]) when it is the one BuildStringDictionary
+/// picks, else empty. PaxBlockView::Open checked that the entries are
+/// sorted and distinct and every code is in range, so it is the pass's
+/// exactly when every entry is used by some row (the entries are then the
+/// column's distinct values and the codes their ranks) and it stores
+/// fewer bytes than the plain layout (the pass's give-up test). The
+/// entries view the column's own strings, not the stored block.
+std::optional<StringDictionary> ReceivedStringDictionary(
+    const ColumnVector& col, uint32_t dict_size,
+    const std::vector<uint32_t>& codes, uint32_t part) {
+  const uint32_t n = static_cast<uint32_t>(col.size());
+  std::vector<uint32_t> first(dict_size, n);  // first row of each code
+  uint32_t unused = dict_size;
+  for (uint32_t r = 0; r < n && unused > 0; ++r) {
+    uint32_t& row = first[codes[r]];
+    if (row == n) {
+      row = r;
+      --unused;
+    }
+  }
+  if (unused > 0) return std::nullopt;
+  StringDictionary dict;
+  dict.values.reserve(dict_size);
+  for (const uint32_t row : first) {
+    dict.values.push_back(col.str(row));
+    dict.value_bytes += dict.values.back().size() + 1;
+  }
+  if (dict.value_bytes > std::numeric_limits<uint32_t>::max() ||
+      DictEstimate(dict_size, dict.value_bytes, n) >=
+          PlainEstimate(col, part)) {
+    return std::nullopt;
+  }
+  dict.codes = codes;
+  return dict;
+}
+
 }  // namespace
 
 PaxBlock::PaxBlock(Schema schema, BlockFormatOptions options)
@@ -366,6 +413,7 @@ PaxBlock::PaxBlock(Schema schema, BlockFormatOptions options)
 
 void PaxBlock::AppendRow(const std::vector<Value>& values) {
   assert(values.size() == columns_.size());
+  received_.clear();
   for (size_t i = 0; i < columns_.size(); ++i) {
     columns_[i].Append(values[i]);
   }
@@ -385,6 +433,7 @@ std::vector<Value> PaxBlock::GetRow(uint32_t row) const {
 }
 
 std::vector<uint32_t> PaxBlock::SortByColumn(int key_column) {
+  received_.clear();
   std::vector<uint32_t> perm =
       ArgSortColumn(columns_[static_cast<size_t>(key_column)]);
   for (ColumnVector& col : columns_) {
@@ -423,11 +472,16 @@ uint64_t PaxBlock::VarlenPayloadBytes() const {
 BlockDictionaries PaxBlock::BuildDictionaries() const {
   BlockDictionaries out(columns_.size());
   if (!options_.enable_encoding) return out;
+  const uint32_t part = options_.varlen_partition_size;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].type() == FieldType::kString) {
-      out[i] = BuildStringDictionary(columns_[i].str(),
-                                     options_.varlen_partition_size);
+    const ColumnVector& col = columns_[i];
+    if (col.type() != FieldType::kString) continue;
+    if (i < received_.size() && received_[i].has_value()) {
+      out[i] = ReceivedStringDictionary(col, received_[i]->dict_size,
+                                        received_[i]->codes, part);
+      if (out[i].has_value()) continue;
     }
+    out[i] = BuildStringDictionary(col, part);
   }
   return out;
 }
@@ -465,6 +519,11 @@ std::string PaxBlock::Serialize(const std::vector<uint32_t>* order,
 
   const uint32_t part = options_.varlen_partition_size;
   const bool encoded = options_.enable_encoding;
+  BlockDictionaries own;
+  if (encoded && dictionaries == nullptr) {
+    own = BuildDictionaries();
+    dictionaries = &own;
+  }
   for (int i = 0; i < ncols; ++i) {
     const ColumnVector& col = columns_[static_cast<size_t>(i)];
     // Align each minipage to 8 bytes so typed batch accessors read aligned
@@ -473,13 +532,10 @@ std::string PaxBlock::Serialize(const std::vector<uint32_t>* order,
     // byte accounting is unchanged.
     while (w.size() % 8 != 0) w.PutU8(0);
     col_offsets[static_cast<size_t>(i)] = w.size();
-    std::optional<StringDictionary> own;
     const StringDictionary* dict = nullptr;
     if (encoded && col.type() == FieldType::kString) {
-      if (dictionaries == nullptr) own = BuildStringDictionary(col.str(), part);
       const std::optional<StringDictionary>& pass =
-          dictionaries != nullptr ? (*dictionaries)[static_cast<size_t>(i)]
-                                  : own;
+          (*dictionaries)[static_cast<size_t>(i)];
       if (pass.has_value()) dict = &*pass;
     }
     if (order != nullptr) {
@@ -530,10 +586,22 @@ Result<PaxBlock> PaxBlock::Deserialize(std::string_view data) {
   // repairs) is v3 too, its minipages chosen and encoded for that order.
   options.enable_encoding = view.encoded_format();
   PaxBlock block(view.schema(), options);
+  block.received_.resize(static_cast<size_t>(view.num_columns()));
   // Bulk per-column decode, no per-row Value round trip.
   for (int c = 0; c < view.num_columns(); ++c) {
     HAIL_ASSIGN_OR_RETURN(ColumnReader reader, view.OpenColumn(c));
     HAIL_RETURN_NOT_OK(reader.AppendTo(&block.columns_[static_cast<size_t>(c)]));
+    reader.Visit([&block, c](const auto& span) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(span)>, DictSpan>) {
+        ReceivedDictionary& kept =
+            block.received_[static_cast<size_t>(c)].emplace();
+        kept.dict_size = span.dict_size();
+        kept.codes.resize(span.num_records());
+        for (uint32_t r = 0; r < span.num_records(); ++r) {
+          kept.codes[r] = span.Code(r);
+        }
+      }
+    });
   }
   HAIL_ASSIGN_OR_RETURN(BadRecordCursor bad, view.OpenBadRecords());
   while (!bad.Done()) {
@@ -937,15 +1005,26 @@ Status ColumnReader::AppendTo(ColumnVector* out) const {
         } else if constexpr (std::is_same_v<S, RleSpan<double>>) {
           AppendRuns(span, &out->mutable_f64());
         } else if constexpr (std::is_same_v<S, DictSpan>) {
-          AppendEach(n, &out->mutable_str(),
-                     [span](uint32_t r) { return span.Value(r); });
+          std::vector<std::string_view> entries(span.dict_size());
+          for (uint32_t c = 0; c < span.dict_size(); ++c) {
+            entries[c] = span.DictEntry(c);
+          }
+          uint64_t bytes = 0;
+          for (uint32_t r = 0; r < n; ++r) bytes += entries[span.Code(r)].size();
+          out->Reserve(n, bytes);
+          for (uint32_t r = 0; r < n; ++r) {
+            out->AppendString(entries[span.Code(r)]);
+          }
         } else {
+          // Well-formed value bytes hold n NUL terminators; a corrupt
+          // count fails in the cursor below.
+          const uint64_t bytes =
+              static_cast<uint64_t>(span.end_ - span.values_);
+          out->Reserve(n, bytes > n ? bytes - n : 0);
           VarlenCursor cursor = span;
-          std::vector<std::string>& strs = out->mutable_str();
-          strs.reserve(strs.size() + n);
           for (uint32_t r = 0; r < n; ++r) {
             HAIL_ASSIGN_OR_RETURN(std::string_view s, cursor.Get(r));
-            strs.emplace_back(s);
+            out->AppendString(s);
           }
         }
         return Status::OK();

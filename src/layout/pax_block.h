@@ -62,7 +62,9 @@ struct BlockFormatOptions {
 /// A v3 dictionary is sorted and distinct, so it depends only on the set
 /// of a column's values, never on their row order: every replica of a
 /// block writes the same dictionary, each with the codes of its own row
-/// order. Entries view the column's strings, which must outlive it.
+/// order. Entries view the column's string bytes, so the block must
+/// outlive the dictionary and append no row meanwhile; moving the block
+/// keeps them valid.
 struct StringDictionary {
   /// Sorted, distinct values.
   std::vector<std::string_view> values;
@@ -108,23 +110,31 @@ class PaxBlock {
 
   /// Direct access to the typed columns for bulk ingest paths
   /// (ColumnarAppender); callers must keep all columns at equal length.
-  std::vector<ColumnVector>& mutable_columns() { return columns_; }
+  /// The caller may reorder rows, so the received dictionaries are
+  /// dropped.
+  std::vector<ColumnVector>& mutable_columns() {
+    received_.clear();
+    return columns_;
+  }
 
   /// The dictionary pass of every column (see BlockDictionaries). It
-  /// views this block's strings.
+  /// views this block's strings. A column Deserialize decoded from a
+  /// dictionary minipage gets that dictionary back, with no pass, when
+  /// it is the one the pass would pick.
   BlockDictionaries BuildDictionaries() const;
 
   /// Serialises header + minipages + bad section. Row i of the written
   /// block is row (*order)[i] of this one, or row i when \p order is
   /// null; bad records keep their order. A v3 block's string minipages
   /// are written from \p dictionaries (BuildDictionaries of this block)
-  /// when given, else from a dictionary pass run here: the bytes are the
+  /// when given, else from BuildDictionaries run here: the bytes are the
   /// same. So a block's replicas, each in its own sort order, share one
   /// dictionary pass and copy no column.
   std::string Serialize(const std::vector<uint32_t>* order = nullptr,
                         const BlockDictionaries* dictionaries = nullptr) const;
 
-  /// Parses a serialised block back into mutable columns.
+  /// Parses a serialised block back into mutable columns, keeping the
+  /// codes of every dictionary minipage for BuildDictionaries.
   static Result<PaxBlock> Deserialize(std::string_view data);
 
   /// Process-wide count of Deserialize calls. Upload tests assert the
@@ -141,10 +151,21 @@ class PaxBlock {
   uint64_t VarlenPayloadBytes() const;
 
  private:
+  /// A dictionary minipage as Deserialize decoded it: its entry count and
+  /// each row's code. Its entries are the column's values of those codes.
+  struct ReceivedDictionary {
+    uint32_t dict_size = 0;
+    std::vector<uint32_t> codes;
+  };
+
   Schema schema_;
   BlockFormatOptions options_;
   std::vector<ColumnVector> columns_;
   std::vector<std::string> bad_records_;
+  /// Per column, its ReceivedDictionary when Deserialize decoded one;
+  /// empty once rows are reordered or appended (SortByColumn, AppendRow,
+  /// mutable_columns).
+  std::vector<std::optional<ReceivedDictionary>> received_;
 };
 
 /// \brief Zero-copy typed view over one fixed-size minipage.
@@ -220,6 +241,7 @@ class VarlenCursor {
   uint64_t partition_seeks() const { return partition_seeks_; }
 
  private:
+  friend class ColumnReader;
   friend class PaxBlockView;
 
   const char* values_ = nullptr;   // start of the value bytes

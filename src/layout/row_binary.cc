@@ -44,7 +44,7 @@ void RowBinaryBlockBuilder::AddRowFromColumns(
         rows_.PutF64(col.f64()[row]);
         break;
       case FieldType::kString:
-        rows_.PutLengthPrefixed(col.str()[row]);
+        rows_.PutLengthPrefixed(col.str(row));
         break;
     }
   }

@@ -165,11 +165,13 @@ BlockStats BlockStats::Build(const PaxBlock& block,
           SummarizeDictionary(*dict, histogram_buckets, &out);
           break;
         }
-        Summarize(std::vector<std::string_view>(col.str().begin(),
-                                                col.str().end()),
-                  histogram_buckets, &out);
+        std::vector<std::string_view> values(col.size());
         uint64_t bytes = 0;
-        for (const std::string& s : col.str()) bytes += s.size();
+        for (size_t r = 0; r < values.size(); ++r) {
+          values[r] = col.str(r);
+          bytes += values[r].size();
+        }
+        Summarize(std::move(values), histogram_buckets, &out);
         out.value_bytes = bytes;
         break;
       }

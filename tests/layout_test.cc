@@ -66,7 +66,9 @@ TEST(ColumnVectorTest, ApplyPermutationReordersAllTypes) {
   col.Append(Value(std::string("a")));
   col.Append(Value(std::string("b")));
   col.ApplyPermutation({1, 2, 0});
-  EXPECT_EQ(col.str(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(
+      (std::vector<std::string_view>{col.str(0), col.str(1), col.str(2)}),
+      (std::vector<std::string_view>{"a", "b", "c"}));
 }
 
 TEST(PaxBlockTest, BuildFromTextAndReadBack) {

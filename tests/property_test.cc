@@ -200,7 +200,7 @@ void ExpectReaderMatches(const PaxBlockView& view, int c,
     if (col.type() == FieldType::kString) {
       auto s = reader->GetString(r);
       ASSERT_TRUE(s.ok());
-      ASSERT_EQ(*s, col.str()[r]);
+      ASSERT_EQ(*s, col.str(r));
     }
   }
 }
