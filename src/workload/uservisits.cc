@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
+#include <charconv>
 
 #include "util/random.h"
 
@@ -44,6 +44,19 @@ constexpr int32_t kDateSpanDays = 11779;
 // selects 1.90e-1 (paper: 2.04e-1).
 constexpr double kAdRevenueMax = 520.0;
 
+/// Appends \p v in decimal.
+void AppendInt(std::string* out, uint64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Appends \p n random lowercase letters (Random::NextString's draws).
+void AppendLetters(std::string* out, Random& rng, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    out->push_back(static_cast<char>('a' + rng.Uniform(26)));
+  }
+}
+
 }  // namespace
 
 Schema UserVisitsSchema() {
@@ -79,30 +92,36 @@ std::string GenerateUserVisitsText(const UserVisitsConfig& config) {
   }
 
   std::string out;
-  out.reserve(config.rows * 160);
-  char buf[64];
+  out.reserve(static_cast<size_t>(static_cast<double>(config.rows) *
+                                  UserVisitsAvgRowBytes()));
   uint64_t needle_count = 0;
   for (uint64_t r = 0; r < config.rows; ++r) {
     const bool is_needle = needle_every > 0 && (r % needle_every) ==
                                                    (needle_every / 2);
-    // sourceIP
+    // sourceIP: the octets are drawn last one first, the order every
+    // dataset and golden was generated in.
     if (is_needle) {
       out += kNeedleIP;
       ++needle_count;
     } else {
-      std::snprintf(buf, sizeof(buf), "%d.%d.%d.%d",
-                    static_cast<int>(rng.Uniform(223) + 1),
-                    static_cast<int>(rng.Uniform(256)),
-                    static_cast<int>(rng.Uniform(256)),
-                    static_cast<int>(rng.Uniform(256)));
-      out += buf;
+      const uint64_t d = rng.Uniform(256);
+      const uint64_t c = rng.Uniform(256);
+      const uint64_t b = rng.Uniform(256);
+      const uint64_t a = rng.Uniform(223) + 1;
+      AppendInt(&out, a);
+      out += '.';
+      AppendInt(&out, b);
+      out += '.';
+      AppendInt(&out, c);
+      out += '.';
+      AppendInt(&out, d);
     }
     out += ',';
     // destURL
     out += "http://www.";
-    out += rng.NextString(8 + rng.Uniform(10));
+    AppendLetters(&out, rng, 8 + rng.Uniform(10));
     out += ".com/";
-    out += rng.NextString(6 + rng.Uniform(12));
+    AppendLetters(&out, rng, 6 + rng.Uniform(12));
     out += ',';
     // visitDate: every 5th needle row carries Bob-Q3's exact date.
     int32_t days;
@@ -117,9 +136,12 @@ std::string GenerateUserVisitsText(const UserVisitsConfig& config) {
     }
     out += DaysToDateString(days);
     out += ',';
-    // adRevenue
-    std::snprintf(buf, sizeof(buf), "%.2f", rng.NextDouble() * kAdRevenueMax);
-    out += buf;
+    // adRevenue, as %.2f
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                  rng.NextDouble() * kAdRevenueMax,
+                                  std::chars_format::fixed, 2)
+                        .ptr);
     out += ',';
     // userAgent / countryCode / languageCode / searchWord
     out += kAgents[rng.Uniform(std::size(kAgents))];
@@ -131,8 +153,7 @@ std::string GenerateUserVisitsText(const UserVisitsConfig& config) {
     out += kWords[rng.Uniform(std::size(kWords))];
     out += ',';
     // duration
-    std::snprintf(buf, sizeof(buf), "%d", static_cast<int>(rng.Uniform(10000)));
-    out += buf;
+    AppendInt(&out, rng.Uniform(10000));
     out += '\n';
   }
   return out;
