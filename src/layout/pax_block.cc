@@ -182,6 +182,12 @@ void WriteEncodedDoubleMiniPage(ByteWriter& w, const std::vector<double>& vals,
   WriteRuns(w, vals, rows, n, runs, same_bits);
 }
 
+/// Copies \p s to \p out. A column's view of an empty value may have a
+/// null data pointer, which memcpy must not be handed.
+void CopyBytes(char* out, std::string_view s) {
+  if (!s.empty()) std::memcpy(out, s.data(), s.size());
+}
+
 /// Sparse offsets of a varlen minipage of \p n values, one per partition
 /// of \p part values.
 uint32_t NumVarlenOffsets(uint32_t n, uint32_t part) {
@@ -204,7 +210,7 @@ void WriteVarlenBody(ByteWriter& w, const ColumnVector& col, Rows rows,
     if (r % part == 0) std::memcpy(out + 8ull * (r / part), &pos, sizeof(pos));
     // Extend zero-filled the NUL terminator.
     const std::string_view s = col.str(rows(r));
-    std::memcpy(values + pos, s.data(), s.size());
+    CopyBytes(values + pos, s);
     pos += s.size() + 1;
   }
 }
@@ -249,7 +255,7 @@ void WriteEncodedStringMiniPage(ByteWriter& w, const ColumnVector& col,
   for (uint32_t c = 0; c < dict_size; ++c) {
     const std::string_view s = dict->values[c];
     std::memcpy(offsets + 4ull * c, &off, 4);
-    std::memcpy(values + off, s.data(), s.size());  // NUL from Extend
+    CopyBytes(values + off, s);  // NUL from Extend
     off += static_cast<uint32_t>(s.size()) + 1;
   }
   PadTo8(w);
