@@ -121,12 +121,13 @@ TEST(PaxBlockTest, BadRecordsGoToBadSection) {
 }
 
 TEST(PaxBlockTest, BadRowLeavesNoStringBytes) {
-  // "2,cc" appends "cc" to the string column before its missing field
-  // makes it a bad record; the rollback must drop those bytes too, or the
-  // next row would read "ccdd".
-  const PaxBlock block =
-      BuildPaxBlockFromText(MixedSchema(), "1,aa,2.0\n2,cc\n3,dd,4.5\n");
+  // "2,cc,x" appends "cc" to the string column before its double fails to
+  // parse (and "2,cc" lacks a field); the rollback must drop those bytes
+  // too, or the next row would read "ccdd".
+  const PaxBlock block = BuildPaxBlockFromText(
+      MixedSchema(), "1,aa,2.0\n2,cc\n2,cc,x\n3,dd,4.5\n");
   ASSERT_EQ(block.num_records(), 2u);
+  ASSERT_EQ(block.bad_records().size(), 2u);
   const ColumnVector& col = block.column(1);
   EXPECT_EQ(col.GetValue(0).as_string(), "aa");
   EXPECT_EQ(col.GetValue(1).as_string(), "dd");
