@@ -151,23 +151,30 @@ void ColumnVector::Reserve(size_t n, uint64_t string_bytes) {
 std::vector<uint32_t> ArgSortColumn(const ColumnVector& column) {
   std::vector<uint32_t> perm(column.size());
   std::iota(perm.begin(), perm.end(), 0u);
-  const auto sort_by = [&perm](const auto& v) {
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&v](uint32_t a, uint32_t b) { return v(a) < v(b); });
-  };
   switch (column.type()) {
     case FieldType::kInt32:
-    case FieldType::kDate:
-      sort_by([&v = column.i32()](uint32_t i) { return v[i]; });
+    case FieldType::kDate: {
+      const auto& v = column.i32();
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
       break;
-    case FieldType::kInt64:
-      sort_by([&v = column.i64()](uint32_t i) { return v[i]; });
+    }
+    case FieldType::kInt64: {
+      const auto& v = column.i64();
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
       break;
-    case FieldType::kDouble:
-      sort_by([&v = column.f64()](uint32_t i) { return v[i]; });
+    }
+    case FieldType::kDouble: {
+      const auto& v = column.f64();
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&](uint32_t a, uint32_t b) { return v[a] < v[b]; });
       break;
+    }
     case FieldType::kString:
-      sort_by([&column](uint32_t i) { return column.str(i); });
+      std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+        return column.str(a) < column.str(b);
+      });
       break;
   }
   return perm;
